@@ -17,6 +17,7 @@ from typing import Iterable, Union
 from .condition_y import _BackwardSearch, decide_condition_y, incoming_length_profile
 from .errors import (
     BoundExceeded,
+    CertificateError,
     MixedPresentation,
     NotFinite,
     NotFiniteEdges,
@@ -76,7 +77,7 @@ def _atomize(pairs: list[tuple[Coeff, VertexSet]]) -> tuple:
 
 
 def _vset_sort_key(vs: VertexSet):
-    return tuple((fam, s.prefix, s.period) for fam, s in vs.parts)
+    return tuple((fam, s.sort_key()) for fam, s in vs.parts)
 
 
 class AlgebraElement:
@@ -506,7 +507,8 @@ def strong_factorization(
         gamma, u = work.pop()
         if profile.contains(u, len(gamma) + 1):
             tau = search.find(u, len(gamma) + 1)
-            assert tau is not None
+            if tau is None:
+                raise CertificateError(f"no replacement path of length {len(gamma) + 1} into {u.label()}")
             mid = VertexSet.of(u)
             a = AlgebraElement.monomial(pres, gamma, mid, tau)
             b = AlgebraElement.monomial(pres, tau, mid, gamma)

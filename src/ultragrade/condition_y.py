@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional, Union
 
-from .errors import NotFinite
+from .errors import CertificateError, NotFinite
 from .indexset import IndexSet
 from .model import (
     CycleTail,
@@ -265,7 +265,8 @@ def decide_condition_y(pres: UltragraphPresentation) -> ConditionYVerdict:
     cycle.reverse()
 
     lasso = InfinitePathRep(tuple(prefix), CycleTail(tuple(cycle)))
-    assert is_violation(pres, profile, lasso)
+    if not is_violation(pres, profile, lasso):
+        raise CertificateError(f"witness {lasso.label()} is not a violation")
     return ConditionYVerdict("fails", witness=lasso)
 
 

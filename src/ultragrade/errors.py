@@ -84,3 +84,8 @@ class NotInDomain(UltragradeError):
 
 class NotInIdeal(UltragradeError):
     pass
+
+
+class CertificateError(UltragradeError):
+    """A certificate or witness failed its own re-check: a bug, never an
+    answer.  Raised rather than asserted so that it holds under -O."""

@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import algebra
 from .condition_y import ConditionYVerdict, check_condition_y_bounded
-from .errors import NoEdges
+from .errors import CertificateError, NoEdges
 from .lattice import g0_contains
 from .model import UltragraphPresentation, VertexSet
 from .structure import structural_report
@@ -108,7 +108,8 @@ def _strong_z_certificate(pres: UltragraphPresentation) -> dict:
         per_v = {}
         for n in (1, -1):
             pairs = algebra.strong_factorization(pres, v, n)
-            assert algebra.verify_factorization(pres, v, pairs, n)
+            if not algebra.verify_factorization(pres, v, pairs, n):
+                raise CertificateError(f"factorization of {v.label()} in degree {n} does not verify")
             per_v[str(n)] = [
                 [algebra.pretty(a), algebra.pretty(b)] for a, b in pairs
             ]

@@ -106,24 +106,51 @@ class VertexSet:
             {fam: IndexSet.from_indices(s) for fam, s in parts.items()}
         )
 
-    def as_dict(self) -> dict[str, IndexSet]:
-        return dict(self.parts)
-
-    def _combine(self, other: "VertexSet", fn) -> "VertexSet":
-        a, b = self.as_dict(), other.as_dict()
-        out: dict[str, IndexSet] = {}
-        for fam in set(a) | set(b):
-            out[fam] = fn(a.get(fam, IndexSet.empty()), b.get(fam, IndexSet.empty()))
-        return VertexSet.make(out)
+    def _merge(self, other: "VertexSet", op, keep_self: bool, keep_other: bool) -> "VertexSet":
+        """Walk both sorted part lists at once: `op` combines the families
+        they share, and a family on one side only is kept as it is or
+        dropped."""
+        a, b = self.parts, other.parts
+        if not b:
+            return self if keep_self else other
+        if not a:
+            return other if keep_other else self
+        if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+            s = op(a[0][1], b[0][1])
+            return VertexSet(((a[0][0], s),) if s else ())
+        out = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            fa, fb = a[i][0], b[j][0]
+            if fa == fb:
+                s = op(a[i][1], b[j][1])
+                if s:
+                    out.append((fa, s))
+                i += 1
+                j += 1
+            elif fa < fb:
+                if keep_self:
+                    out.append(a[i])
+                i += 1
+            else:
+                if keep_other:
+                    out.append(b[j])
+                j += 1
+        if keep_self:
+            out.extend(a[i:])
+        if keep_other:
+            out.extend(b[j:])
+        return VertexSet(tuple(out))
 
     def union(self, other: "VertexSet") -> "VertexSet":
-        return self._combine(other, IndexSet.union)
+        return self._merge(other, IndexSet.union, True, True)
 
     def intersection(self, other: "VertexSet") -> "VertexSet":
-        return self._combine(other, IndexSet.intersection)
+        return self._merge(other, IndexSet.intersection, False, False)
 
     def difference(self, other: "VertexSet") -> "VertexSet":
-        return self._combine(other, IndexSet.difference)
+        return self._merge(other, IndexSet.difference, True, False)
 
     def member(self, v: VertexRef) -> bool:
         for fam, s in self.parts:
@@ -138,7 +165,15 @@ class VertexSet:
         return all(s.is_finite() for _, s in self.parts)
 
     def subset_of(self, other: "VertexSet") -> bool:
-        return self.difference(other).is_empty()
+        theirs = other.parts
+        j = 0
+        for fam, s in self.parts:
+            while j < len(theirs) and theirs[j][0] < fam:
+                j += 1
+            if j == len(theirs) or theirs[j][0] != fam or not s.subset_of(theirs[j][1]):
+                return False
+            j += 1
+        return True
 
     def cardinality(self) -> int | None:
         total = 0
@@ -412,25 +447,6 @@ class UltragraphPresentation:
                 raise DanglingReference(0, f"edge_family {name}: source map must be affine with a >= 0")
             if not fam.range_atoms:
                 raise EmptyRange(0, f"edge_family {name} has empty range")
-
-
-# -- vset_op dispatcher (library-level convenience) ---------------------
-
-
-def vset_op(pres: UltragraphPresentation, op: str, *args):
-    if op == "union":
-        return args[0].union(args[1])
-    if op == "intersect":
-        return args[0].intersection(args[1])
-    if op == "complement-in-G0":
-        return pres.complement(args[0])
-    if op == "member":
-        return args[1].member(args[0])
-    if op == "is_finite":
-        return args[0].is_finite()
-    if op == "is_cofinite":
-        return pres.is_cofinite(args[0])
-    raise ValueError(f"unknown vset op {op!r}")
 
 
 # -- parsing -------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .errors import NotFinite, NotInDomain, NotInIdeal
+from .errors import CertificateError, NotFinite, NotInDomain, NotInIdeal
 from .freegroup import FreeWord
 from .model import (
     CycleTail,
@@ -507,7 +507,8 @@ def skew_multiply(u: SkewElement, v: SkewElement) -> SkewElement:
                 continue
             term = beta(pres, g, prod)
             gt = g * t
-            assert term.supported_in(gt), "skew product left its graded component"
+            if not term.supported_in(gt):
+                raise CertificateError("skew product left its graded component")
             out = out + SkewElement.of(pres, gt, term)
     return out
 
