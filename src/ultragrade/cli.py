@@ -352,15 +352,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ultragrade {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, fmt=True):
+    def common(p):
         p.add_argument("--horizon", type=int, default=40)
-        p.add_argument("--ck2-depth", type=int, default=3, dest="ck2_depth")
-        if fmt:
-            p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("analyze", help="run all analyses on a presentation file")
     p.add_argument("file")
     common(p)
+    p.add_argument("--ck2-depth", type=int, default=3, dest="ck2_depth")
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("check", help="check a single property")
@@ -377,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate an algebra expression")
     p.add_argument("file")
     p.add_argument("expr")
-    common(p, fmt=False)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("skew", help="evaluate a skew-product expression")
@@ -385,7 +383,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr", nargs="?")
     p.add_argument("--verify-iso", type=int, default=None, dest="verify_iso")
     p.add_argument("--assert", action="store_true", dest="assert_")
-    common(p, fmt=False)
     p.set_defaults(fn=_cmd_skew)
     return parser
 

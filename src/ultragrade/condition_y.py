@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .errors import CertificateError, NotFinite
 from .indexset import IndexSet
@@ -30,6 +30,8 @@ from .model import (
 from .structure import structural_report
 
 SEARCH_NODE_BUDGET = 10**5
+_PREFIX_LEN = 3  # edges of backward prefix in front of a representative's tail
+_VALID_DEPTH = 20  # edges unrolled to check that a representative is a path
 
 
 @dataclass(frozen=True)
@@ -377,93 +379,167 @@ def _concrete_cycles(pres: UltragraphPresentation, idx_span: int = 6, max_len: i
     insts: list[EdgeInst] = [EdgeInst(eid) for eid in pres.edges]
     for name, fam in pres.edge_families.items():
         insts.extend(EdgeInst(name, n) for n in range(fam.n0, fam.n0 + idx_span))
-    cycles: set[tuple[EdgeInst, ...]] = set()
+    succ: dict[EdgeInst, list[EdgeInst]] = {}
+    for e in insts:
+        rng = pres.edge_range(e)
+        succ[e] = [f for f in insts if rng.member(pres.edge_source(f))]
+    closes = {e: set(nxt) for e, nxt in succ.items()}
+    cycles: list[tuple[EdgeInst, ...]] = []
 
-    def canon(cyc: tuple[EdgeInst, ...]) -> tuple[EdgeInst, ...]:
-        rots = [cyc[i:] + cyc[:i] for i in range(len(cyc))]
-        return min(rots)
-
+    # A simple cycle is listed once, in its rotation that starts with its
+    # least edge: a walk from `first` only steps to edges greater than it.
     def extend(path: list[EdgeInst]) -> None:
-        last_range = pres.edge_range(path[-1])
-        if last_range.member(pres.edge_source(path[0])):
-            cycles.add(canon(tuple(path)))
+        first, last = path[0], path[-1]
+        if first in closes[last]:
+            cycles.append(tuple(path))
         if len(path) >= max_len:
             return
-        for e in insts:
-            if e in path:
-                continue
-            if last_range.member(pres.edge_source(e)):
-                extend(path + [e])
+        for e in succ[last]:
+            if e > first and e not in path:
+                path.append(e)
+                extend(path)
+                path.pop()
 
     for e in insts:
         extend([e])
     return sorted(cycles, key=lambda c: [e.sort_key() for e in c])
 
 
-def _representatives(
-    pres: UltragraphPresentation, prefix_len: int = 3
-) -> list[InfinitePathRep]:
-    tails: list[Union[CycleTail, FamilyTail]] = []
-    for cyc in _concrete_cycles(pres):
-        tails.append(CycleTail(cyc))
+def _tails(pres: UltragraphPresentation) -> list[Union[CycleTail, FamilyTail]]:
+    """The tails of the representative infinite paths: the bounded concrete
+    cycles in sorted order, then two starts of each self-composing family."""
+    tails: list[Union[CycleTail, FamilyTail]] = [
+        CycleTail(cyc) for cyc in _concrete_cycles(pres)
+    ]
     for name, fam in pres.edge_families.items():
         if _family_self_composes(pres, name):
             tails.append(FamilyTail(name, fam.n0))
             tails.append(FamilyTail(name, fam.n0 + 1))
+    return tails
 
-    reps: dict[tuple, InfinitePathRep] = {}
 
-    def tail_start(tail) -> VertexRef:
-        if isinstance(tail, CycleTail):
-            return pres.edge_source(tail.edges[0])
-        return pres.edge_source(EdgeInst(tail.family, tail.start))
+def _prefix_tree(
+    pres: UltragraphPresentation,
+    v: VertexRef,
+    in_edges: dict[VertexRef, list[EdgeInst]],
+) -> list[tuple[EdgeInst, ...]]:
+    """The backward prefixes into v of up to _PREFIX_LEN edges, each edge
+    from the in-edge list of the next source truncated at 4 members per
+    family, in DFS preorder: (), then for each in-edge e of v in order,
+    (e,) and the prefixes that extend it."""
+    out: list[tuple[EdgeInst, ...]] = []
 
-    def backward(prefix: tuple[EdgeInst, ...], v: VertexRef, tail) -> None:
-        rep = InfinitePathRep(prefix, tail)
-        key = (prefix, tail)
-        if key in reps:
+    def walk(prefix: tuple[EdgeInst, ...], u: VertexRef) -> None:
+        out.append(prefix)
+        if len(prefix) >= _PREFIX_LEN:
             return
-        reps[key] = rep
-        if len(prefix) >= prefix_len:
-            return
-        incoming, _ = pres.in_edges(v, cap=4)
-        for e in incoming:
-            backward((e,) + prefix, pres.edge_source(e), tail)
+        if u not in in_edges:
+            in_edges[u] = pres.in_edges(u, cap=4)[0]
+        for e in in_edges[u]:
+            walk((e,) + prefix, pres.edge_source(e))
 
-    for tail in tails:
-        backward((), tail_start(tail), tail)
-    return [r for r in reps.values() if pres.valid_infinite_path(r, depth=20)]
+    walk((), v)
+    return out
+
+
+def _path_len(pres: UltragraphPresentation, edges: Sequence[EdgeInst]) -> int:
+    """The largest m such that edges[:m] is a path (see is_path)."""
+    prev_range = None
+    for m, e in enumerate(edges):
+        if not pres.resolves(e):
+            return m
+        if prev_range is not None and not prev_range.member(pres.edge_source(e)):
+            return m
+        prev_range = pres.edge_range(e)
+    return len(edges)
+
+
+def _unanswered(
+    pres: UltragraphPresentation,
+    search: _BackwardSearch,
+    edges: Sequence[EdgeInst],
+    first_len: int,
+) -> bool:
+    """True iff, for every i, the search proves that no path of length
+    first_len + i has s(edges[i]) in its range."""
+    for i, e in enumerate(edges):
+        ok, complete = search.exists(pres.edge_source(e), first_len + i)
+        if ok or not complete:
+            return False
+    return True
 
 
 def check_condition_y_bounded(
     pres: UltragraphPresentation, horizon: int = 40
 ) -> ConditionYVerdict:
     """Semi-decision: no-sources shortcut, exact decision on finite inputs,
-    and otherwise a per-representative search for replacement paths up to
-    the horizon."""
+    and otherwise a search for replacement paths up to the horizon along
+    every representative infinite path.
+
+    A representative is a tail (a bounded concrete cycle or a
+    self-composing family) behind a backward prefix of at most
+    _PREFIX_LEN edges taken from truncated in-edge lists.  It violates
+    the condition up to the horizon iff it is a path to depth
+    _VALID_DEPTH and, for every k <= horizon, the search proves that no
+    path of length k + 1 has the source of its (k+1)-th edge in range.
+    Those k split into the prefix positions, which depend only on the
+    prefix, and the tail positions, which depend only on the tail and the
+    prefix length; each part is decided once and the representatives are
+    never listed.  The first violation in the order tails, then prefixes
+    in DFS preorder, is the witness, and it is re-checked on its own
+    before it is returned."""
     report = structural_report(pres)
     if not report.has_sources:
         return ConditionYVerdict("holds_no_sources")
     if pres.is_finite:
         return decide_condition_y(pres)
 
+    span = max(0, horizon + 1)  # the positions k = 0..horizon
     search = _BackwardSearch(pres)
-    for rep in _representatives(pres):
-        edges = rep.unroll(horizon + 2)
-        found = False
-        complete = True
-        for k in range(horizon + 1):
-            v_k = pres.edge_source(edges[k])
-            ok, comp = search.exists(v_k, k + 1)
-            if ok:
-                found = True
-                break
-            complete = complete and comp
-        if not found and complete:
-            return ConditionYVerdict(
-                "violation_up_to_horizon", witness=rep, horizon=horizon
-            )
+    trees: dict[VertexRef, list[tuple[EdgeInst, ...]]] = {}
+    prefix_bad: dict[tuple[EdgeInst, ...], bool] = {}
+    in_edges: dict[VertexRef, list[EdgeInst]] = {}
+
+    for tail in _tails(pres):
+        edges = InfinitePathRep((), tail).unroll(max(span, _VALID_DEPTH))
+        valid_len = _path_len(pres, edges[:_VALID_DEPTH])
+        tail_bad = [
+            _VALID_DEPTH - j <= valid_len
+            and _unanswered(pres, search, edges[: max(0, span - j)], j + 1)
+            for j in range(_PREFIX_LEN + 1)
+        ]
+        if not any(tail_bad):
+            continue
+        start = pres.edge_source(edges[0])
+        if start not in trees:
+            trees[start] = _prefix_tree(pres, start, in_edges)
+        for prefix in trees[start]:
+            if not tail_bad[len(prefix)]:
+                continue
+            if prefix not in prefix_bad:
+                prefix_bad[prefix] = _unanswered(pres, search, prefix[:span], 1)
+            if prefix_bad[prefix]:
+                witness = InfinitePathRep(prefix, tail)
+                _recheck_violation(pres, witness, horizon)
+                return ConditionYVerdict(
+                    "violation_up_to_horizon", witness=witness, horizon=horizon
+                )
     return ConditionYVerdict("unknown", horizon=horizon)
+
+
+def _recheck_violation(
+    pres: UltragraphPresentation, rep: InfinitePathRep, horizon: int
+) -> None:
+    """Re-derive a violation witness from scratch: a path to depth
+    _VALID_DEPTH with no replacement path at any position up to the
+    horizon, by a fresh search along its own unrolling."""
+    if not pres.valid_infinite_path(rep, depth=_VALID_DEPTH):
+        raise CertificateError(f"witness {rep.label()} is not an infinite path")
+    edges = rep.unroll(max(0, horizon + 1))
+    if not _unanswered(pres, _BackwardSearch(pres), edges, 1):
+        raise CertificateError(
+            f"witness {rep.label()} has a replacement path up to horizon {horizon}"
+        )
 
 
 def condition_y_witness(

@@ -24,7 +24,7 @@ from .condition_y import ConditionYVerdict, check_condition_y_bounded
 from .errors import CertificateError, NoEdges
 from .lattice import g0_contains
 from .model import UltragraphPresentation, VertexSet
-from .structure import structural_report
+from .structure import StructuralReport, structural_report
 
 
 @dataclass
@@ -64,8 +64,16 @@ def classify_strong_z(
 ) -> GradingVerdict:
     """Strongly Z-graded iff no sinks, row-finite, and the replacement
     condition on infinite paths holds."""
-    report = structural_report(pres)
-    cy = check_condition_y_bounded(pres, horizon)
+    return _strong_z_from(
+        pres, structural_report(pres), check_condition_y_bounded(pres, horizon)
+    )
+
+
+def _strong_z_from(
+    pres: UltragraphPresentation, report: StructuralReport, cy: ConditionYVerdict
+) -> GradingVerdict:
+    """The strong-Z verdict from an already computed structural report and
+    replacement-condition verdict."""
     reasons = []
     ok = True
     unknown = False
@@ -225,7 +233,11 @@ def classify_eps_strong_f(pres: UltragraphPresentation) -> GradingVerdict:
 
 
 def gauge_saturation(pres: UltragraphPresentation, horizon: int = 40) -> GradingVerdict:
-    base = classify_strong_z(pres, horizon)
+    return _gauge_from(classify_strong_z(pres, horizon))
+
+
+def _gauge_from(base: GradingVerdict) -> GradingVerdict:
+    """Gauge saturation from the strong-Z verdict, sharing its certificate."""
     reasons = list(base.reasons)
     reasons.append(
         "gauge saturation is equivalent to the strong Z-grading criterion; "
@@ -243,9 +255,11 @@ def analyze(
     unital, witness = g0_contains(pres, pres.g0_universe())
     cy = check_condition_y_bounded(pres, horizon)
 
-    def grading(fn, *args):
+    strong_z = _strong_z_from(pres, report, cy)
+
+    def grading(fn):
         try:
-            return fn(pres, *args).to_dict()
+            return fn(pres).to_dict()
         except NoEdges:
             return GradingVerdict(
                 "StrongF" if fn is classify_strong_f else "EpsStrongF",
@@ -263,11 +277,11 @@ def analyze(
         "unit_witness": None,
         "condition_y": cy.to_dict(),
         "gradings": {
-            "strong_z": grading(classify_strong_z, horizon),
+            "strong_z": strong_z.to_dict(),
             "eps_strong_z": grading(classify_eps_strong_z),
             "strong_f": grading(classify_strong_f),
             "eps_strong_f": grading(classify_eps_strong_f),
-            "gauge_saturated": grading(gauge_saturation, horizon),
+            "gauge_saturated": _gauge_from(strong_z).to_dict(),
         },
     }
     if unital and witness is not None:

@@ -162,7 +162,8 @@ def _strip(pres: UltragraphPresentation, x: PathPoint, b: tuple[EdgeInst, ...]) 
         for _ in b:
             rep = shift_path(rep)
         return Infinite(rep)
-    assert isinstance(x, SinkPath) and x.alpha[: len(b)] == b
+    if not (isinstance(x, SinkPath) and x.alpha[: len(b)] == b):
+        raise ValueError("the point does not begin with the path to strip")
     rest = x.alpha[len(b):]
     return SinkPath(rest, x.v) if rest else SinkVertex(x.v)
 
@@ -185,7 +186,10 @@ def theta(pres: UltragraphPresentation, t: FreeWord, x: PathPoint) -> PathPoint:
     if not point_in_word(pres, x, t.inverse()):
         raise NotInDomain(f"point outside the domain of theta_{t.label()}")
     split = t.positive_negative_split()
-    assert split is not None
+    if split is None:
+        raise CertificateError(
+            f"{t.label()} has no positive-negative split but its domain admitted a point"
+        )
     a, b = split
     return _prepend(_strip(pres, x, b), a)
 
@@ -255,7 +259,8 @@ def atom_point(pres: UltragraphPresentation, key: tuple) -> PathPoint:
             else:
                 candidates.extend(pres.out_edges(u))
         if not candidates:
-            assert sink is not None
+            if sink is None:
+                raise CertificateError("no edge and no sink continues the atom's path")
             return SinkPath(alpha + tuple(ext), sink)
         e = sorted(candidates, key=EdgeInst.sort_key)[0]
         if e in seen:
@@ -274,7 +279,8 @@ def _point_atom(pres: UltragraphPresentation, x: PathPoint, depth: int) -> tuple
         return ("cyl", point_prefix(x, depth))
     if isinstance(x, SinkPath):
         return ("sp", x.alpha, x.v)
-    assert isinstance(x, SinkVertex)
+    if not isinstance(x, SinkVertex):
+        raise ValueError(f"not a path point: {x!r}")
     return ("sv", x.v)
 
 

@@ -82,6 +82,15 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "check", "not-a-property", path("ef.ug"))[0] == 64
 
 
+def test_eval_and_skew_take_no_search_options(capsys):
+    # --horizon and --ck2-depth belong to analyze (and --horizon to check);
+    # eval and skew never read them, so they are usage errors there
+    assert run(capsys, "eval", path("ef.ug"), "s(e)", "--horizon", "3")[0] == 64
+    assert run(capsys, "skew", path("ef.ug"), "s(e)", "--ck2-depth", "2")[0] == 64
+    assert run(capsys, "check", "cond-y", path("ef.ug"), "--ck2-depth", "2")[0] == 64
+    assert run(capsys, "check", "cond-y", path("ef.ug"), "--horizon", "3")[0] == 0
+
+
 def test_graph_output_parses(capsys):
     code, out, _ = run(capsys, "graph", path("two_range.ug"))
     assert code == 0

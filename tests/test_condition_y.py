@@ -13,7 +13,9 @@ import networkx as nx
 import pytest
 
 from conftest import load, random_presentation
+from ultragrade import condition_y
 from ultragrade.condition_y import (
+    ConditionYVerdict,
     NoWitnessUpTo,
     check_condition_y_bounded,
     condition_y_witness,
@@ -21,7 +23,19 @@ from ultragrade.condition_y import (
     incoming_length_profile,
     is_violation,
 )
-from ultragrade.model import EdgeInst, InfinitePathRep, CycleTail, FamilyTail
+from ultragrade.model import (
+    Affine,
+    CycleTail,
+    Edge,
+    EdgeFamily,
+    EdgeInst,
+    FamilyTail,
+    InfinitePathRep,
+    VertexRef,
+    VertexSet,
+    VertexTemplate,
+    parse_presentation,
+)
 from ultragrade.structure import build_associated_graph
 
 
@@ -166,3 +180,209 @@ def test_ex2_witness_has_no_replacements():
     pres = load("ex2.ug")
     p = InfinitePathRep((EdgeInst("e"),), FamilyTail("f", 2))
     assert isinstance(condition_y_witness(pres, p, 1, horizon=20), NoWitnessUpTo)
+
+
+# -- the bounded semi-decision against a representative-by-representative
+# oracle ----------------------------------------------------------------
+#
+# The oracle lists every representative infinite path (bounded concrete
+# cycle or self-composing family tail, behind every backward prefix of at
+# most three edges), keeps those that are paths to depth 20, and runs the
+# replacement search along each in turn.  The library decides the prefix
+# and the tail positions separately and never lists the representatives;
+# both must give the same status, witness and horizon.
+
+
+def _oracle_concrete_cycles(pres, idx_span=6, max_len=6):
+    insts = [EdgeInst(eid) for eid in pres.edges]
+    for name, fam in pres.edge_families.items():
+        insts.extend(EdgeInst(name, n) for n in range(fam.n0, fam.n0 + idx_span))
+    cycles = set()
+
+    def canon(cyc):
+        return min(cyc[i:] + cyc[:i] for i in range(len(cyc)))
+
+    def extend(path):
+        last_range = pres.edge_range(path[-1])
+        if last_range.member(pres.edge_source(path[0])):
+            cycles.add(canon(tuple(path)))
+        if len(path) >= max_len:
+            return
+        for e in insts:
+            if e not in path and last_range.member(pres.edge_source(e)):
+                extend(path + [e])
+
+    for e in insts:
+        extend([e])
+    return sorted(cycles, key=lambda c: [e.sort_key() for e in c])
+
+
+def _oracle_representatives(pres, prefix_len=3):
+    tails = [CycleTail(cyc) for cyc in _oracle_concrete_cycles(pres)]
+    for name, fam in pres.edge_families.items():
+        if condition_y._family_self_composes(pres, name):
+            tails.append(FamilyTail(name, fam.n0))
+            tails.append(FamilyTail(name, fam.n0 + 1))
+    reps = {}
+
+    def backward(prefix, v, tail):
+        if (prefix, tail) in reps:
+            return
+        reps[(prefix, tail)] = InfinitePathRep(prefix, tail)
+        if len(prefix) >= prefix_len:
+            return
+        for e in pres.in_edges(v, cap=4)[0]:
+            backward((e,) + prefix, pres.edge_source(e), tail)
+
+    for tail in tails:
+        start = InfinitePathRep((), tail).unroll(1)[0]
+        backward((), pres.edge_source(start), tail)
+    return [r for r in reps.values() if pres.valid_infinite_path(r, depth=20)]
+
+
+def oracle_bounded(pres, horizon, reps):
+    """The semi-decision on an infinite presentation with sources, one
+    representative of `reps` at a time."""
+    search = condition_y._BackwardSearch(pres)
+    for rep in reps:
+        edges = rep.unroll(horizon + 2)
+        found, complete = False, True
+        for k in range(horizon + 1):
+            ok, comp = search.exists(pres.edge_source(edges[k]), k + 1)
+            if ok:
+                found = True
+                break
+            complete = complete and comp
+        if not found and complete:
+            return ConditionYVerdict("violation_up_to_horizon", witness=rep, horizon=horizon)
+    return ConditionYVerdict("unknown", horizon=horizon)
+
+
+def random_ray_presentation(rng, max_vertices=5, max_edges=6):
+    """A conftest-shaped finite core over v plus an infinite ray
+    f[n] : r[n-1] -> r[n].  The ray is entered from a core vertex or, as
+    in ex2, only through a fresh source u; its range sometimes also
+    holds a core vertex (truncated in-edge lists), and an edge sometimes
+    leads back from the ray into the core (cycles through the family)."""
+    pres = random_presentation(rng, max_vertices, max_edges)
+    nv = pres.vertex_families["v"]
+    pres.vertex_families["r"] = None
+    atoms = [VertexTemplate("r", Affine(1, 0))]
+    if rng.random() < 0.25:
+        atoms.append(VertexTemplate("v", Affine(0, rng.randrange(nv))))
+    pres.edge_families["f"] = EdgeFamily(
+        "f", 1, VertexTemplate("r", Affine(1, -1)), tuple(atoms)
+    )
+    entry = VertexRef("r", rng.randrange(2))
+    if rng.random() < 0.5:
+        pres.vertex_families["u"] = 1
+        pres.atoms.add("u")
+        members = [entry] + ([VertexRef("v", rng.randrange(nv))] if rng.random() < 0.5 else [])
+        pres.edges["in"] = Edge("in", VertexRef("u", 0), VertexSet.of(*members))
+    else:
+        pres.edges["in"] = Edge("in", VertexRef("v", rng.randrange(nv)), VertexSet.of(entry))
+    if rng.random() < 0.25:
+        pres.edges["back"] = Edge(
+            "back", VertexRef("r", rng.randrange(1, 4)), VertexSet.of(VertexRef("v", rng.randrange(nv)))
+        )
+    pres.validate()
+    return pres
+
+
+def clique_ray(k):
+    """A source feeding a complete directed graph on k vertices, one of
+    which feeds an infinite ray."""
+    lines = [
+        f"ultragraph clique{k}",
+        "vertex src",
+        f"vertex_family q finite {k}",
+        "vertex_family r infinite",
+        "edge feed : src -> { q[0] }",
+        f"edge out : q[{k - 1}] -> {{ r[0] }}",
+    ]
+    lines += [f"edge c{i}_{j} : q[{i}] -> {{ q[{j}] }}" for i in range(k) for j in range(k) if i != j]
+    lines.append("edge_family f[n] (n >= 1) : r[n-1] -> { r[n] }")
+    return parse_presentation("\n".join(lines) + "\n")
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Every backward search started while the test runs."""
+    started = []
+
+    class Recorded(condition_y._BackwardSearch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(condition_y, "_BackwardSearch", Recorded)
+    return started
+
+
+def _same_verdicts(pres, horizons):
+    """The library's statuses at each horizon, after checking that the
+    oracle gives the same status, witness and horizon, and the same
+    cycles."""
+    assert condition_y._concrete_cycles(pres) == _oracle_concrete_cycles(pres)
+    reps = None
+    statuses = []
+    for horizon in horizons:
+        got = check_condition_y_bounded(pres, horizon)
+        statuses.append(got.status)
+        if got.status == "holds_no_sources":
+            continue
+        if reps is None:
+            reps = _oracle_representatives(pres)
+        want = oracle_bounded(pres, horizon, reps)
+        assert got.to_dict() == want.to_dict(), pres.name
+        assert got.witness == want.witness
+    return statuses
+
+
+def test_bounded_matches_oracle_on_corpus_and_clique_rays(searches):
+    inputs = {
+        "ex2": load("ex2.ug"),
+        "infinite_range": load("infinite_range.ug"),
+        "clique3": clique_ray(3),
+        "clique4": clique_ray(4),
+    }
+    horizons = (40, 5, 1, 0)
+    statuses = {}
+    for name, pres in inputs.items():
+        for horizon, status in zip(horizons, _same_verdicts(pres, horizons)):
+            statuses[name, horizon] = status
+    assert statuses["ex2", 40] == "violation_up_to_horizon"
+    assert statuses["infinite_range", 40] == "holds_no_sources"
+    assert statuses["clique3", 40] == statuses["clique4", 40] == "unknown"
+    # at horizon 0 only the first position counts, and the source has no
+    # incoming path at all
+    assert statuses["clique4", 0] == "violation_up_to_horizon"
+    assert searches and all(s.nodes <= s.budget for s in searches)
+
+
+def test_bounded_matches_oracle_on_random_rays(searches):
+    rng = random.Random(211)
+    seen = {}
+    for i in range(60):
+        # a smaller core than conftest's default keeps the oracle, which
+        # lists every representative, to a few seconds
+        pres = random_ray_presentation(rng, max_vertices=5, max_edges=5)
+        pres.name = f"ray{i}"
+        for status in _same_verdicts(pres, (40, 3)):
+            seen[status] = seen.get(status, 0) + 1
+    assert seen.get("violation_up_to_horizon", 0) >= 5, seen
+    assert seen.get("unknown", 0) >= 5, seen
+    assert all(s.nodes <= s.budget for s in searches)
+
+
+def test_budget_cut_search_stays_unknown(monkeypatch):
+    # with no search budget every answer is incomplete, so the ex2
+    # violation cannot be proved and must not turn into a definite verdict
+    class NoBudget(condition_y._BackwardSearch):
+        def __init__(self, pres, budget=0):
+            super().__init__(pres, 0)
+
+    monkeypatch.setattr(condition_y, "_BackwardSearch", NoBudget)
+    verdict = check_condition_y_bounded(load("ex2.ug"))
+    assert verdict.status == "unknown"
+    assert verdict.witness is None

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from conftest import load
+from ultragrade import grading
 from ultragrade.errors import NoEdges
 from ultragrade.grading import (
     analyze,
@@ -116,3 +120,35 @@ def test_analyze_no_edges_reports_unknown_f():
     report = analyze(parse_presentation("ultragraph g\nvertex u\n"))
     assert report["gradings"]["strong_f"]["status"] == "Unknown"
     assert report["gradings"]["eps_strong_f"]["status"] == "Unknown"
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(grading, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(grading, name, counted)
+    return calls
+
+
+def _golden(name):
+    path = Path(__file__).resolve().parent / "golden" / f"{name}.json"
+    return path.read_text(encoding="utf-8")
+
+
+def test_analyze_runs_the_bounded_check_once(monkeypatch):
+    calls = _counting(monkeypatch, "check_condition_y_bounded")
+    report = analyze(load("ex2.ug"))
+    assert len(calls) == 1
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == _golden("ex2")
+
+
+def test_analyze_builds_the_strong_z_certificate_once(monkeypatch):
+    calls = _counting(monkeypatch, "_strong_z_certificate")
+    report = analyze(load("two_cycle.ug"))
+    assert len(calls) == 1
+    assert report["gradings"]["gauge_saturated"]["certificate"] is not None
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == _golden("two_cycle")
