@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .condition_y import _BackwardSearch, decide_condition_y, incoming_length_profile
+from .condition_y import _BackwardSearch, incoming_length_profile
 from .errors import (
     BoundExceeded,
     CertificateError,
@@ -471,8 +471,6 @@ def strong_factorization(
         raise NotFinite("factorization certificates need a finite ultragraph")
     report = structural_report(pres)
     if report.has_sinks or not report.row_finite:
-        raise NotStronglyGraded("the algebra is not strongly graded")
-    if decide_condition_y(pres).status != "holds":
         raise NotStronglyGraded("the algebra is not strongly graded")
     point = VertexSet.of(v)
     if n == 1:

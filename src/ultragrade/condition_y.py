@@ -1,23 +1,20 @@
-"""Condition (Y): exact decision for finite ultragraphs, bounded
-semi-decision for infinite presentations.
+"""Condition (Y): the replacement-prefix condition on infinite paths.
 
 An infinite path e1 e2 e3 ... violates the condition iff for every k
 there is no finite path of length k+1 whose range contains s(e_{k+1}).
-For finite ultragraphs the family of "reached by some length-l path"
-vertex sets is eventually periodic in l, so violations reduce to an
-infinite walk inside the bad part of a finite (vertex, length-class)
-product graph; by pigeonhole such a walk can be taken eventually
-periodic, which is why failure witnesses are lassos.
+On a finite ultragraph no infinite path violates it (see
+decide_condition_y), so the exact decision needs no search.  On an
+infinite presentation, check_condition_y_bounded looks for replacement
+paths up to a horizon along a bounded set of representative infinite
+paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Optional, Sequence, Union
 
 from .errors import CertificateError, NotFinite
-from .indexset import IndexSet
 from .model import (
     CycleTail,
     EdgeInst,
@@ -31,7 +28,7 @@ from .structure import structural_report
 
 SEARCH_NODE_BUDGET = 10**5
 _PREFIX_LEN = 3  # edges of backward prefix in front of a representative's tail
-_VALID_DEPTH = 20  # edges unrolled to check that a representative is a path
+_VALID_DEPTH = 20  # edges unrolled to check that a witness is a path
 
 
 @dataclass(frozen=True)
@@ -53,31 +50,12 @@ class LengthProfile:
     def contains(self, v: VertexRef, length: int) -> bool:
         return v in self.states[self._idx(length)]
 
-    def as_indexset(self, v: VertexRef) -> IndexSet:
-        prefix = [False] + [v in self.states[i] for i in range(self.preperiod)]
-        period = [
-            v in self.states[self.preperiod + j] for j in range(self.period)
-        ]
-        return IndexSet.make(prefix, period)
-
 
 @dataclass(frozen=True)
 class ConditionYVerdict:
-    status: str  # holds | fails | holds_no_sources | violation_up_to_horizon | unknown
+    status: str  # holds | holds_no_sources | violation_up_to_horizon | unknown
     witness: Optional[InfinitePathRep] = None
     horizon: Optional[int] = None
-
-    @property
-    def is_definite(self) -> bool:
-        return self.status in ("holds", "fails", "holds_no_sources")
-
-    @property
-    def holds(self) -> Optional[bool]:
-        if self.status in ("holds", "holds_no_sources"):
-            return True
-        if self.status == "fails":
-            return False
-        return None
 
     def to_dict(self) -> dict:
         return {
@@ -121,179 +99,18 @@ def incoming_length_profile(pres: UltragraphPresentation) -> LengthProfile:
     return LengthProfile(tuple(states), first, len(states) - first)
 
 
-def _product_succ(profile: LengthProfile, c: int) -> int:
-    size = len(profile.states)
-    return c + 1 if c + 1 < size else profile.preperiod
-
-
-def _bad(profile: LengthProfile, v: VertexRef, c: int) -> bool:
-    return v not in profile.states[c]
-
-
 def decide_condition_y(pres: UltragraphPresentation) -> ConditionYVerdict:
-    """Exact decision; failure witnesses are lasso paths."""
-    edges = _finite_edges(pres)
-    profile = incoming_length_profile(pres)
-    size = len(profile.states)
-    vertices = pres.all_vertices()
+    """Exact decision for a finite ultragraph: the condition always holds.
 
-    out_by_src: dict[VertexRef, list[tuple[EdgeInst, frozenset[VertexRef]]]] = {}
-    for inst, s, r in edges:
-        out_by_src.setdefault(s, []).append((inst, r))
-
-    bad_nodes = {
-        (v, c) for v in vertices for c in range(size) if _bad(profile, v, c)
-    }
-    adj: dict[tuple, list[tuple[tuple, EdgeInst]]] = {}
-    for (v, c) in bad_nodes:
-        nxt = _product_succ(profile, c)
-        targets = []
-        for inst, r in out_by_src.get(v, []):
-            for v2 in sorted(r):
-                if (v2, nxt) in bad_nodes:
-                    targets.append(((v2, nxt), inst))
-        adj[(v, c)] = targets
-
-    # nodes lying on a cycle within the bad subgraph (Tarjan, iterative)
-    index: dict[tuple, int] = {}
-    low: dict[tuple, int] = {}
-    on_stack: set = set()
-    stack: list = []
-    counter = [0]
-    cycle_nodes: set = set()
-
-    def strongconnect(root):
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for (child, _inst) in it:
-                if child not in index:
-                    index[child] = low[child] = counter[0]
-                    counter[0] += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(adj[child])))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.append(w)
-                    if w == node:
-                        break
-                if len(scc) > 1:
-                    cycle_nodes.update(scc)
-                else:
-                    w = scc[0]
-                    if any(t == w for t, _ in adj[w]):
-                        cycle_nodes.add(w)
-
-    for node in adj:
-        if node not in index:
-            strongconnect(node)
-
-    # reachability from bad start nodes (class 0 = length requirement 1)
-    starts = [(v, 0) for v in vertices if (v, 0) in bad_nodes]
-    parent: dict[tuple, tuple[tuple, EdgeInst] | None] = {s: None for s in starts}
-    frontier = list(starts)
-    hit = None
-    for s in starts:
-        if s in cycle_nodes:
-            hit = s
-            break
-    while hit is None and frontier:
-        nxt_frontier = []
-        for node in frontier:
-            for child, inst in adj[node]:
-                if child in parent:
-                    continue
-                parent[child] = (node, inst)
-                if child in cycle_nodes:
-                    hit = child
-                    break
-                nxt_frontier.append(child)
-            if hit is not None:
-                break
-        frontier = nxt_frontier
-    if hit is None:
-        return ConditionYVerdict("holds")
-
-    prefix: list[EdgeInst] = []
-    node = hit
-    while parent[node] is not None:
-        prev, inst = parent[node]
-        prefix.append(inst)
-        node = prev
-    prefix.reverse()
-
-    # one cycle through `hit` inside the bad subgraph
-    cyc_parent: dict[tuple, tuple[tuple, EdgeInst]] = {}
-    frontier = [hit]
-    closing = None
-    while closing is None:
-        nxt_frontier = []
-        for nd in frontier:
-            for child, inst in adj[nd]:
-                if child == hit:
-                    closing = (nd, inst)
-                    break
-                if child not in cyc_parent:
-                    cyc_parent[child] = (nd, inst)
-                    nxt_frontier.append(child)
-            if closing is not None:
-                break
-        frontier = nxt_frontier
-    cycle: list[EdgeInst] = [closing[1]]
-    nd = closing[0]
-    while nd != hit:
-        prev, inst = cyc_parent[nd]
-        cycle.append(inst)
-        nd = prev
-    cycle.reverse()
-
-    lasso = InfinitePathRep(tuple(prefix), CycleTail(tuple(cycle)))
-    if not is_violation(pres, profile, lasso):
-        raise CertificateError(f"witness {lasso.label()} is not a violation")
-    return ConditionYVerdict("fails", witness=lasso)
-
-
-def is_violation(
-    pres: UltragraphPresentation,
-    profile: LengthProfile,
-    lasso: InfinitePathRep,
-) -> bool:
-    """Exact check that a lasso path witnesses failure, using joint
-    periodicity of the path and the length profile."""
-    if not isinstance(lasso.tail, CycleTail):
-        raise ValueError("exact violation check needs a cycle tail")
-    if not pres.valid_infinite_path(lasso, depth=50):
-        return False
-    horizon = (
-        len(lasso.prefix)
-        + profile.preperiod
-        + lcm(len(lasso.tail.edges), profile.period)
-    )
-    edges = lasso.unroll(horizon + 1)
-    for k in range(horizon):
-        v_k = pres.edge_source(edges[k])
-        if profile.contains(v_k, k + 1):
-            return False
-    return True
+    Let e1 e2 ... be an infinite path.  It uses finitely many edges, so
+    some edge e occurs at positions p1 < p2 < ....  Set k = p1 - 1.  The
+    k + 1 edges just before position p2 (positions p2 - k - 1 >= 1 up to
+    p2 - 1) form a path, being a piece of the infinite path, and its last
+    range holds s(e_{p2}) = s(e) = s(e_{k+1}).  That path is a replacement
+    prefix at position k."""
+    if not pres.is_finite:
+        raise NotFinite("exact decision requires a finite ultragraph")
+    return ConditionYVerdict("holds")
 
 
 # -- backward search for replacement paths ------------------------------
@@ -407,7 +224,14 @@ def _concrete_cycles(pres: UltragraphPresentation, idx_span: int = 6, max_len: i
 
 def _tails(pres: UltragraphPresentation) -> list[Union[CycleTail, FamilyTail]]:
     """The tails of the representative infinite paths: the bounded concrete
-    cycles in sorted order, then two starts of each self-composing family."""
+    cycles in sorted order, then two starts of each self-composing family.
+
+    Every tail is an infinite path, so no caller re-checks it.  A concrete
+    cycle composes by construction: _concrete_cycles steps from e only to
+    an f with s(f) in r(e), and closes only when s(first) is in r(last).
+    A self-composing family has a range atom equal to its own source
+    shifted by one, so r(f[n]) holds s(f[n+1]) for every n, and every
+    index from n0 on resolves."""
     tails: list[Union[CycleTail, FamilyTail]] = [
         CycleTail(cyc) for cyc in _concrete_cycles(pres)
     ]
@@ -442,18 +266,6 @@ def _prefix_tree(
     return out
 
 
-def _path_len(pres: UltragraphPresentation, edges: Sequence[EdgeInst]) -> int:
-    """The largest m such that edges[:m] is a path (see is_path)."""
-    prev_range = None
-    for m, e in enumerate(edges):
-        if not pres.resolves(e):
-            return m
-        if prev_range is not None and not prev_range.member(pres.edge_source(e)):
-            return m
-        prev_range = pres.edge_range(e)
-    return len(edges)
-
-
 def _unanswered(
     pres: UltragraphPresentation,
     search: _BackwardSearch,
@@ -478,10 +290,10 @@ def check_condition_y_bounded(
 
     A representative is a tail (a bounded concrete cycle or a
     self-composing family) behind a backward prefix of at most
-    _PREFIX_LEN edges taken from truncated in-edge lists.  It violates
-    the condition up to the horizon iff it is a path to depth
-    _VALID_DEPTH and, for every k <= horizon, the search proves that no
-    path of length k + 1 has the source of its (k+1)-th edge in range.
+    _PREFIX_LEN edges taken from truncated in-edge lists, so it is an
+    infinite path (see _tails).  It violates the condition up to the
+    horizon iff, for every k <= horizon, the search proves that no path
+    of length k + 1 has the source of its (k+1)-th edge in range.
     Those k split into the prefix positions, which depend only on the
     prefix, and the tail positions, which depend only on the tail and the
     prefix length; each part is decided once and the representatives are
@@ -501,11 +313,9 @@ def check_condition_y_bounded(
     in_edges: dict[VertexRef, list[EdgeInst]] = {}
 
     for tail in _tails(pres):
-        edges = InfinitePathRep((), tail).unroll(max(span, _VALID_DEPTH))
-        valid_len = _path_len(pres, edges[:_VALID_DEPTH])
+        edges = InfinitePathRep((), tail).unroll(max(span, 1))
         tail_bad = [
-            _VALID_DEPTH - j <= valid_len
-            and _unanswered(pres, search, edges[: max(0, span - j)], j + 1)
+            _unanswered(pres, search, edges[: max(0, span - j)], j + 1)
             for j in range(_PREFIX_LEN + 1)
         ]
         if not any(tail_bad):

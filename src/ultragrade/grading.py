@@ -48,8 +48,6 @@ def _condition_y_reason(cy: ConditionYVerdict) -> tuple[Optional[bool], str]:
         return True, "replacement-prefix condition holds (exact decision)"
     if cy.status == "holds_no_sources":
         return True, "replacement-prefix condition holds (no sources)"
-    if cy.status == "fails":
-        return False, f"replacement-prefix condition fails; witness {cy.witness.label()}"
     if cy.status == "violation_up_to_horizon":
         return (
             False,
@@ -246,9 +244,7 @@ def _gauge_from(base: GradingVerdict) -> GradingVerdict:
     return GradingVerdict("GaugeSaturated", base.status, reasons, base.certificate)
 
 
-def analyze(
-    pres: UltragraphPresentation, horizon: int = 40, ck2_depth: int = 3
-) -> dict:
+def analyze(pres: UltragraphPresentation, horizon: int = 40) -> dict:
     from . import __version__
 
     report = structural_report(pres)
@@ -271,7 +267,7 @@ def analyze(
         "tool": "ultragrade",
         "version": __version__,
         "presentation": pres.name,
-        "parameters": {"horizon": horizon, "ck2_depth": ck2_depth},
+        "parameters": {"horizon": horizon},
         "structure": report.to_dict(),
         "unital": unital,
         "unit_witness": None,

@@ -135,22 +135,6 @@ def point_in_vertex_set(
     return vset.member(point_source(pres, x))
 
 
-def point_in_path_set(
-    pres: UltragraphPresentation,
-    x: PathPoint,
-    b: tuple[EdgeInst, ...],
-    vset: VertexSet,
-) -> bool:
-    """Membership in X_{bA}: x extends b and the continuation starts in A,
-    or x is the sink-pair (b, v) with v ∈ A."""
-    if not pres.is_path(b):
-        return False
-    if isinstance(x, SinkPath) and x.alpha == b:
-        return vset.member(x.v)
-    nxt = point_prefix(x, len(b) + 1)
-    return nxt is not None and nxt[: len(b)] == b and vset.member(pres.edge_source(nxt[-1]))
-
-
 # -- the partial action on points ------------------------------------------
 
 
@@ -398,16 +382,6 @@ def indicator_vertex_set(pres: UltragraphPresentation, vset: VertexSet) -> DElem
     _require_finite(pres)
     return DElement.from_indicator(
         pres, 1, lambda x: point_in_vertex_set(pres, x, vset)
-    )
-
-
-def indicator_path_set(
-    pres: UltragraphPresentation, b: tuple[EdgeInst, ...], vset: VertexSet
-) -> DElement:
-    """1_{bA}."""
-    _require_finite(pres)
-    return DElement.from_indicator(
-        pres, len(b) + 1, lambda x: point_in_path_set(pres, x, b, vset)
     )
 
 

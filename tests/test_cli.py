@@ -83,9 +83,10 @@ def test_usage_errors_exit_64(capsys):
 
 
 def test_eval_and_skew_take_no_search_options(capsys):
-    # --horizon and --ck2-depth belong to analyze (and --horizon to check);
-    # eval and skew never read them, so they are usage errors there
+    # --horizon belongs to analyze and check; eval and skew never read it,
+    # and no subcommand takes --ck2-depth, so they are usage errors there
     assert run(capsys, "eval", path("ef.ug"), "s(e)", "--horizon", "3")[0] == 64
+    assert run(capsys, "analyze", path("ef.ug"), "--ck2-depth", "2")[0] == 64
     assert run(capsys, "skew", path("ef.ug"), "s(e)", "--ck2-depth", "2")[0] == 64
     assert run(capsys, "check", "cond-y", path("ef.ug"), "--ck2-depth", "2")[0] == 64
     assert run(capsys, "check", "cond-y", path("ef.ug"), "--horizon", "3")[0] == 0

@@ -1,28 +1,30 @@
 """The replacement-prefix condition on infinite paths.
 
-The exact decision procedure is checked against an independent oracle:
-the condition fails iff the layered "no replacement path of this length"
-graph contains a reachable cycle, which we find with networkx primitives
-instead of the library's own search."""
+The exact decision on a finite ultragraph is a theorem (the condition
+always holds), checked against an independent oracle: the condition
+fails iff the layered "no replacement path of this length" graph
+contains a reachable cycle, which we find with networkx primitives."""
 
 from __future__ import annotations
 
 import random
+from math import lcm
 
 import networkx as nx
 import pytest
 
-from conftest import load, random_presentation
+from conftest import CORPUS, load, random_presentation
 from ultragrade import condition_y
 from ultragrade.condition_y import (
     ConditionYVerdict,
+    LengthProfile,
     NoWitnessUpTo,
     check_condition_y_bounded,
     condition_y_witness,
     decide_condition_y,
     incoming_length_profile,
-    is_violation,
 )
+from ultragrade.errors import NotFinite
 from ultragrade.model import (
     Affine,
     CycleTail,
@@ -31,6 +33,7 @@ from ultragrade.model import (
     EdgeInst,
     FamilyTail,
     InfinitePathRep,
+    UltragraphPresentation,
     VertexRef,
     VertexSet,
     VertexTemplate,
@@ -115,6 +118,30 @@ def _random_lasso(rng, pres):
     return InfinitePathRep(tuple(walk[:i]), CycleTail(tuple(walk[i:])))
 
 
+def is_violation(
+    pres: UltragraphPresentation,
+    profile: LengthProfile,
+    lasso: InfinitePathRep,
+) -> bool:
+    """Exact check that a lasso path witnesses failure, using joint
+    periodicity of the path and the length profile."""
+    if not isinstance(lasso.tail, CycleTail):
+        raise ValueError("exact violation check needs a cycle tail")
+    if not pres.valid_infinite_path(lasso, depth=50):
+        return False
+    horizon = (
+        len(lasso.prefix)
+        + profile.preperiod
+        + lcm(len(lasso.tail.edges), profile.period)
+    )
+    edges = lasso.unroll(horizon + 1)
+    for k in range(horizon):
+        v_k = pres.edge_source(edges[k])
+        if profile.contains(v_k, k + 1):
+            return False
+    return True
+
+
 def test_finite_presentations_always_satisfy_the_condition():
     # an infinite path over finitely many vertices revisits a source vertex,
     # which then lies on a cycle; walking backwards around that cycle gives
@@ -131,6 +158,39 @@ def test_finite_presentations_always_satisfy_the_condition():
             assert not is_violation(pres, profile, lasso)
             lassos_checked += 1
     assert lassos_checked > 100
+
+
+def test_the_proof_names_a_replacement_prefix_on_random_lassos():
+    # decide_condition_y's argument, followed on each lasso: the first
+    # position i2 that repeats an edge e, first seen at i1 (0-based); with
+    # k = i1, the k + 1 edges just before position i2 are a path whose
+    # range holds s(e_{k+1}), so they replace the first k edges
+    rng = random.Random(109)
+    lassos_checked = 0
+    for _ in range(300):
+        pres = random_presentation(rng)
+        lasso = _random_lasso(rng, pres)
+        if lasso is None:
+            continue
+        edges = lasso.unroll(len(lasso.prefix) + 2 * len(lasso.tail.edges))
+        first_at = {}
+        for i2, e in enumerate(edges):
+            if e in first_at:
+                break
+            first_at[e] = i2
+        k = first_at[edges[i2]]
+        alpha = edges[i2 - k - 1 : i2]
+        assert len(alpha) == k + 1 and i2 - k - 1 >= 0
+        assert pres.is_path(alpha)
+        assert pres.edge_range(alpha[-1]).member(pres.edge_source(edges[k]))
+        assert pres.is_path(alpha + edges[k:])
+        lassos_checked += 1
+    assert lassos_checked >= 200
+
+
+def test_exact_decision_refuses_infinite_presentations():
+    with pytest.raises(NotFinite):
+        decide_condition_y(load("ex2.ug"))
 
 
 def test_transfer_to_associated_graph_200_random():
@@ -373,6 +433,27 @@ def test_bounded_matches_oracle_on_random_rays(searches):
     assert seen.get("violation_up_to_horizon", 0) >= 5, seen
     assert seen.get("unknown", 0) >= 5, seen
     assert all(s.nodes <= s.budget for s in searches)
+
+
+def test_every_tail_is_an_infinite_path():
+    # check_condition_y_bounded relies on this and does not re-check tails
+    inputs = [load(f.name) for f in sorted(CORPUS.glob("*.ug"))]
+    inputs += [clique_ray(3), clique_ray(4)]
+    # f[n] reaches the source of f[n+1] for n = 1, 2, 3 only, so f is not
+    # self-composing and must give no family tail
+    inputs.append(parse_presentation(
+        "ultragraph early\nvertex src\nvertex_family r infinite\n"
+        "edge in : src -> { r[0] }\n"
+        "edge_family f[n] (n >= 1) : r[n-1] -> { r[1], r[2], r[3] }\n"
+    ))
+    rng = random.Random(211)
+    inputs += [random_ray_presentation(rng, max_vertices=5, max_edges=5) for _ in range(60)]
+    tails = 0
+    for pres in inputs:
+        for tail in condition_y._tails(pres):
+            assert pres.valid_infinite_path(InfinitePathRep((), tail), depth=20), pres.name
+            tails += 1
+    assert tails > 100
 
 
 def test_budget_cut_search_stays_unknown(monkeypatch):
