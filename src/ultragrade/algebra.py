@@ -374,10 +374,14 @@ def epsilon_candidate(pres: UltragraphPresentation, n: int) -> AlgebraElement:
         return AlgebraElement.projection(pres, pres.g0_universe())
     paths = all_paths(pres, abs(n))
     if n > 0:
-        out = AlgebraElement.zero(pres)
+        # one normal form over all the terms: adding the monomials one by
+        # one would atomize every earlier term again for each path
+        raw: dict = {}
         for p in paths:
-            out = out + AlgebraElement.monomial(pres, p, pres.edge_range(p[-1]), p)
-        return out
+            term = AlgebraElement.monomial(pres, p, pres.edge_range(p[-1]), p)
+            for key, pairs in term.terms.items():
+                raw.setdefault(key, []).extend(pairs)
+        return AlgebraElement._from_raw(pres, raw)
     covered = VertexSet.empty()
     for p in paths:
         covered = covered.union(pres.edge_range(p[-1]))

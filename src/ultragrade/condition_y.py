@@ -24,7 +24,7 @@ from .model import (
     VertexRef,
     shift_path,
 )
-from .structure import structural_report
+from .structure import StructuralReport, structural_report
 
 SEARCH_NODE_BUDGET = 10**5
 _PREFIX_LEN = 3  # edges of backward prefix in front of a representative's tail
@@ -175,19 +175,16 @@ class _BackwardSearch:
 
 
 def _family_self_composes(pres: UltragraphPresentation, name: str) -> bool:
+    """True iff some range atom of the family is its source shifted by
+    one; that atom gives atom(n) = a·(n+1) + b = s(n+1), so r(f[n]) holds
+    s(f[n+1]) for every n."""
     fam = pres.edge_families[name]
     src = fam.source
-    identical = any(
+    return any(
         atom.family == src.family
         and atom.aff.a == src.aff.a
         and atom.aff.b == src.aff.a + src.aff.b
         for atom in fam.range_atoms
-    )
-    if not identical:
-        return False
-    return all(
-        fam.member_range(n).member(fam.member_source(n + 1))
-        for n in range(fam.n0, fam.n0 + 3)
     )
 
 
@@ -300,7 +297,14 @@ def check_condition_y_bounded(
     never listed.  The first violation in the order tails, then prefixes
     in DFS preorder, is the witness, and it is re-checked on its own
     before it is returned."""
-    report = structural_report(pres)
+    return _check_condition_y_bounded_from(pres, structural_report(pres), horizon)
+
+
+def _check_condition_y_bounded_from(
+    pres: UltragraphPresentation, report: StructuralReport, horizon: int
+) -> ConditionYVerdict:
+    """check_condition_y_bounded with the structural report of pres
+    already built."""
     if not report.has_sources:
         return ConditionYVerdict("holds_no_sources")
     if pres.is_finite:

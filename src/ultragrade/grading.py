@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import algebra
-from .condition_y import ConditionYVerdict, check_condition_y_bounded
+from .condition_y import ConditionYVerdict, _check_condition_y_bounded_from
 from .errors import CertificateError, NoEdges
 from .lattice import g0_contains
 from .model import UltragraphPresentation, VertexSet
@@ -62,9 +62,8 @@ def classify_strong_z(
 ) -> GradingVerdict:
     """Strongly Z-graded iff no sinks, row-finite, and the replacement
     condition on infinite paths holds."""
-    return _strong_z_from(
-        pres, structural_report(pres), check_condition_y_bounded(pres, horizon)
-    )
+    report = structural_report(pres)
+    return _strong_z_from(pres, report, _check_condition_y_bounded_from(pres, report, horizon))
 
 
 def _strong_z_from(
@@ -249,7 +248,7 @@ def analyze(pres: UltragraphPresentation, horizon: int = 40) -> dict:
 
     report = structural_report(pres)
     unital, witness = g0_contains(pres, pres.g0_universe())
-    cy = check_condition_y_bounded(pres, horizon)
+    cy = _check_condition_y_bounded_from(pres, report, horizon)
 
     strong_z = _strong_z_from(pres, report, cy)
 

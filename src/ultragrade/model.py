@@ -281,6 +281,11 @@ class UltragraphPresentation:
     atoms: set[str] = field(default_factory=set)  # families declared via `vertex`
     edges: dict[str, Edge] = field(default_factory=dict)
     edge_families: dict[str, EdgeFamily] = field(default_factory=dict)
+    # Facts derived from the fields above, filled in by the modules that
+    # read them (the path space of partial_action).  validate() empties
+    # it, so a presentation changed and validated again never sees stale
+    # facts.
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- family / vertex helpers ----------------------------------------
 
@@ -418,6 +423,7 @@ class UltragraphPresentation:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
+        self._derived.clear()
         for eid, e in self.edges.items():
             if not self.has_vertex(e.source):
                 raise DanglingReference(0, f"edge {eid}: unknown source {e.source.label()}")

@@ -95,10 +95,10 @@ def valid_point(pres: UltragraphPresentation, x: PathPoint) -> bool:
         return (
             len(x.alpha) >= 1
             and pres.is_path(x.alpha)
-            and pres.is_sink(x.v)
+            and _path_space(pres).is_sink(x.v)
             and pres.edge_range(x.alpha[-1]).member(x.v)
         )
-    return pres.is_sink(x.v)
+    return _path_space(pres).is_sink(x.v)
 
 
 # -- membership in the X_t / X_A / X_{bA} sets ----------------------------
@@ -181,19 +181,117 @@ def theta(pres: UltragraphPresentation, t: FreeWord, x: PathPoint) -> PathPoint:
 # -- atoms ------------------------------------------------------------------
 
 
-def _atom_children(pres: UltragraphPresentation, key: tuple) -> list[tuple]:
-    if key[0] != "cyl":
-        return [key]
-    alpha = key[1]
-    out: list[tuple] = []
-    rng = pres.edge_range(alpha[-1])
-    for u in rng.vertices():
-        if pres.is_sink(u):
-            out.append(("sp", alpha, u))
-        else:
-            for e in pres.out_edges(u):
-                out.append(("cyl", alpha + (e,)))
-    return out
+class _PathSpace:
+    """What the model reads about X for one finite presentation, each
+    fact computed on first use: every vertex's sorted out-edges (asked of
+    `out_edges` once per vertex) and so its sink flag, the atoms per
+    depth, each cylinder's children, each atom's refinement to a depth,
+    and each atom's representative point.
+
+    It lives in the presentation's `_derived` slot, which `validate()`
+    empties.  It keeps the edge ranges rather than the presentation, so
+    the two form no reference cycle and go together.  The lists it hands
+    out are shared: callers do not mutate them."""
+
+    def __init__(self, pres: UltragraphPresentation):
+        self.out = {v: tuple(pres.out_edges(v)) for v in pres.all_vertices()}
+        self.range = {e: pres.edge_range(e) for e in pres.all_edge_insts()}
+        self._atoms: dict[int, list[tuple]] = {}
+        self._children: dict[tuple, list[tuple]] = {}
+        self._leaves: dict[tuple[tuple, int], list[tuple]] = {}
+        self._points: dict[tuple, PathPoint] = {}
+
+    def is_sink(self, v: VertexRef) -> bool:
+        # a vertex outside the presentation emits no edge, as in out_edges
+        return not self.out.get(v)
+
+    def children(self, key: tuple) -> list[tuple]:
+        """The atoms one edge deeper inside a cylinder."""
+        kids = self._children.get(key)
+        if kids is None:
+            alpha = key[1]
+            kids = []
+            for u in self.range[alpha[-1]].vertices():
+                out = self.out.get(u)
+                if out:
+                    kids.extend(("cyl", alpha + (e,)) for e in out)
+                else:
+                    kids.append(("sp", alpha, u))
+            self._children[key] = kids
+        return kids
+
+    def leaves(self, key: tuple, depth: int) -> list[tuple]:
+        """The atoms at refinement depth `depth` inside `key`, in the order
+        of a depth-first walk that visits the last child first."""
+        if key[0] != "cyl" or len(key[1]) >= depth:
+            return [key]
+        got = self._leaves.get((key, depth))
+        if got is None:
+            got = [
+                leaf
+                for child in reversed(self.children(key))
+                for leaf in self.leaves(child, depth)
+            ]
+            self._leaves[(key, depth)] = got
+        return got
+
+    def atoms(self, depth: int) -> list[tuple]:
+        got = self._atoms.get(depth)
+        if got is None:
+            level: list[tuple] = [("cyl", (e,)) for e in self.range]
+            level += [("sv", v) for v in self.out if self.is_sink(v)]
+            got = sorted(
+                (leaf for key in level for leaf in self.leaves(key, depth)),
+                key=_atom_sort_key,
+            )
+            self._atoms[depth] = got
+        return got
+
+    def point(self, key: tuple) -> PathPoint:
+        x = self._points.get(key)
+        if x is None:
+            x = self._points[key] = self._representative(key)
+        return x
+
+    def _representative(self, key: tuple) -> PathPoint:
+        if key[0] == "sv":
+            return SinkVertex(key[1])
+        if key[0] == "sp":
+            return SinkPath(key[1], key[2])
+        alpha = key[1]
+        ext: list[EdgeInst] = []
+        seen: dict[EdgeInst, int] = {}
+        rng = self.range[alpha[-1]]
+        while True:
+            candidates: list[EdgeInst] = []
+            sink: Optional[VertexRef] = None
+            for u in sorted(rng.vertices()):
+                out = self.out.get(u)
+                if out:
+                    candidates.extend(out)
+                else:
+                    sink = sink or u
+            if not candidates:
+                if sink is None:
+                    raise CertificateError("no edge and no sink continues the atom's path")
+                return SinkPath(alpha + tuple(ext), sink)
+            e = min(candidates, key=EdgeInst.sort_key)
+            if e in seen:
+                j = seen[e]
+                return Infinite(
+                    InfinitePathRep(alpha + tuple(ext[:j]), CycleTail(tuple(ext[j:])))
+                )
+            seen[e] = len(ext)
+            ext.append(e)
+            rng = self.range[e]
+
+
+def _path_space(pres: UltragraphPresentation) -> _PathSpace:
+    space = pres._derived.get("path_space")
+    if space is None:
+        _require_finite(pres)
+        space = pres._derived["path_space"] = _PathSpace(pres)
+    return space
 
 
 def atoms(pres: UltragraphPresentation, depth: int) -> list[tuple]:
@@ -203,17 +301,7 @@ def atoms(pres: UltragraphPresentation, depth: int) -> list[tuple]:
     _require_finite(pres)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    level: list[tuple] = [("cyl", (EdgeInst(eid),)) for eid in sorted(pres.edges)]
-    level += [("sv", v) for v in pres.all_vertices() if pres.is_sink(v)]
-    for _ in range(depth - 1):
-        nxt: list[tuple] = []
-        for key in level:
-            if key[0] == "cyl" and len(key[1]) < depth:
-                nxt.extend(_atom_children(pres, key))
-            else:
-                nxt.append(key)
-        level = nxt
-    return sorted(level, key=_atom_sort_key)
+    return list(_path_space(pres).atoms(depth))
 
 
 def _atom_sort_key(key: tuple):
@@ -226,35 +314,7 @@ def _atom_sort_key(key: tuple):
 
 def atom_point(pres: UltragraphPresentation, key: tuple) -> PathPoint:
     """A concrete representative of an atom."""
-    if key[0] == "sv":
-        return SinkVertex(key[1])
-    if key[0] == "sp":
-        return SinkPath(key[1], key[2])
-    alpha = key[1]
-    ext: list[EdgeInst] = []
-    seen: dict[EdgeInst, int] = {}
-    rng = pres.edge_range(alpha[-1])
-    while True:
-        candidates: list[EdgeInst] = []
-        sink: Optional[VertexRef] = None
-        for u in sorted(rng.vertices()):
-            if pres.is_sink(u):
-                sink = sink or u
-            else:
-                candidates.extend(pres.out_edges(u))
-        if not candidates:
-            if sink is None:
-                raise CertificateError("no edge and no sink continues the atom's path")
-            return SinkPath(alpha + tuple(ext), sink)
-        e = sorted(candidates, key=EdgeInst.sort_key)[0]
-        if e in seen:
-            j = seen[e]
-            return Infinite(
-                InfinitePathRep(alpha + tuple(ext[:j]), CycleTail(tuple(ext[j:])))
-            )
-        seen[e] = len(ext)
-        ext.append(e)
-        rng = pres.edge_range(e)
+    return _path_space(pres).point(key)
 
 
 def _point_atom(pres: UltragraphPresentation, x: PathPoint, depth: int) -> tuple:
@@ -272,7 +332,11 @@ def _point_atom(pres: UltragraphPresentation, x: PathPoint, depth: int) -> tuple
 
 
 class DElement:
-    """Function on X, constant on the atoms at a fixed refinement depth."""
+    """Function on X, constant on the atoms at a fixed refinement depth.
+
+    Never mutated after construction: every operation returns a new
+    element, so one element may be shared, as the memoized generator
+    images are."""
 
     __slots__ = ("pres", "depth", "values")
 
@@ -289,23 +353,18 @@ class DElement:
     def from_indicator(
         pres: UltragraphPresentation, depth: int, member: Callable[[PathPoint], bool]
     ) -> "DElement":
-        values = {
-            key: 1 for key in atoms(pres, depth) if member(atom_point(pres, key))
-        }
+        space = _path_space(pres)
+        values = {key: 1 for key in space.atoms(depth) if member(space.point(key))}
         return DElement(pres, depth, values)
 
     def refine_to(self, depth: int) -> "DElement":
         if depth <= self.depth:
             return self
+        space = _path_space(self.pres)
         values: dict = {}
         for key, c in self.values.items():
-            stack = [key]
-            while stack:
-                k = stack.pop()
-                if k[0] == "cyl" and len(k[1]) < depth:
-                    stack.extend(_atom_children(self.pres, k))
-                else:
-                    values[k] = c
+            for leaf in space.leaves(key, depth):
+                values[leaf] = c
         return DElement(self.pres, depth, values)
 
     def _aligned(self, other: "DElement") -> tuple["DElement", "DElement"]:
@@ -350,10 +409,8 @@ class DElement:
     def supported_in(self, t: FreeWord) -> bool:
         need = max(self.depth, _word_depth(t))
         refined = self.refine_to(need)
-        return all(
-            point_in_word(self.pres, atom_point(self.pres, k), t)
-            for k in refined.values
-        )
+        space = _path_space(self.pres)
+        return all(point_in_word(self.pres, space.point(k), t) for k in refined.values)
 
     def __repr__(self):
         return f"DElement(depth={self.depth}, {self.values!r})"
@@ -405,9 +462,10 @@ def beta(pres: UltragraphPresentation, t: FreeWord, f: DElement) -> DElement:
             return 0
         return f.eval_point(theta(pres, tinv, x))
 
+    space = _path_space(pres)
     values = {}
-    for key in atoms(pres, depth):
-        c = value(atom_point(pres, key))
+    for key in space.atoms(depth):
+        c = value(space.point(key))
         if c != 0:
             values[key] = c
     return DElement(pres, depth, values)
@@ -417,7 +475,9 @@ def beta(pres: UltragraphPresentation, t: FreeWord, f: DElement) -> DElement:
 
 
 class SkewElement:
-    """Finite sum Σ f_t δ_t with f_t ∈ D_t."""
+    """Finite sum Σ f_t δ_t with f_t ∈ D_t.
+
+    Never mutated after construction, like DElement."""
 
     __slots__ = ("pres", "comps")
 
@@ -518,20 +578,29 @@ def phi_of_element(pres: UltragraphPresentation, x) -> SkewElement:
 
 
 class _GeneratorImages:
-    """Generator-image map, injectable so tests can sabotage it."""
+    """Generator-image map, injectable so tests can sabotage it.  Each
+    image is computed once per (kind, payload) and shared for the map's
+    lifetime."""
 
     def __init__(self, pres: UltragraphPresentation, image=phi_image):
         self.pres = pres
         self.image = image
+        self._memo: dict[tuple, SkewElement] = {}
+
+    def _of(self, kind: str, payload) -> SkewElement:
+        got = self._memo.get((kind, payload))
+        if got is None:
+            got = self._memo[kind, payload] = self.image(self.pres, kind, payload)
+        return got
 
     def p(self, vset: VertexSet) -> SkewElement:
-        return self.image(self.pres, "p", vset)
+        return self._of("p", vset)
 
     def s(self, e: EdgeInst) -> SkewElement:
-        return self.image(self.pres, "s", e)
+        return self._of("s", e)
 
     def st(self, e: EdgeInst) -> SkewElement:
-        return self.image(self.pres, "st", e)
+        return self._of("st", e)
 
     def of_monomial(self, alpha, vset, beta, coeff) -> SkewElement:
         out = None
@@ -607,8 +676,9 @@ def verify_generator_relations(
                 failures.append(f"s_{e.label()}* s_{f.label()} incorrect")
     # relation 4: vertex splitting at regular vertices
     rel4 = True
+    space = _path_space(pres)
     for v in pres.all_vertices():
-        out_edges = [] if pres.is_sink(v) else pres.out_edges(v)
+        out_edges = space.out[v]
         if not out_edges:
             continue
         total = SkewElement.zero(pres)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import load
-from ultragrade import grading
+from ultragrade import algebra, condition_y, grading, structure
 from ultragrade.errors import NoEdges
 from ultragrade.grading import (
     analyze,
@@ -140,7 +140,21 @@ def _golden(name):
 
 
 def test_analyze_runs_the_bounded_check_once(monkeypatch):
-    calls = _counting(monkeypatch, "check_condition_y_bounded")
+    calls = _counting(monkeypatch, "_check_condition_y_bounded_from")
+    report = analyze(load("ex2.ug"))
+    assert len(calls) == 1
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == _golden("ex2")
+
+
+def test_analyze_builds_the_structural_report_once(monkeypatch):
+    calls = []
+
+    def counted(pres):
+        calls.append(pres)
+        return structure.structural_report(pres)
+
+    for module in (grading, condition_y, algebra):
+        monkeypatch.setattr(module, "structural_report", counted)
     report = analyze(load("ex2.ug"))
     assert len(calls) == 1
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == _golden("ex2")

@@ -12,13 +12,22 @@ from conftest import FINITE_CORPUS, load, random_path, random_presentation
 from ultragrade.algebra import AlgebraElement, f_degree
 from ultragrade.errors import NotInDomain, NotInIdeal
 from ultragrade.freegroup import FreeWord
-from ultragrade.model import CycleTail, EdgeInst, InfinitePathRep, VertexRef, VertexSet
+from ultragrade.model import (
+    CycleTail,
+    Edge,
+    EdgeInst,
+    InfinitePathRep,
+    UltragraphPresentation,
+    VertexRef,
+    VertexSet,
+)
 from ultragrade.partial_action import (
     DElement,
     Infinite,
     SinkPath,
     SinkVertex,
     SkewElement,
+    _atom_sort_key,
     atom_point,
     atoms,
     beta,
@@ -134,6 +143,118 @@ def test_beta_conjugates_indicators():
     one_einv = indicator_word(pres, w(("e", -1)))
     pushed = beta(pres, w(("e", 1)), one_einv)
     assert pushed == indicator_word(pres, w(("e", 1)))
+
+
+# -- the path-space cache against the uncached walk --------------------------
+
+
+def _walk_children(pres, key):
+    if key[0] != "cyl":
+        return [key]
+    alpha = key[1]
+    out = []
+    for u in pres.edge_range(alpha[-1]).vertices():
+        if pres.is_sink(u):
+            out.append(("sp", alpha, u))
+        else:
+            out.extend(("cyl", alpha + (e,)) for e in pres.out_edges(u))
+    return out
+
+
+def _walk_atoms(pres, depth):
+    level = [("cyl", (EdgeInst(eid),)) for eid in sorted(pres.edges)]
+    level += [("sv", v) for v in pres.all_vertices() if pres.is_sink(v)]
+    for _ in range(depth - 1):
+        nxt = []
+        for key in level:
+            if key[0] == "cyl" and len(key[1]) < depth:
+                nxt.extend(_walk_children(pres, key))
+            else:
+                nxt.append(key)
+        level = nxt
+    return sorted(level, key=_atom_sort_key)
+
+
+def _walk_point(pres, key):
+    if key[0] == "sv":
+        return SinkVertex(key[1])
+    if key[0] == "sp":
+        return SinkPath(key[1], key[2])
+    alpha, ext, seen = key[1], [], {}
+    rng = pres.edge_range(alpha[-1])
+    while True:
+        candidates, sink = [], None
+        for u in sorted(rng.vertices()):
+            if pres.is_sink(u):
+                sink = sink or u
+            else:
+                candidates.extend(pres.out_edges(u))
+        if not candidates:
+            return SinkPath(alpha + tuple(ext), sink)
+        e = sorted(candidates, key=EdgeInst.sort_key)[0]
+        if e in seen:
+            j = seen[e]
+            return Infinite(InfinitePathRep(alpha + tuple(ext[:j]), CycleTail(tuple(ext[j:]))))
+        seen[e] = len(ext)
+        ext.append(e)
+        rng = pres.edge_range(e)
+
+
+def _walk_refine(pres, key, depth):
+    out, stack = [], [key]
+    while stack:
+        k = stack.pop()
+        if k[0] == "cyl" and len(k[1]) < depth:
+            stack.extend(_walk_children(pres, k))
+        else:
+            out.append(k)
+    return out
+
+
+def test_path_space_cache_matches_the_uncached_walk():
+    rng = random.Random(4242)
+    cases = [load(name) for name in FINITE_CORPUS]
+    cases += [random_presentation(rng, max_vertices=4, max_edges=5) for _ in range(40)]
+    for pres in cases:
+        for depth in range(1, 5):
+            keys = atoms(pres, depth)
+            assert keys == _walk_atoms(pres, depth), (pres.name, depth)
+            for key in keys:
+                assert atom_point(pres, key) == _walk_point(pres, key), key
+                for finer in range(depth + 1, 5):
+                    refined = DElement(pres, depth, {key: 1}).refine_to(finer)
+                    assert list(refined.values) == _walk_refine(pres, key, finer), (key, finer)
+        # atoms hands out a fresh list each time
+        atoms(pres, 2).clear()
+        assert atoms(pres, 2) == _walk_atoms(pres, 2)
+
+
+def test_relations_ask_each_vertex_for_its_out_edges_once(monkeypatch):
+    pres = load("two_range.ug")
+    asked = []
+    real = UltragraphPresentation.out_edges
+
+    def spy(self, v):
+        asked.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(UltragraphPresentation, "out_edges", spy)
+    assert verify_generator_relations(pres, depth=3)["all_pass"]
+    assert asked
+    assert len(asked) == len(set(asked)) <= len(pres.all_vertices())
+
+
+def test_validate_drops_the_cached_path_space():
+    pres = load("one_edge.ug")
+    before = atoms(pres, 2)
+    v = VertexRef("v", 0)
+    pres.edges["loop"] = Edge("loop", v, VertexSet.of(v))
+    pres.validate()
+    after = atoms(pres, 2)
+    assert after != before
+    assert after == _walk_atoms(pres, 2)
+    assert ("cyl", (EdgeInst("loop"), EdgeInst("loop"))) in after
+    assert not any(key == ("sv", v) for key in after)
 
 
 # -- skew product and the generator images ----------------------------------
