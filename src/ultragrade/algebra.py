@@ -49,30 +49,13 @@ def _check_coeff(c) -> Coeff:
 def _atomize(pairs: list[tuple[Coeff, VertexSet]]) -> tuple:
     """Canonical middle layer: disjoint sets grouped by coefficient."""
     pairs = [(c, vs) for c, vs in pairs if c != 0 and not vs.is_empty()]
-    if not pairs:
-        return ()
-    universe = VertexSet.empty()
-    for _, vs in pairs:
-        universe = universe.union(vs)
-    atoms = [universe]
-    for _, vs in pairs:
-        refined: list[VertexSet] = []
-        for a in atoms:
-            inner = a.intersection(vs)
-            outer = a.difference(vs)
-            if not inner.is_empty():
-                refined.append(inner)
-            if not outer.is_empty():
-                refined.append(outer)
-        atoms = refined
     by_coeff: dict[Coeff, VertexSet] = {}
-    for a in atoms:
+    for atom, held in VertexSet.refine(vs for _, vs in pairs):
         total: Coeff = 0
-        for c, vs in pairs:
-            if a.subset_of(vs):
-                total += c
+        for i in held:
+            total += pairs[i][0]
         if total != 0:
-            by_coeff[total] = by_coeff.get(total, VertexSet.empty()).union(a)
+            by_coeff[total] = by_coeff.get(total, VertexSet.empty()).union(atom)
     return tuple(sorted(by_coeff.items(), key=lambda p: _vset_sort_key(p[1])))
 
 

@@ -24,7 +24,7 @@ from .model import (
     VertexRef,
     shift_path,
 )
-from .structure import StructuralReport, structural_report
+from .structure import structural_report
 
 SEARCH_NODE_BUDGET = 10**5
 _PREFIX_LEN = 3  # edges of backward prefix in front of a representative's tail
@@ -80,6 +80,12 @@ def _finite_edges(pres: UltragraphPresentation) -> list[tuple[EdgeInst, VertexRe
 
 
 def incoming_length_profile(pres: UltragraphPresentation) -> LengthProfile:
+    """The length profile of a finite presentation, built once per
+    presentation."""
+    return pres.derived("length_profile", _build_length_profile)
+
+
+def _build_length_profile(pres: UltragraphPresentation) -> LengthProfile:
     edges = _finite_edges(pres)
     states: list[frozenset[VertexRef]] = []
     seen: dict[frozenset[VertexRef], int] = {}
@@ -297,15 +303,7 @@ def check_condition_y_bounded(
     never listed.  The first violation in the order tails, then prefixes
     in DFS preorder, is the witness, and it is re-checked on its own
     before it is returned."""
-    return _check_condition_y_bounded_from(pres, structural_report(pres), horizon)
-
-
-def _check_condition_y_bounded_from(
-    pres: UltragraphPresentation, report: StructuralReport, horizon: int
-) -> ConditionYVerdict:
-    """check_condition_y_bounded with the structural report of pres
-    already built."""
-    if not report.has_sources:
+    if not structural_report(pres).has_sources:
         return ConditionYVerdict("holds_no_sources")
     if pres.is_finite:
         return decide_condition_y(pres)

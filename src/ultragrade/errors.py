@@ -60,10 +60,6 @@ class TermCountCap(UltragradeError):
     pass
 
 
-class TooManyIntersections(UltragradeError):
-    pass
-
-
 class NoEdges(UltragradeError):
     pass
 

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import algebra
-from .condition_y import ConditionYVerdict, _check_condition_y_bounded_from
+from .condition_y import ConditionYVerdict, check_condition_y_bounded
 from .errors import CertificateError, NoEdges
-from .lattice import g0_contains
+from .lattice import is_unital, unit_witness
 from .model import UltragraphPresentation, VertexSet
-from .structure import StructuralReport, structural_report
+from .structure import structural_report
 
 
 @dataclass
@@ -62,15 +62,13 @@ def classify_strong_z(
 ) -> GradingVerdict:
     """Strongly Z-graded iff no sinks, row-finite, and the replacement
     condition on infinite paths holds."""
+    return _strong_z_from(pres, check_condition_y_bounded(pres, horizon))
+
+
+def _strong_z_from(pres: UltragraphPresentation, cy: ConditionYVerdict) -> GradingVerdict:
+    """The strong-Z verdict from an already computed replacement-condition
+    verdict."""
     report = structural_report(pres)
-    return _strong_z_from(pres, report, _check_condition_y_bounded_from(pres, report, horizon))
-
-
-def _strong_z_from(
-    pres: UltragraphPresentation, report: StructuralReport, cy: ConditionYVerdict
-) -> GradingVerdict:
-    """The strong-Z verdict from an already computed structural report and
-    replacement-condition verdict."""
     reasons = []
     ok = True
     unknown = False
@@ -161,8 +159,7 @@ def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
         return GradingVerdict(
             "EpsStrongZ", "No", ["infinitely many edges (finiteness is necessary)"]
         )
-    unital, _ = g0_contains(pres, pres.g0_universe())
-    if not unital:
+    if not is_unital(pres):
         return GradingVerdict(
             "EpsStrongZ",
             "No",
@@ -219,8 +216,7 @@ def classify_strong_f(pres: UltragraphPresentation) -> GradingVerdict:
 
 def classify_eps_strong_f(pres: UltragraphPresentation) -> GradingVerdict:
     _require_edges(pres)
-    unital, witness = g0_contains(pres, pres.g0_universe())
-    if unital:
+    if is_unital(pres):
         return GradingVerdict(
             "EpsStrongF", "Yes", ["unital: the full vertex set is a generalized vertex"]
         )
@@ -246,11 +242,9 @@ def _gauge_from(base: GradingVerdict) -> GradingVerdict:
 def analyze(pres: UltragraphPresentation, horizon: int = 40) -> dict:
     from . import __version__
 
-    report = structural_report(pres)
-    unital, witness = g0_contains(pres, pres.g0_universe())
-    cy = _check_condition_y_bounded_from(pres, report, horizon)
-
-    strong_z = _strong_z_from(pres, report, cy)
+    witness = unit_witness(pres)
+    cy = check_condition_y_bounded(pres, horizon)
+    strong_z = _strong_z_from(pres, cy)
 
     def grading(fn):
         try:
@@ -267,8 +261,8 @@ def analyze(pres: UltragraphPresentation, horizon: int = 40) -> dict:
         "version": __version__,
         "presentation": pres.name,
         "parameters": {"horizon": horizon},
-        "structure": report.to_dict(),
-        "unital": unital,
+        "structure": structural_report(pres).to_dict(),
+        "unital": witness is not None,
         "unit_witness": None,
         "condition_y": cy.to_dict(),
         "gradings": {
@@ -279,7 +273,7 @@ def analyze(pres: UltragraphPresentation, horizon: int = 40) -> dict:
             "gauge_saturated": _gauge_from(strong_z).to_dict(),
         },
     }
-    if unital and witness is not None:
+    if witness is not None:
         out["unit_witness"] = {
             "finite_part": [v.label() for v in witness.finite_part],
             "range_intersections": [list(ids) for ids in witness.intersections],

@@ -5,18 +5,24 @@ as F ∪ I_1 ∪ ... ∪ I_k with F finite and each I_j a nonempty intersection
 of ranges of individually specified edges.  This normal form follows from
 closure under finite unions and nonempty finite intersections: edge-family
 ranges are finite per member, so all the infinite content comes from the
-individually specified ranges.  The finite-closure enumeration below acts
-as an independent oracle on finite instances.
+individually specified ranges.
+
+The intersections need not be listed.  The type T(v) of a vertex v is the
+set of ranges that hold it, and R_T is the intersection of the ranges in
+T.  An intersection that holds v is taken over ranges in T(v), so it
+contains R_{T(v)}, and R_{T(v)} holds v.  Hence the intersections inside
+A cover exactly what the sets R_T ⊆ A cover, and A is a generalized
+vertex iff A minus their union is finite.  The types are the index sets
+that VertexSet.refine gives the atoms of the ranges, so there is one R_T
+per atom rather than one per intersection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotFinite, TooManyIntersections
+from .errors import CertificateError
 from .model import UltragraphPresentation, VertexRef, VertexSet
-
-INTERSECTION_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -37,85 +43,48 @@ class GeneralizedVertex:
         return out
 
 
-def _range_intersections(pres: UltragraphPresentation) -> dict[tuple[str, ...], VertexSet]:
-    """All distinct nonempty intersections of individually specified ranges,
-    keyed by a representative edge-id set, computed by worklist closure."""
-    out: dict[tuple[VertexSet, ...], None] = {}
-    found: dict = {}
-    by_set: dict = {}
-    for eid, e in sorted(pres.edges.items()):
-        key = (eid,)
-        if e.range.key() not in by_set:
-            by_set[e.range.key()] = key
-            found[key] = e.range
-    changed = True
-    while changed:
-        changed = False
-        for key, vs in list(found.items()):
-            for eid, e in sorted(pres.edges.items()):
-                if eid in key:
-                    continue
-                inter = vs.intersection(e.range)
-                if inter.is_empty() or inter.key() in by_set:
-                    continue
-                new_key = tuple(sorted(set(key) | {eid}))
-                by_set[inter.key()] = new_key
-                found[new_key] = inter
-                changed = True
-                if len(found) > INTERSECTION_CAP:
-                    raise TooManyIntersections(len(found))
-    return found
+def _range_types(pres: UltragraphPresentation) -> list[tuple[tuple[str, ...], VertexSet]]:
+    """One pair (T, R_T) per type T of vertex: the ids of the individually
+    specified edges whose ranges hold it, and those ranges' intersection."""
+    ids = sorted(pres.edges)
+    ranges = [pres.edges[eid].range for eid in ids]
+    out = []
+    for _, held in VertexSet.refine(ranges):
+        inter = ranges[held[0]]
+        for i in held[1:]:
+            inter = inter.intersection(ranges[i])
+        out.append((tuple(ids[i] for i in held), inter))
+    return out
 
 
 def g0_contains(
     pres: UltragraphPresentation, a: VertexSet
 ) -> tuple[bool, GeneralizedVertex | None]:
-    """Decide A ∈ 𝒢⁰, with a witness decomposition on success."""
+    """Decide A ∈ 𝒢⁰, with a witness decomposition on success; the witness
+    is re-evaluated from the edge ranges before it is returned."""
     if a.is_empty():
         return False, None
     covered = VertexSet.empty()
     used: list[tuple[str, ...]] = []
-    for key, inter in _range_intersections(pres).items():
+    for ids, inter in pres.derived("range_types", _range_types):
         if inter.subset_of(a):
             covered = covered.union(inter)
-            used.append(key)
+            used.append(ids)
     rest = a.difference(covered)
     if not rest.is_finite():
         return False, None
     witness = GeneralizedVertex(a, tuple(rest.vertices()), tuple(sorted(used)))
+    if witness.reevaluate(pres) != a:
+        raise CertificateError("the generalized-vertex witness does not rebuild its set")
     return True, witness
 
 
-def g0_closure_finite(pres: UltragraphPresentation) -> set:
-    """Full closure of singletons and ranges under finite unions and
-    nonempty intersections, for finite vertex sets.  Brute-force oracle."""
-    if any(c is None for c in pres.vertex_families.values()):
-        raise NotFinite("G0 is infinite")
-    vertices = pres.all_vertices() if pres.is_finite else [
-        VertexRef(fam, i)
-        for fam, card in pres.vertex_families.items()
-        for i in range(card)
-    ]
-    sets: set[frozenset[VertexRef]] = {frozenset([v]) for v in vertices}
-    for e in pres.edges.values():
-        sets.add(frozenset(e.range.vertices()))
-    for fam in pres.edge_families.values():
-        # finite G0 forces constant templates; ranges repeat from n0 on
-        sets.add(frozenset(fam.member_range(fam.n0).vertices()))
-    changed = True
-    while changed:
-        changed = False
-        current = list(sets)
-        for i, s in enumerate(current):
-            for t in current[i + 1 :]:
-                for new in (s | t, s & t):
-                    if new and new not in sets:
-                        sets.add(new)
-                        changed = True
-    return sets
+def unit_witness(pres: UltragraphPresentation) -> GeneralizedVertex | None:
+    """The witness that the whole vertex set is a generalized vertex, or
+    None when it is not; decided once per presentation."""
+    return pres.derived("unit_witness", lambda p: g0_contains(p, p.g0_universe())[1])
 
 
 def is_unital(pres: UltragraphPresentation) -> bool:
     """The algebra is unital iff the whole vertex set is a generalized vertex."""
-    ok, _ = g0_contains(pres, pres.g0_universe())
-    return ok
+    return unit_witness(pres) is not None

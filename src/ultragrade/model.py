@@ -197,6 +197,30 @@ class VertexSet:
     def key(self):
         return self.parts
 
+    @staticmethod
+    def refine(sets: Iterable["VertexSet"]) -> list[tuple["VertexSet", tuple[int, ...]]]:
+        """The atoms of the Boolean algebra that `sets` generate inside
+        their union, each with the indices of the sets that hold it.  An
+        atom is all the vertices held by exactly those sets, so no two
+        atoms carry the same indices."""
+        atoms: list[tuple[VertexSet, tuple[int, ...]]] = []
+        seen = VertexSet.empty()
+        for i, vs in enumerate(sets):
+            refined = []
+            for a, held in atoms:
+                inner = a.intersection(vs)
+                if inner:
+                    refined.append((inner, held + (i,)))
+                outer = a.difference(vs)
+                if outer:
+                    refined.append((outer, held))
+            fresh = vs.difference(seen)
+            if fresh:
+                refined.append((fresh, (i,)))
+            seen = seen.union(vs)
+            atoms = refined
+        return atoms
+
     def __bool__(self) -> bool:
         return not self.is_empty()
 
@@ -281,11 +305,20 @@ class UltragraphPresentation:
     atoms: set[str] = field(default_factory=set)  # families declared via `vertex`
     edges: dict[str, Edge] = field(default_factory=dict)
     edge_families: dict[str, EdgeFamily] = field(default_factory=dict)
-    # Facts derived from the fields above, filled in by the modules that
-    # read them (the path space of partial_action).  validate() empties
-    # it, so a presentation changed and validated again never sees stale
-    # facts.
+    # Facts derived from the fields above, each built on first use by
+    # derived().  validate() empties it, so a presentation changed and
+    # validated again never sees stale facts.
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def derived(self, key: str, build):
+        """The fact `key`, computed once as build(self) and shared by every
+        later caller.  A fact keeps no reference to the presentation, so
+        the two form no reference cycle."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            got = self._derived[key] = build(self)
+            return got
 
     # -- family / vertex helpers ----------------------------------------
 
@@ -410,12 +443,6 @@ class UltragraphPresentation:
                 return False
             prev_range = self.edge_range(e)
         return True
-
-    def path_source(self, path: tuple[EdgeInst, ...]) -> VertexRef:
-        return self.edge_source(path[0])
-
-    def path_range(self, path: tuple[EdgeInst, ...]) -> VertexSet:
-        return self.edge_range(path[-1])
 
     def valid_infinite_path(self, p: InfinitePathRep, depth: int = 50) -> bool:
         return self.is_path(p.unroll(depth))

@@ -188,12 +188,13 @@ class _PathSpace:
     depth, each cylinder's children, each atom's refinement to a depth,
     and each atom's representative point.
 
-    It lives in the presentation's `_derived` slot, which `validate()`
-    empties.  It keeps the edge ranges rather than the presentation, so
-    the two form no reference cycle and go together.  The lists it hands
-    out are shared: callers do not mutate them."""
+    It is a derived fact of the presentation (see
+    UltragraphPresentation.derived), so it keeps the edge ranges rather
+    than the presentation.  The lists it hands out are shared: callers do
+    not mutate them."""
 
     def __init__(self, pres: UltragraphPresentation):
+        _require_finite(pres)
         self.out = {v: tuple(pres.out_edges(v)) for v in pres.all_vertices()}
         self.range = {e: pres.edge_range(e) for e in pres.all_edge_insts()}
         self._atoms: dict[int, list[tuple]] = {}
@@ -287,11 +288,7 @@ class _PathSpace:
 
 
 def _path_space(pres: UltragraphPresentation) -> _PathSpace:
-    space = pres._derived.get("path_space")
-    if space is None:
-        _require_finite(pres)
-        space = pres._derived["path_space"] = _PathSpace(pres)
-    return space
+    return pres.derived("path_space", _PathSpace)
 
 
 def atoms(pres: UltragraphPresentation, depth: int) -> list[tuple]:

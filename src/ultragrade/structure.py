@@ -86,6 +86,12 @@ def _first_vertex(vs: VertexSet) -> VertexRef | None:
 
 
 def structural_report(pres: UltragraphPresentation) -> StructuralReport:
+    """Sinks, sources, infinite emitters and row-finiteness, built once
+    per presentation."""
+    return pres.derived("structural_report", _build_structural_report)
+
+
+def _build_structural_report(pres: UltragraphPresentation) -> StructuralReport:
     sinks = pres.g0_universe().difference(_emitting_cover(pres))
     sources = pres.g0_universe().difference(_range_cover(pres))
     emitter_witness = None

@@ -17,6 +17,8 @@ from conftest import (
 )
 from ultragrade.algebra import (
     AlgebraElement,
+    _atomize,
+    _vset_sort_key,
     all_paths,
     ck2_expand,
     epsilon_candidate,
@@ -38,6 +40,7 @@ from ultragrade.errors import (
     NotStronglyGraded,
 )
 from ultragrade.freegroup import FreeWord
+from ultragrade.indexset import IndexSet
 from ultragrade.model import EdgeInst, VertexRef, VertexSet
 
 
@@ -253,3 +256,50 @@ def test_all_paths_counts():
     assert len(all_paths(pres, 2)) == 2  # ef and fe
     pres2 = load("one_edge.ug")
     assert all_paths(pres2, 2) == []
+
+
+# -- the normal form's middle layer ----------------------------------------
+
+
+def _atomize_by_subsets(pairs):
+    """The middle layer as it was computed before VertexSet.refine: split
+    the union by each set in turn, then sum the coefficient of every set
+    that holds each atom."""
+    pairs = [(c, vs) for c, vs in pairs if c != 0 and not vs.is_empty()]
+    if not pairs:
+        return ()
+    universe = VertexSet.empty()
+    for _, vs in pairs:
+        universe = universe.union(vs)
+    atoms = [universe]
+    for _, vs in pairs:
+        refined = []
+        for a in atoms:
+            for piece in (a.intersection(vs), a.difference(vs)):
+                if not piece.is_empty():
+                    refined.append(piece)
+        atoms = refined
+    by_coeff = {}
+    for a in atoms:
+        total = 0
+        for c, vs in pairs:
+            if a.subset_of(vs):
+                total += c
+        if total != 0:
+            by_coeff[total] = by_coeff.get(total, VertexSet.empty()).union(a)
+    return tuple(sorted(by_coeff.items(), key=lambda p: _vset_sort_key(p[1])))
+
+
+def test_atomize_matches_the_subset_oracle():
+    rng = random.Random(41)
+    coeffs = [1, -1, 2, 3, 0, Fraction(1, 2), Fraction(-2, 3)]
+    for _ in range(400):
+        pairs = []
+        for _ in range(rng.randint(0, 6)):
+            parts = {}
+            for fam in rng.sample(["a", "b"], rng.randint(1, 2)):
+                prefix = [rng.random() < 0.5 for _ in range(rng.randint(0, 8))]
+                period = [rng.random() < 0.3 for _ in range(rng.randint(1, 3))]
+                parts[fam] = IndexSet.make(prefix, period)
+            pairs.append((rng.choice(coeffs), VertexSet.make(parts)))
+        assert _atomize(pairs) == _atomize_by_subsets(pairs), pairs

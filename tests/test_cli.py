@@ -29,11 +29,7 @@ def load_schema():
     return json.loads(text)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["single_loop.ug", "one_edge.ug", "ef.ug", "two_cycle.ug", "two_range.ug",
-     "ex2.ug", "infinite_range.ug"],
-)
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.ug")))
 def test_analyze_json_matches_schema(capsys, name):
     code, out, _ = run(capsys, "analyze", path(name), "--format", "json")
     assert code == 0

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import load
-from ultragrade import algebra, condition_y, grading, structure
+from ultragrade import condition_y, grading, structure
 from ultragrade.errors import NoEdges
 from ultragrade.grading import (
     analyze,
@@ -140,7 +140,7 @@ def _golden(name):
 
 
 def test_analyze_runs_the_bounded_check_once(monkeypatch):
-    calls = _counting(monkeypatch, "_check_condition_y_bounded_from")
+    calls = _counting(monkeypatch, "check_condition_y_bounded")
     report = analyze(load("ex2.ug"))
     assert len(calls) == 1
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == _golden("ex2")
@@ -148,16 +148,32 @@ def test_analyze_runs_the_bounded_check_once(monkeypatch):
 
 def test_analyze_builds_the_structural_report_once(monkeypatch):
     calls = []
+    build = structure._build_structural_report
 
     def counted(pres):
         calls.append(pres)
-        return structure.structural_report(pres)
+        return build(pres)
 
-    for module in (grading, condition_y, algebra):
-        monkeypatch.setattr(module, "structural_report", counted)
+    monkeypatch.setattr(structure, "_build_structural_report", counted)
     report = analyze(load("ex2.ug"))
     assert len(calls) == 1
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == _golden("ex2")
+
+
+def test_strong_z_certificate_builds_report_and_profile_once(monkeypatch):
+    # the certificate factors every vertex in degrees 1 and -1, and each
+    # factorization reads the report and the length profile
+    builds = []
+    for module, name in (
+        (structure, "_build_structural_report"),
+        (condition_y, "_build_length_profile"),
+    ):
+        build = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda pres, build=build, name=name: builds.append(name) or build(pres)
+        )
+    assert classify_strong_z(load("ef.ug")).status == "Yes"
+    assert sorted(builds) == ["_build_length_profile", "_build_structural_report"]
 
 
 def test_analyze_builds_the_strong_z_certificate_once(monkeypatch):

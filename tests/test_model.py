@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import random
+from math import lcm
 
 import pytest
 
 from conftest import FINITE_CORPUS, INFINITE_CORPUS, load, random_presentation
 from ultragrade.errors import EmptyRange, InfiniteEmitter, ParseError
+from ultragrade.indexset import IndexSet
 from ultragrade.model import (
     CycleTail,
     EdgeInst,
     FamilyTail,
     InfinitePathRep,
     VertexRef,
+    VertexSet,
     parse_presentation,
     print_presentation,
     shift_path,
@@ -102,3 +105,42 @@ def test_print_parse_round_trip_random():
         for eid, e in pres.edges.items():
             assert again.edges[eid].source == e.source
             assert again.edges[eid].range == e.range
+
+
+# -- Boolean atoms of vertex sets ------------------------------------------
+
+
+def _random_vertex_set(rng: random.Random) -> VertexSet:
+    """Up to three families, each an eventually periodic index set."""
+    parts = {}
+    for fam in rng.sample(["a", "b", "c"], rng.randint(1, 3)):
+        prefix = [rng.random() < 0.4 for _ in range(rng.randint(0, 12))]
+        period = [rng.random() < 0.3 for _ in range(rng.randint(1, 4))]
+        parts[fam] = IndexSet.make(prefix, period)
+    return VertexSet.make(parts)
+
+
+def test_refine_gives_the_atoms_of_the_inputs():
+    rng = random.Random(5)
+    for _ in range(300):
+        sets = [_random_vertex_set(rng) for _ in range(rng.randint(0, 5))]
+        atoms = VertexSet.refine(sets)
+        union = VertexSet.empty()
+        for s in sets:
+            union = union.union(s)
+        covered = VertexSet.empty()
+        for i, (a, held) in enumerate(atoms):
+            assert a
+            for b, _ in atoms[i + 1 :]:
+                assert a.intersection(b).is_empty()
+            covered = covered.union(a)
+        assert covered == union
+        assert len({held for _, held in atoms}) == len(atoms)
+        # membership repeats past every prefix by the joint period
+        parts = [s for vs in sets for _, s in vs.parts]
+        bound = max((s.prefix_len for s in parts), default=0) + lcm(
+            *(s.period_len for s in parts)
+        )
+        for a, held in atoms:
+            for v in a.iter_vertices(bound=bound):
+                assert held == tuple(j for j, s in enumerate(sets) if s.member(v))

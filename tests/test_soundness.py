@@ -59,6 +59,38 @@ def test_strong_z_certificate_check_runs_under_dash_o():
     assert proc.stdout.startswith("raised: factorization of u[0] in degree 1")
 
 
+# Replaces every cached range type of a presentation with a source by the
+# whole vertex set, so that the types seem to cover the universe while the
+# ranges they name do not.
+SABOTAGED_RANGE_TYPES = """
+import sys
+if __debug__:
+    sys.exit("not running under -O")
+from ultragrade import lattice
+from ultragrade.errors import CertificateError
+from ultragrade.model import parse_presentation
+
+pres = parse_presentation(open(sys.argv[1]).read())
+universe = pres.g0_universe()
+if lattice.g0_contains(pres, universe)[0]:
+    sys.exit("the ranges already cover the vertex set")
+types = pres.derived("range_types", lattice._range_types)
+pres._derived["range_types"] = [(ids, universe) for ids, _ in types]
+try:
+    lattice.g0_contains(pres, universe)
+except CertificateError as exc:
+    print("raised:", exc)
+    sys.exit(0)
+sys.exit("a witness that does not rebuild its set was accepted")
+"""
+
+
+def test_unit_witness_check_runs_under_dash_o():
+    proc = _run_dash_o(SABOTAGED_RANGE_TYPES, str(CORPUS / "ex2.ug"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: the generalized-vertex witness")
+
+
 # Feeds the path-splitting step of the partial action a point that does
 # not begin with the path to strip.
 MISMATCHED_STRIP = """
