@@ -22,7 +22,6 @@ from .errors import (
     NotFinite,
     NotFiniteEdges,
     NotHomogeneous,
-    NotRegular,
     NotStronglyGraded,
     NotUnital,
     PathLengthCap,
@@ -35,6 +34,8 @@ from .structure import structural_report
 
 PATH_LENGTH_CAP = 64
 TERM_COUNT_CAP = 10**4
+# products with at most this many term pairs try every pair
+SMALL_PRODUCT = 8
 
 Coeff = Union[int, Fraction]
 Path = tuple
@@ -64,11 +65,12 @@ def _vset_sort_key(vs: VertexSet):
 
 
 class AlgebraElement:
-    __slots__ = ("pres", "terms")
+    __slots__ = ("pres", "terms", "_by_first")
 
     def __init__(self, pres: UltragraphPresentation, terms: dict):
         self.pres = pres
         self.terms = terms  # (alpha, beta) -> tuple[(coeff, VertexSet), ...]
+        self._by_first = None  # _first_edge_index per side, built on demand
 
     # -- construction ------------------------------------------------------
 
@@ -184,6 +186,20 @@ class AlgebraElement:
         return f"AlgebraElement({pretty(self)})"
 
 
+def _first_edge_index(x: AlgebraElement, side: int) -> dict:
+    """x's terms grouped by the first edge of α (side 0) or of β (side 1),
+    with None for an empty path; built once per element and side."""
+    if x._by_first is None:
+        x._by_first = [None, None]
+    index = x._by_first[side]
+    if index is None:
+        index = x._by_first[side] = {}
+        for key, pieces in x.terms.items():
+            path = key[side]
+            index.setdefault(path[0] if path else None, []).append((key, pieces))
+    return index
+
+
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     x._require_same(y)
     pres = x.pres
@@ -199,30 +215,43 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         if not vs.is_empty():
             raw.setdefault((alpha, beta), []).append((c, vs))
 
-    for (alpha, beta), xp in x.terms.items():
-        for (gamma, delta), yp in y.terms.items():
-            nb, ng = len(beta), len(gamma)
-            if nb <= ng and gamma[:nb] == beta:
-                rest = gamma[nb:]
-                if not rest:
-                    for c, a_set in xp:
-                        for d, b_set in yp:
-                            add(alpha, delta, a_set.intersection(b_set), c * d)
-                else:
+    # s_β* s_γ vanishes unless one of β, γ is a prefix of the other, so a
+    # pair can combine only if β or γ is empty or both begin with the same
+    # edge.  Past a few pairs, only those pairs are visited.
+    if len(x.terms) * len(y.terms) <= SMALL_PRODUCT:
+        blocks = [(x.terms.items(), y.terms.items())]
+    else:
+        by_gamma = _first_edge_index(y, 0)
+        y_empty = by_gamma.get(None, [])
+        blocks = [
+            (xs, y.terms.items() if first is None else y_empty + by_gamma.get(first, []))
+            for first, xs in _first_edge_index(x, 1).items()
+        ]
+    for xs, ys in blocks:
+        for (alpha, beta), xp in xs:
+            for (gamma, delta), yp in ys:
+                nb, ng = len(beta), len(gamma)
+                if nb <= ng and gamma[:nb] == beta:
+                    rest = gamma[nb:]
+                    if not rest:
+                        for c, a_set in xp:
+                            for d, b_set in yp:
+                                add(alpha, delta, a_set.intersection(b_set), c * d)
+                    else:
+                        v = pres.edge_source(rest[0])
+                        for c, a_set in xp:
+                            if not a_set.member(v):
+                                continue
+                            for d, b_set in yp:
+                                add(alpha + rest, delta, b_set, c * d)
+                elif ng < nb and beta[:ng] == gamma:
+                    rest = beta[ng:]
                     v = pres.edge_source(rest[0])
-                    for c, a_set in xp:
-                        if not a_set.member(v):
+                    for d, b_set in yp:
+                        if not b_set.member(v):
                             continue
-                        for d, b_set in yp:
-                            add(alpha + rest, delta, b_set, c * d)
-            elif ng < nb and beta[:ng] == gamma:
-                rest = beta[ng:]
-                v = pres.edge_source(rest[0])
-                for d, b_set in yp:
-                    if not b_set.member(v):
-                        continue
-                    for c, a_set in xp:
-                        add(alpha, delta + rest, a_set, c * d)
+                        for c, a_set in xp:
+                            add(alpha, delta + rest, a_set, c * d)
     return AlgebraElement._from_raw(pres, raw)
 
 
@@ -252,97 +281,44 @@ def monomial_degrees(x: AlgebraElement) -> list[tuple[int, FreeWord]]:
     return out
 
 
-# -- vertex splitting (CK2) ----------------------------------------------
-
-
-def _regular_out_edges(pres: UltragraphPresentation, v: VertexRef) -> list[EdgeInst]:
-    try:
-        edges = pres.out_edges(v)
-    except Exception as exc:
-        raise NotRegular(v.label()) from exc
-    if not edges:
-        raise NotRegular(v.label())
-    return edges
-
-
-def ck2_expand(x: AlgebraElement, v: VertexRef) -> AlgebraElement:
-    """Rewrite every p_A with v ∈ A as p_{A∖{v}} + Σ_{s(e)=v} s_e s_e*."""
-    pres = x.pres
-    edges = _regular_out_edges(pres, v)
-    singleton = VertexSet.of(v)
-    raw: dict = {}
-    for (alpha, beta), pairs in x.terms.items():
-        for c, vs in pairs:
-            if not vs.member(v):
-                raw.setdefault((alpha, beta), []).append((c, vs))
-                continue
-            rest = vs.difference(singleton)
-            if not rest.is_empty():
-                raw.setdefault((alpha, beta), []).append((c, rest))
-            for e in edges:
-                raw.setdefault((alpha + (e,), beta + (e,)), []).append(
-                    (c, pres.edge_range(e))
-                )
-    return AlgebraElement._from_raw(pres, raw)
-
-
-def ck2_saturate(x: AlgebraElement, depth: int) -> AlgebraElement:
-    """Expand every term at all regular middle vertices until both paths
-    reach the given depth; sink vertices stay unexpanded."""
-    pres = x.pres
-    raw: dict = {}
-    work = [
-        (alpha, beta, c, vs)
-        for (alpha, beta), pairs in x.terms.items()
-        for c, vs in pairs
-    ]
-    budget = TERM_COUNT_CAP * 4
-    while work:
-        alpha, beta, c, vs = work.pop()
-        if min(len(alpha), len(beta)) >= depth:
-            raw.setdefault((alpha, beta), []).append((c, vs))
-            continue
-        if not vs.is_finite():
-            raise NotFinite("cannot saturate over an infinite vertex set")
-        sink_part = VertexSet.empty()
-        for u in vs.vertices():
-            if pres.is_sink(u):
-                sink_part = sink_part.union(VertexSet.of(u))
-            else:
-                for e in pres.out_edges(u):
-                    work.append((alpha + (e,), beta + (e,), c, pres.edge_range(e)))
-                    budget -= 1
-                    if budget < 0:
-                        raise TermCountCap("saturation exceeded the term budget")
-        if not sink_part.is_empty():
-            raw.setdefault((alpha, beta), []).append((c, sink_part))
-    return AlgebraElement._from_raw(pres, raw)
-
-
-def equal_mod_ck2(x: AlgebraElement, y: AlgebraElement, depth: int = 3) -> bool:
-    if x == y:
-        return True
-    return ck2_saturate(x, depth) == ck2_saturate(y, depth)
-
-
 # -- path enumeration ----------------------------------------------------
 
 
-def all_paths(pres: UltragraphPresentation, length: int) -> list[Path]:
+def edge_successors(pres: UltragraphPresentation) -> dict[EdgeInst, list[EdgeInst]]:
+    """e ↦ the edges f with s(f) ∈ r(e), over a finite edge set, keys and
+    lists in sorted edge-id order; built once per presentation."""
     if pres.edge_families:
         raise NotFiniteEdges("the edge set is infinite")
-    if length == 0:
-        return [()]
+    return pres.derived("edge_successors", _build_edge_successors)
+
+
+def _build_edge_successors(pres: UltragraphPresentation) -> dict[EdgeInst, list[EdgeInst]]:
     insts = [EdgeInst(eid) for eid in sorted(pres.edges)]
-    paths: list[Path] = [(e,) for e in insts]
-    for _ in range(length - 1):
-        paths = [
-            p + (e,)
-            for p in paths
-            for e in insts
-            if pres.edge_range(p[-1]).member(pres.edge_source(e))
-        ]
-    return paths
+    rank = {f: i for i, f in enumerate(insts)}
+    by_source: dict[VertexRef, list[EdgeInst]] = {}
+    for f in insts:
+        by_source.setdefault(pres.edge_source(f), []).append(f)
+    succ = {}
+    for e in insts:
+        rng = pres.edge_range(e)
+        size = rng.cardinality()
+        if size is not None and size < len(by_source):
+            nxt = [f for v in rng.iter_vertices() for f in by_source.get(v, ())]
+        else:
+            nxt = [f for v, fs in by_source.items() if rng.member(v) for f in fs]
+        succ[e] = sorted(nxt, key=rank.__getitem__)
+    return succ
+
+
+def all_paths(pres: UltragraphPresentation, length: int) -> list[Path]:
+    """The paths of the given length, in lexicographic edge-id order.  Each
+    length is built once per presentation, by extending the paths one edge
+    shorter through edge_successors; the caller gets a copy."""
+    succ = edge_successors(pres)
+    levels = pres.derived("paths_by_length", lambda _: [[()], [(e,) for e in succ]])
+    while len(levels) <= length:
+        levels.append([p + (f,) for p in levels[-1] for f in succ[p[-1]]])
+    return list(levels[length])
 
 
 # -- epsilon units -------------------------------------------------------
@@ -376,11 +352,7 @@ def _relevant_edges(pres: UltragraphPresentation, m: int) -> list[EdgeInst]:
     ±m, i.e. edges from which some path of length j reaches a vertex set
     meeting the ranges of length-(j+m) paths."""
     profile = incoming_length_profile(pres)
-    insts = [EdgeInst(eid) for eid in sorted(pres.edges)]
-    succ = {
-        e: [f for f in insts if pres.edge_range(e).member(pres.edge_source(f))]
-        for e in insts
-    }
+    succ = edge_successors(pres)
 
     def reaches(e: EdgeInst) -> bool:
         last = frozenset([e])
@@ -401,7 +373,7 @@ def _relevant_edges(pres: UltragraphPresentation, m: int) -> list[EdgeInst]:
             j += 1
         return False
 
-    return [e for e in insts if reaches(e)]
+    return [e for e in succ if reaches(e)]
 
 
 def verify_epsilon(pres: UltragraphPresentation, n: int, cand: AlgebraElement) -> bool:
@@ -556,37 +528,6 @@ def verify_factorization(
                 return False
             raw.setdefault((gamma, gamma), []).append((1, VertexSet.of(u)))
         current = AlgebraElement._from_raw(pres, raw)
-
-
-# -- degree-zero units ---------------------------------------------------
-
-
-def t0_unit_for(x: AlgebraElement) -> AlgebraElement:
-    """A projection p_B with x·p_B = x: each monomial needs s(β₁) ∈ B when
-    β is nonempty (its rightmost letter is s_{β₁}*), else its middle set
-    inside B."""
-    pres = x.pres
-    b = VertexSet.empty()
-    for (alpha, beta), pieces in x.terms.items():
-        if beta:
-            b = b.union(VertexSet.of(pres.edge_source(beta[0])))
-        else:
-            for _, vs in pieces:
-                b = b.union(vs)
-    return AlgebraElement.projection(pres, b)
-
-
-def t0_left_unit_for(x: AlgebraElement) -> AlgebraElement:
-    """A projection p_C with p_C·x = x (mirror of t0_unit_for)."""
-    pres = x.pres
-    c = VertexSet.empty()
-    for (alpha, beta), pieces in x.terms.items():
-        if alpha:
-            c = c.union(VertexSet.of(pres.edge_source(alpha[0])))
-        else:
-            for _, vs in pieces:
-                c = c.union(vs)
-    return AlgebraElement.projection(pres, c)
 
 
 # -- printing ------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import algebra
 from .condition_y import ConditionYVerdict, check_condition_y_bounded
-from .errors import CertificateError, NoEdges
+from .errors import CertificateError, NoEdges, TermCountCap
 from .lattice import is_unital, unit_witness
 from .model import UltragraphPresentation, VertexSet
 from .structure import structural_report
@@ -120,38 +120,34 @@ def _strong_z_certificate(pres: UltragraphPresentation) -> dict:
     return {"kind": "vertex_factorizations", "pairs": factorizations}
 
 
-def _edge_cycle_exists(pres: UltragraphPresentation) -> bool:
-    """Cycle detection on the finite edge set (no edge families)."""
-    from .model import EdgeInst
-
-    insts = [EdgeInst(eid) for eid in sorted(pres.edges)]
-    succ = {
-        e: [f for f in insts if pres.edge_range(e).member(pres.edge_source(f))]
-        for e in insts
-    }
-    color: dict = {}
-
-    def dfs(e) -> bool:
-        color[e] = 1
-        for f in succ[e]:
-            c = color.get(f)
-            if c == 1:
-                return True
-            if c is None and dfs(f):
-                return True
-        color[e] = 2
-        return False
-
-    return any(color.get(e) is None and dfs(e) for e in insts)
-
-
-def _longest_path_length(pres: UltragraphPresentation) -> int:
-    length = 0
-    paths = algebra.all_paths(pres, 1)
-    while paths:
-        length += 1
-        paths = algebra.all_paths(pres, length + 1)
-    return length
+def _longest_path_length(pres: UltragraphPresentation) -> Optional[int]:
+    """The number of edges on a longest path of the finite edge set, or
+    None when the edges hold a cycle.  An iterative depth-first search
+    over the successor relation gives each edge the length of the longest
+    path it begins once all its successors have theirs; an edge reached
+    again while still open closes a cycle."""
+    succ = algebra.edge_successors(pres)
+    longest: dict = {}
+    open_edges: set = set()
+    for root in succ:
+        if root in longest:
+            continue
+        open_edges.add(root)
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            e, rest = stack[-1]
+            for f in rest:
+                if f in open_edges:
+                    return None
+                if f not in longest:
+                    open_edges.add(f)
+                    stack.append((f, iter(succ[f])))
+                    break
+            else:
+                stack.pop()
+                open_edges.discard(e)
+                longest[e] = 1 + max((longest[f] for f in succ[e]), default=0)
+    return max(longest.values(), default=0)
 
 
 def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
@@ -175,16 +171,27 @@ def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
     reasons.append(
         "some edge source lies in no range; the sufficient criterion fails"
     )
-    if _edge_cycle_exists(pres):
+    horizon = _longest_path_length(pres)
+    if horizon is None:
         reasons.append("cycles present: unit-certificate search not conclusive")
         return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
     # acyclic: only finitely many graded components are nonzero, so a
     # finite family of verified unit candidates settles the question
-    horizon = _longest_path_length(pres)
+    if horizon > algebra.PATH_LENGTH_CAP:
+        reasons.append(
+            f"longest path has {horizon} edges, over PATH_LENGTH_CAP = "
+            f"{algebra.PATH_LENGTH_CAP}: unit certificates not attempted"
+        )
+        return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
     certificate: dict[str, str] = {}
     for n in range(-horizon, horizon + 1):
-        cand = algebra.epsilon_candidate(pres, n)
-        if not algebra.verify_epsilon(pres, n, cand):
+        try:
+            cand = algebra.epsilon_candidate(pres, n)
+            verified = algebra.verify_epsilon(pres, n, cand)
+        except TermCountCap as exc:
+            reasons.append(f"unit candidate for degree {n} hit TERM_COUNT_CAP: {exc}")
+            return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
+        if not verified:
             reasons.append(f"unit candidate for degree {n} failed verification")
             return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
         certificate[str(n)] = algebra.pretty(cand)

@@ -99,3 +99,38 @@ def random_element(rng: random.Random, pres: UltragraphPresentation, terms: int 
         coeff = rng.choice([1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
         out = out + AlgebraElement.monomial(pres, alpha, mid, beta, coeff)
     return out
+
+
+# -- degree-zero units, a property the algebra tests check ------------------
+
+
+def t0_unit_for(x: AlgebraElement) -> AlgebraElement:
+    """A projection p_B with x·p_B = x: each monomial needs s(β₁) ∈ B when
+    β is nonempty (its rightmost letter is s_{β₁}*), else its middle set
+    inside B."""
+    from ultragrade.algebra import AlgebraElement
+
+    pres = x.pres
+    b = VertexSet.empty()
+    for (alpha, beta), pieces in x.terms.items():
+        if beta:
+            b = b.union(VertexSet.of(pres.edge_source(beta[0])))
+        else:
+            for _, vs in pieces:
+                b = b.union(vs)
+    return AlgebraElement.projection(pres, b)
+
+
+def t0_left_unit_for(x: AlgebraElement) -> AlgebraElement:
+    """A projection p_C with p_C·x = x (mirror of t0_unit_for)."""
+    from ultragrade.algebra import AlgebraElement
+
+    pres = x.pres
+    c = VertexSet.empty()
+    for (alpha, beta), pieces in x.terms.items():
+        if alpha:
+            c = c.union(VertexSet.of(pres.edge_source(alpha[0])))
+        else:
+            for _, vs in pieces:
+                c = c.union(vs)
+    return AlgebraElement.projection(pres, c)

@@ -13,6 +13,8 @@ from conftest import (
     random_element,
     random_path,
     random_presentation,
+    t0_left_unit_for,
+    t0_unit_for,
 )
 from test_condition_y import oracle_fails
 from test_lattice import check_exhaustively
@@ -22,8 +24,6 @@ from ultragrade.algebra import (
     f_degree,
     multiply,
     strong_factorization,
-    t0_left_unit_for,
-    t0_unit_for,
     verify_epsilon,
     verify_factorization,
     z_degree,
