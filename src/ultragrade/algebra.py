@@ -34,8 +34,6 @@ from .structure import structural_report
 
 PATH_LENGTH_CAP = 64
 TERM_COUNT_CAP = 10**4
-# products with at most this many term pairs try every pair
-SMALL_PRODUCT = 8
 
 Coeff = Union[int, Fraction]
 Path = tuple
@@ -217,16 +215,13 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
     # s_β* s_γ vanishes unless one of β, γ is a prefix of the other, so a
     # pair can combine only if β or γ is empty or both begin with the same
-    # edge.  Past a few pairs, only those pairs are visited.
-    if len(x.terms) * len(y.terms) <= SMALL_PRODUCT:
-        blocks = [(x.terms.items(), y.terms.items())]
-    else:
-        by_gamma = _first_edge_index(y, 0)
-        y_empty = by_gamma.get(None, [])
-        blocks = [
-            (xs, y.terms.items() if first is None else y_empty + by_gamma.get(first, []))
-            for first, xs in _first_edge_index(x, 1).items()
-        ]
+    # edge; only those pairs are visited.
+    by_gamma = _first_edge_index(y, 0)
+    y_empty = by_gamma.get(None, [])
+    blocks = [
+        (xs, y.terms.items() if first is None else y_empty + by_gamma.get(first, []))
+        for first, xs in _first_edge_index(x, 1).items()
+    ]
     for xs, ys in blocks:
         for (alpha, beta), xp in xs:
             for (gamma, delta), yp in ys:
@@ -301,11 +296,7 @@ def _build_edge_successors(pres: UltragraphPresentation) -> dict[EdgeInst, list[
     succ = {}
     for e in insts:
         rng = pres.edge_range(e)
-        size = rng.cardinality()
-        if size is not None and size < len(by_source):
-            nxt = [f for v in rng.iter_vertices() for f in by_source.get(v, ())]
-        else:
-            nxt = [f for v, fs in by_source.items() if rng.member(v) for f in fs]
+        nxt = [f for v, fs in by_source.items() if rng.member(v) for f in fs]
         succ[e] = sorted(nxt, key=rank.__getitem__)
     return succ
 

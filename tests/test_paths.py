@@ -6,7 +6,6 @@ pairs every term with every term."""
 from __future__ import annotations
 
 import random
-import time
 
 from conftest import (
     FINITE_CORPUS,
@@ -19,7 +18,6 @@ from conftest import (
 from ultragrade import algebra
 from ultragrade.algebra import (
     PATH_LENGTH_CAP,
-    SMALL_PRODUCT,
     AlgebraElement,
     all_paths,
     multiply,
@@ -213,35 +211,33 @@ def test_mutating_a_returned_list_leaves_the_cache_intact():
 
 def test_products_match_the_all_pairs_oracle():
     rng = random.Random(2025)
-    empty_beta = empty_gamma = indexed = 0
+    empty_beta = empty_gamma = pruned = 0
     for pres in seeded_presentations():
         for _ in range(3):
             x = random_homogeneous(rng, pres, rng.randint(-2, 2))
             y = random_homogeneous(rng, pres, rng.randint(-2, 2))
             empty_beta += any(not beta for _, beta in x.terms)
             empty_gamma += any(not gamma for gamma, _ in y.terms)
-            indexed += len(x.terms) * len(y.terms) > SMALL_PRODUCT
+            pruned += any(b and g and b[0] != g[0] for _, b in x.terms for g, _ in y.terms)
             assert multiply(x, y) == multiply_oracle(x, y)
             # the first-edge index, once built, serves later products
             assert multiply(y, x) == multiply_oracle(y, x)
             assert multiply(x, x) == multiply_oracle(x, x)
         x, y = random_element(rng, pres), random_element(rng, pres)
         assert multiply(x, y) == multiply_oracle(x, y)
-    assert empty_beta >= 100 and empty_gamma >= 100 and indexed >= 100
+    assert empty_beta >= 100 and empty_gamma >= 100 and pruned >= 100
 
 
 # -- the epsilon-unit path ------------------------------------------------------
 
 
 def test_chain_beyond_the_path_length_cap_is_undetermined():
-    start = time.monotonic()
     pres = load("chain70.ug")
     assert _longest_path_length(pres) == 70
     report = analyze(pres)
     eps = report["gradings"]["eps_strong_z"]
     assert eps["status"] == "Undetermined"
     assert f"longest path has 70 edges, over PATH_LENGTH_CAP = {PATH_LENGTH_CAP}" in eps["reasons"][-1]
-    assert time.monotonic() - start < 5.0
 
 
 def test_term_count_cap_is_undetermined(monkeypatch):
