@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .condition_y import _BackwardSearch, incoming_length_profile
+from .condition_y import _BackwardSearch, _edge_successors, incoming_length_profile
 from .errors import (
     BoundExceeded,
     CertificateError,
@@ -284,21 +284,7 @@ def edge_successors(pres: UltragraphPresentation) -> dict[EdgeInst, list[EdgeIns
     lists in sorted edge-id order; built once per presentation."""
     if pres.edge_families:
         raise NotFiniteEdges("the edge set is infinite")
-    return pres.derived("edge_successors", _build_edge_successors)
-
-
-def _build_edge_successors(pres: UltragraphPresentation) -> dict[EdgeInst, list[EdgeInst]]:
-    insts = [EdgeInst(eid) for eid in sorted(pres.edges)]
-    rank = {f: i for i, f in enumerate(insts)}
-    by_source: dict[VertexRef, list[EdgeInst]] = {}
-    for f in insts:
-        by_source.setdefault(pres.edge_source(f), []).append(f)
-    succ = {}
-    for e in insts:
-        rng = pres.edge_range(e)
-        nxt = [f for v, fs in by_source.items() if rng.member(v) for f in fs]
-        succ[e] = sorted(nxt, key=rank.__getitem__)
-    return succ
+    return _edge_successors(pres)
 
 
 def all_paths(pres: UltragraphPresentation, length: int) -> list[Path]:
@@ -322,20 +308,17 @@ def epsilon_candidate(pres: UltragraphPresentation, n: int) -> AlgebraElement:
         if not is_unital(pres):
             raise NotUnital("the algebra has no unit")
         return AlgebraElement.projection(pres, pres.g0_universe())
-    paths = all_paths(pres, abs(n))
     if n > 0:
         # one normal form over all the terms: adding the monomials one by
         # one would atomize every earlier term again for each path
         raw: dict = {}
-        for p in paths:
+        for p in all_paths(pres, n):
             term = AlgebraElement.monomial(pres, p, pres.edge_range(p[-1]), p)
             for key, pairs in term.terms.items():
                 raw.setdefault(key, []).extend(pairs)
         return AlgebraElement._from_raw(pres, raw)
-    covered = VertexSet.empty()
-    for p in paths:
-        covered = covered.union(pres.edge_range(p[-1]))
-    return AlgebraElement.projection(pres, covered)
+    # the last ranges of the paths of length |n| cover what they reach
+    return AlgebraElement.projection(pres, incoming_length_profile(pres).reached(-n))
 
 
 def _relevant_edges(pres: UltragraphPresentation, m: int) -> list[EdgeInst]:
@@ -350,16 +333,13 @@ def _relevant_edges(pres: UltragraphPresentation, m: int) -> list[EdgeInst]:
         j = 1
         seen = set()
         while last:
-            state = (last, profile._idx(j + m))
+            target = profile.reached(j + m)
+            state = (last, target)
             if state in seen:
                 return False
             seen.add(state)
-            for g in last:
-                if any(
-                    profile.contains(u, j + m)
-                    for u in pres.edge_range(g).vertices()
-                ):
-                    return True
+            if any(pres.edge_range(g).intersection(target) for g in last):
+                return True
             last = frozenset(f for g in last for f in succ[g])
             j += 1
         return False

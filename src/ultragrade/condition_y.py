@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .errors import CertificateError, NotFinite
+from .errors import CertificateError, NotFinite, NotFiniteEdges
 from .model import (
     CycleTail,
     EdgeInst,
@@ -22,33 +22,42 @@ from .model import (
     InfinitePathRep,
     UltragraphPresentation,
     VertexRef,
-    shift_path,
+    VertexSet,
 )
 from .structure import structural_report
 
 SEARCH_NODE_BUDGET = 10**5
 _PREFIX_LEN = 3  # edges of backward prefix in front of a representative's tail
 _VALID_DEPTH = 20  # edges unrolled to check that a witness is a path
+_CYCLE_SPAN = 6  # members of each edge family that concrete cycles may use
+_CYCLE_LEN = 6  # edges on the longest concrete cycle
 
 
 @dataclass(frozen=True)
 class LengthProfile:
-    """For each vertex v, the set N'(v) of lengths l >= 1 such that some
-    path of length l has v in its range; shared preperiod/period."""
+    """Which vertices the paths of each length reach, over a finite edge
+    set: states[l-1] is the set of vertices that lie in the range of some
+    path of length l.
 
-    states: tuple[frozenset[VertexRef], ...]  # states[i] = reached at length i+1
-    preperiod: int
-    period: int
+    The states only shrink.  A path of length l+1 ends with a path of
+    length l, its last l edges, that has the same last range, so every
+    vertex reached at length l+1 is reached at length l.  A state is the
+    union of the ranges of the edges whose source lies in the state
+    before it, so once a state equals the one before it, every later
+    state does too.  The build stops at that first repeat, and every
+    longer length reads the last state.  It does stop: the edges whose
+    source lies in a state shrink with the state, within a finite edge
+    set, so at most one more state than there are edges is distinct."""
 
-    def _idx(self, length: int) -> int:
+    states: tuple[VertexSet, ...]
+
+    def reached(self, length: int) -> VertexSet:
         if length < 1:
             raise ValueError("lengths start at 1")
-        if length <= len(self.states):
-            return length - 1
-        return self.preperiod + ((length - 1 - self.preperiod) % self.period)
+        return self.states[min(length, len(self.states)) - 1]
 
     def contains(self, v: VertexRef, length: int) -> bool:
-        return v in self.states[self._idx(length)]
+        return self.reached(length).member(v)
 
 
 @dataclass(frozen=True)
@@ -65,44 +74,27 @@ class ConditionYVerdict:
         }
 
 
-@dataclass(frozen=True)
-class NoWitnessUpTo:
-    horizon: int
-
-
-def _finite_edges(pres: UltragraphPresentation) -> list[tuple[EdgeInst, VertexRef, frozenset[VertexRef]]]:
-    if not pres.is_finite:
-        raise NotFinite("exact decision requires a finite ultragraph")
-    out = []
-    for eid, e in pres.edges.items():
-        out.append((EdgeInst(eid), e.source, frozenset(e.range.vertices())))
-    return out
-
-
 def incoming_length_profile(pres: UltragraphPresentation) -> LengthProfile:
-    """The length profile of a finite presentation, built once per
-    presentation."""
+    """The length profile of a presentation with finitely many edges,
+    built once per presentation."""
+    if pres.edge_families:
+        raise NotFiniteEdges("the length profile needs a finite edge set")
     return pres.derived("length_profile", _build_length_profile)
 
 
 def _build_length_profile(pres: UltragraphPresentation) -> LengthProfile:
-    edges = _finite_edges(pres)
-    states: list[frozenset[VertexRef]] = []
-    seen: dict[frozenset[VertexRef], int] = {}
-    cur: frozenset[VertexRef] = frozenset().union(*(r for _, _, r in edges)) if edges else frozenset()
-    while cur not in seen:
-        seen[cur] = len(states)
+    # every edge is a path of length 1; then `live` keeps the edges whose
+    # source the last state holds, which only shrinks with the state
+    live = list(pres.edges.values())
+    states: list[VertexSet] = []
+    while True:
+        cur = VertexSet.empty()
+        for e in live:
+            cur = cur.union(e.range)
+        if states and cur == states[-1]:
+            return LengthProfile(tuple(states))
         states.append(cur)
-        cur = frozenset().union(
-            *(r for _, s, r in edges if s in cur)
-        ) if edges else frozenset()
-        if not edges:
-            break
-    if not edges:
-        # no paths at all: N'(v) empty for every v
-        return LengthProfile((frozenset(),), 0, 1)
-    first = seen[cur]
-    return LengthProfile(tuple(states), first, len(states) - first)
+        live = [e for e in live if cur.member(e.source)]
 
 
 def decide_condition_y(pres: UltragraphPresentation) -> ConditionYVerdict:
@@ -194,15 +186,34 @@ def _family_self_composes(pres: UltragraphPresentation, name: str) -> bool:
     )
 
 
-def _concrete_cycles(pres: UltragraphPresentation, idx_span: int = 6, max_len: int = 6):
-    """Simple cycles among a finite slice of the concrete edges."""
-    insts: list[EdgeInst] = [EdgeInst(eid) for eid in pres.edges]
+def _edge_successors(pres: UltragraphPresentation) -> dict[EdgeInst, list[EdgeInst]]:
+    """e ↦ the edges f with s(f) ∈ r(e), over the individually specified
+    edges and the first _CYCLE_SPAN members of each edge family, keys and
+    lists in EdgeInst.sort_key order; built once per presentation."""
+    return pres.derived("edge_successors", _build_edge_successors)
+
+
+def _build_edge_successors(pres: UltragraphPresentation) -> dict[EdgeInst, list[EdgeInst]]:
+    insts = [EdgeInst(eid) for eid in pres.edges]
     for name, fam in pres.edge_families.items():
-        insts.extend(EdgeInst(name, n) for n in range(fam.n0, fam.n0 + idx_span))
-    succ: dict[EdgeInst, list[EdgeInst]] = {}
+        insts.extend(EdgeInst(name, n) for n in range(fam.n0, fam.n0 + _CYCLE_SPAN))
+    insts.sort(key=EdgeInst.sort_key)
+    rank = {f: i for i, f in enumerate(insts)}
+    by_source: dict[VertexRef, list[EdgeInst]] = {}
+    for f in insts:
+        by_source.setdefault(pres.edge_source(f), []).append(f)
+    succ = {}
     for e in insts:
         rng = pres.edge_range(e)
-        succ[e] = [f for f in insts if rng.member(pres.edge_source(f))]
+        nxt = [f for v, fs in by_source.items() if rng.member(v) for f in fs]
+        succ[e] = sorted(nxt, key=rank.__getitem__)
+    return succ
+
+
+def _concrete_cycles(pres: UltragraphPresentation):
+    """Simple cycles of at most _CYCLE_LEN edges among the edges of
+    _edge_successors."""
+    succ = _edge_successors(pres)
     closes = {e: set(nxt) for e, nxt in succ.items()}
     cycles: list[tuple[EdgeInst, ...]] = []
 
@@ -212,7 +223,7 @@ def _concrete_cycles(pres: UltragraphPresentation, idx_span: int = 6, max_len: i
         first, last = path[0], path[-1]
         if first in closes[last]:
             cycles.append(tuple(path))
-        if len(path) >= max_len:
+        if len(path) >= _CYCLE_LEN:
             return
         for e in succ[last]:
             if e > first and e not in path:
@@ -220,7 +231,7 @@ def _concrete_cycles(pres: UltragraphPresentation, idx_span: int = 6, max_len: i
                 extend(path)
                 path.pop()
 
-    for e in insts:
+    for e in succ:
         extend([e])
     return sorted(cycles, key=lambda c: [e.sort_key() for e in c])
 
@@ -353,26 +364,3 @@ def _recheck_violation(
             f"witness {rep.label()} has a replacement path up to horizon {horizon}"
         )
 
-
-def condition_y_witness(
-    pres: UltragraphPresentation,
-    p: InfinitePathRep,
-    m: int,
-    horizon: int = 40,
-) -> Union[tuple[int, tuple[EdgeInst, ...]], NoWitnessUpTo]:
-    """A pair (k, alpha) with |alpha| = k + m and alpha . sigma^k(p) an
-    infinite path, searched for k up to the horizon."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    search = _BackwardSearch(pres)
-    edges = p.unroll(horizon + 2)
-    shifted = p
-    for k in range(horizon + 1):
-        v_k = pres.edge_source(edges[k])
-        alpha = search.find(v_k, k + m)
-        if alpha is not None:
-            tail20 = shifted.unroll(20)
-            if pres.is_path(list(alpha) + tail20):
-                return k, alpha
-        shifted = shift_path(shifted)
-    return NoWitnessUpTo(horizon)

@@ -38,12 +38,6 @@ class NotUnital(UltragradeError):
     pass
 
 
-class NotRegular(UltragradeError):
-    def __init__(self, vertex):
-        super().__init__(f"{vertex} is not a regular vertex")
-        self.vertex = vertex
-
-
 class NotHomogeneous(UltragradeError):
     pass
 

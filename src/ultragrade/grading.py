@@ -20,7 +20,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import algebra
-from .condition_y import ConditionYVerdict, check_condition_y_bounded
+from .condition_y import (
+    ConditionYVerdict,
+    check_condition_y_bounded,
+    incoming_length_profile,
+)
 from .errors import CertificateError, NoEdges, TermCountCap
 from .lattice import is_unital, unit_witness
 from .model import UltragraphPresentation, VertexSet
@@ -122,32 +126,13 @@ def _strong_z_certificate(pres: UltragraphPresentation) -> dict:
 
 def _longest_path_length(pres: UltragraphPresentation) -> Optional[int]:
     """The number of edges on a longest path of the finite edge set, or
-    None when the edges hold a cycle.  An iterative depth-first search
-    over the successor relation gives each edge the length of the longest
-    path it begins once all its successors have theirs; an edge reached
-    again while still open closes a cycle."""
-    succ = algebra.edge_successors(pres)
-    longest: dict = {}
-    open_edges: set = set()
-    for root in succ:
-        if root in longest:
-            continue
-        open_edges.add(root)
-        stack = [(root, iter(succ[root]))]
-        while stack:
-            e, rest = stack[-1]
-            for f in rest:
-                if f in open_edges:
-                    return None
-                if f not in longest:
-                    open_edges.add(f)
-                    stack.append((f, iter(succ[f])))
-                    break
-            else:
-                stack.pop()
-                open_edges.discard(e)
-                longest[e] = 1 + max((longest[f] for f in succ[e]), default=0)
-    return max(longest.values(), default=0)
+    None when the edges hold a cycle.  The last state of the length
+    profile is empty exactly when no path is infinite, which over
+    finitely many edges means that no edges form a cycle.  Then the
+    states before it are nonempty, one for each length from 1 to the
+    longest."""
+    states = incoming_length_profile(pres).states
+    return None if states[-1] else len(states) - 1
 
 
 def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
@@ -162,9 +147,7 @@ def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
             ["not unital: the full vertex set is not a generalized vertex"],
         )
     reasons = ["finitely many edges", "unital"]
-    covered = VertexSet.empty()
-    for e in pres.edges.values():
-        covered = covered.union(e.range)
+    covered = incoming_length_profile(pres).reached(1)
     if all(covered.member(e.source) for e in pres.edges.values()):
         reasons.append("every edge source lies in some edge range (sufficient)")
         return GradingVerdict("EpsStrongZ", "Yes", reasons)

@@ -156,17 +156,8 @@ class IndexSet:
     def is_finite(self) -> bool:
         return not self.period_mask
 
-    def is_cofinite(self) -> bool:
-        return self.period_mask == _low(self.period_len)
-
     def is_empty(self) -> bool:
         return not self.prefix_mask and not self.period_mask
-
-    def cardinality(self) -> int | None:
-        """Number of elements, or None when infinite."""
-        if self.period_mask:
-            return None
-        return self.prefix_mask.bit_count()
 
     def min_element(self) -> int | None:
         if self.prefix_mask:
@@ -196,11 +187,6 @@ class IndexSet:
                     return
                 yield base + j
             base += step
-
-    def elements(self) -> list[int]:
-        if not self.is_finite():
-            raise ValueError("infinite IndexSet")
-        return list(self.iter_elements())
 
     # -- Boolean algebra ----------------------------------------------
 

@@ -175,15 +175,6 @@ class VertexSet:
             j += 1
         return True
 
-    def cardinality(self) -> int | None:
-        total = 0
-        for _, s in self.parts:
-            c = s.cardinality()
-            if c is None:
-                return None
-            total += c
-        return total
-
     def iter_vertices(self, bound: int | None = None) -> Iterator[VertexRef]:
         for fam, s in self.parts:
             for i in s.iter_elements(bound=bound):
@@ -193,9 +184,6 @@ class VertexSet:
         if not self.is_finite():
             raise NotFinite("infinite vertex set")
         return list(self.iter_vertices())
-
-    def key(self):
-        return self.parts
 
     @staticmethod
     def refine(sets: Iterable["VertexSet"]) -> list[tuple["VertexSet", tuple[int, ...]]]:
@@ -336,9 +324,6 @@ class UltragraphPresentation:
     def complement(self, vs: VertexSet) -> VertexSet:
         return self.g0_universe().difference(vs)
 
-    def is_cofinite(self, vs: VertexSet) -> bool:
-        return self.complement(vs).is_finite()
-
     def has_vertex(self, v: VertexRef) -> bool:
         card = self.vertex_families.get(v.family)
         if card is None and v.family in self.vertex_families:
@@ -396,15 +381,6 @@ class UltragraphPresentation:
                 if n is not None:
                     out.append(EdgeInst(name, n))
         return sorted(out, key=EdgeInst.sort_key)
-
-    def vertex_emits(self, v: VertexRef) -> bool:
-        try:
-            return bool(self.out_edges(v))
-        except InfiniteEmitter:
-            return True
-
-    def is_sink(self, v: VertexRef) -> bool:
-        return not self.vertex_emits(v)
 
     def in_edges(self, v: VertexRef, cap: int = 64) -> tuple[list[EdgeInst], bool]:
         """Edges whose range contains v, with a completeness flag (constant

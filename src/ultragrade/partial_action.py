@@ -88,19 +88,6 @@ def point_source(pres: UltragraphPresentation, x: PathPoint) -> VertexRef:
     return x.v
 
 
-def valid_point(pres: UltragraphPresentation, x: PathPoint) -> bool:
-    if isinstance(x, Infinite):
-        return pres.valid_infinite_path(x.rep, depth=30)
-    if isinstance(x, SinkPath):
-        return (
-            len(x.alpha) >= 1
-            and pres.is_path(x.alpha)
-            and _path_space(pres).is_sink(x.v)
-            and pres.edge_range(x.alpha[-1]).member(x.v)
-        )
-    return _path_space(pres).is_sink(x.v)
-
-
 # -- membership in the X_t / X_A / X_{bA} sets ----------------------------
 
 
@@ -307,11 +294,6 @@ def _atom_sort_key(key: tuple):
     if key[0] == "sp":
         return (1, tuple(e.sort_key() for e in key[1]), key[2])
     return (2, key[1])
-
-
-def atom_point(pres: UltragraphPresentation, key: tuple) -> PathPoint:
-    """A concrete representative of an atom."""
-    return _path_space(pres).point(key)
 
 
 def _point_atom(pres: UltragraphPresentation, x: PathPoint, depth: int) -> tuple:
@@ -522,9 +504,6 @@ class SkewElement:
 
     def grading_tags(self) -> list[FreeWord]:
         return sorted(self.comps, key=lambda w: (len(w), w.label()))
-
-    def check_supports(self) -> bool:
-        return all(f.supported_in(t) for t, f in self.comps.items())
 
     def __repr__(self):
         bits = [f"({f!r}) d_{t.label()}" for t, f in self.comps.items()]

@@ -92,8 +92,8 @@ def structural_report(pres: UltragraphPresentation) -> StructuralReport:
 
 
 def _build_structural_report(pres: UltragraphPresentation) -> StructuralReport:
-    sinks = pres.g0_universe().difference(_emitting_cover(pres))
-    sources = pres.g0_universe().difference(_range_cover(pres))
+    sinks = pres.complement(_emitting_cover(pres))
+    sources = pres.complement(_range_cover(pres))
     emitter_witness = None
     for fam in pres.edge_families.values():
         if fam.source.is_constant():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from ultragrade.errors import InfiniteEmitter
 from ultragrade.model import (
     Edge,
     EdgeInst,
@@ -29,6 +30,14 @@ INFINITE_CORPUS = ["ex2.ug", "infinite_range.ug"]
 
 def load(name: str) -> UltragraphPresentation:
     return parse_presentation((CORPUS / name).read_text())
+
+
+def is_sink(pres: UltragraphPresentation, v: VertexRef) -> bool:
+    """True iff v emits no edge; an infinite emitter is no sink."""
+    try:
+        return not pres.out_edges(v)
+    except InfiniteEmitter:
+        return False
 
 
 def random_presentation(

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     FINITE_CORPUS,
+    is_sink,
     load,
     random_element,
     random_path,
@@ -36,9 +37,9 @@ from ultragrade.algebra import (
 from ultragrade.errors import (
     NotFinite,
     NotHomogeneous,
-    NotRegular,
     NotStronglyGraded,
     TermCountCap,
+    UltragradeError,
 )
 from ultragrade.freegroup import FreeWord
 from ultragrade.indexset import IndexSet
@@ -50,6 +51,12 @@ def E(*names):
 
 
 # -- vertex splitting (CK2), applied only by explicit expansion ------------
+
+
+class NotRegular(UltragradeError):
+    def __init__(self, vertex):
+        super().__init__(f"{vertex} is not a regular vertex")
+        self.vertex = vertex
 
 
 def _regular_out_edges(pres: UltragraphPresentation, v: VertexRef) -> list[EdgeInst]:
@@ -103,7 +110,7 @@ def ck2_saturate(x: AlgebraElement, depth: int) -> AlgebraElement:
             raise NotFinite("cannot saturate over an infinite vertex set")
         sink_part = VertexSet.empty()
         for u in vs.vertices():
-            if pres.is_sink(u):
+            if is_sink(pres, u):
                 sink_part = sink_part.union(VertexSet.of(u))
             else:
                 for e in pres.out_edges(u):

@@ -8,23 +8,22 @@ contains a reachable cycle, which we find with networkx primitives."""
 from __future__ import annotations
 
 import random
-from math import lcm
+from dataclasses import dataclass
+from typing import Union
 
 import networkx as nx
 import pytest
 
-from conftest import CORPUS, load, random_presentation
+from conftest import CORPUS, FINITE_CORPUS, load, random_presentation
 from ultragrade import condition_y
 from ultragrade.condition_y import (
     ConditionYVerdict,
     LengthProfile,
-    NoWitnessUpTo,
     check_condition_y_bounded,
-    condition_y_witness,
     decide_condition_y,
     incoming_length_profile,
 )
-from ultragrade.errors import NotFinite
+from ultragrade.errors import NotFinite, NotFiniteEdges
 from ultragrade.model import (
     Affine,
     CycleTail,
@@ -38,6 +37,7 @@ from ultragrade.model import (
     VertexSet,
     VertexTemplate,
     parse_presentation,
+    shift_path,
 )
 from ultragrade.structure import build_associated_graph
 
@@ -123,17 +123,14 @@ def is_violation(
     profile: LengthProfile,
     lasso: InfinitePathRep,
 ) -> bool:
-    """Exact check that a lasso path witnesses failure, using joint
-    periodicity of the path and the length profile."""
+    """Exact check that a lasso path witnesses failure: past its prefix
+    the path repeats its tail, and past len(profile.states) the profile
+    repeats its last state, so later positions add no new case."""
     if not isinstance(lasso.tail, CycleTail):
         raise ValueError("exact violation check needs a cycle tail")
     if not pres.valid_infinite_path(lasso, depth=50):
         return False
-    horizon = (
-        len(lasso.prefix)
-        + profile.preperiod
-        + lcm(len(lasso.tail.edges), profile.period)
-    )
+    horizon = len(lasso.prefix) + len(profile.states) + len(lasso.tail.edges)
     edges = lasso.unroll(horizon + 1)
     for k in range(horizon):
         v_k = pres.edge_source(edges[k])
@@ -220,6 +217,114 @@ def test_ex2_violation():
 
 def test_infinite_range_no_sources():
     assert check_condition_y_bounded(load("infinite_range.ug")).status == "holds_no_sources"
+
+
+# -- the length profile against the frozenset profile it replaced -----------
+
+
+@dataclass(frozen=True)
+class FrozensetProfile:
+    """The reached vertices per length as frozensets, iterated to the
+    first repeat of any earlier state, with the preperiod and period that
+    repeat gives."""
+
+    states: tuple[frozenset, ...]
+    preperiod: int
+    period: int
+
+    def contains(self, v: VertexRef, length: int) -> bool:
+        if length <= len(self.states):
+            i = length - 1
+        else:
+            i = self.preperiod + (length - 1 - self.preperiod) % self.period
+        return v in self.states[i]
+
+
+def frozenset_profile(pres) -> FrozensetProfile:
+    edges = [(e.source, frozenset(e.range.vertices())) for e in pres.edges.values()]
+    if not edges:
+        return FrozensetProfile((frozenset(),), 0, 1)
+    states, seen = [], {}
+    cur = frozenset().union(*(r for _, r in edges))
+    while cur not in seen:
+        seen[cur] = len(states)
+        states.append(cur)
+        cur = frozenset().union(*(r for s, r in edges if s in cur))
+    first = seen[cur]
+    return FrozensetProfile(tuple(states), first, len(states) - first)
+
+
+def profile_inputs():
+    rng = random.Random(307)
+    out = [load(name) for name in FINITE_CORPUS + ["cosingleton12.ug", "chain70.ug"]]
+    out += [random_presentation(rng) for _ in range(150)]
+    out += [random_presentation(rng, sinkless=True) for _ in range(60)]
+    return out
+
+
+def test_profile_matches_the_frozenset_profile():
+    inputs = profile_inputs()
+    assert len(inputs) >= 200
+    for pres in inputs:
+        profile = incoming_length_profile(pres)
+        oracle = frozenset_profile(pres)
+        states = profile.states
+        for length in range(1, len(states) + 4):
+            for v in pres.all_vertices():
+                assert profile.contains(v, length) == oracle.contains(v, length), (pres.name, v, length)
+        assert [frozenset(s.vertices()) for s in states] == list(oracle.states)
+        # the states only shrink, so the first repeat is of the state just before
+        assert oracle.period == 1
+        for shorter, longer in zip(states, states[1:]):
+            assert longer.subset_of(shorter) and longer != shorter
+
+
+def test_profile_over_an_infinite_vertex_family():
+    pres = load("sink_family.ug")
+    profile = incoming_length_profile(pres)
+    w = pres.edges["e"].range
+    assert profile.states == (w, VertexSet.empty())
+    assert profile.reached(1) == w and profile.reached(5).is_empty()
+    assert profile.contains(VertexRef("w", 10**6), 1)
+    with pytest.raises(ValueError):
+        profile.reached(0)
+
+
+def test_profile_refuses_edge_families():
+    with pytest.raises(NotFiniteEdges):
+        incoming_length_profile(load("ex2.ug"))
+
+
+# -- replacement paths for a given infinite path ----------------------------
+
+
+@dataclass(frozen=True)
+class NoWitnessUpTo:
+    horizon: int
+
+
+def condition_y_witness(
+    pres: UltragraphPresentation,
+    p: InfinitePathRep,
+    m: int,
+    horizon: int = 40,
+) -> Union[tuple[int, tuple[EdgeInst, ...]], NoWitnessUpTo]:
+    """A pair (k, alpha) with |alpha| = k + m and alpha . sigma^k(p) an
+    infinite path, searched for k up to the horizon."""
+    if m < 1:
+        raise ValueError("m must be positive")
+    search = condition_y._BackwardSearch(pres)
+    edges = p.unroll(horizon + 2)
+    shifted = p
+    for k in range(horizon + 1):
+        v_k = pres.edge_source(edges[k])
+        alpha = search.find(v_k, k + m)
+        if alpha is not None:
+            tail20 = shifted.unroll(20)
+            if pres.is_path(list(alpha) + tail20):
+                return k, alpha
+        shifted = shift_path(shifted)
+    return NoWitnessUpTo(horizon)
 
 
 def test_witness_search_m_version():

@@ -102,6 +102,20 @@ def test_eps_strong_z_acyclic_chain():
     assert set(verdict.certificate["units"]) == {"-2", "-1", "0", "1", "2"}
 
 
+def test_eps_strong_z_over_an_infinite_family_of_sinks():
+    # finitely many edges, one of them into infinitely many vertices: the
+    # units are built from vertex sets, never from a list of the vertices
+    pres = load("sink_family.ug")
+    verdict = classify_eps_strong_z(pres)
+    assert verdict.status == "Yes"
+    assert verdict.certificate["units"] == {
+        "-1": "p{w[*]}",
+        "0": "p{u, w[*]}",
+        "1": "s(e) p{w[*]} st(e)",
+    }
+    assert grading._longest_path_length(pres) == 1
+
+
 def test_analyze_report_contents():
     report = analyze(load("ex2.ug"))
     assert report["tool"] == "ultragrade"

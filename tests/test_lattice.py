@@ -55,8 +55,8 @@ def range_intersections(pres) -> dict[tuple[str, ...], VertexSet]:
     by_set: dict = {}
     for eid, e in sorted(pres.edges.items()):
         key = (eid,)
-        if e.range.key() not in by_set:
-            by_set[e.range.key()] = key
+        if e.range not in by_set:
+            by_set[e.range] = key
             found[key] = e.range
     changed = True
     while changed:
@@ -66,10 +66,10 @@ def range_intersections(pres) -> dict[tuple[str, ...], VertexSet]:
                 if eid in key:
                     continue
                 inter = vs.intersection(e.range)
-                if inter.is_empty() or inter.key() in by_set:
+                if inter.is_empty() or inter in by_set:
                     continue
                 new_key = tuple(sorted(set(key) | {eid}))
-                by_set[inter.key()] = new_key
+                by_set[inter] = new_key
                 found[new_key] = inter
                 changed = True
     return found
@@ -202,7 +202,7 @@ def test_ex2_not_unital():
     # the only infinite range is r(e); its complement contains all v[n], n>=2
     got, _ = g0_contains(pres, pres.edges["e"].range)
     assert got
-    assert not pres.is_cofinite(pres.edges["e"].range)
+    assert not pres.complement(pres.edges["e"].range).is_finite()
 
 
 def test_one_edge_unital():

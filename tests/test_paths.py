@@ -231,6 +231,52 @@ def test_products_match_the_all_pairs_oracle():
 # -- the epsilon-unit path ------------------------------------------------------
 
 
+def relevant_edges_oracle(pres, m):
+    """The edges e that begin a path p of some length j whose last range
+    meets the last range of a path of length j + m.  Step j holds the set
+    of edges that end a path of length j from e and the set that end a
+    path of length j + m, each found from the last by testing every pair
+    of edges; the next step depends on these two sets alone, so the walk
+    stops when a pair of them repeats."""
+    insts = [EdgeInst(eid) for eid in sorted(pres.edges)]
+
+    def step(ends):
+        return frozenset(
+            f for e in ends for f in insts if pres.edge_range(e).member(pres.edge_source(f))
+        )
+
+    def meets(mine, theirs):
+        return any(pres.edge_range(g).intersection(pres.edge_range(h)) for g in mine for h in theirs)
+
+    out = []
+    for e in insts:
+        theirs = frozenset(insts)
+        for _ in range(m):
+            theirs = step(theirs)
+        mine, seen = frozenset([e]), set()
+        while mine and (mine, theirs) not in seen:
+            seen.add((mine, theirs))
+            if meets(mine, theirs):
+                out.append(e)
+                break
+            mine, theirs = step(mine), step(theirs)
+    return out
+
+
+def test_relevant_edges_and_negative_units_match_the_path_oracle():
+    relevant = 0
+    for pres in seeded_presentations():
+        for m in (1, 2, 3):
+            got = algebra._relevant_edges(pres, m)
+            assert got == relevant_edges_oracle(pres, m), (pres.name, m)
+            relevant += len(got)
+            covered = VertexSet.empty()
+            for q in all_paths_oracle(pres, m):
+                covered = covered.union(pres.edge_range(q[-1]))
+            assert algebra.epsilon_candidate(pres, -m) == AlgebraElement.projection(pres, covered)
+    assert relevant >= 500
+
+
 def test_chain_beyond_the_path_length_cap_is_undetermined():
     pres = load("chain70.ug")
     assert _longest_path_length(pres) == 70
