@@ -210,10 +210,12 @@ def _build_edge_successors(pres: UltragraphPresentation) -> dict[EdgeInst, list[
     return succ
 
 
-def _concrete_cycles(pres: UltragraphPresentation):
+def _concrete_cycles(pres: UltragraphPresentation, skip: frozenset[EdgeInst] = frozenset()):
     """Simple cycles of at most _CYCLE_LEN edges among the edges of
-    _edge_successors."""
-    succ = _edge_successors(pres)
+    _edge_successors that are not in `skip`."""
+    succ = {
+        e: [f for f in nxt if f not in skip] for e, nxt in _edge_successors(pres).items() if e not in skip
+    }
     closes = {e: set(nxt) for e, nxt in succ.items()}
     cycles: list[tuple[EdgeInst, ...]] = []
 
@@ -236,9 +238,12 @@ def _concrete_cycles(pres: UltragraphPresentation):
     return sorted(cycles, key=lambda c: [e.sort_key() for e in c])
 
 
-def _tails(pres: UltragraphPresentation) -> list[Union[CycleTail, FamilyTail]]:
+def _tails(
+    pres: UltragraphPresentation, skip: frozenset[EdgeInst] = frozenset()
+) -> list[Union[CycleTail, FamilyTail]]:
     """The tails of the representative infinite paths: the bounded concrete
-    cycles in sorted order, then two starts of each self-composing family.
+    cycles that avoid `skip` in sorted order, then two starts of each
+    self-composing family.
 
     Every tail is an infinite path, so no caller re-checks it.  A concrete
     cycle composes by construction: _concrete_cycles steps from e only to
@@ -247,7 +252,7 @@ def _tails(pres: UltragraphPresentation) -> list[Union[CycleTail, FamilyTail]]:
     shifted by one, so r(f[n]) holds s(f[n+1]) for every n, and every
     index from n0 on resolves."""
     tails: list[Union[CycleTail, FamilyTail]] = [
-        CycleTail(cyc) for cyc in _concrete_cycles(pres)
+        CycleTail(cyc) for cyc in _concrete_cycles(pres, skip)
     ]
     for name, fam in pres.edge_families.items():
         if _family_self_composes(pres, name):
@@ -295,6 +300,38 @@ def _unanswered(
     return True
 
 
+def _skipped_cycle_edges(pres: UltragraphPresentation, span: int) -> frozenset[EdgeInst]:
+    """The edges that no violating concrete-cycle tail can use when the
+    tail scan covers `span` >= _CYCLE_LEN + _PREFIX_LEN positions: those
+    of _edge_successors whose source a backward search finds at every
+    length from 1 to _CYCLE_LEN + _PREFIX_LEN.
+
+    An edge e of a listed cycle sits at some position i0 <= _CYCLE_LEN - 1
+    of its tail's unrolling.  That position lies inside the window
+    edges[:span - j] for every j <= _PREFIX_LEN, where it is asked at
+    length j + 1 + i0 <= _CYCLE_LEN + _PREFIX_LEN.  A found path is a real
+    path, whichever search found it, so _unanswered is False for every j,
+    and the scan already passes over every tail through e.  The kept tails
+    keep their order, so the first violation and its witness are the
+    same; the scan makes a subset of its old queries, so its node count
+    can only fall, and its answers are the same whenever the full scan
+    stays within SEARCH_NODE_BUDGET.  The check runs its own search, so
+    it spends none of that budget.
+
+    At smaller spans the windows are short or empty and nothing is
+    skipped: ex2 plus a clique entered from v[0] has the witness
+    e into (c0_1 c1_0)^inf at horizon 0."""
+    longest = _CYCLE_LEN + _PREFIX_LEN
+    if span < longest:
+        return frozenset()
+    search = _BackwardSearch(pres)
+    return frozenset(
+        e
+        for e in _edge_successors(pres)
+        if all(search.exists(pres.edge_source(e), n)[0] for n in range(1, longest + 1))
+    )
+
+
 def check_condition_y_bounded(
     pres: UltragraphPresentation, horizon: int = 40
 ) -> ConditionYVerdict:
@@ -311,9 +348,10 @@ def check_condition_y_bounded(
     Those k split into the prefix positions, which depend only on the
     prefix, and the tail positions, which depend only on the tail and the
     prefix length; each part is decided once and the representatives are
-    never listed.  The first violation in the order tails, then prefixes
-    in DFS preorder, is the witness, and it is re-checked on its own
-    before it is returned."""
+    never listed, and neither is a cycle through an edge of
+    _skipped_cycle_edges, which could not violate.  The first violation
+    in the order tails, then prefixes in DFS preorder, is the witness,
+    and it is re-checked on its own before it is returned."""
     if not structural_report(pres).has_sources:
         return ConditionYVerdict("holds_no_sources")
     if pres.is_finite:
@@ -325,7 +363,7 @@ def check_condition_y_bounded(
     prefix_bad: dict[tuple[EdgeInst, ...], bool] = {}
     in_edges: dict[VertexRef, list[EdgeInst]] = {}
 
-    for tail in _tails(pres):
+    for tail in _tails(pres, _skipped_cycle_edges(pres, span)):
         edges = InfinitePathRep((), tail).unroll(max(span, 1))
         tail_bad = [
             _unanswered(pres, search, edges[: max(0, span - j)], j + 1)

@@ -254,15 +254,14 @@ class InfinitePathRep:
     tail: Union[CycleTail, FamilyTail]
 
     def unroll(self, depth: int) -> list[EdgeInst]:
-        out = list(self.prefix[:depth])
-        i = 0
-        while len(out) < depth:
-            if isinstance(self.tail, CycleTail):
-                out.append(self.tail.edges[i % len(self.tail.edges)])
-            else:
-                out.append(EdgeInst(self.tail.family, self.tail.start + i))
-            i += 1
-        return out
+        rest = depth - len(self.prefix)
+        if rest <= 0:
+            return list(self.prefix[:depth])
+        if isinstance(self.tail, CycleTail):
+            cyc = self.tail.edges
+            return [*self.prefix, *(cyc * (rest // len(cyc) + 1))[:rest]]
+        start = self.tail.start
+        return [*self.prefix, *(EdgeInst(self.tail.family, n) for n in range(start, start + rest))]
 
     def label(self) -> str:
         pre = " ".join(e.label() for e in self.prefix)

@@ -470,6 +470,15 @@ def clique_ray(k):
     return parse_presentation("\n".join(lines) + "\n")
 
 
+def ex2_clique(k):
+    """ex2 plus a complete directed graph on k vertices entered from v[0]
+    (corpus/ex2_clique7.ug at k = 7)."""
+    lines = [(CORPUS / "ex2.ug").read_text().replace("ultragraph ex2", f"ultragraph ex2_clique{k}")]
+    lines += [f"vertex_family q finite {k}", "edge into : v[0] -> { q[0] }"]
+    lines += [f"edge c{i}_{j} : q[{i}] -> {{ q[{j}] }}" for i in range(k) for j in range(k) if i != j]
+    return parse_presentation("\n".join(lines) + "\n")
+
+
 @pytest.fixture
 def searches(monkeypatch):
     """Every backward search started while the test runs."""
@@ -504,14 +513,22 @@ def _same_verdicts(pres, horizons):
     return statuses
 
 
+# Horizons 7 and 8 lie on the two sides of the span at which the scan
+# starts to skip cycle edges (span = horizon + 1 >= 9).
+ORACLE_HORIZONS = (40, 9, 8, 7, 5, 1, 0)
+
+
 def test_bounded_matches_oracle_on_corpus_and_clique_rays(searches):
     inputs = {
         "ex2": load("ex2.ug"),
         "infinite_range": load("infinite_range.ug"),
         "clique3": clique_ray(3),
         "clique4": clique_ray(4),
+        "clique5": clique_ray(5),
+        "ex2_clique4": ex2_clique(4),
+        "ex2_clique5": ex2_clique(5),
     }
-    horizons = (40, 5, 1, 0)
+    horizons = ORACLE_HORIZONS
     statuses = {}
     for name, pres in inputs.items():
         for horizon, status in zip(horizons, _same_verdicts(pres, horizons)):
@@ -519,9 +536,12 @@ def test_bounded_matches_oracle_on_corpus_and_clique_rays(searches):
     assert statuses["ex2", 40] == "violation_up_to_horizon"
     assert statuses["infinite_range", 40] == "holds_no_sources"
     assert statuses["clique3", 40] == statuses["clique4", 40] == "unknown"
+    assert statuses["clique5", 40] == statuses["clique5", 8] == "unknown"
     # at horizon 0 only the first position counts, and the source has no
     # incoming path at all
     assert statuses["clique4", 0] == "violation_up_to_horizon"
+    for horizon in ORACLE_HORIZONS:
+        assert statuses["ex2_clique5", horizon] == "violation_up_to_horizon"
     assert searches and all(s.nodes <= s.budget for s in searches)
 
 
@@ -533,11 +553,67 @@ def test_bounded_matches_oracle_on_random_rays(searches):
         # lists every representative, to a few seconds
         pres = random_ray_presentation(rng, max_vertices=5, max_edges=5)
         pres.name = f"ray{i}"
-        for status in _same_verdicts(pres, (40, 3)):
+        for status in _same_verdicts(pres, (40, 9, 8, 7, 3)):
             seen[status] = seen.get(status, 0) + 1
     assert seen.get("violation_up_to_horizon", 0) >= 5, seen
     assert seen.get("unknown", 0) >= 5, seen
     assert all(s.nodes <= s.budget for s in searches)
+
+
+def test_ex2_clique_witness_on_both_sides_of_the_skip():
+    # from span 9 on every clique edge is skipped, and the family tail
+    # gives the witness; below it a clique cycle can still carry one
+    pres = load("ex2_clique7.ug")
+    for horizon in (40, 8, 3):
+        assert check_condition_y_bounded(pres, horizon).to_dict()["witness"] == "e f[2..]"
+    assert check_condition_y_bounded(pres, 0).to_dict()["witness"] == "e into (c0_1 c1_0)^inf"
+    assert condition_y._skipped_cycle_edges(pres, 8) == frozenset()
+    skipped = condition_y._skipped_cycle_edges(pres, 9)
+    assert EdgeInst("c0_1") in skipped and EdgeInst("into") in skipped
+    # u has no in-edge, so a tail through e must stay
+    assert EdgeInst("e") not in skipped
+
+
+def _scan(pres, horizon, searches):
+    """The verdict and the node count of the scan's own search, which
+    check_condition_y_bounded starts before any other."""
+    searches.clear()
+    verdict = check_condition_y_bounded(pres, horizon)
+    return verdict.to_dict(), searches[0].nodes if searches else 0
+
+
+def test_skipping_cycle_edges_changes_no_verdict(searches, monkeypatch):
+    rng = random.Random(211)
+    inputs = [clique_ray(k) for k in (3, 4, 5, 6)] + [ex2_clique(k) for k in (3, 4, 5)]
+    inputs += [random_ray_presentation(rng, max_vertices=5, max_edges=5) for _ in range(60)]
+    horizons = (40, 9, 8, 3)
+    with_skip = {(i, h): _scan(pres, h, searches) for i, pres in enumerate(inputs) for h in horizons}
+    skipping = sum(bool(condition_y._skipped_cycle_edges(pres, 41)) for pres in inputs)
+    assert skipping > len(inputs) // 2
+    monkeypatch.setattr(condition_y, "_skipped_cycle_edges", lambda pres, span: frozenset())
+    total = total_all = 0
+    for i, pres in enumerate(inputs):
+        for horizon in horizons:
+            verdict, nodes = with_skip[i, horizon]
+            verdict_all, nodes_all = _scan(pres, horizon, searches)
+            assert verdict == verdict_all, (i, horizon)
+            assert nodes <= nodes_all, (i, horizon)
+            total, total_all = total + nodes, total_all + nodes_all
+    assert total < total_all
+
+
+def test_concrete_cycles_use_the_sixth_family_member():
+    # in6 f[6] back6 closes through the sixth member of f; the cycle
+    # through b needs f[7], beyond the slice, so exactly one cycle is listed
+    pres = parse_presentation(
+        "ultragraph slice_edge\nvertex a\nvertex b\nvertex_family r infinite\n"
+        "edge in6 : a -> { r[5] }\nedge back6 : r[6] -> { a }\n"
+        "edge in7 : b -> { r[6] }\nedge back7 : r[7] -> { b }\n"
+        "edge_family f[n] (n >= 1) : r[n-1] -> { r[n] }\n"
+    )
+    assert condition_y._concrete_cycles(pres) == [
+        (EdgeInst("back6"), EdgeInst("in6"), EdgeInst("f", 6))
+    ]
 
 
 def test_every_tail_is_an_infinite_path():

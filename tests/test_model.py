@@ -86,6 +86,33 @@ def test_unroll():
     assert p.unroll(3) == [EdgeInst("e"), EdgeInst("f", 2), EdgeInst("f", 3)]
 
 
+def unroll_edge_by_edge(p: InfinitePathRep, depth: int) -> list[EdgeInst]:
+    out = list(p.prefix[:depth])
+    i = 0
+    while len(out) < depth:
+        if isinstance(p.tail, CycleTail):
+            out.append(p.tail.edges[i % len(p.tail.edges)])
+        else:
+            out.append(EdgeInst(p.tail.family, p.tail.start + i))
+        i += 1
+    return out
+
+
+def test_unroll_matches_the_edge_by_edge_walk():
+    prefixes = [(), (EdgeInst("e"),), (EdgeInst("e"), EdgeInst("g", 4), EdgeInst("h"))]
+    tails = [
+        CycleTail((EdgeInst("a"),)),
+        CycleTail((EdgeInst("a"), EdgeInst("b", 1), EdgeInst("c"))),
+        FamilyTail("f", 0),
+        FamilyTail("f", 2),
+    ]
+    for prefix in prefixes:
+        for tail in tails:
+            p = InfinitePathRep(prefix, tail)
+            for depth in range(51):
+                assert p.unroll(depth) == unroll_edge_by_edge(p, depth), (p, depth)
+
+
 @pytest.mark.parametrize("name", FINITE_CORPUS + INFINITE_CORPUS)
 def test_print_parse_round_trip_corpus(name):
     pres = load(name)
