@@ -48,6 +48,8 @@ def _check_coeff(c) -> Coeff:
 def _atomize(pairs: list[tuple[Coeff, VertexSet]]) -> tuple:
     """Canonical middle layer: disjoint sets grouped by coefficient."""
     pairs = [(c, vs) for c, vs in pairs if c != 0 and not vs.is_empty()]
+    if len(pairs) == 1:
+        return tuple(pairs)  # one piece is its own atom
     by_coeff: dict[Coeff, VertexSet] = {}
     for atom, held in VertexSet.refine(vs for _, vs in pairs):
         total: Coeff = 0
@@ -63,12 +65,12 @@ def _vset_sort_key(vs: VertexSet):
 
 
 class AlgebraElement:
-    __slots__ = ("pres", "terms", "_by_first")
+    __slots__ = ("pres", "terms", "_index")
 
     def __init__(self, pres: UltragraphPresentation, terms: dict):
         self.pres = pres
         self.terms = terms  # (alpha, beta) -> tuple[(coeff, VertexSet), ...]
-        self._by_first = None  # _first_edge_index per side, built on demand
+        self._index = None  # _prefix_index per side, built on demand
 
     # -- construction ------------------------------------------------------
 
@@ -184,21 +186,37 @@ class AlgebraElement:
         return f"AlgebraElement({pretty(self)})"
 
 
-def _first_edge_index(x: AlgebraElement, side: int) -> dict:
-    """x's terms grouped by the first edge of α (side 0) or of β (side 1),
-    with None for an empty path; built once per element and side."""
-    if x._by_first is None:
-        x._by_first = [None, None]
-    index = x._by_first[side]
+def _prefix_index(x: AlgebraElement, side: int) -> tuple[dict, dict]:
+    """x's terms keyed by their path on one side (0: α, 1: β), and keyed by
+    every proper prefix of that path; built once per element and side and
+    dropped with the element."""
+    if x._index is None:
+        x._index = [None, None]
+    index = x._index[side]
     if index is None:
-        index = x._by_first[side] = {}
-        for key, pieces in x.terms.items():
-            path = key[side]
-            index.setdefault(path[0] if path else None, []).append((key, pieces))
+        exact: dict = {}
+        proper: dict = {}
+        for term in x.terms.items():
+            path = term[0][side]
+            exact.setdefault(path, []).append(term)
+            for k in range(len(path)):
+                proper.setdefault(path[:k], []).append(term)
+        index = x._index[side] = (exact, proper)
     return index
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    """The product, paired through a prefix index of the larger factor.
+
+    s_β* s_γ is zero unless one of β, γ is a prefix of the other, so only
+    such pairs of terms (s_α · s_β*)(s_γ · s_δ*) contribute.  Walk the
+    terms of the factor with fewer terms; say it is x, with inner path β
+    (the case of y, with inner path γ, is the mirror image).  The y terms
+    with γ a prefix of β are those whose γ equals one of the len(β) + 1
+    prefixes of β, found in y's exact index; those with β a proper prefix
+    of γ are listed under β in y's proper-prefix index.  The two cases
+    are disjoint and cover every compatible pair, so each contributing
+    pair is combined exactly once, and no other pair is looked at."""
     x._require_same(y)
     pres = x.pres
     raw: dict = {}
@@ -213,40 +231,49 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         if not vs.is_empty():
             raw.setdefault((alpha, beta), []).append((c, vs))
 
-    # s_β* s_γ vanishes unless one of β, γ is a prefix of the other, so a
-    # pair can combine only if β or γ is empty or both begin with the same
-    # edge; only those pairs are visited.
-    by_gamma = _first_edge_index(y, 0)
-    y_empty = by_gamma.get(None, [])
-    blocks = [
-        (xs, y.terms.items() if first is None else y_empty + by_gamma.get(first, []))
-        for first, xs in _first_edge_index(x, 1).items()
-    ]
-    for xs, ys in blocks:
-        for (alpha, beta), xp in xs:
-            for (gamma, delta), yp in ys:
-                nb, ng = len(beta), len(gamma)
-                if nb <= ng and gamma[:nb] == beta:
-                    rest = gamma[nb:]
-                    if not rest:
-                        for c, a_set in xp:
-                            for d, b_set in yp:
-                                add(alpha, delta, a_set.intersection(b_set), c * d)
-                    else:
-                        v = pres.edge_source(rest[0])
-                        for c, a_set in xp:
-                            if not a_set.member(v):
-                                continue
-                            for d, b_set in yp:
-                                add(alpha + rest, delta, b_set, c * d)
-                elif ng < nb and beta[:ng] == gamma:
-                    rest = beta[ng:]
-                    v = pres.edge_source(rest[0])
-                    for d, b_set in yp:
-                        if not b_set.member(v):
-                            continue
-                        for c, a_set in xp:
-                            add(alpha, delta + rest, a_set, c * d)
+    def combine(xt, yt) -> None:
+        (alpha, beta), xp = xt
+        (gamma, delta), yp = yt
+        nb, ng = len(beta), len(gamma)
+        if nb == ng:
+            for c, a_set in xp:
+                for d, b_set in yp:
+                    add(alpha, delta, a_set.intersection(b_set), c * d)
+        elif nb < ng:
+            rest = gamma[nb:]
+            v = pres.edge_source(rest[0])
+            for c, a_set in xp:
+                if not a_set.member(v):
+                    continue
+                for d, b_set in yp:
+                    add(alpha + rest, delta, b_set, c * d)
+        else:
+            rest = beta[ng:]
+            v = pres.edge_source(rest[0])
+            for d, b_set in yp:
+                if not b_set.member(v):
+                    continue
+                for c, a_set in xp:
+                    add(alpha, delta + rest, a_set, c * d)
+
+    if len(x.terms) <= len(y.terms):
+        exact, proper = _prefix_index(y, 0)
+        for xt in x.terms.items():
+            beta = xt[0][1]
+            for k in range(len(beta) + 1):
+                for yt in exact.get(beta[:k], ()):
+                    combine(xt, yt)
+            for yt in proper.get(beta, ()):
+                combine(xt, yt)
+    else:
+        exact, proper = _prefix_index(x, 1)
+        for yt in y.terms.items():
+            gamma = yt[0][0]
+            for k in range(len(gamma) + 1):
+                for xt in exact.get(gamma[:k], ()):
+                    combine(xt, yt)
+            for xt in proper.get(gamma, ()):
+                combine(xt, yt)
     return AlgebraElement._from_raw(pres, raw)
 
 
@@ -301,6 +328,26 @@ def all_paths(pres: UltragraphPresentation, length: int) -> list[Path]:
 # -- epsilon units -------------------------------------------------------
 
 
+def _unit_paths(pres: UltragraphPresentation, m: int) -> list[Path]:
+    """all_paths(pres, m), refused past PATH_LENGTH_CAP as monomial would
+    refuse each of them."""
+    paths = all_paths(pres, m)
+    if paths and m > PATH_LENGTH_CAP:
+        raise PathLengthCap(f"path length {m} exceeds {PATH_LENGTH_CAP}")
+    return paths
+
+
+def _path_element(pres: UltragraphPresentation, keys: Iterable[tuple[Path, Path]]) -> AlgebraElement:
+    """Σ s_α p_{r(e)} s_β* over the pairs (α, β), where e is the last edge
+    of α, or of β when α is empty, and α and β end in the same edge when
+    both are nonempty.  The paths come from all_paths, which builds paths
+    only along edge_successors, so unlike monomial this does not walk them
+    again; the middle r(e) is what monomial would leave of it."""
+    return AlgebraElement._from_raw(
+        pres, {(a, b): [(1, pres.edge_range((a or b)[-1]))] for a, b in keys}
+    )
+
+
 def epsilon_candidate(pres: UltragraphPresentation, n: int) -> AlgebraElement:
     if pres.edge_families:
         raise NotFiniteEdges("epsilon units need a finite edge set")
@@ -309,16 +356,26 @@ def epsilon_candidate(pres: UltragraphPresentation, n: int) -> AlgebraElement:
             raise NotUnital("the algebra has no unit")
         return AlgebraElement.projection(pres, pres.g0_universe())
     if n > 0:
-        # one normal form over all the terms: adding the monomials one by
-        # one would atomize every earlier term again for each path
-        raw: dict = {}
-        for p in all_paths(pres, n):
-            term = AlgebraElement.monomial(pres, p, pres.edge_range(p[-1]), p)
-            for key, pairs in term.terms.items():
-                raw.setdefault(key, []).extend(pairs)
-        return AlgebraElement._from_raw(pres, raw)
+        return _path_element(pres, ((p, p) for p in _unit_paths(pres, n)))
     # the last ranges of the paths of length |n| cover what they reach
     return AlgebraElement.projection(pres, incoming_length_profile(pres).reached(-n))
+
+
+def _last_ranges(pres: UltragraphPresentation, m: int) -> list[VertexSet]:
+    """The distinct ranges r(p[-1]) over the paths p of length m >= 1, in
+    the sorted order of the first edge that has each.
+
+    An edge e ends a path of length m iff m = 1 or s(e) ∈ reached(m − 1).
+    Every edge is a path of length 1.  For m > 1, a path of length m that
+    ends in e is a path q of length m − 1 followed by e with s(e) ∈
+    r(q[-1]); and reached(m − 1) is the union of those r(q[-1]) over the
+    paths q of length m − 1, so it holds s(e) iff some such q extends by
+    e.  So the paths themselves are never listed."""
+    edges = list(edge_successors(pres))
+    if m > 1:
+        reach = incoming_length_profile(pres).reached(m - 1)
+        edges = [e for e in edges if reach.member(pres.edge_source(e))]
+    return list(dict.fromkeys(pres.edge_range(e) for e in edges))
 
 
 def _relevant_edges(pres: UltragraphPresentation, m: int) -> list[EdgeInst]:
@@ -357,6 +414,13 @@ def verify_epsilon(pres: UltragraphPresentation, n: int, cand: AlgebraElement) -
     length-n paths decide both identities.  For n < 0 the factorizations
     bottom out in p_{r(δ)} blocks (|δ| = |n|) and single s_e / s_e*
     letters for edges that actually begin such monomials.
+
+    For n < 0 each block p_{r(δ)} depends on δ only through its last
+    range, and two paths with the same last range give the same two
+    products, so each distinct range is checked once; _last_ranges finds
+    them from the length profile without listing the paths.  For n > 0
+    each path gives its own generators s_p and s_p*, so each is checked
+    once.
     """
     if pres.edge_families:
         raise NotFiniteEdges("epsilon verification needs a finite edge set")
@@ -366,18 +430,17 @@ def verify_epsilon(pres: UltragraphPresentation, n: int, cand: AlgebraElement) -
         gens += [AlgebraElement.s_star(pres, (e,)) for e in map(EdgeInst, sorted(pres.edges))]
         return all(multiply(cand, g) == g and multiply(g, cand) == g for g in gens)
     m = abs(n)
-    paths = all_paths(pres, m)
     if n > 0:
-        for p in paths:
-            sp = AlgebraElement.s(pres, p)
+        for p in _unit_paths(pres, m):
+            sp = _path_element(pres, [(p, ())])
             if multiply(cand, sp) != sp:
                 return False
-            sq = AlgebraElement.s_star(pres, p)
+            sq = _path_element(pres, [((), p)])
             if multiply(sq, cand) != sq:
                 return False
         return True
-    for p in paths:
-        proj = AlgebraElement.projection(pres, pres.edge_range(p[-1]))
+    for rng in _last_ranges(pres, m):
+        proj = AlgebraElement.projection(pres, rng)
         if multiply(cand, proj) != proj or multiply(proj, cand) != proj:
             return False
     for e in _relevant_edges(pres, m):

@@ -202,10 +202,13 @@ def _build_edge_successors(pres: UltragraphPresentation) -> dict[EdgeInst, list[
     by_source: dict[VertexRef, list[EdgeInst]] = {}
     for f in insts:
         by_source.setdefault(pres.edge_source(f), []).append(f)
+    # the sources are finitely many, so r(e) ∩ sources is finite even when
+    # r(e) is not, and only the vertices in it are looked up
+    sources = VertexSet.of(*by_source)
     succ = {}
     for e in insts:
-        rng = pres.edge_range(e)
-        nxt = [f for v, fs in by_source.items() if rng.member(v) for f in fs]
+        hit = pres.edge_range(e).intersection(sources)
+        nxt = [f for v in hit.iter_vertices() for f in by_source[v]]
         succ[e] = sorted(nxt, key=rank.__getitem__)
     return succ
 

@@ -124,6 +124,13 @@ class IndexSet:
             return _finite(1 << start)
         return _canonical(start, 0, a, 1)
 
+    @staticmethod
+    def from_window(p: int, q: int, bits: int) -> "IndexSet":
+        """The set whose members below p + q are the bits of `bits` and
+        whose last q of those repeat forever: the inverse of bits_below(p
+        + q) for a set with prefix_len <= p and period_len dividing q."""
+        return _canonical(p, bits & _low(p), q, bits >> p)
+
     # -- the bits as tuples of bools (read-only views) -------------------
 
     @property
@@ -190,7 +197,7 @@ class IndexSet:
 
     # -- Boolean algebra ----------------------------------------------
 
-    def _bits_below(self, n: int) -> int:
+    def bits_below(self, n: int) -> int:
         """The membership mask of {0, ..., n-1}."""
         p = self.prefix_len
         if n <= p:
@@ -205,9 +212,9 @@ class IndexSet:
         return (
             p,
             q,
-            self._bits_below(p),
+            self.bits_below(p),
             _cycle(self.period_mask, self.period_len, p - self.prefix_len, q),
-            other._bits_below(p),
+            other.bits_below(p),
             _cycle(other.period_mask, other.period_len, p - other.prefix_len, q),
         )
 
@@ -219,15 +226,15 @@ class IndexSet:
 
     def intersection(self, other: "IndexSet") -> "IndexSet":
         if not self.period_mask:
-            return _finite(self.prefix_mask & other._bits_below(self.prefix_len))
+            return _finite(self.prefix_mask & other.bits_below(self.prefix_len))
         if not other.period_mask:
-            return _finite(other.prefix_mask & self._bits_below(other.prefix_len))
+            return _finite(other.prefix_mask & self.bits_below(other.prefix_len))
         p, q, a1, b1, a2, b2 = self._aligned(other)
         return _canonical(p, a1 & a2, q, b1 & b2)
 
     def difference(self, other: "IndexSet") -> "IndexSet":
         if not self.period_mask:
-            return _finite(self.prefix_mask & ~other._bits_below(self.prefix_len))
+            return _finite(self.prefix_mask & ~other.bits_below(self.prefix_len))
         p, q, a1, b1, a2, b2 = self._aligned(other)
         return _canonical(p, a1 & ~a2, q, b1 & ~b2)
 
@@ -243,7 +250,7 @@ class IndexSet:
 
     def subset_of(self, other: "IndexSet") -> bool:
         if not self.period_mask:
-            return not self.prefix_mask & ~other._bits_below(self.prefix_len)
+            return not self.prefix_mask & ~other.bits_below(self.prefix_len)
         _, _, a1, b1, a2, b2 = self._aligned(other)
         return not (a1 & ~a2 or b1 & ~b2)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import (
@@ -190,24 +191,45 @@ class VertexSet:
         """The atoms of the Boolean algebra that `sets` generate inside
         their union, each with the indices of the sets that hold it.  An
         atom is all the vertices held by exactly those sets, so no two
-        atoms carry the same indices."""
-        atoms: list[tuple[VertexSet, tuple[int, ...]]] = []
-        seen = VertexSet.empty()
+        atoms carry the same indices.
+
+        The atoms are found by signature, one family at a time.  Let p be
+        the longest prefix and q the lcm of the periods among the family's
+        parts.  Every part has prefix_len <= p and a period dividing q, so
+        it holds an index i >= p iff it holds p + (i - p) mod q.  So the
+        signature of i, the indices of the sets that hold it, is the
+        signature of a position in the window [0, p + q), and each
+        signature's positions in the window, read as a prefix of p bits
+        and a period of q bits, are exactly the indices that carry it.
+        The atom of a signature gathers its classes over every family.
+        One pass over each part's set bits in the window gives every
+        signature (partition refinement by signature, as in Paige and
+        Tarjan, SIAM J. Comput. 1987).  The cost grows with the window: a
+        family whose parts have many coprime periods has a window as
+        long as their lcm."""
+        by_family: dict[str, list[tuple[int, IndexSet]]] = {}
         for i, vs in enumerate(sets):
-            refined = []
-            for a, held in atoms:
-                inner = a.intersection(vs)
-                if inner:
-                    refined.append((inner, held + (i,)))
-                outer = a.difference(vs)
-                if outer:
-                    refined.append((outer, held))
-            fresh = vs.difference(seen)
-            if fresh:
-                refined.append((fresh, (i,)))
-            seen = seen.union(vs)
-            atoms = refined
-        return atoms
+            for fam, s in vs.parts:
+                by_family.setdefault(fam, []).append((i, s))
+        atoms: dict[tuple[int, ...], list[tuple[str, IndexSet]]] = {}
+        for fam in sorted(by_family):
+            parts = by_family[fam]
+            p = max(s.prefix_len for _, s in parts)
+            q = lcm(*(s.period_len for _, s in parts))
+            signature: dict[int, list[int]] = {}
+            for i, s in parts:
+                bits = s.bits_below(p + q)
+                while bits:
+                    low = bits & -bits
+                    signature.setdefault(low.bit_length() - 1, []).append(i)
+                    bits ^= low
+            positions: dict[tuple[int, ...], int] = {}
+            for j, held in signature.items():
+                key = tuple(held)
+                positions[key] = positions.get(key, 0) | 1 << j
+            for key, bits in positions.items():
+                atoms.setdefault(key, []).append((fam, IndexSet.from_window(p, q, bits)))
+        return [(VertexSet(tuple(parts)), key) for key, parts in atoms.items()]
 
     def __bool__(self) -> bool:
         return not self.is_empty()

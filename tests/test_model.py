@@ -147,6 +147,43 @@ def _random_vertex_set(rng: random.Random) -> VertexSet:
     return VertexSet.make(parts)
 
 
+def refine_by_pairs_oracle(sets):
+    """VertexSet.refine as it was before signatures: split every atom found
+    so far by each set in turn, then add what the set holds outside them."""
+    atoms = []
+    seen = VertexSet.empty()
+    for i, vs in enumerate(sets):
+        refined = []
+        for a, held in atoms:
+            inner = a.intersection(vs)
+            if inner:
+                refined.append((inner, held + (i,)))
+            outer = a.difference(vs)
+            if outer:
+                refined.append((outer, held))
+        fresh = vs.difference(seen)
+        if fresh:
+            refined.append((fresh, (i,)))
+        seen = seen.union(vs)
+        atoms = refined
+    return atoms
+
+
+def test_refine_matches_the_pairwise_oracle():
+    rng = random.Random(11)
+    repeated = 0
+    for _ in range(300):
+        sets = [_random_vertex_set(rng) for _ in range(rng.randint(0, 5))]
+        if sets and rng.random() < 0.3:
+            sets.insert(rng.randrange(len(sets) + 1), rng.choice(sets))
+            repeated += 1
+        got = VertexSet.refine(sets)
+        want = refine_by_pairs_oracle(sets)
+        assert len(got) == len(want)
+        assert {held: a for a, held in got} == {held: a for a, held in want}, sets
+    assert repeated >= 50
+
+
 def test_refine_gives_the_atoms_of_the_inputs():
     rng = random.Random(5)
     for _ in range(300):

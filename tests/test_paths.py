@@ -1,7 +1,8 @@
-"""Path enumeration, the longest path and the product, each against the
-straightforward version it replaced: every length enumerated anew,
-lengths tried one by one, a recursive cycle search, and a product that
-pairs every term with every term."""
+"""Path enumeration, the longest path, the product and the epsilon-unit
+checks, each against the straightforward version it replaced: every
+length enumerated anew, lengths tried one by one, a recursive cycle
+search, a product that pairs every term with every term, a product that
+pairs terms through a first-edge index, and a range check per path."""
 
 from __future__ import annotations
 
@@ -20,9 +21,12 @@ from ultragrade.algebra import (
     PATH_LENGTH_CAP,
     AlgebraElement,
     all_paths,
+    epsilon_candidate,
     multiply,
+    verify_epsilon,
 )
 from ultragrade.grading import _longest_path_length, analyze, classify_eps_strong_z
+from ultragrade.lattice import is_unital
 from ultragrade.model import Edge, EdgeInst, UltragraphPresentation, VertexRef, VertexSet
 
 # -- the oracles -------------------------------------------------------------
@@ -107,6 +111,60 @@ def multiply_oracle(x, y):
     return AlgebraElement._from_raw(pres, raw)
 
 
+def multiply_first_edge_oracle(x, y):
+    """The product as it was paired before the prefix index: x's terms
+    grouped by the first edge of β and y's by the first edge of γ, with
+    None for an empty path; a block pairs every term of x with every term
+    of y whose γ is empty or starts with the same edge, and an empty β
+    meets every term of y."""
+
+    def first_edge_index(z, side):
+        index = {}
+        for key, pieces in z.terms.items():
+            path = key[side]
+            index.setdefault(path[0] if path else None, []).append((key, pieces))
+        return index
+
+    pres = x.pres
+    raw = {}
+
+    def add(alpha, beta, vs, c):
+        if alpha:
+            vs = vs.intersection(pres.edge_range(alpha[-1]))
+        if beta:
+            vs = vs.intersection(pres.edge_range(beta[-1]))
+        if not vs.is_empty():
+            raw.setdefault((alpha, beta), []).append((c, vs))
+
+    by_gamma = first_edge_index(y, 0)
+    y_empty = by_gamma.get(None, [])
+    for first, xs in first_edge_index(x, 1).items():
+        ys = y.terms.items() if first is None else y_empty + by_gamma.get(first, [])
+        for (alpha, beta), xp in xs:
+            for (gamma, delta), yp in ys:
+                nb, ng = len(beta), len(gamma)
+                if nb <= ng and gamma[:nb] == beta:
+                    rest = gamma[nb:]
+                    if not rest:
+                        for c, a_set in xp:
+                            for d, b_set in yp:
+                                add(alpha, delta, a_set.intersection(b_set), c * d)
+                    else:
+                        v = pres.edge_source(rest[0])
+                        for c, a_set in xp:
+                            if a_set.member(v):
+                                for d, b_set in yp:
+                                    add(alpha + rest, delta, b_set, c * d)
+                elif ng < nb and beta[:ng] == gamma:
+                    rest = beta[ng:]
+                    v = pres.edge_source(rest[0])
+                    for d, b_set in yp:
+                        if b_set.member(v):
+                            for c, a_set in xp:
+                                add(alpha, delta + rest, a_set, c * d)
+    return AlgebraElement._from_raw(pres, raw)
+
+
 # -- inputs -----------------------------------------------------------------
 
 
@@ -130,6 +188,18 @@ def chain(n: int, closed: bool = False) -> UltragraphPresentation:
     for i in range(n):
         target = 0 if closed and i == n - 1 else i + 1
         pres.edges[f"e{i}"] = Edge(f"e{i}", VertexRef("v", i), VertexSet.of(VertexRef("v", target)))
+    pres.validate()
+    return pres
+
+
+def layered_dag(w: int, d: int) -> UltragraphPresentation:
+    """d + 1 layers of w vertices; vertex j of a layer below the last emits
+    one edge whose range is {j, j+1 mod w} of the next layer."""
+    pres = UltragraphPresentation(f"dag{w}x{d}", {f"l{i}": w for i in range(d + 1)})
+    for i in range(d):
+        for j in range(w):
+            rng = VertexSet.of(VertexRef(f"l{i + 1}", j), VertexRef(f"l{i + 1}", (j + 1) % w))
+            pres.edges[f"g{i}_{j}"] = Edge(f"g{i}_{j}", VertexRef(f"l{i}", j), rng)
     pres.validate()
     return pres
 
@@ -167,6 +237,25 @@ def test_all_paths_match_the_oracle_in_order():
             assert all_paths(pres, length) == all_paths_oracle(pres, length), (pres.name, length)
 
 
+def test_every_listed_path_is_a_path():
+    """Unit certificates build their monomials from all_paths without
+    walking the paths again, so each one must be a path."""
+    rng = random.Random(2026)
+    presentations = [load(name) for name in FINITE_CORPUS] + [layered_dag(3, 5)]
+    presentations += [random_presentation(rng) for _ in range(100)]
+    presentations += [random_dag(rng) for _ in range(100)]
+    checked = 0
+    for pres in presentations:
+        longest = _longest_path_length(pres)
+        for length in range(1, (5 if longest is None else longest) + 1):
+            for p in all_paths(pres, length):
+                assert len(p) == length and pres.is_path(p), (pres.name, p)
+                checked += 1
+        if longest is not None:
+            assert all_paths(pres, longest + 1) == [], pres.name
+    assert checked >= 5000
+
+
 def test_longest_path_matches_the_oracle():
     cyclic = acyclic = 0
     for pres in seeded_presentations():
@@ -183,6 +272,17 @@ def test_longest_path_matches_the_oracle():
 def test_long_chains_stay_clear_of_the_recursion_limit():
     assert _longest_path_length(chain(1100)) == 1100
     assert _longest_path_length(chain(1100, closed=True)) is None
+
+
+def test_long_chain_has_one_range_type_per_edge():
+    """Every range of the chain is its own atom, so the chain has as many
+    range types as edges."""
+    pres = chain(1100)
+    ranges = [pres.edges[eid].range for eid in sorted(pres.edges)]
+    atoms = VertexSet.refine(ranges)
+    assert sorted(held for _, held in atoms) == [(i,) for i in range(1100)]
+    assert all(atom == ranges[held[0]] for atom, held in atoms)
+    assert is_unital(pres)
 
 
 def test_validate_drops_the_cached_paths():
@@ -220,12 +320,38 @@ def test_products_match_the_all_pairs_oracle():
             empty_gamma += any(not gamma for gamma, _ in y.terms)
             pruned += any(b and g and b[0] != g[0] for _, b in x.terms for g, _ in y.terms)
             assert multiply(x, y) == multiply_oracle(x, y)
-            # the first-edge index, once built, serves later products
+            # the prefix index, once built, serves later products
             assert multiply(y, x) == multiply_oracle(y, x)
             assert multiply(x, x) == multiply_oracle(x, x)
         x, y = random_element(rng, pres), random_element(rng, pres)
         assert multiply(x, y) == multiply_oracle(x, y)
     assert empty_beta >= 100 and empty_gamma >= 100 and pruned >= 100
+
+
+def test_products_match_the_first_edge_oracle():
+    pairs = 0
+    # every product of the associativity test
+    rng = random.Random(301)
+    for _ in range(300):
+        pres = random_presentation(rng, max_vertices=4, max_edges=5)
+        x, y, z = (random_element(rng, pres) for _ in range(3))
+        for a, b in ((x, y), (y, z), (multiply(x, y), z), (x, multiply(y, z))):
+            assert multiply(a, b) == multiply_first_edge_oracle(a, b)
+            pairs += 1
+    # the epsilon candidates of layered DAGs with their generators and
+    # with each other, so that either factor can be the larger
+    for w, d in ((2, 4), (3, 4), (3, 5)):
+        pres = layered_dag(w, d)
+        for n in range(1, d + 1):
+            cand, neg = epsilon_candidate(pres, n), epsilon_candidate(pres, -n)
+            gens = [AlgebraElement.s(pres, p) for p in all_paths(pres, n)]
+            gens += [g.star() for g in gens]
+            gens += [AlgebraElement.projection(pres, r) for r in algebra._last_ranges(pres, n)]
+            for g in gens + [cand, cand.star(), neg]:
+                for a, b in ((cand, g), (g, cand), (neg, g), (g, neg)):
+                    assert multiply(a, b) == multiply_first_edge_oracle(a, b), (pres.name, n)
+                    pairs += 1
+    assert pairs >= 2000
 
 
 # -- the epsilon-unit path ------------------------------------------------------
@@ -275,6 +401,67 @@ def test_relevant_edges_and_negative_units_match_the_path_oracle():
                 covered = covered.union(pres.edge_range(q[-1]))
             assert algebra.epsilon_candidate(pres, -m) == AlgebraElement.projection(pres, covered)
     assert relevant >= 500
+
+
+def test_negative_units_check_each_last_range_once(monkeypatch):
+    """verify_epsilon(-m) checks the candidate against p_R once per
+    distinct last range R of the paths of length m, and against nothing
+    else of that shape."""
+    calls = []
+    real = algebra.multiply
+
+    def spy(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(algebra, "multiply", spy)
+    rng = random.Random(2027)
+    shared = 0
+    for _ in range(200):
+        pres = random_dag(rng)
+        for m in range(1, 5):
+            paths = all_paths_oracle(pres, m)
+            want = {pres.edge_range(p[-1]) for p in paths}
+            assert set(algebra._last_ranges(pres, m)) == want, (pres.name, m)
+            assert len(algebra._last_ranges(pres, m)) == len(want)
+            shared += len(paths) - len(want)
+            cand = epsilon_candidate(pres, -m)
+            calls.clear()
+            verify_epsilon(pres, -m, cand)
+            tested = [
+                z.terms[((), ())][0][1]
+                for x, y in calls
+                for z in (x, y)
+                if z is not cand and set(z.terms) == {((), ())}
+            ]
+            # each range twice: as a right and as a left factor
+            assert set(tested) == want and len(tested) == 2 * len(want), (pres.name, m)
+    assert shared >= 200
+
+
+def test_a_unit_wrong_on_one_shared_range_is_rejected():
+    """Six sources feed a hub whose one edge reaches v[7], so six paths of
+    length 2 share the last range {v[7]}; one more path ends in {v[10]}.
+    A degree -2 unit that misses only v[7] fails the one check of that
+    range, and no other check would catch it: no edge begins a longer
+    path into those ranges."""
+    pres = UltragraphPresentation("fan", {"v": 11})
+    ends = {f"f{i}": (i, 6) for i in range(6)}
+    ends.update(h=(6, 7), a=(8, 9), b=(9, 10))
+    for eid, (src, dst) in ends.items():
+        pres.edges[eid] = Edge(eid, VertexRef("v", src), VertexSet.of(VertexRef("v", dst)))
+    pres.validate()
+    assert len(all_paths(pres, 2)) == 7
+    # the shared range comes last, after the one it is not wrong on
+    assert algebra._last_ranges(pres, 2) == [
+        VertexSet.of(VertexRef("v", 10)),
+        VertexSet.of(VertexRef("v", 7)),
+    ]
+    assert algebra._relevant_edges(pres, 2) == []
+    unit = epsilon_candidate(pres, -2)
+    assert unit == AlgebraElement.projection(pres, VertexSet.of(VertexRef("v", 7), VertexRef("v", 10)))
+    assert verify_epsilon(pres, -2, unit)
+    assert not verify_epsilon(pres, -2, AlgebraElement.projection(pres, VertexSet.of(VertexRef("v", 10))))
 
 
 def test_chain_beyond_the_path_length_cap_is_undetermined():
