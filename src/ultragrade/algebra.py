@@ -363,19 +363,12 @@ def epsilon_candidate(pres: UltragraphPresentation, n: int) -> AlgebraElement:
 
 def _last_ranges(pres: UltragraphPresentation, m: int) -> list[VertexSet]:
     """The distinct ranges r(p[-1]) over the paths p of length m >= 1, in
-    the sorted order of the first edge that has each.
-
-    An edge e ends a path of length m iff m = 1 or s(e) ∈ reached(m − 1).
-    Every edge is a path of length 1.  For m > 1, a path of length m that
-    ends in e is a path q of length m − 1 followed by e with s(e) ∈
-    r(q[-1]); and reached(m − 1) is the union of those r(q[-1]) over the
-    paths q of length m − 1, so it holds s(e) iff some such q extends by
-    e.  So the paths themselves are never listed."""
-    edges = list(edge_successors(pres))
-    if m > 1:
-        reach = incoming_length_profile(pres).reached(m - 1)
-        edges = [e for e in edges if reach.member(pres.edge_source(e))]
-    return list(dict.fromkeys(pres.edge_range(e) for e in edges))
+    the sorted order of the first edge that has each.  An edge e ends a
+    path of length m iff its depth in the length profile is at least m or
+    None (see LengthProfile), so the paths themselves are never listed."""
+    depth = incoming_length_profile(pres).depth
+    ends = [eid for eid in sorted(depth) if depth[eid] is None or depth[eid] >= m]
+    return list(dict.fromkeys(pres.edges[eid].range for eid in ends))
 
 
 def _relevant_edges(pres: UltragraphPresentation, m: int) -> list[EdgeInst]:
@@ -457,7 +450,15 @@ def verify_epsilon(pres: UltragraphPresentation, n: int, cand: AlgebraElement) -
 def strong_factorization(
     pres: UltragraphPresentation, v: VertexRef, n: int
 ) -> list[tuple[AlgebraElement, AlgebraElement]]:
-    """Pairs (aᵢ, bᵢ) of degree (n, −n) with Σ aᵢbᵢ = p_v, for n = ±1."""
+    """Pairs (aᵢ, bᵢ) of degree (n, −n) with Σ aᵢbᵢ = p_v, for n = ±1.
+
+    At a source the expansion is cut at paths of depth_bound edges, a
+    safety cap that scales with the length profile's settle length S.  S
+    is at least the number of distinct sets in reached(1), reached(2), ...:
+    those sets only shrink, and from length S on they are all equal, so at
+    most S of them differ.  That count is the one the cap was first sized
+    by, so the cap is never smaller than that, and a larger cap can only
+    raise BoundExceeded later; it never changes a certificate."""
     if n not in (1, -1):
         raise ValueError("n must be 1 or -1")
     if not pres.is_finite:
@@ -474,11 +475,10 @@ def strong_factorization(
             )
             for e in pres.out_edges(v)
         ]
-    profile = incoming_length_profile(pres)
-    if profile.contains(v, 1):
-        e = next(
-            EdgeInst(eid) for eid in sorted(pres.edges) if pres.edges[eid].range.member(v)
-        )
+    # in_edges lists the edges whose range holds v in id order
+    incoming = pres.in_edges(v)[0]
+    if incoming:
+        e = incoming[0]
         a = AlgebraElement.monomial(pres, (), point, (e,))
         b = AlgebraElement.monomial(pres, (e,), point, ())
         return [(a, b)]
@@ -487,7 +487,8 @@ def strong_factorization(
     # path exists under Condition (Y); an unbounded uncovered branch would
     # be a Condition (Y) violation)
     search = _BackwardSearch(pres)
-    depth_bound = len(pres.all_vertices()) * len(profile.states) + 2
+    profile = incoming_length_profile(pres)
+    depth_bound = len(pres.all_vertices()) * profile.settle + 2
     pairs: list[tuple[AlgebraElement, AlgebraElement]] = []
     work: list[tuple[Path, VertexRef]] = [
         ((e,), u)
@@ -496,7 +497,7 @@ def strong_factorization(
     ]
     while work:
         gamma, u = work.pop()
-        if profile.contains(u, len(gamma) + 1):
+        if profile.reached(len(gamma) + 1).member(u):
             tau = search.find(u, len(gamma) + 1)
             if tau is None:
                 raise CertificateError(f"no replacement path of length {len(gamma) + 1} into {u.label()}")

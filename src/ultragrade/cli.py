@@ -180,7 +180,7 @@ class _ExprParser:
             from .model import _parse_vset
 
             body = val[val.index("{") + 1 : -1]
-            vset = _parse_vset(body, 1, self.pres.vertex_families)
+            vset = _parse_vset(body, 1, self.pres)
             return AlgebraElement.projection(self.pres, vset)
         raise _ExprError("expected a factor")
 

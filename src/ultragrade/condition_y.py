@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import CertificateError, NotFinite, NotFiniteEdges
+from .indexset import IndexSet
 from .model import (
     CycleTail,
     EdgeInst,
@@ -33,31 +34,37 @@ _CYCLE_SPAN = 6  # members of each edge family that concrete cycles may use
 _CYCLE_LEN = 6  # edges on the longest concrete cycle
 
 
-@dataclass(frozen=True)
 class LengthProfile:
     """Which vertices the paths of each length reach, over a finite edge
-    set: states[l-1] is the set of vertices that lie in the range of some
-    path of length l.
+    set, from one number per edge: depth[eid] is the number of edges on a
+    longest path that ends with the edge, or None when a cycle reaches it
+    and such paths are arbitrarily long.
 
-    The states only shrink.  A path of length l+1 ends with a path of
-    length l, its last l edges, that has the same last range, so every
-    vertex reached at length l+1 is reached at length l.  A state is the
-    union of the ranges of the edges whose source lies in the state
-    before it, so once a state equals the one before it, every later
-    state does too.  The build stops at that first repeat, and every
-    longer length reads the last state.  It does stop: the edges whose
-    source lies in a state shrink with the state, within a finite edge
-    set, so at most one more state than there are edges is distinct."""
+    An edge e ends a path of length l iff depth[e] >= l or is None: the
+    last l edges of a longer path ending with e are a path ending with e.
+    So reached(l), the vertices in the range of some path of length l, is
+    the union of the ranges of those edges.  From the settle length, one
+    more than the largest finite depth, the edges counted are those with
+    depth None, so every longer length reads the same set.  `longest` is
+    the number of edges on a longest path, or None when the edges hold a
+    cycle, and then paths are arbitrarily long."""
 
-    states: tuple[VertexSet, ...]
+    def __init__(self, depth: dict[str, Optional[int]], ranges: dict[str, VertexSet]):
+        self.depth = depth
+        finite = [d for d in depth.values() if d is not None]
+        self.settle = 1 + max(finite, default=0)
+        self.longest = self.settle - 1 if len(finite) == len(depth) else None
+        self._ranges = ranges
+        self._reached: dict[int, VertexSet] = {}
 
     def reached(self, length: int) -> VertexSet:
         if length < 1:
             raise ValueError("lengths start at 1")
-        return self.states[min(length, len(self.states)) - 1]
-
-    def contains(self, v: VertexRef, length: int) -> bool:
-        return self.reached(length).member(v)
+        length = min(length, self.settle)
+        if length not in self._reached:
+            ends = [eid for eid, d in self.depth.items() if d is None or d >= length]
+            self._reached[length] = VertexSet.make(part for eid in ends for part in self._ranges[eid].parts)
+        return self._reached[length]
 
 
 @dataclass(frozen=True)
@@ -83,18 +90,23 @@ def incoming_length_profile(pres: UltragraphPresentation) -> LengthProfile:
 
 
 def _build_length_profile(pres: UltragraphPresentation) -> LengthProfile:
-    # every edge is a path of length 1; then `live` keeps the edges whose
-    # source the last state holds, which only shrinks with the state
-    live = list(pres.edges.values())
-    states: list[VertexSet] = []
-    while True:
-        cur = VertexSet.empty()
-        for e in live:
-            cur = cur.union(e.range)
-        if states and cur == states[-1]:
-            return LengthProfile(tuple(states))
-        states.append(cur)
-        live = [e for e in live if cur.member(e.source)]
+    # Kahn's count (CACM 1962) over f -> g when s(g) is in r(f): an edge is
+    # taken once every edge before it is, and one that a cycle reaches never is
+    succ = _successors({eid: (e.source, e.range) for eid, e in pres.edges.items()})
+    waiting = dict.fromkeys(succ, 0)
+    for nxt in succ.values():
+        for g in nxt:
+            waiting[g] += 1
+    count = dict.fromkeys(succ, 1)
+    ready = [e for e in succ if not waiting[e]]
+    for f in ready:  # grows while it is read
+        for g in succ[f]:
+            count[g] = max(count[g], count[f] + 1)
+            waiting[g] -= 1
+            if not waiting[g]:
+                ready.append(g)
+    depth = {eid: None if waiting[eid] else count[eid] for eid in succ}
+    return LengthProfile(depth, {eid: e.range for eid, e in pres.edges.items()})
 
 
 def decide_condition_y(pres: UltragraphPresentation) -> ConditionYVerdict:
@@ -198,19 +210,29 @@ def _build_edge_successors(pres: UltragraphPresentation) -> dict[EdgeInst, list[
     for name, fam in pres.edge_families.items():
         insts.extend(EdgeInst(name, n) for n in range(fam.n0, fam.n0 + _CYCLE_SPAN))
     insts.sort(key=EdgeInst.sort_key)
-    rank = {f: i for i, f in enumerate(insts)}
-    by_source: dict[VertexRef, list[EdgeInst]] = {}
-    for f in insts:
-        by_source.setdefault(pres.edge_source(f), []).append(f)
+    succ = _successors({e: (pres.edge_source(e), pres.edge_range(e)) for e in insts})
+    return {e: sorted(nxt, key=EdgeInst.sort_key) for e, nxt in succ.items()}
+
+
+def _successors(edges: dict) -> dict:
+    """e ↦ the keys f with s(f) ∈ r(e), over a dict from each edge's key to
+    its (source, range), in no set order."""
     # the sources are finitely many, so r(e) ∩ sources is finite even when
-    # r(e) is not, and only the vertices in it are looked up
-    sources = VertexSet.of(*by_source)
-    succ = {}
-    for e in insts:
-        hit = pres.edge_range(e).intersection(sources)
-        nxt = [f for v in hit.iter_vertices() for f in by_source[v]]
-        succ[e] = sorted(nxt, key=rank.__getitem__)
-    return succ
+    # r(e) is not, and only its members are looked up, one family at a time
+    at: dict[str, dict[int, list]] = {}
+    for f, (src, _) in edges.items():
+        at.setdefault(src.family, {}).setdefault(src.index, []).append(f)
+    sources = {fam: IndexSet.from_indices(idx) for fam, idx in at.items()}
+    return {
+        e: [
+            f
+            for fam, s in rng.parts
+            if fam in at
+            for i in s.intersection(sources[fam]).iter_elements()
+            for f in at[fam][i]
+        ]
+        for e, (_, rng) in edges.items()
+    }
 
 
 def _concrete_cycles(pres: UltragraphPresentation, skip: frozenset[EdgeInst] = frozenset()):

@@ -124,17 +124,6 @@ def _strong_z_certificate(pres: UltragraphPresentation) -> dict:
     return {"kind": "vertex_factorizations", "pairs": factorizations}
 
 
-def _longest_path_length(pres: UltragraphPresentation) -> Optional[int]:
-    """The number of edges on a longest path of the finite edge set, or
-    None when the edges hold a cycle.  The last state of the length
-    profile is empty exactly when no path is infinite, which over
-    finitely many edges means that no edges form a cycle.  Then the
-    states before it are nonempty, one for each length from 1 to the
-    longest."""
-    states = incoming_length_profile(pres).states
-    return None if states[-1] else len(states) - 1
-
-
 def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
     if pres.edge_families:
         return GradingVerdict(
@@ -147,14 +136,15 @@ def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
             ["not unital: the full vertex set is not a generalized vertex"],
         )
     reasons = ["finitely many edges", "unital"]
-    covered = incoming_length_profile(pres).reached(1)
-    if all(covered.member(e.source) for e in pres.edges.values()):
+    # an edge of depth 1 is one whose source lies in no range
+    profile = incoming_length_profile(pres)
+    if 1 not in profile.depth.values():
         reasons.append("every edge source lies in some edge range (sufficient)")
         return GradingVerdict("EpsStrongZ", "Yes", reasons)
     reasons.append(
         "some edge source lies in no range; the sufficient criterion fails"
     )
-    horizon = _longest_path_length(pres)
+    horizon = profile.longest
     if horizon is None:
         reasons.append("cycles present: unit-certificate search not conclusive")
         return GradingVerdict("EpsStrongZ", "Undetermined", reasons)

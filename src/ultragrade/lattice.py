@@ -20,6 +20,7 @@ per atom rather than one per intersection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import CertificateError
 from .model import UltragraphPresentation, VertexRef, VertexSet
@@ -34,13 +35,10 @@ class GeneralizedVertex:
     intersections: tuple[tuple[str, ...], ...]  # each a set of edge ids
 
     def reevaluate(self, pres: UltragraphPresentation) -> VertexSet:
-        out = VertexSet.of(*self.finite_part)
+        parts = list(VertexSet.of(*self.finite_part).parts)
         for ids in self.intersections:
-            cur = pres.edges[ids[0]].range
-            for eid in ids[1:]:
-                cur = cur.intersection(pres.edges[eid].range)
-            out = out.union(cur)
-        return out
+            parts += reduce(VertexSet.intersection, (pres.edges[eid].range for eid in ids)).parts
+        return VertexSet.make(parts)
 
 
 def _range_types(pres: UltragraphPresentation) -> list[tuple[tuple[str, ...], VertexSet]]:
@@ -50,10 +48,7 @@ def _range_types(pres: UltragraphPresentation) -> list[tuple[tuple[str, ...], Ve
     ranges = [pres.edges[eid].range for eid in ids]
     out = []
     for _, held in VertexSet.refine(ranges):
-        inter = ranges[held[0]]
-        for i in held[1:]:
-            inter = inter.intersection(ranges[i])
-        out.append((tuple(ids[i] for i in held), inter))
+        out.append((tuple(ids[i] for i in held), reduce(VertexSet.intersection, (ranges[i] for i in held))))
     return out
 
 
@@ -64,16 +59,11 @@ def g0_contains(
     is re-evaluated from the edge ranges before it is returned."""
     if a.is_empty():
         return False, None
-    covered = VertexSet.empty()
-    used: list[tuple[str, ...]] = []
-    for ids, inter in pres.derived("range_types", _range_types):
-        if inter.subset_of(a):
-            covered = covered.union(inter)
-            used.append(ids)
-    rest = a.difference(covered)
+    types = [(ids, inter) for ids, inter in pres.derived("range_types", _range_types) if inter.subset_of(a)]
+    rest = a.difference(VertexSet.make(part for _, inter in types for part in inter.parts))
     if not rest.is_finite():
         return False, None
-    witness = GeneralizedVertex(a, tuple(rest.vertices()), tuple(sorted(used)))
+    witness = GeneralizedVertex(a, tuple(rest.vertices()), tuple(sorted(ids for ids, _ in types)))
     if witness.reevaluate(pres) != a:
         raise CertificateError("the generalized-vertex witness does not rebuild its set")
     return True, witness

@@ -88,11 +88,16 @@ class VertexSet:
     parts: tuple[tuple[str, IndexSet], ...]  # sorted, no empty components
 
     @staticmethod
-    def make(parts: dict[str, IndexSet]) -> "VertexSet":
-        items = tuple(
-            sorted((fam, s) for fam, s in parts.items() if not s.is_empty())
-        )
-        return VertexSet(items)
+    def make(parts: Iterable[tuple[str, IndexSet]]) -> "VertexSet":
+        """The union of the (family, index set) pairs: a family that
+        repeats gets the union of its sets, so n pairs cost at most n IndexSet
+        unions however many families they name."""
+        by_family: dict[str, IndexSet] = {}
+        for fam, s in parts:
+            if fam in by_family:
+                s = by_family[fam].union(s)
+            by_family[fam] = s
+        return VertexSet(tuple(sorted((fam, s) for fam, s in by_family.items() if not s.is_empty())))
 
     @staticmethod
     def empty() -> "VertexSet":
@@ -103,9 +108,7 @@ class VertexSet:
         parts: dict[str, set[int]] = {}
         for v in vrefs:
             parts.setdefault(v.family, set()).add(v.index)
-        return VertexSet.make(
-            {fam: IndexSet.from_indices(s) for fam, s in parts.items()}
-        )
+        return VertexSet(tuple(sorted((fam, IndexSet.from_indices(s)) for fam, s in parts.items())))
 
     def _merge(self, other: "VertexSet", op, keep_self: bool, keep_other: bool) -> "VertexSet":
         """Walk both sorted part lists at once: `op` combines the families
@@ -335,12 +338,10 @@ class UltragraphPresentation:
         card = self.vertex_families[fam]
         if card is None:
             return IndexSet.full()
-        return IndexSet.from_indices(range(card))
+        return IndexSet(card, (1 << card) - 1, 1, 0)  # {0, ..., card-1}, a canonical finite set
 
     def g0_universe(self) -> VertexSet:
-        return VertexSet.make(
-            {fam: self.family_universe(fam) for fam in self.vertex_families}
-        )
+        return VertexSet.make((fam, self.family_universe(fam)) for fam in self.vertex_families)
 
     def complement(self, vs: VertexSet) -> VertexSet:
         return self.g0_universe().difference(vs)
@@ -455,8 +456,7 @@ class UltragraphPresentation:
                 if fam not in self.vertex_families:
                     raise DanglingReference(0, f"edge {eid}: unknown family {fam}")
             for fam, s in e.range.parts:
-                card = self.vertex_families[fam]
-                if card is not None and not s.subset_of(IndexSet.from_indices(range(card))):
+                if not s.subset_of(self.family_universe(fam)):
                     raise DanglingReference(0, f"edge {eid}: index beyond family {fam}")
             if e.range.is_empty():
                 raise EmptyRange(0, f"edge {eid} has empty range")
@@ -542,20 +542,16 @@ def _split_items(body: str) -> list[str]:
     return [s.strip() for s in items if s.strip()]
 
 
-def _parse_vset(body: str, line_no: int, families: dict[str, int | None]) -> VertexSet:
-    parts: dict[str, IndexSet] = {}
-
-    def add(fam: str, s: IndexSet) -> None:
-        parts[fam] = parts.get(fam, IndexSet.empty()).union(s)
-
+def _parse_vset(body: str, line_no: int, pres: UltragraphPresentation) -> VertexSet:
+    families = pres.vertex_families
+    parts: list[tuple[str, IndexSet]] = []
     for item in _split_items(body):
         m = _RE_STAR.match(item)
         if m:
             fam = m.group(1)
             if fam not in families:
                 raise DanglingReference(line_no, f"unknown vertex family {fam!r}")
-            card = families[fam]
-            add(fam, IndexSet.full() if card is None else IndexSet.from_indices(range(card)))
+            parts.append((fam, pres.family_universe(fam)))
             continue
         m = _RE_PROG.match(item)
         if m:
@@ -565,10 +561,10 @@ def _parse_vset(body: str, line_no: int, families: dict[str, int | None]) -> Ver
             aff = _parse_affine(aff_text, line_no)
             if families[fam] is not None:
                 raise ParseError(line_no, f"progression into finite family {fam!r}")
-            add(fam, IndexSet.progression(aff.a, aff.b, int(n0)))
+            parts.append((fam, IndexSet.progression(aff.a, aff.b, int(n0))))
             continue
         v = _parse_vref(item, line_no, families)
-        add(v.family, IndexSet.from_indices([v.index]))
+        parts.append((v.family, IndexSet.from_indices([v.index])))
     return VertexSet.make(parts)
 
 
@@ -622,7 +618,7 @@ def parse_presentation(text: str) -> UltragraphPresentation:
             if eid in pres.edges or eid in pres.edge_families:
                 raise ParseError(line_no, f"duplicate edge id {eid!r}")
             src = _parse_vref(src_text, line_no, pres.vertex_families)
-            rng = _parse_vset(body, line_no, pres.vertex_families)
+            rng = _parse_vset(body, line_no, pres)
             if rng.is_empty():
                 raise EmptyRange(line_no, f"edge {eid!r} has empty range")
             pres.edges[eid] = Edge(eid, src, rng)
@@ -675,10 +671,7 @@ def _print_vset(pres: UltragraphPresentation, vs: VertexSet) -> str:
         if fam in pres.atoms and card == 1 and s.member(0):
             items.append(fam)
             continue
-        if card is None and s == IndexSet.full():
-            items.append(f"{fam}[*]")
-            continue
-        if card is not None and s == IndexSet.from_indices(range(card)):
+        if s == pres.family_universe(fam):
             items.append(f"{fam}[*]")
             continue
         for i, b in enumerate(s.prefix):

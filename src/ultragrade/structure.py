@@ -49,32 +49,13 @@ class StructuralReport:
         }
 
 
-def _emitting_cover(pres: UltragraphPresentation) -> VertexSet:
-    """All vertices that emit at least one edge."""
-    parts: dict[str, IndexSet] = {}
-
-    def add(fam: str, s: IndexSet) -> None:
-        parts[fam] = parts.get(fam, IndexSet.empty()).union(s)
-
-    for e in pres.edges.values():
-        add(e.source.family, IndexSet.from_indices([e.source.index]))
-    for fam in pres.edge_families.values():
-        t = fam.source
-        add(t.family, IndexSet.progression(t.aff.a, t.aff.b, fam.n0))
-    return VertexSet.make(parts)
-
-
-def _range_cover(pres: UltragraphPresentation) -> VertexSet:
-    """All vertices that lie in the range of at least one edge."""
-    cover = VertexSet.empty()
-    for e in pres.edges.values():
-        cover = cover.union(e.range)
-    parts: dict[str, IndexSet] = {}
-    for fam in pres.edge_families.values():
-        for t in fam.range_atoms:
-            s = IndexSet.progression(t.aff.a, t.aff.b, fam.n0)
-            parts[t.family] = parts.get(t.family, IndexSet.empty()).union(s)
-    return cover.union(VertexSet.make(parts))
+def _cover(sets: list[VertexSet], templates: list[tuple[VertexTemplate, int]]) -> VertexSet:
+    """The union of `sets` and of the indices each template takes from its
+    n0 on."""
+    return VertexSet.make(
+        [part for vs in sets for part in vs.parts]
+        + [(t.family, IndexSet.progression(t.aff.a, t.aff.b, n0)) for t, n0 in templates]
+    )
 
 
 def _first_vertex(vs: VertexSet) -> VertexRef | None:
@@ -92,14 +73,18 @@ def structural_report(pres: UltragraphPresentation) -> StructuralReport:
 
 
 def _build_structural_report(pres: UltragraphPresentation) -> StructuralReport:
-    sinks = pres.complement(_emitting_cover(pres))
-    sources = pres.complement(_range_cover(pres))
+    edges, fams = pres.edges.values(), pres.edge_families.values()
+    # a sink emits no edge, and a source lies in no range
+    emitting = _cover([VertexSet.of(*(e.source for e in edges))], [(f.source, f.n0) for f in fams])
+    atoms = [(t, f.n0) for f in fams for t in f.range_atoms]
+    sinks = pres.complement(emitting)
+    sources = pres.complement(_cover([e.range for e in edges], atoms))
     emitter_witness = None
-    for fam in pres.edge_families.values():
+    for fam in fams:
         if fam.source.is_constant():
             emitter_witness = fam.source.at(fam.n0)
             break
-    finite_range = all(e.range.is_finite() for e in pres.edges.values())
+    finite_range = all(e.range.is_finite() for e in edges)
     has_emitter = emitter_witness is not None
     return StructuralReport(
         has_sinks=not sinks.is_empty(),

@@ -68,6 +68,14 @@ def random_presentation(
     return pres
 
 
+def named_chain(n: int) -> UltragraphPresentation:
+    """vertex v0 ... vn and e_i : v_i -> { v_{i+1} }, each vertex its own
+    family (corpus/chain_named200.ug at n = 200)."""
+    lines = [f"ultragraph named{n}"] + [f"vertex v{i}" for i in range(n + 1)]
+    lines += [f"edge e{i} : v{i} -> {{ v{i + 1} }}" for i in range(n)]
+    return parse_presentation("\n".join(lines) + "\n")
+
+
 def random_path(
     rng: random.Random, pres: UltragraphPresentation, max_len: int = 3
 ) -> tuple[EdgeInst, ...]:

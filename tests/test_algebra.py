@@ -382,5 +382,5 @@ def test_atomize_matches_the_subset_oracle():
                 prefix = [rng.random() < 0.5 for _ in range(rng.randint(0, 8))]
                 period = [rng.random() < 0.3 for _ in range(rng.randint(1, 3))]
                 parts[fam] = IndexSet.make(prefix, period)
-            pairs.append((rng.choice(coeffs), VertexSet.make(parts)))
+            pairs.append((rng.choice(coeffs), VertexSet.make(parts.items())))
         assert _atomize(pairs) == _atomize_by_subsets(pairs), pairs

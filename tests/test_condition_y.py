@@ -14,8 +14,8 @@ from typing import Union
 import networkx as nx
 import pytest
 
-from conftest import CORPUS, FINITE_CORPUS, load, random_presentation
-from ultragrade import condition_y
+from conftest import CORPUS, FINITE_CORPUS, load, named_chain, random_presentation
+from ultragrade import algebra, condition_y
 from ultragrade.condition_y import (
     ConditionYVerdict,
     LengthProfile,
@@ -24,6 +24,8 @@ from ultragrade.condition_y import (
     incoming_length_profile,
 )
 from ultragrade.errors import NotFinite, NotFiniteEdges
+from ultragrade.grading import classify_eps_strong_z
+from ultragrade.lattice import is_unital
 from ultragrade.model import (
     Affine,
     CycleTail,
@@ -124,17 +126,17 @@ def is_violation(
     lasso: InfinitePathRep,
 ) -> bool:
     """Exact check that a lasso path witnesses failure: past its prefix
-    the path repeats its tail, and past len(profile.states) the profile
-    repeats its last state, so later positions add no new case."""
+    the path repeats its tail, and from profile.settle on the profile
+    reads one set, so later positions add no new case."""
     if not isinstance(lasso.tail, CycleTail):
         raise ValueError("exact violation check needs a cycle tail")
     if not pres.valid_infinite_path(lasso, depth=50):
         return False
-    horizon = len(lasso.prefix) + len(profile.states) + len(lasso.tail.edges)
+    horizon = len(lasso.prefix) + profile.settle + len(lasso.tail.edges)
     edges = lasso.unroll(horizon + 1)
     for k in range(horizon):
         v_k = pres.edge_source(edges[k])
-        if profile.contains(v_k, k + 1):
+        if profile.reached(k + 1).member(v_k):
             return False
     return True
 
@@ -262,16 +264,48 @@ def profile_inputs():
     return out
 
 
+def state_profile(pres) -> tuple[VertexSet, ...]:
+    """The reached sets per length as VertexSet states, to the first
+    repeat: the first is the union of every range, and each next one the
+    union of the ranges of the edges whose source the state before holds.
+    The states only shrink, so the first repeat is of the state just
+    before, and every longer length reads the last state."""
+    live = list(pres.edges.values())
+    states: list[VertexSet] = []
+    while True:
+        cur = VertexSet.empty()
+        for e in live:
+            cur = cur.union(e.range)
+        if states and cur == states[-1]:
+            return tuple(states)
+        states.append(cur)
+        live = [e for e in live if cur.member(e.source)]
+
+
+def state_reached(states, length: int) -> VertexSet:
+    return states[min(length, len(states)) - 1]
+
+
+def state_last_ranges(pres, states, m: int) -> list[VertexSet]:
+    """The distinct last ranges of the paths of length m, in sorted edge
+    order: e ends such a path iff m = 1 or the state of length m - 1 holds
+    s(e)."""
+    edges = [pres.edges[eid] for eid in sorted(pres.edges)]
+    if m > 1:
+        edges = [e for e in edges if state_reached(states, m - 1).member(e.source)]
+    return list(dict.fromkeys(e.range for e in edges))
+
+
 def test_profile_matches_the_frozenset_profile():
     inputs = profile_inputs()
     assert len(inputs) >= 200
     for pres in inputs:
         profile = incoming_length_profile(pres)
         oracle = frozenset_profile(pres)
-        states = profile.states
-        for length in range(1, len(states) + 4):
+        states = state_profile(pres)
+        for length in range(1, profile.settle + 4):
             for v in pres.all_vertices():
-                assert profile.contains(v, length) == oracle.contains(v, length), (pres.name, v, length)
+                assert profile.reached(length).member(v) == oracle.contains(v, length), (pres.name, v, length)
         assert [frozenset(s.vertices()) for s in states] == list(oracle.states)
         # the states only shrink, so the first repeat is of the state just before
         assert oracle.period == 1
@@ -279,13 +313,39 @@ def test_profile_matches_the_frozenset_profile():
             assert longer.subset_of(shorter) and longer != shorter
 
 
+def test_profile_matches_the_state_oracle():
+    # profile_inputs() holds the one-family chain chain70.ug
+    inputs = profile_inputs() + [named_chain(70)]
+    sufficient = gaps = 0
+    for pres in inputs:
+        profile = incoming_length_profile(pres)
+        states = state_profile(pres)
+        # the settle length bounds the strong-Z certificate's depth cap
+        assert len(states) <= profile.settle, pres.name
+        assert profile.longest == (None if states[-1] else len(states) - 1), pres.name
+        for length in range(1, profile.settle + 4):
+            assert profile.reached(length) == state_reached(states, length), (pres.name, length)
+            got = algebra._last_ranges(pres, length)
+            assert got == state_last_ranges(pres, states, length), (pres.name, length)
+        covered = all(states[0].member(e.source) for e in pres.edges.values())
+        assert (1 not in profile.depth.values()) == covered, pres.name
+        if is_unital(pres):
+            reasons = classify_eps_strong_z(pres).reasons
+            assert ("every edge source lies in some edge range (sufficient)" in reasons) == covered
+            sufficient, gaps = sufficient + covered, gaps + (not covered)
+    assert sufficient >= 20 and gaps >= 20, (sufficient, gaps)
+    chain70 = next(pres for pres in inputs if pres.name == "chain70")
+    assert incoming_length_profile(chain70).longest == incoming_length_profile(inputs[-1]).longest == 70
+
+
 def test_profile_over_an_infinite_vertex_family():
     pres = load("sink_family.ug")
     profile = incoming_length_profile(pres)
     w = pres.edges["e"].range
-    assert profile.states == (w, VertexSet.empty())
+    assert state_profile(pres) == (w, VertexSet.empty())
+    assert profile.depth == {"e": 1} and profile.settle == 2 and profile.longest == 1
     assert profile.reached(1) == w and profile.reached(5).is_empty()
-    assert profile.contains(VertexRef("w", 10**6), 1)
+    assert profile.reached(1).member(VertexRef("w", 10**6))
     with pytest.raises(ValueError):
         profile.reached(0)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load
+from conftest import load, named_chain
 from ultragrade import condition_y, grading, structure
 from ultragrade.errors import NoEdges
 from ultragrade.grading import (
@@ -18,7 +18,7 @@ from ultragrade.grading import (
     classify_strong_z,
     gauge_saturation,
 )
-from ultragrade.model import parse_presentation
+from ultragrade.model import VertexSet, parse_presentation
 
 
 def test_single_loop_everything_yes():
@@ -113,7 +113,7 @@ def test_eps_strong_z_over_an_infinite_family_of_sinks():
         "0": "p{u, w[*]}",
         "1": "s(e) p{w[*]} st(e)",
     }
-    assert grading._longest_path_length(pres) == 1
+    assert condition_y.incoming_length_profile(pres).longest == 1
 
 
 def test_analyze_report_contents():
@@ -196,3 +196,24 @@ def test_analyze_builds_the_strong_z_certificate_once(monkeypatch):
     assert len(calls) == 1
     assert report["gradings"]["gauge_saturated"]["certificate"] is not None
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == _golden("two_cycle")
+
+
+def test_analyze_merges_vertex_sets_linearly_on_a_named_chain(monkeypatch):
+    # every vertex of the chain is its own family, so a fold that unions
+    # one range at a time walks a growing part list; the length profile
+    # and the covers must union them in one pass instead
+    n = 550
+    pres = named_chain(n)
+    merges = parts = 0
+    real = VertexSet._merge
+
+    def spy(self, other, *args):
+        nonlocal merges, parts
+        merges += 1
+        parts += len(self.parts) + len(other.parts)
+        return real(self, other, *args)
+
+    monkeypatch.setattr(VertexSet, "_merge", spy)
+    report = analyze(pres)
+    assert report["gradings"]["eps_strong_z"]["reasons"][-1].startswith(f"longest path has {n} edges")
+    assert merges <= n and parts <= 8 * n, (merges, parts)

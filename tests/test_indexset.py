@@ -203,7 +203,7 @@ def vertex_sets(families):
 
 
 def _vset(raws) -> VertexSet:
-    return VertexSet.make({fam: IndexSet.make(*raw) for fam, raw in raws.items()})
+    return VertexSet.make((fam, IndexSet.make(*raw)) for fam, raw in raws.items())
 
 
 def _vset_member(raws, fam, i) -> bool:

@@ -144,7 +144,29 @@ def _random_vertex_set(rng: random.Random) -> VertexSet:
         prefix = [rng.random() < 0.4 for _ in range(rng.randint(0, 12))]
         period = [rng.random() < 0.3 for _ in range(rng.randint(1, 4))]
         parts[fam] = IndexSet.make(prefix, period)
-    return VertexSet.make(parts)
+    return VertexSet.make(parts.items())
+
+
+def test_make_matches_the_pairwise_union_fold():
+    # repeated families, empty index sets and families out of order, all
+    # against one VertexSet per pair folded with union
+    rng = random.Random(17)
+    repeated = 0
+    for _ in range(400):
+        pairs = []
+        for _ in range(rng.randint(0, 8)):
+            fam = rng.choice(["a", "b", "c"])
+            prefix = [rng.random() < 0.3 for _ in range(rng.randint(0, 10))]
+            period = [rng.random() < 0.2 for _ in range(rng.randint(1, 4))]
+            pairs.append((fam, IndexSet.make(prefix, period)))
+        fold = VertexSet.empty()
+        for fam, s in pairs:
+            fold = fold.union(VertexSet(((fam, s),) if s else ()))
+        got = VertexSet.make(pairs)
+        assert got == fold, pairs
+        assert [fam for fam, _ in got.parts] == sorted({fam for fam, s in pairs if s})
+        repeated += len({fam for fam, _ in pairs}) < len(pairs)
+    assert repeated >= 200
 
 
 def refine_by_pairs_oracle(sets):

@@ -25,7 +25,8 @@ from ultragrade.algebra import (
     multiply,
     verify_epsilon,
 )
-from ultragrade.grading import _longest_path_length, analyze, classify_eps_strong_z
+from ultragrade.condition_y import incoming_length_profile
+from ultragrade.grading import analyze, classify_eps_strong_z
 from ultragrade.lattice import is_unital
 from ultragrade.model import Edge, EdgeInst, UltragraphPresentation, VertexRef, VertexSet
 
@@ -192,6 +193,11 @@ def chain(n: int, closed: bool = False) -> UltragraphPresentation:
     return pres
 
 
+def _longest(pres: UltragraphPresentation):
+    """The number of edges on a longest path, or None over a cycle."""
+    return incoming_length_profile(pres).longest
+
+
 def layered_dag(w: int, d: int) -> UltragraphPresentation:
     """d + 1 layers of w vertices; vertex j of a layer below the last emits
     one edge whose range is {j, j+1 mod w} of the next layer."""
@@ -246,7 +252,7 @@ def test_every_listed_path_is_a_path():
     presentations += [random_dag(rng) for _ in range(100)]
     checked = 0
     for pres in presentations:
-        longest = _longest_path_length(pres)
+        longest = _longest(pres)
         for length in range(1, (5 if longest is None else longest) + 1):
             for p in all_paths(pres, length):
                 assert len(p) == length and pres.is_path(p), (pres.name, p)
@@ -259,7 +265,7 @@ def test_every_listed_path_is_a_path():
 def test_longest_path_matches_the_oracle():
     cyclic = acyclic = 0
     for pres in seeded_presentations():
-        got = _longest_path_length(pres)
+        got = _longest(pres)
         if edge_cycle_oracle(pres):
             assert got is None, pres.name
             cyclic += 1
@@ -270,8 +276,8 @@ def test_longest_path_matches_the_oracle():
 
 
 def test_long_chains_stay_clear_of_the_recursion_limit():
-    assert _longest_path_length(chain(1100)) == 1100
-    assert _longest_path_length(chain(1100, closed=True)) is None
+    assert _longest(chain(1100)) == 1100
+    assert _longest(chain(1100, closed=True)) is None
 
 
 def test_long_chain_has_one_range_type_per_edge():
@@ -466,7 +472,7 @@ def test_a_unit_wrong_on_one_shared_range_is_rejected():
 
 def test_chain_beyond_the_path_length_cap_is_undetermined():
     pres = load("chain70.ug")
-    assert _longest_path_length(pres) == 70
+    assert _longest(pres) == 70
     report = analyze(pres)
     eps = report["gradings"]["eps_strong_z"]
     assert eps["status"] == "Undetermined"
