@@ -164,12 +164,6 @@ class AlgebraElement:
             return self.scale(other)
         return multiply(self, other)
 
-    def star(self) -> "AlgebraElement":
-        raw: dict = {}
-        for (alpha, beta), pairs in self.terms.items():
-            raw.setdefault((beta, alpha), []).extend(pairs)
-        return AlgebraElement._from_raw(self.pres, raw)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -447,6 +441,20 @@ def verify_epsilon(pres: UltragraphPresentation, n: int, cand: AlgebraElement) -
 # -- strong-grading factorization certificates ---------------------------
 
 
+def _first_in_edges(pres: UltragraphPresentation) -> dict[VertexRef, EdgeInst]:
+    """Each vertex's first in-edge in id order, from one pass over the
+    edges in that order; built once per finite presentation."""
+
+    def build(p: UltragraphPresentation) -> dict[VertexRef, EdgeInst]:
+        first: dict[VertexRef, EdgeInst] = {}
+        for eid in sorted(p.edges):
+            for u in p.edges[eid].range.vertices():
+                first.setdefault(u, EdgeInst(eid))
+        return first
+
+    return pres.derived("first_in_edges", build)
+
+
 def strong_factorization(
     pres: UltragraphPresentation, v: VertexRef, n: int
 ) -> list[tuple[AlgebraElement, AlgebraElement]]:
@@ -467,18 +475,17 @@ def strong_factorization(
     if report.has_sinks or not report.row_finite:
         raise NotStronglyGraded("the algebra is not strongly graded")
     point = VertexSet.of(v)
+    out = pres.out_edge_map()
     if n == 1:
         return [
             (
                 AlgebraElement.s(pres, (e,)),
                 AlgebraElement.s_star(pres, (e,)),
             )
-            for e in pres.out_edges(v)
+            for e in out[v]
         ]
-    # in_edges lists the edges whose range holds v in id order
-    incoming = pres.in_edges(v)[0]
-    if incoming:
-        e = incoming[0]
+    e = _first_in_edges(pres).get(v)
+    if e is not None:
         a = AlgebraElement.monomial(pres, (), point, (e,))
         b = AlgebraElement.monomial(pres, (e,), point, ())
         return [(a, b)]
@@ -492,7 +499,7 @@ def strong_factorization(
     pairs: list[tuple[AlgebraElement, AlgebraElement]] = []
     work: list[tuple[Path, VertexRef]] = [
         ((e,), u)
-        for e in pres.out_edges(v)
+        for e in out[v]
         for u in pres.edge_range(e).vertices()
     ]
     while work:
@@ -508,7 +515,7 @@ def strong_factorization(
             continue
         if len(gamma) >= depth_bound:
             raise BoundExceeded(len(gamma))
-        for e in pres.out_edges(u):
+        for e in out[u]:
             for u2 in pres.edge_range(e).vertices():
                 work.append((gamma + (e,), u2))
     return pairs
@@ -530,6 +537,7 @@ def verify_factorization(
             return False
         total = total + multiply(a, b)
     target = AlgebraElement.projection(pres, VertexSet.of(v))
+    out = pres.out_edge_map()
     current = total
     while True:
         if current == target:
@@ -558,7 +566,7 @@ def verify_factorization(
         if not ok:
             return False
         for (gamma, u), names in groups.items():
-            expected = {e.name for e in pres.out_edges(u)}
+            expected = {e.name for e in out[u]}
             if names != expected:
                 return False
             raw.setdefault((gamma, gamma), []).append((1, VertexSet.of(u)))

@@ -96,10 +96,6 @@ class IndexSet:
         )
 
     @staticmethod
-    def empty() -> "IndexSet":
-        return _EMPTY
-
-    @staticmethod
     def full() -> "IndexSet":
         return _FULL
 
@@ -283,5 +279,4 @@ def _canonical(p: int, a: int, q: int, b: int) -> IndexSet:
     return IndexSet(p, a, q, b)
 
 
-_EMPTY = IndexSet(0, 0, 1, 0)
 _FULL = IndexSet(0, 0, 1, 1)

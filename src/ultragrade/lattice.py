@@ -59,7 +59,14 @@ def g0_contains(
     is re-evaluated from the edge ranges before it is returned."""
     if a.is_empty():
         return False, None
-    types = [(ids, inter) for ids, inter in pres.derived("range_types", _range_types) if inter.subset_of(a)]
+    # each family's part of A, looked up once per call rather than by a
+    # walk along A's part list per range type
+    held = dict(a.parts)
+    types = [
+        (ids, inter)
+        for ids, inter in pres.derived("range_types", _range_types)
+        if all(fam in held and s.subset_of(held[fam]) for fam, s in inter.parts)
+    ]
     rest = a.difference(VertexSet.make(part for _, inter in types for part in inter.parts))
     if not rest.is_finite():
         return False, None

@@ -297,17 +297,14 @@ class InfinitePathRep:
         return (pre + " " + t).strip()
 
 
-def shift_path(p: InfinitePathRep) -> InfinitePathRep:
-    """The shift map: drop the first edge."""
-    if p.prefix:
-        return InfinitePathRep(p.prefix[1:], p.tail)
-    if isinstance(p.tail, CycleTail):
-        c = p.tail.edges
-        return InfinitePathRep((), CycleTail(c[1:] + c[:1]))
-    return InfinitePathRep((), FamilyTail(p.tail.family, p.tail.start + 1))
-
-
 # -- the presentation ---------------------------------------------------
+
+
+def _edge_ids_by_source(pres: "UltragraphPresentation") -> dict[VertexRef, list[str]]:
+    by_source: dict[VertexRef, list[str]] = {}
+    for eid, e in pres.edges.items():
+        by_source.setdefault(e.source, []).append(eid)
+    return by_source
 
 
 @dataclass
@@ -392,8 +389,10 @@ class UltragraphPresentation:
 
     def out_edges(self, v: VertexRef) -> list[EdgeInst]:
         """Edges emitted by v; raises InfiniteEmitter when a constant-source
-        edge family sits at v."""
-        out = [EdgeInst(eid) for eid, e in self.edges.items() if e.source == v]
+        edge family sits at v.  The individually specified edges come from
+        an index by source, built once per presentation."""
+        by_source = self.derived("edge_ids_by_source", _edge_ids_by_source)
+        out = [EdgeInst(eid) for eid in by_source.get(v, ())]
         for name, fam in self.edge_families.items():
             if fam.source.is_constant():
                 if fam.source.at(fam.n0) == v:
@@ -403,6 +402,12 @@ class UltragraphPresentation:
                 if n is not None:
                     out.append(EdgeInst(name, n))
         return sorted(out, key=EdgeInst.sort_key)
+
+    def out_edge_map(self) -> dict[VertexRef, tuple[EdgeInst, ...]]:
+        """Every vertex's sorted out-edges, asked of out_edges once per
+        vertex and built once per presentation; finite presentations
+        only."""
+        return self.derived("out_edges", lambda p: {v: tuple(p.out_edges(v)) for v in p.all_vertices()})
 
     def in_edges(self, v: VertexRef, cap: int = 64) -> tuple[list[EdgeInst], bool]:
         """Edges whose range contains v, with a completeness flag (constant
@@ -674,12 +679,10 @@ def _print_vset(pres: UltragraphPresentation, vs: VertexSet) -> str:
         if s == pres.family_universe(fam):
             items.append(f"{fam}[*]")
             continue
-        for i, b in enumerate(s.prefix):
-            if b:
-                items.append(_print_vref(pres, VertexRef(fam, i)))
+        for i in s.iter_elements(bound=s.prefix_len):
+            items.append(_print_vref(pres, VertexRef(fam, i)))
         if not s.is_finite():
-            base = len(s.prefix)
-            step = len(s.period)
+            base, step = s.prefix_len, s.period_len
             for j, b in enumerate(s.period):
                 if b:
                     items.append(f"{fam}[{_print_affine(Affine(step, base + j))} for n>=0]")

@@ -1,12 +1,22 @@
 """The path-space partial action and the skew-product model.
 
 The space X consists of infinite paths, pairs (α, v) with v a sink in
-r(α), and isolated sinks (v, v).  The free group on the edges acts
-partially by erasing and prepending path prefixes; functions on X that
-are constant on cylinder/sink-pair/sink atoms form the coefficient
-algebra D, and the skew product of D with the free group reproduces the
-Leavitt path algebra through the map
-p_A ↦ 1_A δ₀, s_e ↦ 1_e δ_e, s_e* ↦ 1_{e⁻¹} δ_{e⁻¹}.
+r(α), and isolated sinks (v, v).  At a refinement depth m >= 1 it splits
+into atoms, each named by a key: the cylinder ("cyl", α) of the points
+that begin with a path α of m edges, the singleton ("sp", α, v) of a
+sink-pair with |α| < m, and the singleton ("sv", v) of an isolated sink.
+The coefficient algebra D consists of the functions on X that are
+constant on the atoms of some depth, and the skew product of D with the
+free group on the edges reproduces the Leavitt path algebra through the
+map p_A ↦ 1_A δ₀, s_e ↦ 1_e δ_e, s_e* ↦ 1_{e⁻¹} δ_{e⁻¹}.
+
+The free group acts partially on X by erasing and prepending path
+prefixes, and θ acts on the atom keys themselves: it strips and prepends
+α.  Membership in X_t, for t = a b⁻¹, reads at most the first |a| + 1
+edges of a point, and the points of a cylinder key share the edges of
+its α.  So a key that fixes enough edges stands for each of its points,
+and a cylinder that fixes too few raises ValueError.  The depths that
+indicator_word, supported_in and beta pick are always enough.
 
 Everything here requires a finite presentation: atoms are enumerated
 exhaustively per refinement depth.
@@ -14,45 +24,14 @@ exhaustively per refinement depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import CertificateError, NotFinite, NotInDomain, NotInIdeal
 from .freegroup import FreeWord
-from .model import (
-    CycleTail,
-    EdgeInst,
-    InfinitePathRep,
-    UltragraphPresentation,
-    VertexRef,
-    VertexSet,
-    shift_path,
-)
+from .model import EdgeInst, UltragraphPresentation, VertexRef, VertexSet
 
 Coeff = Union[int, Fraction]
-
-
-# -- points ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Infinite:
-    rep: InfinitePathRep
-
-
-@dataclass(frozen=True)
-class SinkPath:
-    alpha: tuple[EdgeInst, ...]  # nonempty
-    v: VertexRef
-
-
-@dataclass(frozen=True)
-class SinkVertex:
-    v: VertexRef
-
-
-PathPoint = Union[Infinite, SinkPath, SinkVertex]
 
 
 def _require_finite(pres: UltragraphPresentation) -> None:
@@ -60,38 +39,38 @@ def _require_finite(pres: UltragraphPresentation) -> None:
         raise NotFinite("the partial-action model needs a finite presentation")
 
 
-def point_length(x: PathPoint) -> Optional[int]:
-    """None encodes infinite length."""
-    if isinstance(x, Infinite):
+# -- what an atom key fixes about its points -------------------------------
+
+
+def _prefix(key: tuple, k: int) -> Optional[tuple[EdgeInst, ...]]:
+    """The first k >= 1 edges of every point of `key`, or None when its
+    points have fewer than k edges."""
+    if key[0] == "sv":
         return None
-    if isinstance(x, SinkPath):
-        return len(x.alpha)
-    return 0
-
-
-def point_prefix(x: PathPoint, k: int) -> Optional[tuple[EdgeInst, ...]]:
-    """First k edges, or None when |x| < k."""
-    if k == 0:
-        return ()
-    if isinstance(x, Infinite):
-        return tuple(x.rep.unroll(k))
-    if isinstance(x, SinkPath) and len(x.alpha) >= k:
-        return x.alpha[:k]
+    alpha = key[1]
+    if len(alpha) >= k:
+        return alpha[:k]
+    if key[0] == "cyl":
+        raise ValueError(f"a cylinder of depth {len(alpha)} does not fix {k} edges")
     return None
 
 
-def point_source(pres: UltragraphPresentation, x: PathPoint) -> VertexRef:
-    if isinstance(x, Infinite):
-        return pres.edge_source(x.rep.unroll(1)[0])
-    if isinstance(x, SinkPath):
-        return pres.edge_source(x.alpha[0])
-    return x.v
+def _source(pres: UltragraphPresentation, key: tuple) -> VertexRef:
+    return key[1] if key[0] == "sv" else pres.edge_source(key[1][0])
 
 
-# -- membership in the X_t / X_A / X_{bA} sets ----------------------------
+def _truncate(key: tuple, depth: int) -> tuple:
+    """The atom of refinement depth `depth` that holds the points of `key`."""
+    if key[0] == "sv" or (key[0] == "sp" and len(key[1]) < depth):
+        return key
+    return ("cyl", _prefix(key, depth))
 
 
-def point_in_word(pres: UltragraphPresentation, x: PathPoint, t: FreeWord) -> bool:
+# -- membership in the X_t sets ----------------------------------------------
+
+
+def point_in_word(pres: UltragraphPresentation, key: tuple, t: FreeWord) -> bool:
+    """Whether the points of `key` lie in X_t."""
     if t.is_identity():
         return True
     split = t.positive_negative_split()
@@ -103,66 +82,59 @@ def point_in_word(pres: UltragraphPresentation, x: PathPoint, t: FreeWord) -> bo
     if b and not pres.is_path(b):
         return False
     if a and not b:
-        return point_prefix(x, len(a)) == a
+        return _prefix(key, len(a)) == a
     if b and not a:
-        return pres.edge_range(b[-1]).member(point_source(pres, x))
+        return pres.edge_range(b[-1]).member(_source(pres, key))
     meet = pres.edge_range(a[-1]).intersection(pres.edge_range(b[-1]))
     if meet.is_empty():
         # shapes with disjoint range intersection denote the empty set
         return False
-    if isinstance(x, SinkPath) and x.alpha == a:
-        return meet.member(x.v)
-    nxt = point_prefix(x, len(a) + 1)
+    if key[0] == "sp" and key[1] == a:
+        return meet.member(key[2])
+    nxt = _prefix(key, len(a) + 1)
     return nxt is not None and nxt[: len(a)] == a and meet.member(pres.edge_source(nxt[-1]))
 
 
-def point_in_vertex_set(
-    pres: UltragraphPresentation, x: PathPoint, vset: VertexSet
-) -> bool:
-    return vset.member(point_source(pres, x))
+# -- the partial action on atom keys -----------------------------------------
 
 
-# -- the partial action on points ------------------------------------------
-
-
-def _strip(pres: UltragraphPresentation, x: PathPoint, b: tuple[EdgeInst, ...]) -> PathPoint:
+def _strip(key: tuple, b: tuple[EdgeInst, ...]) -> tuple:
     if not b:
-        return x
-    if isinstance(x, Infinite):
-        rep = x.rep
-        for _ in b:
-            rep = shift_path(rep)
-        return Infinite(rep)
-    if not (isinstance(x, SinkPath) and x.alpha[: len(b)] == b):
-        raise ValueError("the point does not begin with the path to strip")
-    rest = x.alpha[len(b):]
-    return SinkPath(rest, x.v) if rest else SinkVertex(x.v)
+        return key
+    if key[0] == "cyl" and len(key[1]) <= len(b):
+        raise ValueError(f"a cylinder of depth {len(key[1])} cannot lose {len(b)} edges")
+    if key[0] == "sv" or key[1][: len(b)] != b:
+        raise ValueError("the atom does not begin with the path to strip")
+    rest = key[1][len(b):]
+    if key[0] == "cyl":
+        return ("cyl", rest)
+    return ("sp", rest, key[2]) if rest else ("sv", key[2])
 
 
-def _prepend(x: PathPoint, a: tuple[EdgeInst, ...]) -> PathPoint:
+def _prepend(key: tuple, a: tuple[EdgeInst, ...]) -> tuple:
     if not a:
-        return x
-    if isinstance(x, Infinite):
-        return Infinite(InfinitePathRep(a + x.rep.prefix, x.rep.tail))
-    if isinstance(x, SinkPath):
-        return SinkPath(a + x.alpha, x.v)
-    return SinkPath(a, x.v)
+        return key
+    if key[0] == "cyl":
+        return ("cyl", a + key[1])
+    if key[0] == "sp":
+        return ("sp", a + key[1], key[2])
+    return ("sp", a, key[1])
 
 
-def theta(pres: UltragraphPresentation, t: FreeWord, x: PathPoint) -> PathPoint:
+def theta(pres: UltragraphPresentation, t: FreeWord, key: tuple) -> tuple:
     """θ_t, defined on X_{t⁻¹}: erase the negative part, prepend the
     positive part."""
     if t.is_identity():
-        return x
-    if not point_in_word(pres, x, t.inverse()):
-        raise NotInDomain(f"point outside the domain of theta_{t.label()}")
+        return key
+    if not point_in_word(pres, key, t.inverse()):
+        raise NotInDomain(f"atom outside the domain of theta_{t.label()}")
     split = t.positive_negative_split()
     if split is None:
         raise CertificateError(
             f"{t.label()} has no positive-negative split but its domain admitted a point"
         )
     a, b = split
-    return _prepend(_strip(pres, x, b), a)
+    return _prepend(_strip(key, b), a)
 
 
 # -- atoms ------------------------------------------------------------------
@@ -170,10 +142,10 @@ def theta(pres: UltragraphPresentation, t: FreeWord, x: PathPoint) -> PathPoint:
 
 class _PathSpace:
     """What the model reads about X for one finite presentation, each
-    fact computed on first use: every vertex's sorted out-edges (asked of
-    `out_edges` once per vertex) and so its sink flag, the atoms per
-    depth, each cylinder's children, each atom's refinement to a depth,
-    and each atom's representative point.
+    fact computed on first use: every vertex's sorted out-edges (the
+    presentation's out_edge_map) and so its sink flag, the atoms per
+    depth, each cylinder's children, and each atom's refinement to a
+    depth.
 
     It is a derived fact of the presentation (see
     UltragraphPresentation.derived), so it keeps the edge ranges rather
@@ -182,12 +154,11 @@ class _PathSpace:
 
     def __init__(self, pres: UltragraphPresentation):
         _require_finite(pres)
-        self.out = {v: tuple(pres.out_edges(v)) for v in pres.all_vertices()}
+        self.out = pres.out_edge_map()
         self.range = {e: pres.edge_range(e) for e in pres.all_edge_insts()}
         self._atoms: dict[int, list[tuple]] = {}
         self._children: dict[tuple, list[tuple]] = {}
         self._leaves: dict[tuple[tuple, int], list[tuple]] = {}
-        self._points: dict[tuple, PathPoint] = {}
 
     def is_sink(self, v: VertexRef) -> bool:
         # a vertex outside the presentation emits no edge, as in out_edges
@@ -224,6 +195,9 @@ class _PathSpace:
         return got
 
     def atoms(self, depth: int) -> list[tuple]:
+        """The canonical partition of X at a refinement depth m >= 1: one
+        cylinder per length-m path, one singleton per shorter sink-pair,
+        one singleton per isolated sink."""
         got = self._atoms.get(depth)
         if got is None:
             level: list[tuple] = [("cyl", (e,)) for e in self.range]
@@ -235,57 +209,9 @@ class _PathSpace:
             self._atoms[depth] = got
         return got
 
-    def point(self, key: tuple) -> PathPoint:
-        x = self._points.get(key)
-        if x is None:
-            x = self._points[key] = self._representative(key)
-        return x
-
-    def _representative(self, key: tuple) -> PathPoint:
-        if key[0] == "sv":
-            return SinkVertex(key[1])
-        if key[0] == "sp":
-            return SinkPath(key[1], key[2])
-        alpha = key[1]
-        ext: list[EdgeInst] = []
-        seen: dict[EdgeInst, int] = {}
-        rng = self.range[alpha[-1]]
-        while True:
-            candidates: list[EdgeInst] = []
-            sink: Optional[VertexRef] = None
-            for u in sorted(rng.vertices()):
-                out = self.out.get(u)
-                if out:
-                    candidates.extend(out)
-                else:
-                    sink = sink or u
-            if not candidates:
-                if sink is None:
-                    raise CertificateError("no edge and no sink continues the atom's path")
-                return SinkPath(alpha + tuple(ext), sink)
-            e = min(candidates, key=EdgeInst.sort_key)
-            if e in seen:
-                j = seen[e]
-                return Infinite(
-                    InfinitePathRep(alpha + tuple(ext[:j]), CycleTail(tuple(ext[j:])))
-                )
-            seen[e] = len(ext)
-            ext.append(e)
-            rng = self.range[e]
-
 
 def _path_space(pres: UltragraphPresentation) -> _PathSpace:
     return pres.derived("path_space", _PathSpace)
-
-
-def atoms(pres: UltragraphPresentation, depth: int) -> list[tuple]:
-    """The canonical partition of X at a refinement depth m >= 1: one
-    cylinder per length-m path, one singleton per shorter sink-pair, one
-    singleton per isolated sink."""
-    _require_finite(pres)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return list(_path_space(pres).atoms(depth))
 
 
 def _atom_sort_key(key: tuple):
@@ -294,17 +220,6 @@ def _atom_sort_key(key: tuple):
     if key[0] == "sp":
         return (1, tuple(e.sort_key() for e in key[1]), key[2])
     return (2, key[1])
-
-
-def _point_atom(pres: UltragraphPresentation, x: PathPoint, depth: int) -> tuple:
-    n = point_length(x)
-    if n is None or n >= depth:
-        return ("cyl", point_prefix(x, depth))
-    if isinstance(x, SinkPath):
-        return ("sp", x.alpha, x.v)
-    if not isinstance(x, SinkVertex):
-        raise ValueError(f"not a path point: {x!r}")
-    return ("sv", x.v)
 
 
 # -- the coefficient algebra D ---------------------------------------------
@@ -330,10 +245,9 @@ class DElement:
 
     @staticmethod
     def from_indicator(
-        pres: UltragraphPresentation, depth: int, member: Callable[[PathPoint], bool]
+        pres: UltragraphPresentation, depth: int, member: Callable[[tuple], bool]
     ) -> "DElement":
-        space = _path_space(pres)
-        values = {key: 1 for key in space.atoms(depth) if member(space.point(key))}
+        values = {key: 1 for key in _path_space(pres).atoms(depth) if member(key)}
         return DElement(pres, depth, values)
 
     def refine_to(self, depth: int) -> "DElement":
@@ -382,20 +296,21 @@ class DElement:
     def is_zero(self) -> bool:
         return not self.values
 
-    def eval_point(self, x: PathPoint) -> Coeff:
-        return self.values.get(_point_atom(self.pres, x, self.depth), 0)
+    def eval_point(self, key: tuple) -> Coeff:
+        """The value at the points of `key`, which must fix at least
+        `depth` edges if it is a cylinder."""
+        return self.values.get(_truncate(key, self.depth), 0)
 
     def supported_in(self, t: FreeWord) -> bool:
-        need = max(self.depth, _word_depth(t))
-        refined = self.refine_to(need)
-        space = _path_space(self.pres)
-        return all(point_in_word(self.pres, space.point(k), t) for k in refined.values)
+        refined = self.refine_to(max(self.depth, _word_depth(t)))
+        return all(point_in_word(self.pres, key, t) for key in refined.values)
 
     def __repr__(self):
         return f"DElement(depth={self.depth}, {self.values!r})"
 
 
 def _word_depth(t: FreeWord) -> int:
+    """The depth whose atoms fix every edge that membership in X_t reads."""
     split = t.positive_negative_split()
     if split is None or t.is_identity():
         return 1
@@ -409,7 +324,7 @@ def indicator_word(pres: UltragraphPresentation, t: FreeWord) -> DElement:
     """1_t, the indicator of X_t."""
     _require_finite(pres)
     return DElement.from_indicator(
-        pres, _word_depth(t), lambda x: point_in_word(pres, x, t)
+        pres, _word_depth(t), lambda key: point_in_word(pres, key, t)
     )
 
 
@@ -417,7 +332,7 @@ def indicator_vertex_set(pres: UltragraphPresentation, vset: VertexSet) -> DElem
     """1_A, the indicator of {x : s(x) ∈ A}."""
     _require_finite(pres)
     return DElement.from_indicator(
-        pres, 1, lambda x: point_in_vertex_set(pres, x, vset)
+        pres, 1, lambda key: vset.member(_source(pres, key))
     )
 
 
@@ -434,19 +349,15 @@ def beta(pres: UltragraphPresentation, t: FreeWord, f: DElement) -> DElement:
             return DElement.zero(pres)
         raise NotInIdeal(f"X_{tinv.label()} is empty")
     a, b = split
+    # at this depth θ_{t⁻¹} leaves every cylinder of X_t at least f.depth
+    # edges: it strips |a| < depth of them and prepends |b|
     depth = max(1, len(a) + 1, len(a) + f.depth - len(b))
-
-    def value(x: PathPoint) -> Coeff:
-        if not point_in_word(pres, x, t):
-            return 0
-        return f.eval_point(theta(pres, tinv, x))
-
-    space = _path_space(pres)
     values = {}
-    for key in space.atoms(depth):
-        c = value(space.point(key))
-        if c != 0:
-            values[key] = c
+    for key in _path_space(pres).atoms(depth):
+        if point_in_word(pres, key, t):
+            c = f.eval_point(theta(pres, tinv, key))
+            if c != 0:
+                values[key] = c
     return DElement(pres, depth, values)
 
 
@@ -652,9 +563,9 @@ def verify_generator_relations(
                 failures.append(f"s_{e.label()}* s_{f.label()} incorrect")
     # relation 4: vertex splitting at regular vertices
     rel4 = True
-    space = _path_space(pres)
+    out = pres.out_edge_map()
     for v in pres.all_vertices():
-        out_edges = space.out[v]
+        out_edges = out[v]
         if not out_edges:
             continue
         total = SkewElement.zero(pres)

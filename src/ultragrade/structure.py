@@ -1,7 +1,7 @@
 """Structural predicates and the associated directed graph.
 
 The associated graph replaces every edge e by one edge e@u per vertex u in
-r(e), with source s(e) and range {u}.  Infinite ranges decompose into
+r(e), with source s(e) and range {u}.  An infinite range decomposes into
 finitely many arithmetic progressions, each becoming a constant-source
 edge family (a faithful infinite emitter).
 """

@@ -7,8 +7,11 @@ from pathlib import Path
 
 from ultragrade.errors import InfiniteEmitter
 from ultragrade.model import (
+    CycleTail,
     Edge,
     EdgeInst,
+    FamilyTail,
+    InfinitePathRep,
     UltragraphPresentation,
     VertexRef,
     VertexSet,
@@ -74,6 +77,27 @@ def named_chain(n: int) -> UltragraphPresentation:
     lines = [f"ultragraph named{n}"] + [f"vertex v{i}" for i in range(n + 1)]
     lines += [f"edge e{i} : v{i} -> {{ v{i + 1} }}" for i in range(n)]
     return parse_presentation("\n".join(lines) + "\n")
+
+
+def shift_path(p: InfinitePathRep) -> InfinitePathRep:
+    """The shift map: drop the first edge."""
+    if p.prefix:
+        return InfinitePathRep(p.prefix[1:], p.tail)
+    if isinstance(p.tail, CycleTail):
+        c = p.tail.edges
+        return InfinitePathRep((), CycleTail(c[1:] + c[:1]))
+    return InfinitePathRep((), FamilyTail(p.tail.family, p.tail.start + 1))
+
+
+def star(x):
+    """The adjoint of an algebra element: each s_α p_A s_β* becomes
+    s_β p_A s_α*."""
+    from ultragrade.algebra import AlgebraElement
+
+    raw: dict = {}
+    for (alpha, beta), pairs in x.terms.items():
+        raw.setdefault((beta, alpha), []).extend(pairs)
+    return AlgebraElement._from_raw(x.pres, raw)
 
 
 def random_path(

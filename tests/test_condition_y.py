@@ -14,7 +14,7 @@ from typing import Union
 import networkx as nx
 import pytest
 
-from conftest import CORPUS, FINITE_CORPUS, load, named_chain, random_presentation
+from conftest import CORPUS, FINITE_CORPUS, load, named_chain, random_presentation, shift_path
 from ultragrade import algebra, condition_y
 from ultragrade.condition_y import (
     ConditionYVerdict,
@@ -39,7 +39,6 @@ from ultragrade.model import (
     VertexSet,
     VertexTemplate,
     parse_presentation,
-    shift_path,
 )
 from ultragrade.structure import build_associated_graph
 

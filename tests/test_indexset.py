@@ -182,7 +182,7 @@ def test_progression():
 def test_finite_helpers():
     s = IndexSet.from_indices([0, 3])
     assert s.is_finite() and cardinality(s) == 2 and elements(s) == [0, 3]
-    assert IndexSet.empty().is_empty()
+    assert IndexSet.make([], [False]).is_empty()
     assert is_cofinite(IndexSet.full())
     assert IndexSet.from_indices([]).is_empty()
     big = IndexSet.from_indices([0, 64, 129])

@@ -8,7 +8,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from conftest import FINITE_CORPUS, INFINITE_CORPUS, load, random_presentation
+from conftest import FINITE_CORPUS, INFINITE_CORPUS, load, named_chain, random_presentation
 from ultragrade.errors import NotFinite
 from ultragrade.grading import analyze
 from ultragrade.lattice import _range_types, g0_contains, is_unital, unit_witness
@@ -226,3 +226,28 @@ def test_finite_sets_always_members():
     a = VertexSet.of(VertexRef("v", 4), VertexRef("w", 9))
     got, witness = g0_contains(pres, a)
     assert got and witness.intersections == ()
+
+
+def test_unit_witness_walks_vertex_sets_linearly_on_a_named_chain(monkeypatch):
+    # every vertex of the chain is its own family, so a subset test that
+    # walks the whole vertex set's part list once per range type is
+    # quadratic; the types must look their families up instead
+    n = 1100
+    pres = named_chain(n)
+    parts = 0
+
+    def count(name):
+        real = getattr(VertexSet, name)
+
+        def spy(self, other, *args):
+            nonlocal parts
+            parts += len(self.parts) + len(other.parts)
+            return real(self, other, *args)
+
+        monkeypatch.setattr(VertexSet, name, spy)
+
+    count("_merge")
+    count("subset_of")
+    witness = unit_witness(pres)
+    assert witness is not None and len(witness.intersections) == n
+    assert parts <= 8 * n, parts

@@ -7,7 +7,7 @@ from math import lcm
 
 import pytest
 
-from conftest import FINITE_CORPUS, INFINITE_CORPUS, is_sink, load, random_presentation
+from conftest import FINITE_CORPUS, INFINITE_CORPUS, is_sink, load, random_presentation, shift_path
 from ultragrade.errors import EmptyRange, InfiniteEmitter, ParseError
 from ultragrade.indexset import IndexSet
 from ultragrade.model import (
@@ -19,7 +19,6 @@ from ultragrade.model import (
     VertexSet,
     parse_presentation,
     print_presentation,
-    shift_path,
 )
 
 

@@ -1,16 +1,31 @@
 """The path-space partial action, the coefficient algebra, the skew
-product, and the generator-image verification."""
+product, and the generator-image verification.
+
+The library's action works on atom keys.  The model of points it
+replaced, with a representative infinite path or sink-pair per atom, is
+kept here as an oracle for it."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import weakref
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import pytest
 
-from conftest import FINITE_CORPUS, is_sink, load, random_path, random_presentation
+from conftest import (
+    FINITE_CORPUS,
+    is_sink,
+    load,
+    random_path,
+    random_presentation,
+    shift_path,
+)
+from ultragrade import partial_action
 from ultragrade.algebra import AlgebraElement, f_degree
-from ultragrade.errors import NotInDomain, NotInIdeal
+from ultragrade.errors import CertificateError, NotInDomain, NotInIdeal
 from ultragrade.freegroup import FreeWord
 from ultragrade.model import (
     CycleTail,
@@ -23,14 +38,12 @@ from ultragrade.model import (
 )
 from ultragrade.partial_action import (
     DElement,
-    Infinite,
-    SinkPath,
-    SinkVertex,
     SkewElement,
-    PathPoint,
     _atom_sort_key,
+    _GeneratorImages,
     _path_space,
-    atoms,
+    _truncate,
+    _word_depth,
     beta,
     indicator_vertex_set,
     indicator_word,
@@ -46,12 +59,216 @@ def w(*letters):
     return FreeWord([(EdgeInst(n), s) for n, s in letters])
 
 
-INF_EF = Infinite(InfinitePathRep((EdgeInst("e"),), CycleTail((EdgeInst("f"),))))
+def atoms(pres: UltragraphPresentation, depth: int) -> list[tuple]:
+    """The canonical partition of X at a refinement depth m >= 1, as a
+    fresh list: one cylinder per length-m path, one singleton per shorter
+    sink-pair, one singleton per isolated sink."""
+    return list(_path_space(pres).atoms(depth))
 
 
-def atom_point(pres: UltragraphPresentation, key: tuple) -> PathPoint:
-    """The library's representative point of an atom."""
-    return _path_space(pres).point(key)
+def check_supports(elt: SkewElement) -> bool:
+    """Every component f_t lies in its ideal D_t."""
+    return all(f.supported_in(t) for t, f in elt.comps.items())
+
+
+# -- the point model, as an oracle ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class Infinite:
+    rep: InfinitePathRep
+
+
+@dataclass(frozen=True)
+class SinkPath:
+    alpha: tuple[EdgeInst, ...]  # nonempty
+    v: VertexRef
+
+
+@dataclass(frozen=True)
+class SinkVertex:
+    v: VertexRef
+
+
+PathPoint = Union[Infinite, SinkPath, SinkVertex]
+
+
+def point_length(x: PathPoint) -> Optional[int]:
+    """None encodes infinite length."""
+    if isinstance(x, Infinite):
+        return None
+    if isinstance(x, SinkPath):
+        return len(x.alpha)
+    return 0
+
+
+def point_prefix(x: PathPoint, k: int) -> Optional[tuple[EdgeInst, ...]]:
+    """First k edges, or None when |x| < k."""
+    if k == 0:
+        return ()
+    if isinstance(x, Infinite):
+        return tuple(x.rep.unroll(k))
+    if isinstance(x, SinkPath) and len(x.alpha) >= k:
+        return x.alpha[:k]
+    return None
+
+
+def point_source(pres: UltragraphPresentation, x: PathPoint) -> VertexRef:
+    if isinstance(x, Infinite):
+        return pres.edge_source(x.rep.unroll(1)[0])
+    if isinstance(x, SinkPath):
+        return pres.edge_source(x.alpha[0])
+    return x.v
+
+
+def point_in_word_at(pres: UltragraphPresentation, x: PathPoint, t: FreeWord) -> bool:
+    if t.is_identity():
+        return True
+    split = t.positive_negative_split()
+    if split is None:
+        return False
+    a, b = split
+    if a and not pres.is_path(a):
+        return False
+    if b and not pres.is_path(b):
+        return False
+    if a and not b:
+        return point_prefix(x, len(a)) == a
+    if b and not a:
+        return pres.edge_range(b[-1]).member(point_source(pres, x))
+    meet = pres.edge_range(a[-1]).intersection(pres.edge_range(b[-1]))
+    if meet.is_empty():
+        return False
+    if isinstance(x, SinkPath) and x.alpha == a:
+        return meet.member(x.v)
+    nxt = point_prefix(x, len(a) + 1)
+    return nxt is not None and nxt[: len(a)] == a and meet.member(pres.edge_source(nxt[-1]))
+
+
+def strip_point(x: PathPoint, b: tuple[EdgeInst, ...]) -> PathPoint:
+    if not b:
+        return x
+    if isinstance(x, Infinite):
+        rep = x.rep
+        for _ in b:
+            rep = shift_path(rep)
+        return Infinite(rep)
+    if not (isinstance(x, SinkPath) and x.alpha[: len(b)] == b):
+        raise ValueError("the point does not begin with the path to strip")
+    rest = x.alpha[len(b):]
+    return SinkPath(rest, x.v) if rest else SinkVertex(x.v)
+
+
+def prepend_point(x: PathPoint, a: tuple[EdgeInst, ...]) -> PathPoint:
+    if not a:
+        return x
+    if isinstance(x, Infinite):
+        return Infinite(InfinitePathRep(a + x.rep.prefix, x.rep.tail))
+    if isinstance(x, SinkPath):
+        return SinkPath(a + x.alpha, x.v)
+    return SinkPath(a, x.v)
+
+
+def theta_point(pres: UltragraphPresentation, t: FreeWord, x: PathPoint) -> PathPoint:
+    if t.is_identity():
+        return x
+    if not point_in_word_at(pres, x, t.inverse()):
+        raise NotInDomain(f"point outside the domain of theta_{t.label()}")
+    a, b = t.positive_negative_split()
+    return prepend_point(strip_point(x, b), a)
+
+
+_POINTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def representative(pres: UltragraphPresentation, key: tuple) -> PathPoint:
+    """The point of an atom that follows the least edge from each range,
+    read from the library's cached out-edges and ranges; computed once per
+    key and path space."""
+    space = _path_space(pres)
+    points = _POINTS.setdefault(space, {})
+    x = points.get(key)
+    if x is None:
+        x = points[key] = _representative(space, key)
+    return x
+
+
+def _representative(space, key: tuple) -> PathPoint:
+    if key[0] == "sv":
+        return SinkVertex(key[1])
+    if key[0] == "sp":
+        return SinkPath(key[1], key[2])
+    alpha = key[1]
+    ext: list[EdgeInst] = []
+    seen: dict[EdgeInst, int] = {}
+    rng = space.range[alpha[-1]]
+    while True:
+        candidates: list[EdgeInst] = []
+        sink: Optional[VertexRef] = None
+        for u in sorted(rng.vertices()):
+            out = space.out.get(u)
+            if out:
+                candidates.extend(out)
+            else:
+                sink = sink or u
+        if not candidates:
+            if sink is None:
+                raise CertificateError("no edge and no sink continues the atom's path")
+            return SinkPath(alpha + tuple(ext), sink)
+        e = min(candidates, key=EdgeInst.sort_key)
+        if e in seen:
+            j = seen[e]
+            return Infinite(InfinitePathRep(alpha + tuple(ext[:j]), CycleTail(tuple(ext[j:]))))
+        seen[e] = len(ext)
+        ext.append(e)
+        rng = space.range[e]
+
+
+def point_atom(x: PathPoint, depth: int) -> tuple:
+    n = point_length(x)
+    if n is None or n >= depth:
+        return ("cyl", point_prefix(x, depth))
+    if isinstance(x, SinkPath):
+        return ("sp", x.alpha, x.v)
+    return ("sv", x.v)
+
+
+def oracle_indicator(pres, depth, member) -> DElement:
+    return DElement(pres, depth, {k: 1 for k in atoms(pres, depth) if member(representative(pres, k))})
+
+
+def oracle_indicator_word(pres: UltragraphPresentation, t: FreeWord) -> DElement:
+    return oracle_indicator(pres, _word_depth(t), lambda x: point_in_word_at(pres, x, t))
+
+
+def oracle_indicator_vertex_set(pres: UltragraphPresentation, vset: VertexSet) -> DElement:
+    return oracle_indicator(pres, 1, lambda x: vset.member(point_source(pres, x)))
+
+
+def oracle_supported_in(f: DElement, t: FreeWord) -> bool:
+    refined = f.refine_to(max(f.depth, _word_depth(t)))
+    return all(point_in_word_at(f.pres, representative(f.pres, k), t) for k in refined.values)
+
+
+def oracle_beta(pres: UltragraphPresentation, t: FreeWord, f: DElement) -> DElement:
+    if t.is_identity():
+        return f
+    tinv = t.inverse()
+    if not oracle_supported_in(f, tinv):
+        raise NotInIdeal(f"the function is not supported in X_{tinv.label()}")
+    split = t.positive_negative_split()
+    if split is None:
+        if f.is_zero():
+            return DElement.zero(pres)
+        raise NotInIdeal(f"X_{tinv.label()} is empty")
+    a, b = split
+    depth = max(1, len(a) + 1, len(a) + f.depth - len(b))
+    values = {}
+    for key in atoms(pres, depth):
+        x = representative(pres, key)
+        if point_in_word_at(pres, x, t):
+            values[key] = f.values.get(point_atom(theta_point(pres, tinv, x), f.depth), 0)
+    return DElement(pres, depth, values)
 
 
 def valid_point(pres: UltragraphPresentation, x: PathPoint) -> bool:
@@ -67,29 +284,25 @@ def valid_point(pres: UltragraphPresentation, x: PathPoint) -> bool:
     return is_sink(pres, x.v)
 
 
-def check_supports(elt: SkewElement) -> bool:
-    """Every component f_t lies in its ideal D_t."""
-    return all(f.supported_in(t) for t, f in elt.comps.items())
-
-
-# -- points and the action ---------------------------------------------------
+# -- atom keys and the action --------------------------------------------------
 
 
 def test_point_membership():
     pres = load("ef.ug")
-    assert point_in_word(pres, INF_EF, w(("e", 1)))
-    assert not point_in_word(pres, INF_EF, w(("f", 1)))
+    inf_ef = ("cyl", (EdgeInst("e"), EdgeInst("f")))  # e f f f ...
+    assert point_in_word(pres, inf_ef, w(("e", 1)))
+    assert not point_in_word(pres, inf_ef, w(("f", 1)))
     # x starts at v = r(e), so x lies in X_{e^-1}
-    x = Infinite(InfinitePathRep((), CycleTail((EdgeInst("f"),))))
+    x = ("cyl", (EdgeInst("f"),))
     assert point_in_word(pres, x, w(("e", -1)))
     assert point_in_word(pres, x, w(("f", -1)))
 
 
 def test_theta_prepend_and_strip():
     pres = load("ef.ug")
-    x = Infinite(InfinitePathRep((), CycleTail((EdgeInst("f"),))))
+    x = ("cyl", (EdgeInst("f"),))
     moved = theta(pres, w(("e", 1)), x)
-    assert moved == Infinite(InfinitePathRep((EdgeInst("e"),), CycleTail((EdgeInst("f"),))))
+    assert moved == ("cyl", (EdgeInst("e"), EdgeInst("f")))
     back = theta(pres, w(("e", -1)), moved)
     assert point_in_word(pres, back, w(("f", 1)))
     with pytest.raises(NotInDomain):
@@ -98,26 +311,27 @@ def test_theta_prepend_and_strip():
 
 def test_theta_on_sink_points():
     pres = load("one_edge.ug")
-    x = SinkPath((EdgeInst("e"),), VertexRef("v", 0))
-    assert valid_point(pres, x)
+    x = ("sp", (EdgeInst("e"),), VertexRef("v", 0))
+    assert valid_point(pres, representative(pres, x))
     stripped = theta(pres, w(("e", -1)), x)
-    assert stripped == SinkVertex(VertexRef("v", 0))
+    assert stripped == ("sv", VertexRef("v", 0))
     assert theta(pres, w(("e", 1)), stripped) == x
 
 
 def test_partial_action_composition_words_up_to_three():
-    # theta_g . theta_h agrees with theta_{gh} wherever both sides act
+    # theta_g . theta_h agrees with theta_{gh} wherever both sides act; at
+    # depth 4 no cylinder fixes too few edges for three letters of action
     pres = load("two_range.ug")
     letters = [(n, s) for n in pres.edges for s in (1, -1)]
     words = [FreeWord([(EdgeInst(n), s)]) for n, s in letters]
     words += [a * b for a in words for b in words]
-    points = [atom_point(pres, key) for key in atoms(pres, 3)]
+    keys = atoms(pres, 4)
     checked = 0
     for g, h in itertools.product(words, repeat=2):
         if len(g) + len(h) > 3:
             continue
         gh = g * h
-        for x in points:
+        for x in keys:
             if not point_in_word(pres, x, h.inverse()):
                 continue
             y = theta(pres, h, x)
@@ -129,13 +343,82 @@ def test_partial_action_composition_words_up_to_three():
     assert checked > 50
 
 
+def test_truncating_a_too_shallow_cylinder_raises():
+    # a raised error, not an assert, so it also holds under python -O
+    pres = load("ef.ug")
+    cyl = ("cyl", (EdgeInst("e"),))
+    with pytest.raises(ValueError, match="does not fix 2 edges"):
+        _truncate(cyl, 2)
+    with pytest.raises(ValueError):
+        DElement(pres, 2, {}).eval_point(cyl)
+    sink_pair = ("sp", (EdgeInst("e"), EdgeInst("f")), VertexRef("v", 0))
+    assert _truncate(sink_pair, 1) == ("cyl", (EdgeInst("e"),))
+    assert _truncate(sink_pair, 3) == sink_pair
+
+
+def _same(a: DElement, b: DElement) -> bool:
+    return (a.depth, a.values) == (b.depth, b.values)
+
+
+def _words(pres: UltragraphPresentation) -> list[FreeWord]:
+    """The reduced words of length at most 2."""
+    letters = [FreeWord([(e, s)]) for e in pres.all_edge_insts() for s in (1, -1)]
+    words = [FreeWord.identity()] + letters + [g * h for g in letters for h in letters]
+    return list(dict.fromkeys(words))
+
+
+def _oracle_products(pres: UltragraphPresentation, pairs, monkeypatch) -> list[SkewElement]:
+    """The products of generator images computed through the point oracle:
+    the images' indicators, β and the support checks of skew_multiply."""
+    with monkeypatch.context() as m:
+        m.setattr(partial_action, "indicator_word", oracle_indicator_word)
+        m.setattr(partial_action, "indicator_vertex_set", oracle_indicator_vertex_set)
+        m.setattr(partial_action, "beta", oracle_beta)
+        m.setattr(DElement, "supported_in", oracle_supported_in)
+        gen = _GeneratorImages(pres)
+        return [gen._of(*x) * gen._of(*y) for x, y in pairs]
+
+
+def test_key_action_matches_the_point_oracle(monkeypatch):
+    rng = random.Random(1313)
+    cases = [load(name) for name in FINITE_CORPUS]
+    cases += [random_presentation(rng, max_vertices=4, max_edges=5) for _ in range(40)]
+    for pres in cases:
+        words = _words(pres)
+        for t in words:
+            assert _same(indicator_word(pres, t), oracle_indicator_word(pres, t)), t.label()
+        vsets = [VertexSet.of(v) for v in pres.all_vertices()]
+        vsets += [pres.edge_range(e) for e in pres.all_edge_insts()] + [pres.g0_universe()]
+        for vs in vsets:
+            assert _same(indicator_vertex_set(pres, vs), oracle_indicator_vertex_set(pres, vs))
+        short = [t for t in words if len(t) <= 1]
+        longer = [t for t in words if len(t) > 1]
+        for depth in range(1, 5):
+            f = DElement(pres, depth, {k: rng.choice([0, 1, 2, -1]) for k in atoms(pres, depth)})
+            for t in words:
+                assert f.supported_in(t) == oracle_supported_in(f, t), (depth, t.label())
+            # β at depth 4 on a word of two positive letters refines to
+            # depth 6, so the longer words are sampled
+            for t in short + rng.sample(longer, min(4, len(longer))):
+                g = f * indicator_word(pres, t.inverse())
+                assert _same(beta(pres, t, g), oracle_beta(pres, t, g)), (depth, t.label())
+        kinds = [("s", e) for e in pres.all_edge_insts()] + [("st", e) for e in pres.all_edge_insts()]
+        kinds += [("p", vs) for vs in vsets]
+        pairs = list(itertools.product(kinds, repeat=2))
+        gen = _GeneratorImages(pres)
+        for (x, y), want in zip(pairs, _oracle_products(pres, pairs, monkeypatch)):
+            got = gen._of(*x) * gen._of(*y)
+            assert got.comps.keys() == want.comps.keys(), (x, y)
+            assert all(_same(got.comps[t], want.comps[t]) for t in got.comps), (x, y)
+
+
 # -- the coefficient algebra -------------------------------------------------
 
 
 def test_atoms_partition_points():
     pres = load("one_edge.ug")
     keys = atoms(pres, 2)
-    points = [atom_point(pres, k) for k in keys]
+    points = [representative(pres, k) for k in keys]
     assert all(valid_point(pres, p) for p in points)
     # one sink-pair per sink in r(e), plus the isolated-sink atoms
     assert ("sp", (EdgeInst("e"),), VertexRef("v", 0)) in keys
@@ -243,7 +526,7 @@ def test_path_space_cache_matches_the_uncached_walk():
             keys = atoms(pres, depth)
             assert keys == _walk_atoms(pres, depth), (pres.name, depth)
             for key in keys:
-                assert atom_point(pres, key) == _walk_point(pres, key), key
+                assert representative(pres, key) == _walk_point(pres, key), key
                 for finer in range(depth + 1, 5):
                     refined = DElement(pres, depth, {key: 1}).refine_to(finer)
                     assert list(refined.values) == _walk_refine(pres, key, finer), (key, finer)

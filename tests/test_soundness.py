@@ -91,20 +91,19 @@ def test_unit_witness_check_runs_under_dash_o():
     assert proc.stdout.startswith("raised: the generalized-vertex witness")
 
 
-# Feeds the path-splitting step of the partial action a point that does
-# not begin with the path to strip.
+# Feeds the path-splitting step of the partial action an atom key that
+# does not begin with the path to strip.
 MISMATCHED_STRIP = """
 import sys
 if __debug__:
     sys.exit("not running under -O")
 from ultragrade import partial_action
-from ultragrade.model import EdgeInst, VertexRef, parse_presentation
+from ultragrade.model import EdgeInst, VertexRef
 
-pres = parse_presentation(open(sys.argv[1]).read())
-point = partial_action.SinkPath((EdgeInst("e"),), VertexRef("v", 0))
+key = ("sp", (EdgeInst("e"),), VertexRef("v", 0))
 for b in ((EdgeInst("f"),), (EdgeInst("e"), EdgeInst("f"))):
     try:
-        partial_action._strip(pres, point, b)
+        partial_action._strip(key, b)
     except ValueError as exc:
         print("raised:", exc)
     else:
@@ -113,7 +112,7 @@ for b in ((EdgeInst("f"),), (EdgeInst("e"), EdgeInst("f"))):
 
 
 def test_mismatched_split_raises_under_dash_o():
-    proc = _run_dash_o(MISMATCHED_STRIP, str(CORPUS / "one_edge.ug"))
+    proc = _run_dash_o(MISMATCHED_STRIP)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("raised:") == 2
 
