@@ -18,8 +18,8 @@ its α.  So a key that fixes enough edges stands for each of its points,
 and a cylinder that fixes too few raises ValueError.  The depths that
 indicator_word, supported_in and beta pick are always enough.
 
-Everything here requires a finite presentation: atoms are enumerated
-exhaustively per refinement depth.
+Everything here requires a finite presentation.  Only the indicators
+enumerate the atoms of a depth; everything else walks supports.
 """
 
 from __future__ import annotations
@@ -59,40 +59,37 @@ def _source(pres: UltragraphPresentation, key: tuple) -> VertexRef:
     return key[1] if key[0] == "sv" else pres.edge_source(key[1][0])
 
 
-def _truncate(key: tuple, depth: int) -> tuple:
-    """The atom of refinement depth `depth` that holds the points of `key`."""
-    if key[0] == "sv" or (key[0] == "sp" and len(key[1]) < depth):
-        return key
-    return ("cyl", _prefix(key, depth))
-
-
 # -- membership in the X_t sets ----------------------------------------------
 
 
-def point_in_word(pres: UltragraphPresentation, key: tuple, t: FreeWord) -> bool:
-    """Whether the points of `key` lie in X_t."""
+def in_word(pres: UltragraphPresentation, t: FreeWord) -> Callable[[tuple], bool]:
+    """The test whether the points of a key lie in X_t; what it needs of t
+    alone (the split, the path checks, the range meet) is read once."""
     if t.is_identity():
-        return True
+        return lambda key: True
     split = t.positive_negative_split()
     if split is None:
-        return False
+        return lambda key: False
     a, b = split
-    if a and not pres.is_path(a):
-        return False
-    if b and not pres.is_path(b):
-        return False
+    if (a and not pres.is_path(a)) or (b and not pres.is_path(b)):
+        return lambda key: False
     if a and not b:
-        return _prefix(key, len(a)) == a
+        return lambda key: _prefix(key, len(a)) == a
     if b and not a:
-        return pres.edge_range(b[-1]).member(_source(pres, key))
+        rng = pres.edge_range(b[-1])
+        return lambda key: rng.member(_source(pres, key))
     meet = pres.edge_range(a[-1]).intersection(pres.edge_range(b[-1]))
     if meet.is_empty():
         # shapes with disjoint range intersection denote the empty set
-        return False
-    if key[0] == "sp" and key[1] == a:
-        return meet.member(key[2])
-    nxt = _prefix(key, len(a) + 1)
-    return nxt is not None and nxt[: len(a)] == a and meet.member(pres.edge_source(nxt[-1]))
+        return lambda key: False
+
+    def member(key: tuple) -> bool:
+        if key[0] == "sp" and key[1] == a:
+            return meet.member(key[2])
+        nxt = _prefix(key, len(a) + 1)
+        return nxt is not None and nxt[: len(a)] == a and meet.member(pres.edge_source(nxt[-1]))
+
+    return member
 
 
 # -- the partial action on atom keys -----------------------------------------
@@ -121,20 +118,24 @@ def _prepend(key: tuple, a: tuple[EdgeInst, ...]) -> tuple:
     return ("sp", a, key[1])
 
 
-def theta(pres: UltragraphPresentation, t: FreeWord, key: tuple) -> tuple:
-    """θ_t, defined on X_{t⁻¹}: erase the negative part, prepend the
-    positive part."""
+def theta(pres: UltragraphPresentation, t: FreeWord) -> Callable[[tuple], tuple]:
+    """θ_t on the atom keys of X_{t⁻¹}, with t read once: the map erases
+    the negative part, prepends the positive part, and raises NotInDomain
+    on a key outside X_{t⁻¹}."""
     if t.is_identity():
-        return key
-    if not point_in_word(pres, key, t.inverse()):
-        raise NotInDomain(f"atom outside the domain of theta_{t.label()}")
-    split = t.positive_negative_split()
-    if split is None:
-        raise CertificateError(
-            f"{t.label()} has no positive-negative split but its domain admitted a point"
-        )
-    a, b = split
-    return _prepend(_strip(key, b), a)
+        return lambda key: key
+    inside, split = in_word(pres, t.inverse()), t.positive_negative_split()
+
+    def act(key: tuple) -> tuple:
+        if not inside(key):
+            raise NotInDomain(f"atom outside the domain of theta_{t.label()}")
+        if split is None:
+            raise CertificateError(
+                f"{t.label()} has no positive-negative split but its domain admitted a point"
+            )
+        return _prepend(_strip(key, split[1]), split[0])
+
+    return act
 
 
 # -- atoms ------------------------------------------------------------------
@@ -296,14 +297,9 @@ class DElement:
     def is_zero(self) -> bool:
         return not self.values
 
-    def eval_point(self, key: tuple) -> Coeff:
-        """The value at the points of `key`, which must fix at least
-        `depth` edges if it is a cylinder."""
-        return self.values.get(_truncate(key, self.depth), 0)
-
     def supported_in(self, t: FreeWord) -> bool:
         refined = self.refine_to(max(self.depth, _word_depth(t)))
-        return all(point_in_word(self.pres, key, t) for key in refined.values)
+        return all(map(in_word(self.pres, t), refined.values))
 
     def __repr__(self):
         return f"DElement(depth={self.depth}, {self.values!r})"
@@ -323,9 +319,7 @@ def _word_depth(t: FreeWord) -> int:
 def indicator_word(pres: UltragraphPresentation, t: FreeWord) -> DElement:
     """1_t, the indicator of X_t."""
     _require_finite(pres)
-    return DElement.from_indicator(
-        pres, _word_depth(t), lambda key: point_in_word(pres, key, t)
-    )
+    return DElement.from_indicator(pres, _word_depth(t), in_word(pres, t))
 
 
 def indicator_vertex_set(pres: UltragraphPresentation, vset: VertexSet) -> DElement:
@@ -337,7 +331,8 @@ def indicator_vertex_set(pres: UltragraphPresentation, vset: VertexSet) -> DElem
 
 
 def beta(pres: UltragraphPresentation, t: FreeWord, f: DElement) -> DElement:
-    """β_t(f) = f ∘ θ_{t⁻¹}, for f supported in X_{t⁻¹}."""
+    """β_t(f) = f ∘ θ_{t⁻¹}, for f supported in X_{t⁻¹}, pushed forward
+    along θ_t from the support of f."""
     if t.is_identity():
         return f
     tinv = t.inverse()
@@ -349,16 +344,19 @@ def beta(pres: UltragraphPresentation, t: FreeWord, f: DElement) -> DElement:
             return DElement.zero(pres)
         raise NotInIdeal(f"X_{tinv.label()} is empty")
     a, b = split
-    # at this depth θ_{t⁻¹} leaves every cylinder of X_t at least f.depth
-    # edges: it strips |a| < depth of them and prepends |b|
-    depth = max(1, len(a) + 1, len(a) + f.depth - len(b))
-    values = {}
-    for key in _path_space(pres).atoms(depth):
-        if point_in_word(pres, key, t):
-            c = f.eval_point(theta(pres, tinv, key))
-            if c != 0:
-                values[key] = c
-    return DElement(pres, depth, values)
+    # β_t(f) = Σ f(k)·1_{θ_t(k)} over the atoms k of f at D = max(f.depth,
+    # |b| + 1), and the θ_t(k) are exactly the atoms of X_t at D' = D - |b|
+    # + |a| = max(1, |a| + 1, |a| + f.depth - |b|).  θ_t is a bijection of
+    # X_{t⁻¹} onto X_t, so it suffices that it maps each atom onto an atom
+    # of D'.  A cylinder fixes D > |b| edges bγ, γ nonempty; it lies in
+    # X_{t⁻¹}, so s(γ) ∈ r(a's last edge) when a is nonempty, and its image
+    # is the cylinder of the D' edges aγ.  A sink-pair (bγ, v), |bγ| < D,
+    # maps to (aγ, v), |aγ| < D', or to the isolated sink v when aγ is
+    # empty; an isolated sink lies in X_{t⁻¹} only when b is empty.
+    move = theta(pres, t)
+    refined = f.refine_to(max(f.depth, len(b) + 1))
+    values = {move(key): c for key, c in refined.values.items()}
+    return DElement(pres, max(1, len(a) + 1, len(a) + f.depth - len(b)), values)
 
 
 # -- the skew product -------------------------------------------------------
@@ -511,7 +509,13 @@ def verify_generator_relations(
     pres: UltragraphPresentation, depth: int = 3, image=phi_image
 ) -> dict:
     """Check that the generator images satisfy the defining relations of
-    the algebra, compared as functions at the given refinement depth."""
+    the algebra, comparing both sides with SkewElement == at their common
+    depth.  That is exact, so `depth` has no effect on the answer: every
+    range is nonempty (parsing and validate() raise EmptyRange), so every
+    atom holds a point and _PathSpace.leaves(key, d) is never empty;
+    refinement copies each atom's value onto its leaves, so it is
+    injective, and two functions are equal at depth m iff they are equal
+    at every depth >= m."""
     _require_finite(pres)
     gen = _GeneratorImages(pres, image)
     edges = [EdgeInst(eid) for eid in sorted(pres.edges)]
@@ -520,24 +524,19 @@ def verify_generator_relations(
     pool.append(pres.g0_universe())
     failures: list[str] = []
 
-    def eq(a: SkewElement, b: SkewElement) -> bool:
-        ra = SkewElement(pres, {t: f.refine_to(depth) for t, f in a.comps.items()})
-        rb = SkewElement(pres, {t: f.refine_to(depth) for t, f in b.comps.items()})
-        return ra == rb
-
     # relation 1: the projections respect the set lattice
     rel1 = True
-    if not eq(gen.p(VertexSet.empty()), SkewElement.zero(pres)):
+    if not gen.p(VertexSet.empty()).is_zero():
         rel1 = False
         failures.append("p of the empty set is nonzero")
     for a_set in pool:
         for b_set in pool:
             lhs = gen.p(a_set) * gen.p(b_set)
-            if not eq(lhs, gen.p(a_set.intersection(b_set))):
+            if lhs != gen.p(a_set.intersection(b_set)):
                 rel1 = False
                 failures.append("projection product disagrees with intersection")
             union = gen.p(a_set) + gen.p(b_set) - gen.p(a_set.intersection(b_set))
-            if not eq(gen.p(a_set.union(b_set)), union):
+            if gen.p(a_set.union(b_set)) != union:
                 rel1 = False
                 failures.append("projection sum disagrees with union")
     # relation 2: source/range absorption
@@ -546,10 +545,10 @@ def verify_generator_relations(
         src = VertexSet.of(pres.edge_source(e))
         rng = pres.edge_range(e)
         se, st = gen.s(e), gen.st(e)
-        if not (eq(gen.p(src) * se, se) and eq(se * gen.p(rng), se)):
+        if gen.p(src) * se != se or se * gen.p(rng) != se:
             rel2 = False
             failures.append(f"absorption fails for s_{e.label()}")
-        if not (eq(gen.p(rng) * st, st) and eq(st * gen.p(src), st)):
+        if gen.p(rng) * st != st or st * gen.p(src) != st:
             rel2 = False
             failures.append(f"absorption fails for s_{e.label()}*")
     # relation 3: s_e* s_f = delta p_r(e)
@@ -558,7 +557,7 @@ def verify_generator_relations(
         for f in edges:
             prod = gen.st(e) * gen.s(f)
             want = gen.p(pres.edge_range(e)) if e == f else SkewElement.zero(pres)
-            if not eq(prod, want):
+            if prod != want:
                 rel3 = False
                 failures.append(f"s_{e.label()}* s_{f.label()} incorrect")
     # relation 4: vertex splitting at regular vertices
@@ -571,7 +570,7 @@ def verify_generator_relations(
         total = SkewElement.zero(pres)
         for e in out_edges:
             total = total + gen.s(e) * gen.st(e)
-        if not eq(gen.p(VertexSet.of(v)), total):
+        if gen.p(VertexSet.of(v)) != total:
             rel4 = False
             failures.append(f"vertex splitting fails at {v.label()}")
     return {

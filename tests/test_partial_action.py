@@ -3,7 +3,10 @@ product, and the generator-image verification.
 
 The library's action works on atom keys.  The model of points it
 replaced, with a representative infinite path or sink-pair per atom, is
-kept here as an oracle for it."""
+kept here as an oracle for it.  So are β read off every atom of its
+output depth, against the library's β pushed forward from the support,
+and the comparison that refines both sides to a fixed depth, against
+SkewElement ==."""
 
 from __future__ import annotations
 
@@ -42,14 +45,14 @@ from ultragrade.partial_action import (
     _atom_sort_key,
     _GeneratorImages,
     _path_space,
-    _truncate,
+    _prefix,
     _word_depth,
     beta,
+    in_word,
     indicator_vertex_set,
     indicator_word,
     phi_image,
     phi_of_element,
-    point_in_word,
     theta,
     verify_generator_relations,
 )
@@ -271,6 +274,56 @@ def oracle_beta(pres: UltragraphPresentation, t: FreeWord, f: DElement) -> DElem
     return DElement(pres, depth, values)
 
 
+# -- β by pullback and comparison at a fixed depth, as oracles ---------------
+
+
+def _truncate(key: tuple, depth: int) -> tuple:
+    """The atom of refinement depth `depth` that holds the points of `key`."""
+    if key[0] == "sv" or (key[0] == "sp" and len(key[1]) < depth):
+        return key
+    return ("cyl", _prefix(key, depth))
+
+
+def eval_point(f: DElement, key: tuple):
+    """The value of f at the points of `key`, which must fix at least
+    f.depth edges if it is a cylinder."""
+    return f.values.get(_truncate(key, f.depth), 0)
+
+
+def pullback_beta(pres: UltragraphPresentation, t: FreeWord, f: DElement) -> DElement:
+    """β_t(f) = f ∘ θ_{t⁻¹}, evaluated on every atom of X_t at the output
+    depth."""
+    if t.is_identity():
+        return f
+    tinv = t.inverse()
+    if not f.supported_in(tinv):
+        raise NotInIdeal(f"the function is not supported in X_{tinv.label()}")
+    split = t.positive_negative_split()
+    if split is None:
+        if f.is_zero():
+            return DElement.zero(pres)
+        raise NotInIdeal(f"X_{tinv.label()} is empty")
+    a, b = split
+    # at this depth θ_{t⁻¹} leaves every cylinder of X_t at least f.depth
+    # edges: it strips |a| < depth of them and prepends |b|
+    depth = max(1, len(a) + 1, len(a) + f.depth - len(b))
+    inside, back = in_word(pres, t), theta(pres, tinv)
+    values = {}
+    for key in atoms(pres, depth):
+        if inside(key):
+            c = eval_point(f, back(key))
+            if c != 0:
+                values[key] = c
+    return DElement(pres, depth, values)
+
+
+def refined_eq(u: SkewElement, v: SkewElement, depth: int) -> bool:
+    """u == v after every component of both is refined to `depth`."""
+    ru = SkewElement(u.pres, {t: f.refine_to(depth) for t, f in u.comps.items()})
+    rv = SkewElement(v.pres, {t: f.refine_to(depth) for t, f in v.comps.items()})
+    return ru == rv
+
+
 def valid_point(pres: UltragraphPresentation, x: PathPoint) -> bool:
     if isinstance(x, Infinite):
         return pres.valid_infinite_path(x.rep, depth=30)
@@ -290,32 +343,32 @@ def valid_point(pres: UltragraphPresentation, x: PathPoint) -> bool:
 def test_point_membership():
     pres = load("ef.ug")
     inf_ef = ("cyl", (EdgeInst("e"), EdgeInst("f")))  # e f f f ...
-    assert point_in_word(pres, inf_ef, w(("e", 1)))
-    assert not point_in_word(pres, inf_ef, w(("f", 1)))
+    assert in_word(pres, w(("e", 1)))(inf_ef)
+    assert not in_word(pres, w(("f", 1)))(inf_ef)
     # x starts at v = r(e), so x lies in X_{e^-1}
     x = ("cyl", (EdgeInst("f"),))
-    assert point_in_word(pres, x, w(("e", -1)))
-    assert point_in_word(pres, x, w(("f", -1)))
+    assert in_word(pres, w(("e", -1)))(x)
+    assert in_word(pres, w(("f", -1)))(x)
 
 
 def test_theta_prepend_and_strip():
     pres = load("ef.ug")
     x = ("cyl", (EdgeInst("f"),))
-    moved = theta(pres, w(("e", 1)), x)
+    moved = theta(pres, w(("e", 1)))(x)
     assert moved == ("cyl", (EdgeInst("e"), EdgeInst("f")))
-    back = theta(pres, w(("e", -1)), moved)
-    assert point_in_word(pres, back, w(("f", 1)))
+    back = theta(pres, w(("e", -1)))(moved)
+    assert in_word(pres, w(("f", 1)))(back)
     with pytest.raises(NotInDomain):
-        theta(pres, w(("f", -1)), moved)  # moved starts with e, not f
+        theta(pres, w(("f", -1)))(moved)  # moved starts with e, not f
 
 
 def test_theta_on_sink_points():
     pres = load("one_edge.ug")
     x = ("sp", (EdgeInst("e"),), VertexRef("v", 0))
     assert valid_point(pres, representative(pres, x))
-    stripped = theta(pres, w(("e", -1)), x)
+    stripped = theta(pres, w(("e", -1)))(x)
     assert stripped == ("sv", VertexRef("v", 0))
-    assert theta(pres, w(("e", 1)), stripped) == x
+    assert theta(pres, w(("e", 1)))(stripped) == x
 
 
 def test_partial_action_composition_words_up_to_three():
@@ -332,13 +385,13 @@ def test_partial_action_composition_words_up_to_three():
             continue
         gh = g * h
         for x in keys:
-            if not point_in_word(pres, x, h.inverse()):
+            if not in_word(pres, h.inverse())(x):
                 continue
-            y = theta(pres, h, x)
-            if not point_in_word(pres, y, g.inverse()):
+            y = theta(pres, h)(x)
+            if not in_word(pres, g.inverse())(y):
                 continue
-            assert point_in_word(pres, x, gh.inverse())
-            assert theta(pres, g, y) == theta(pres, gh, x)
+            assert in_word(pres, gh.inverse())(x)
+            assert theta(pres, g)(y) == theta(pres, gh)(x)
             checked += 1
     assert checked > 50
 
@@ -350,7 +403,7 @@ def test_truncating_a_too_shallow_cylinder_raises():
     with pytest.raises(ValueError, match="does not fix 2 edges"):
         _truncate(cyl, 2)
     with pytest.raises(ValueError):
-        DElement(pres, 2, {}).eval_point(cyl)
+        eval_point(DElement(pres, 2, {}), cyl)
     sink_pair = ("sp", (EdgeInst("e"), EdgeInst("f")), VertexRef("v", 0))
     assert _truncate(sink_pair, 1) == ("cyl", (EdgeInst("e"),))
     assert _truncate(sink_pair, 3) == sink_pair
@@ -410,6 +463,53 @@ def test_key_action_matches_the_point_oracle(monkeypatch):
             got = gen._of(*x) * gen._of(*y)
             assert got.comps.keys() == want.comps.keys(), (x, y)
             assert all(_same(got.comps[t], want.comps[t]) for t in got.comps), (x, y)
+
+
+def test_pushed_beta_matches_the_pullback_oracle():
+    rng = random.Random(2718)
+    cases = [load(name) for name in FINITE_CORPUS]
+    cases += [random_presentation(rng, max_vertices=4, max_edges=5) for _ in range(40)]
+    for pres in cases:
+        words = _words(pres)
+        short = [t for t in words if len(t) <= 1]
+        longer = [t for t in words if len(t) > 1]
+        for depth in range(1, 5):
+            f = DElement(pres, depth, {k: rng.choice([0, 1, 2, -1]) for k in atoms(pres, depth)})
+            # at depth 4 a word of two positive letters pulls back from the
+            # atoms of depth 6, so the longer words are sampled there
+            chosen = words if depth < 4 else short + rng.sample(longer, min(4, len(longer)))
+            for t in chosen:
+                if not f.supported_in(t.inverse()):
+                    with pytest.raises(NotInIdeal):
+                        beta(pres, t, f)
+                g = f * indicator_word(pres, t.inverse())
+                assert _same(beta(pres, t, g), pullback_beta(pres, t, g)), (depth, t.label())
+
+
+def test_beta_checks_each_key_without_the_support_test(monkeypatch):
+    # θ's own domain check is a raised error, not an assert, so β rejects a
+    # function outside X_{t⁻¹} even when the support test lets it through,
+    # under python -O too
+    rng = random.Random(1618)
+    cases = [load(name) for name in FINITE_CORPUS]
+    cases += [random_presentation(rng, max_vertices=4, max_edges=5) for _ in range(10)]
+    checked = 0
+    for pres in cases:
+        one = DElement(pres, 1, {k: 1 for k in atoms(pres, 1)})
+        outside = [
+            t for t in _words(pres)
+            if t.positive_negative_split() is not None and not one.supported_in(t.inverse())
+        ]
+        for t in outside:
+            with pytest.raises(NotInIdeal):
+                beta(pres, t, one)
+        with monkeypatch.context() as m:
+            m.setattr(DElement, "supported_in", lambda self, t: True)
+            for t in outside:
+                with pytest.raises(NotInDomain):
+                    beta(pres, t, one)
+                checked += 1
+    assert checked > 100
 
 
 # -- the coefficient algebra -------------------------------------------------
@@ -613,26 +713,60 @@ def test_generator_relations_pass_on_corpus():
         assert report["all_pass"], (name, report["failures"])
 
 
+def _sabotage_inverse(p, kind, payload):
+    if kind == "st":
+        # wrong inverse: reuse the positive generator image
+        return phi_image(p, "s", payload)
+    return phi_image(p, kind, payload)
+
+
+def _sabotage_projections(p, kind, payload):
+    if kind == "p" and not payload.is_empty():
+        return phi_image(p, "p", p.g0_universe())
+    return phi_image(p, kind, payload)
+
+
 def test_sabotaged_images_are_caught():
     pres = load("ef.ug")
-
-    def sabotage(p, kind, payload):
-        if kind == "st":
-            # wrong inverse: reuse the positive generator image
-            return phi_image(p, "s", payload)
-        return phi_image(p, kind, payload)
-
-    report = verify_generator_relations(pres, depth=3, image=sabotage)
+    report = verify_generator_relations(pres, depth=3, image=_sabotage_inverse)
     assert not report["all_pass"]
     assert report["failures"]
-
-    def sabotage2(p, kind, payload):
-        if kind == "p" and not payload.is_empty():
-            return phi_image(p, "p", p.g0_universe())
-        return phi_image(p, kind, payload)
-
-    report2 = verify_generator_relations(pres, depth=3, image=sabotage2)
+    report2 = verify_generator_relations(pres, depth=3, image=_sabotage_projections)
     assert not report2["all_pass"]
+
+
+def test_relation_verdicts_do_not_depend_on_depth():
+    rng = random.Random(1729)
+    cases = [(load(name), phi_image) for name in FINITE_CORPUS]
+    cases += [(random_presentation(rng, max_vertices=4, max_edges=5), phi_image) for _ in range(20)]
+    cases += [(load("ef.ug"), image) for image in (_sabotage_inverse, _sabotage_projections)]
+    for pres, image in cases:
+        reports = [verify_generator_relations(pres, depth=d, image=image) for d in range(1, 5)]
+        assert all(r == reports[0] for r in reports), (pres.name, image.__name__)
+        assert reports[0]["all_pass"] == (image is phi_image), (pres.name, image.__name__)
+    # SkewElement == against refining both sides to each fixed depth, on
+    # pairs of different depths, some equal and some apart on one atom
+    compared = 0
+    for pres, _ in cases[:-2]:
+        for d1, d2 in ((1, 2), (1, 3), (2, 3), (2, 4)):
+            f = DElement(pres, d1, {k: rng.choice([0, 1, 2, -1]) for k in atoms(pres, d1)})
+            g = f.refine_to(d2)
+            key = rng.choice(atoms(pres, d2))
+            g_apart = DElement(pres, d2, {**g.values, key: g.values.get(key, 0) + 1})
+            key = rng.choice(atoms(pres, d1))
+            f_apart = DElement(pres, d1, {**f.values, key: f.values.get(key, 0) - 1})
+            h = DElement(pres, d2, {k: rng.choice([0, 1]) for k in atoms(pres, d2)})
+            t = rng.choice(_words(pres))
+            assert SkewElement.of(pres, t, f) == SkewElement.of(pres, t, g)
+            assert SkewElement.of(pres, t, f) != SkewElement.of(pres, t, g_apart)
+            assert SkewElement.of(pres, t, f_apart) != SkewElement.of(pres, t, g)
+            for x, y in ((f, g), (f, g_apart), (f_apart, g), (f, h)):
+                u, v = SkewElement.of(pres, t, x), SkewElement.of(pres, t, y)
+                for depth in range(1, 6):
+                    assert (u == v) == refined_eq(u, v, depth), (pres.name, d1, d2, depth)
+                    assert (v == u) == refined_eq(v, u, depth), (pres.name, d1, d2, depth)
+                    compared += 1
+    assert compared == 25 * 4 * 4 * 5
 
 
 def test_f_degree_matches_grading_tag_random_monomials():
