@@ -343,6 +343,12 @@ def _atom_label(key: tuple) -> str:
     return f"sink[{key[1].label()}]"
 
 
+def _horizon(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"the horizon must be an integer of at least 0, not {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ultragrade",
@@ -352,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     def common(p):
-        p.add_argument("--horizon", type=int, default=40)
+        p.add_argument("--horizon", type=_horizon, default=40)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("analyze", help="run all analyses on a presentation file")

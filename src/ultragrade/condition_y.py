@@ -12,7 +12,7 @@ paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import CertificateError, NotFinite, NotFiniteEdges
 from .indexset import IndexSet
@@ -235,50 +235,43 @@ def _successors(edges: dict) -> dict:
     }
 
 
-def _concrete_cycles(pres: UltragraphPresentation, skip: frozenset[EdgeInst] = frozenset()):
-    """Simple cycles of at most _CYCLE_LEN edges among the edges of
-    _edge_successors that are not in `skip`."""
-    succ = {
-        e: [f for f in nxt if f not in skip] for e, nxt in _edge_successors(pres).items() if e not in skip
-    }
-    closes = {e: set(nxt) for e, nxt in succ.items()}
-    cycles: list[tuple[EdgeInst, ...]] = []
+def _cycles_from(pres: UltragraphPresentation, first: EdgeInst):
+    """The simple cycles of at most _CYCLE_LEN edges of _edge_successors
+    whose least edge is `first`, each in its rotation that starts with
+    `first`, lazily and in sorted order.
 
-    # A simple cycle is listed once, in its rotation that starts with its
-    # least edge: a walk from `first` only steps to edges greater than it.
-    def extend(path: list[EdgeInst]) -> None:
-        first, last = path[0], path[-1]
-        if first in closes[last]:
-            cycles.append(tuple(path))
-        if len(path) >= _CYCLE_LEN:
-            return
-        for e in succ[last]:
-            if e > first and e not in path:
-                path.append(e)
-                extend(path)
-                path.pop()
+    The walk is a preorder over the simple paths from `first` that step
+    only to edges greater than it, with each node's children taken in the
+    sort_key order of its successor list; a cycle is yielded at its node,
+    before the paths that extend it.  So of two cycles, a proper prefix of
+    the other comes first, and otherwise they first differ at a position
+    where they share a parent node, and the one with the smaller edge there
+    is yielded, with every path below it, before the other: the order is
+    that of sorting by [e.sort_key() for e in cycle].  Every cycle is an
+    infinite path: the walk steps from e only to an f with s(f) in r(e),
+    and it closes only when s(first) is in r(last)."""
+    succ = _edge_successors(pres)
 
-    for e in succ:
-        extend([e])
-    return sorted(cycles, key=lambda c: [e.sort_key() for e in c])
+    def extend(path: list[EdgeInst]):
+        last = path[-1]
+        if first in succ[last]:
+            yield tuple(path)
+        if len(path) < _CYCLE_LEN:
+            for e in succ[last]:
+                if e > first and e not in path:
+                    path.append(e)
+                    yield from extend(path)
+                    path.pop()
+
+    return extend([first])
 
 
-def _tails(
-    pres: UltragraphPresentation, skip: frozenset[EdgeInst] = frozenset()
-) -> list[Union[CycleTail, FamilyTail]]:
-    """The tails of the representative infinite paths: the bounded concrete
-    cycles that avoid `skip` in sorted order, then two starts of each
-    self-composing family.
-
-    Every tail is an infinite path, so no caller re-checks it.  A concrete
-    cycle composes by construction: _concrete_cycles steps from e only to
-    an f with s(f) in r(e), and closes only when s(first) is in r(last).
-    A self-composing family has a range atom equal to its own source
-    shifted by one, so r(f[n]) holds s(f[n+1]) for every n, and every
-    index from n0 on resolves."""
-    tails: list[Union[CycleTail, FamilyTail]] = [
-        CycleTail(cyc) for cyc in _concrete_cycles(pres, skip)
-    ]
+def _family_tails(pres: UltragraphPresentation) -> list[FamilyTail]:
+    """Two starts of each self-composing family.  Each is an infinite path,
+    so no caller re-checks it: the family has a range atom equal to its own
+    source shifted by one, so r(f[n]) holds s(f[n+1]) for every n, and
+    every index from n0 on resolves."""
+    tails = []
     for name, fam in pres.edge_families.items():
         if _family_self_composes(pres, name):
             tails.append(FamilyTail(name, fam.n0))
@@ -290,24 +283,21 @@ def _prefix_tree(
     pres: UltragraphPresentation,
     v: VertexRef,
     in_edges: dict[VertexRef, list[EdgeInst]],
-) -> list[tuple[EdgeInst, ...]]:
+):
     """The backward prefixes into v of up to _PREFIX_LEN edges, each edge
     from the in-edge list of the next source truncated at 4 members per
-    family, in DFS preorder: (), then for each in-edge e of v in order,
-    (e,) and the prefixes that extend it."""
-    out: list[tuple[EdgeInst, ...]] = []
+    family, lazily in DFS preorder: (), then for each in-edge e of v in
+    order, (e,) and the prefixes that extend it."""
 
-    def walk(prefix: tuple[EdgeInst, ...], u: VertexRef) -> None:
-        out.append(prefix)
-        if len(prefix) >= _PREFIX_LEN:
-            return
-        if u not in in_edges:
-            in_edges[u] = pres.in_edges(u, cap=4)[0]
-        for e in in_edges[u]:
-            walk((e,) + prefix, pres.edge_source(e))
+    def walk(prefix: tuple[EdgeInst, ...], u: VertexRef):
+        yield prefix
+        if len(prefix) < _PREFIX_LEN:
+            if u not in in_edges:
+                in_edges[u] = pres.in_edges(u, cap=4)[0]
+            for e in in_edges[u]:
+                yield from walk((e,) + prefix, pres.edge_source(e))
 
-    walk((), v)
-    return out
+    return walk((), v)
 
 
 def _unanswered(
@@ -325,91 +315,79 @@ def _unanswered(
     return True
 
 
-def _skipped_cycle_edges(pres: UltragraphPresentation, span: int) -> frozenset[EdgeInst]:
-    """The edges that no violating concrete-cycle tail can use when the
-    tail scan covers `span` >= _CYCLE_LEN + _PREFIX_LEN positions: those
-    of _edge_successors whose source a backward search finds at every
-    length from 1 to _CYCLE_LEN + _PREFIX_LEN.
-
-    An edge e of a listed cycle sits at some position i0 <= _CYCLE_LEN - 1
-    of its tail's unrolling.  That position lies inside the window
-    edges[:span - j] for every j <= _PREFIX_LEN, where it is asked at
-    length j + 1 + i0 <= _CYCLE_LEN + _PREFIX_LEN.  A found path is a real
-    path, whichever search found it, so _unanswered is False for every j,
-    and the scan already passes over every tail through e.  The kept tails
-    keep their order, so the first violation and its witness are the
-    same; the scan makes a subset of its old queries, so its node count
-    can only fall, and its answers are the same whenever the full scan
-    stays within SEARCH_NODE_BUDGET.  The check runs its own search, so
-    it spends none of that budget.
-
-    At smaller spans the windows are short or empty and nothing is
-    skipped: ex2 plus a clique entered from v[0] has the witness
-    e into (c0_1 c1_0)^inf at horizon 0."""
-    longest = _CYCLE_LEN + _PREFIX_LEN
-    if span < longest:
-        return frozenset()
-    search = _BackwardSearch(pres)
-    return frozenset(
-        e
-        for e in _edge_successors(pres)
-        if all(search.exists(pres.edge_source(e), n)[0] for n in range(1, longest + 1))
-    )
-
-
 def check_condition_y_bounded(
     pres: UltragraphPresentation, horizon: int = 40
 ) -> ConditionYVerdict:
     """Semi-decision: no-sources shortcut, exact decision on finite inputs,
-    and otherwise a search for replacement paths up to the horizon along
-    every representative infinite path.
+    and otherwise a search for replacement paths up to the horizon (at
+    least 0) along every representative infinite path.
 
-    A representative is a tail (a bounded concrete cycle or a
-    self-composing family) behind a backward prefix of at most
-    _PREFIX_LEN edges taken from truncated in-edge lists, so it is an
-    infinite path (see _tails).  It violates the condition up to the
-    horizon iff, for every k <= horizon, the search proves that no path
-    of length k + 1 has the source of its (k+1)-th edge in range.
-    Those k split into the prefix positions, which depend only on the
-    prefix, and the tail positions, which depend only on the tail and the
-    prefix length; each part is decided once and the representatives are
-    never listed, and neither is a cycle through an edge of
-    _skipped_cycle_edges, which could not violate.  The first violation
-    in the order tails, then prefixes in DFS preorder, is the witness,
-    and it is re-checked on its own before it is returned."""
+    A representative is a tail (a concrete cycle of _cycles_from or a
+    family tail of _family_tails) behind a backward prefix of at most
+    _PREFIX_LEN edges from truncated in-edge lists, so it is an infinite
+    path.  It violates the condition up to the horizon iff, for every
+    k <= horizon, the search proves that no path of length k + 1 has the
+    source of its (k+1)-th edge in range.  Of these span = horizon + 1
+    positions, those before j = len(prefix) depend only on the prefix, and
+    the rest only on the tail and j: tail_bad[j] says the search proves
+    them all.  The first violating prefix is looked up once per start
+    vertex and tail_bad, so no representative is listed.  The first
+    violation in the order cycles (sorted), family tails, and for each,
+    prefixes in DFS preorder, is the witness; it is re-checked on its own.
+
+    A cycle tail needs no search: its tail_bad[j] is span <= j.  For each
+    edge e of a concrete cycle and each l >= 1, the l edges before e
+    backward around the cycle are a path with s(e) in its last range.  By
+    induction on l, exists(s(e), l) never answers (False, complete): a
+    complete in-edge list of s(e) holds the cycle edge p before e, so it
+    is nonempty at l = 1, and at l > 1 exists(s(p), l - 1) finds a path or
+    is incomplete, s(p) being on the cycle too, which makes the answer
+    found or incomplete.  A truncated list or a spent budget gives only
+    incomplete answers, and the memo holds only answers so made.  So
+    _unanswered is False on every nonempty window of a cycle's unrolling,
+    and the window behind j prefix edges is empty iff span <= j.
+
+    As span >= 1, a cycle can violate only behind a prefix of span or more
+    edges, so when span > _PREFIX_LEN no cycle is listed.  Below that, a
+    cycle's verdict depends only on its start vertex, and the sorted
+    cycles come grouped by first edge, so only the first cycle that
+    _cycles_from yields from each first edge is taken."""
+    if horizon < 0:
+        raise ValueError(f"the horizon must be at least 0, not {horizon}")
     if not structural_report(pres).has_sources:
         return ConditionYVerdict("holds_no_sources")
     if pres.is_finite:
         return decide_condition_y(pres)
 
-    span = max(0, horizon + 1)  # the positions k = 0..horizon
+    span = horizon + 1  # the positions k = 0..horizon
     search = _BackwardSearch(pres)
-    trees: dict[VertexRef, list[tuple[EdgeInst, ...]]] = {}
-    prefix_bad: dict[tuple[EdgeInst, ...], bool] = {}
     in_edges: dict[VertexRef, list[EdgeInst]] = {}
+    first_bad: dict[tuple, Optional[tuple[EdgeInst, ...]]] = {}
 
-    for tail in _tails(pres, _skipped_cycle_edges(pres, span)):
-        edges = InfinitePathRep((), tail).unroll(max(span, 1))
-        tail_bad = [
-            _unanswered(pres, search, edges[: max(0, span - j)], j + 1)
-            for j in range(_PREFIX_LEN + 1)
-        ]
-        if not any(tail_bad):
-            continue
-        start = pres.edge_source(edges[0])
-        if start not in trees:
-            trees[start] = _prefix_tree(pres, start, in_edges)
-        for prefix in trees[start]:
-            if not tail_bad[len(prefix)]:
-                continue
-            if prefix not in prefix_bad:
-                prefix_bad[prefix] = _unanswered(pres, search, prefix[:span], 1)
-            if prefix_bad[prefix]:
-                witness = InfinitePathRep(prefix, tail)
-                _recheck_violation(pres, witness, horizon)
-                return ConditionYVerdict(
-                    "violation_up_to_horizon", witness=witness, horizon=horizon
-                )
+    def tails():
+        if span <= _PREFIX_LEN:
+            cycle_bad = tuple(span <= j for j in range(_PREFIX_LEN + 1))
+            for first in _edge_successors(pres):
+                cycle = next(_cycles_from(pres, first), None)
+                if cycle is not None:
+                    yield CycleTail(cycle), pres.edge_source(first), cycle_bad
+        for tail in _family_tails(pres):
+            edges = InfinitePathRep((), tail).unroll(span)
+            bad = tuple(
+                _unanswered(pres, search, edges[: max(0, span - j)], j + 1) for j in range(_PREFIX_LEN + 1)
+            )
+            yield tail, pres.edge_source(edges[0]), bad
+
+    for tail, start, tail_bad in tails():
+        key = (start, tail_bad)
+        if any(tail_bad) and key not in first_bad:
+            asked = (p for p in _prefix_tree(pres, start, in_edges) if tail_bad[len(p)])
+            first_bad[key] = next((p for p in asked if _unanswered(pres, search, p[:span], 1)), None)
+        prefix = first_bad.get(key)
+        if prefix is not None:
+            witness = InfinitePathRep(prefix, tail)
+            _recheck_violation(pres, witness, horizon)
+            return ConditionYVerdict("violation_up_to_horizon", witness=witness, horizon=horizon)
     return ConditionYVerdict("unknown", horizon=horizon)
 
 
@@ -421,7 +399,7 @@ def _recheck_violation(
     horizon, by a fresh search along its own unrolling."""
     if not pres.valid_infinite_path(rep, depth=_VALID_DEPTH):
         raise CertificateError(f"witness {rep.label()} is not an infinite path")
-    edges = rep.unroll(max(0, horizon + 1))
+    edges = rep.unroll(horizon + 1)
     if not _unanswered(pres, _BackwardSearch(pres), edges, 1):
         raise CertificateError(
             f"witness {rep.label()} has a replacement path up to horizon {horizon}"

@@ -10,8 +10,9 @@ import jsonschema
 import pytest
 
 from conftest import CORPUS
+from test_condition_y import clique_ray
 from ultragrade.cli import run_cli
-from ultragrade.model import parse_presentation
+from ultragrade.model import parse_presentation, print_presentation
 
 
 def path(name: str) -> str:
@@ -76,6 +77,22 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "frobnicate")[0] == 64
     assert run(capsys)[0] == 64
     assert run(capsys, "check", "not-a-property", path("ef.ug"))[0] == 64
+
+
+def test_negative_horizons_are_usage_errors(capsys, tmp_path):
+    # at horizon -1 no position would be checked, and strong-z used to read
+    # No with a witness on an input where the condition holds
+    clique = tmp_path / "clique3.ug"
+    clique.write_text(print_presentation(clique_ray(3)))
+    for argv in (
+        ("analyze", str(clique)),
+        ("check", "cond-y", str(clique)),
+        ("check", "strong-z", str(clique)),
+    ):
+        code, out, err = run(capsys, *argv, "--horizon", "-1")
+        assert code == 64 and out == "" and "at least 0" in err, argv
+        assert run(capsys, *argv, "--horizon=-1")[0] == 64
+        assert run(capsys, *argv, "--horizon", "0")[0] == 0
 
 
 def test_eval_and_skew_take_no_search_options(capsys):

@@ -441,6 +441,13 @@ def _oracle_concrete_cycles(pres, idx_span=6, max_len=6):
     return sorted(cycles, key=lambda c: [e.sort_key() for e in c])
 
 
+def _concrete_cycles(pres):
+    """Every concrete cycle, walked from each first edge in sorted order;
+    _cycles_from yields each first edge's cycles sorted, so the list is
+    sorted without a sort."""
+    return [cyc for first in condition_y._edge_successors(pres) for cyc in condition_y._cycles_from(pres, first)]
+
+
 def _oracle_representatives(pres, prefix_len=3):
     tails = [CycleTail(cyc) for cyc in _oracle_concrete_cycles(pres)]
     for name, fam in pres.edge_families.items():
@@ -556,7 +563,7 @@ def _same_verdicts(pres, horizons):
     """The library's statuses at each horizon, after checking that the
     oracle gives the same status, witness and horizon, and the same
     cycles."""
-    assert condition_y._concrete_cycles(pres) == _oracle_concrete_cycles(pres)
+    assert _concrete_cycles(pres) == _oracle_concrete_cycles(pres)
     reps = None
     statuses = []
     for horizon in horizons:
@@ -572,9 +579,9 @@ def _same_verdicts(pres, horizons):
     return statuses
 
 
-# Horizons 7 and 8 lie on the two sides of the span at which the scan
-# starts to skip cycle edges (span = horizon + 1 >= 9).
-ORACLE_HORIZONS = (40, 9, 8, 7, 5, 1, 0)
+# Horizons 2 and 3 lie on the two sides of the span from which no cycle
+# is listed (span = horizon + 1 > _PREFIX_LEN).
+ORACLE_HORIZONS = (40, 9, 8, 7, 5, 3, 2, 1, 0)
 
 
 def test_bounded_matches_oracle_on_corpus_and_clique_rays(searches):
@@ -612,53 +619,72 @@ def test_bounded_matches_oracle_on_random_rays(searches):
         # lists every representative, to a few seconds
         pres = random_ray_presentation(rng, max_vertices=5, max_edges=5)
         pres.name = f"ray{i}"
-        for status in _same_verdicts(pres, (40, 9, 8, 7, 3)):
+        for status in _same_verdicts(pres, (40, 9, 8, 7, 3, 2)):
             seen[status] = seen.get(status, 0) + 1
     assert seen.get("violation_up_to_horizon", 0) >= 5, seen
     assert seen.get("unknown", 0) >= 5, seen
     assert all(s.nodes <= s.budget for s in searches)
 
 
-def test_ex2_clique_witness_on_both_sides_of_the_skip():
-    # from span 9 on every clique edge is skipped, and the family tail
-    # gives the witness; below it a clique cycle can still carry one
+def test_ex2_clique7_witnesses():
+    # at horizon 0 a clique cycle behind a one-edge prefix carries the
+    # witness; from horizon 1 on the family tail does, and from horizon 3
+    # on no cycle is listed at all
     pres = load("ex2_clique7.ug")
-    for horizon in (40, 8, 3):
-        assert check_condition_y_bounded(pres, horizon).to_dict()["witness"] == "e f[2..]"
     assert check_condition_y_bounded(pres, 0).to_dict()["witness"] == "e into (c0_1 c1_0)^inf"
-    assert condition_y._skipped_cycle_edges(pres, 8) == frozenset()
-    skipped = condition_y._skipped_cycle_edges(pres, 9)
-    assert EdgeInst("c0_1") in skipped and EdgeInst("into") in skipped
-    # u has no in-edge, so a tail through e must stay
-    assert EdgeInst("e") not in skipped
+    for horizon in (1, 2, 3, 8, 40):
+        assert check_condition_y_bounded(pres, horizon).to_dict()["witness"] == "e f[2..]", horizon
 
 
-def _scan(pres, horizon, searches):
-    """The verdict and the node count of the scan's own search, which
-    check_condition_y_bounded starts before any other."""
-    searches.clear()
-    verdict = check_condition_y_bounded(pres, horizon)
-    return verdict.to_dict(), searches[0].nodes if searches else 0
-
-
-def test_skipping_cycle_edges_changes_no_verdict(searches, monkeypatch):
+def test_cycle_tails_need_no_search():
+    # the lemma of check_condition_y_bounded: on a cycle tail, tail_bad as a
+    # search would answer it is span <= j, whichever search asks; a budget
+    # of 0 leaves every answer incomplete, and the random rays whose range
+    # also holds a core vertex have truncated in-edge lists
     rng = random.Random(211)
     inputs = [clique_ray(k) for k in (3, 4, 5, 6)] + [ex2_clique(k) for k in (3, 4, 5)]
     inputs += [random_ray_presentation(rng, max_vertices=5, max_edges=5) for _ in range(60)]
-    horizons = (40, 9, 8, 3)
-    with_skip = {(i, h): _scan(pres, h, searches) for i, pres in enumerate(inputs) for h in horizons}
-    skipping = sum(bool(condition_y._skipped_cycle_edges(pres, 41)) for pres in inputs)
-    assert skipping > len(inputs) // 2
-    monkeypatch.setattr(condition_y, "_skipped_cycle_edges", lambda pres, span: frozenset())
-    total = total_all = 0
-    for i, pres in enumerate(inputs):
-        for horizon in horizons:
-            verdict, nodes = with_skip[i, horizon]
-            verdict_all, nodes_all = _scan(pres, horizon, searches)
-            assert verdict == verdict_all, (i, horizon)
-            assert nodes <= nodes_all, (i, horizon)
-            total, total_all = total + nodes, total_all + nodes_all
-    assert total < total_all
+    cycles = truncated = 0
+    for pres in inputs:
+        shared = condition_y._BackwardSearch(pres)
+        for cyc in _concrete_cycles(pres):
+            cycles += 1
+            truncated += any(not pres.in_edges(pres.edge_source(e))[1] for e in cyc)
+            for span in range(13):
+                edges = InfinitePathRep((), CycleTail(cyc)).unroll(max(span, 1))
+                want = [span <= j for j in range(condition_y._PREFIX_LEN + 1)]
+                fresh = condition_y._BackwardSearch(pres)
+                for search in (fresh, shared, condition_y._BackwardSearch(pres, 0)):
+                    got = [
+                        condition_y._unanswered(pres, search, edges[: max(0, span - j)], j + 1)
+                        for j in range(condition_y._PREFIX_LEN + 1)
+                    ]
+                    assert got == want, (pres.name, cyc, span)
+    assert cycles > 1000 and truncated >= 20, (cycles, truncated)
+
+
+def test_no_cycle_is_walked_from_horizon_3_on(monkeypatch):
+    walks = []
+    cycles_from = condition_y._cycles_from
+
+    def counted(pres, first):
+        walks.append(first)
+        return cycles_from(pres, first)
+
+    monkeypatch.setattr(condition_y, "_cycles_from", counted)
+    rng = random.Random(211)
+    inputs = [load("ex2_clique7.ug"), clique_ray(6)]
+    inputs += [random_ray_presentation(rng, max_vertices=5, max_edges=5) for _ in range(20)]
+    for pres in inputs:
+        for horizon in (3, 8, 40):
+            check_condition_y_bounded(pres, horizon)
+    assert walks == []
+    # below that, one walk per first edge at most, up to the witness
+    pres = load("ex2_clique7.ug")
+    for horizon in (0, 1, 2):
+        walks.clear()
+        check_condition_y_bounded(pres, horizon)
+        assert walks and len(walks) == len(set(walks)) <= len(condition_y._edge_successors(pres))
 
 
 def test_concrete_cycles_use_the_sixth_family_member():
@@ -670,7 +696,7 @@ def test_concrete_cycles_use_the_sixth_family_member():
         "edge in7 : b -> { r[6] }\nedge back7 : r[7] -> { b }\n"
         "edge_family f[n] (n >= 1) : r[n-1] -> { r[n] }\n"
     )
-    assert condition_y._concrete_cycles(pres) == [
+    assert _concrete_cycles(pres) == [
         (EdgeInst("back6"), EdgeInst("in6"), EdgeInst("f", 6))
     ]
 
@@ -690,10 +716,19 @@ def test_every_tail_is_an_infinite_path():
     inputs += [random_ray_presentation(rng, max_vertices=5, max_edges=5) for _ in range(60)]
     tails = 0
     for pres in inputs:
-        for tail in condition_y._tails(pres):
+        for tail in [CycleTail(cyc) for cyc in _concrete_cycles(pres)] + condition_y._family_tails(pres):
             assert pres.valid_infinite_path(InfinitePathRep((), tail), depth=20), pres.name
             tails += 1
     assert tails > 100
+
+
+def test_negative_horizons_are_refused():
+    # a negative horizon would check no position at all and read as a
+    # violation of every representative
+    for name in ("ex2.ug", "ef.ug", "single_loop.ug"):
+        with pytest.raises(ValueError, match="at least 0"):
+            check_condition_y_bounded(load(name), -1)
+    assert check_condition_y_bounded(clique_ray(3), 0).status == "violation_up_to_horizon"
 
 
 def test_budget_cut_search_stays_unknown(monkeypatch):

@@ -735,6 +735,27 @@ def test_sabotaged_images_are_caught():
     assert not report2["all_pass"]
 
 
+def test_relation_1_checks_each_distinct_set_once():
+    # in ef both ranges are {v}, the singleton of v, so the pool of five
+    # sets holds three distinct ones; each ordered pair of those that the
+    # sabotaged projections break gives one product line, and no pair of
+    # repeated sets adds another
+    pres = load("ef.ug")
+    report = verify_generator_relations(pres, depth=3, image=_sabotage_projections)
+    sets = [VertexSet.of(v) for v in pres.all_vertices()]
+    sets += [pres.edges[eid].range for eid in sorted(pres.edges)] + [pres.g0_universe()]
+    distinct = set(sets)
+    assert len(sets) == 5 and len(distinct) == 3
+
+    def img(vset):
+        return _sabotage_projections(pres, "p", vset)
+
+    broken = sum(img(a) * img(b) != img(a.intersection(b)) for a in distinct for b in distinct)
+    assert 0 < broken < 9
+    lines = report["failures"].count("projection product disagrees with intersection")
+    assert lines == broken and not report["relation1"]
+
+
 def test_relation_verdicts_do_not_depend_on_depth():
     rng = random.Random(1729)
     cases = [(load(name), phi_image) for name in FINITE_CORPUS]
