@@ -14,9 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .condition_y import _BackwardSearch, _edge_successors, incoming_length_profile
+from .condition_y import _edge_successors, incoming_length_profile
 from .errors import (
-    BoundExceeded,
     CertificateError,
     MixedPresentation,
     NotFinite,
@@ -24,7 +23,6 @@ from .errors import (
     NotHomogeneous,
     NotStronglyGraded,
     NotUnital,
-    PathLengthCap,
     TermCountCap,
 )
 from .freegroup import FreeWord
@@ -32,7 +30,6 @@ from .lattice import is_unital
 from .model import EdgeInst, UltragraphPresentation, VertexRef, VertexSet
 from .structure import structural_report
 
-PATH_LENGTH_CAP = 64
 TERM_COUNT_CAP = 10**4
 
 Coeff = Union[int, Fraction]
@@ -100,8 +97,6 @@ class AlgebraElement:
         _check_coeff(coeff)
         alpha, beta = tuple(alpha), tuple(beta)
         for path in (alpha, beta):
-            if len(path) > PATH_LENGTH_CAP:
-                raise PathLengthCap(f"path length {len(path)} exceeds {PATH_LENGTH_CAP}")
             if not pres.is_path(path):
                 raise ValueError(f"not a path: {' '.join(e.label() for e in path)}")
         vs = middle
@@ -216,8 +211,6 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     raw: dict = {}
 
     def add(alpha: Path, beta: Path, vs: VertexSet, c: Coeff) -> None:
-        if len(alpha) > PATH_LENGTH_CAP or len(beta) > PATH_LENGTH_CAP:
-            raise PathLengthCap("product path exceeds the length cap")
         if alpha:
             vs = vs.intersection(pres.edge_range(alpha[-1]))
         if beta:
@@ -322,15 +315,6 @@ def all_paths(pres: UltragraphPresentation, length: int) -> list[Path]:
 # -- epsilon units -------------------------------------------------------
 
 
-def _unit_paths(pres: UltragraphPresentation, m: int) -> list[Path]:
-    """all_paths(pres, m), refused past PATH_LENGTH_CAP as monomial would
-    refuse each of them."""
-    paths = all_paths(pres, m)
-    if paths and m > PATH_LENGTH_CAP:
-        raise PathLengthCap(f"path length {m} exceeds {PATH_LENGTH_CAP}")
-    return paths
-
-
 def _path_element(pres: UltragraphPresentation, keys: Iterable[tuple[Path, Path]]) -> AlgebraElement:
     """Σ s_α p_{r(e)} s_β* over the pairs (α, β), where e is the last edge
     of α, or of β when α is empty, and α and β end in the same edge when
@@ -350,7 +334,7 @@ def epsilon_candidate(pres: UltragraphPresentation, n: int) -> AlgebraElement:
             raise NotUnital("the algebra has no unit")
         return AlgebraElement.projection(pres, pres.g0_universe())
     if n > 0:
-        return _path_element(pres, ((p, p) for p in _unit_paths(pres, n)))
+        return _path_element(pres, ((p, p) for p in all_paths(pres, n)))
     # the last ranges of the paths of length |n| cover what they reach
     return AlgebraElement.projection(pres, incoming_length_profile(pres).reached(-n))
 
@@ -418,7 +402,7 @@ def verify_epsilon(pres: UltragraphPresentation, n: int, cand: AlgebraElement) -
         return all(multiply(cand, g) == g and multiply(g, cand) == g for g in gens)
     m = abs(n)
     if n > 0:
-        for p in _unit_paths(pres, m):
+        for p in all_paths(pres, m):
             sp = _path_element(pres, [(p, ())])
             if multiply(cand, sp) != sp:
                 return False
@@ -441,18 +425,48 @@ def verify_epsilon(pres: UltragraphPresentation, n: int, cand: AlgebraElement) -
 # -- strong-grading factorization certificates ---------------------------
 
 
-def _first_in_edges(pres: UltragraphPresentation) -> dict[VertexRef, EdgeInst]:
-    """Each vertex's first in-edge in id order, from one pass over the
-    edges in that order; built once per finite presentation."""
+def _in_edge_map(pres: UltragraphPresentation) -> dict[VertexRef, list[EdgeInst]]:
+    """Each vertex's in-edges in id order, from one pass over the edges in
+    that order; built once per finite presentation."""
 
-    def build(p: UltragraphPresentation) -> dict[VertexRef, EdgeInst]:
-        first: dict[VertexRef, EdgeInst] = {}
+    def build(p: UltragraphPresentation) -> dict[VertexRef, list[EdgeInst]]:
+        into: dict[VertexRef, list[EdgeInst]] = {}
         for eid in sorted(p.edges):
+            e = EdgeInst(eid)
             for u in p.edges[eid].range.vertices():
-                first.setdefault(u, EdgeInst(eid))
-        return first
+                into.setdefault(u, []).append(e)
+        return into
 
-    return pres.derived("first_in_edges", build)
+    return pres.derived("in_edge_map", build)
+
+
+def _replacement_path(pres: UltragraphPresentation, u: VertexRef, length: int) -> Path:
+    """A path of the given length with u in its last range, read off the
+    length profile: walking back from u, at each step k = length, ..., 1
+    take the first in-edge in id order that ends a path of length k, one of
+    depth at least k or None (LengthProfile), and move to its source.
+
+    The walk never gets stuck once it starts: if e ends a path of length
+    k > 1, the first k − 1 edges of that path have s(e) in their last
+    range, so some in-edge of s(e) ends a path of length k − 1.  So it
+    raises CertificateError exactly when u is not in reached(length).  It
+    takes the path that a depth-first search over the in-edges in id order
+    takes first, since an edge e with source w ends a path of length k iff
+    w is in reached(k − 1)."""
+    depth = incoming_length_profile(pres).depth
+    into = _in_edge_map(pres)
+    tau: list[EdgeInst] = []
+    w = u
+    for k in range(length, 0, -1):
+        for e in into.get(w, ()):
+            d = depth[e.name]
+            if d is None or d >= k:
+                break
+        else:
+            raise CertificateError(f"no replacement path of length {length} into {u.label()}")
+        tau.append(e)
+        w = pres.edge_source(e)
+    return tuple(reversed(tau))
 
 
 def strong_factorization(
@@ -460,13 +474,18 @@ def strong_factorization(
 ) -> list[tuple[AlgebraElement, AlgebraElement]]:
     """Pairs (aᵢ, bᵢ) of degree (n, −n) with Σ aᵢbᵢ = p_v, for n = ±1.
 
-    At a source the expansion is cut at paths of depth_bound edges, a
-    safety cap that scales with the length profile's settle length S.  S
-    is at least the number of distinct sets in reached(1), reached(2), ...:
-    those sets only shrink, and from length S on they are all equal, so at
-    most S of them differ.  That count is the one the cap was first sized
-    by, so the cap is never smaller than that, and a larger cap can only
-    raise BoundExceeded later; it never changes a certificate."""
+    For n = −1, p_v is expanded along the paths γ out of v.  A branch
+    (γ, u), with u in the last range of γ (u = v at γ = ()), closes when u
+    is in reached(|γ| + 1), with the pair s_γ p_u s_τ*, s_τ p_u s_γ* for
+    the replacement path τ of _replacement_path; otherwise p_u is split
+    over the out-edges of u, which is no sink.  So a vertex in some range
+    closes at γ = () with its first in-edge, and only a source expands.
+
+    Every branch closes by |γ| = S, the profile's settle length: for
+    |γ| >= 1, γ is a path into u, so u is in reached(|γ|), and
+    reached(l) = reached(S) for every l >= S; at |γ| = S that gives
+    u in reached(S + 1).  The ultragraph is finite, so each split has
+    finitely many branches, and the expansion ends without a cap."""
     if n not in (1, -1):
         raise ValueError("n must be 1 or -1")
     if not pres.is_finite:
@@ -474,7 +493,6 @@ def strong_factorization(
     report = structural_report(pres)
     if report.has_sinks or not report.row_finite:
         raise NotStronglyGraded("the algebra is not strongly graded")
-    point = VertexSet.of(v)
     out = pres.out_edge_map()
     if n == 1:
         return [
@@ -484,37 +502,18 @@ def strong_factorization(
             )
             for e in out[v]
         ]
-    e = _first_in_edges(pres).get(v)
-    if e is not None:
-        a = AlgebraElement.monomial(pres, (), point, (e,))
-        b = AlgebraElement.monomial(pres, (e,), point, ())
-        return [(a, b)]
-    # v is a source: expand p_v along outgoing paths until every branch
-    # reaches a vertex u with a replacement path of length |γ|+1 (such a
-    # path exists under Condition (Y); an unbounded uncovered branch would
-    # be a Condition (Y) violation)
-    search = _BackwardSearch(pres)
     profile = incoming_length_profile(pres)
-    depth_bound = len(pres.all_vertices()) * profile.settle + 2
     pairs: list[tuple[AlgebraElement, AlgebraElement]] = []
-    work: list[tuple[Path, VertexRef]] = [
-        ((e,), u)
-        for e in out[v]
-        for u in pres.edge_range(e).vertices()
-    ]
+    work: list[tuple[Path, VertexRef]] = [((), v)]
     while work:
         gamma, u = work.pop()
         if profile.reached(len(gamma) + 1).member(u):
-            tau = search.find(u, len(gamma) + 1)
-            if tau is None:
-                raise CertificateError(f"no replacement path of length {len(gamma) + 1} into {u.label()}")
+            tau = _replacement_path(pres, u, len(gamma) + 1)
             mid = VertexSet.of(u)
             a = AlgebraElement.monomial(pres, gamma, mid, tau)
             b = AlgebraElement.monomial(pres, tau, mid, gamma)
             pairs.append((a, b))
             continue
-        if len(gamma) >= depth_bound:
-            raise BoundExceeded(len(gamma))
         for e in out[u]:
             for u2 in pres.edge_range(e).vertices():
                 work.append((gamma + (e,), u2))

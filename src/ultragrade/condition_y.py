@@ -127,10 +127,10 @@ def decide_condition_y(pres: UltragraphPresentation) -> ConditionYVerdict:
 
 
 class _BackwardSearch:
-    """Existence (and construction) of paths of given length ending with a
-    given vertex in range, over an arbitrary presentation.  Truncated
-    predecessor enumerations make negative answers incomplete; the
-    `complete` flag records that."""
+    """Existence of paths of given length ending with a given vertex in
+    range, over an arbitrary presentation.  Truncated predecessor
+    enumerations make negative answers incomplete; the `complete` flag
+    records that."""
 
     def __init__(self, pres: UltragraphPresentation, budget: int = SEARCH_NODE_BUDGET):
         self.pres = pres
@@ -166,19 +166,6 @@ class _BackwardSearch:
             result = (found, True if found else sub_complete)
         self.memo[key] = result
         return result
-
-    def find(self, v: VertexRef, length: int) -> Optional[tuple[EdgeInst, ...]]:
-        ok, _ = self.exists(v, length)
-        if not ok:
-            return None
-        incoming, _ = self._in_edges(v)
-        if length == 1:
-            return (incoming[0],)
-        for e in incoming:
-            head = self.find(self.pres.edge_source(e), length - 1)
-            if head is not None:
-                return head + (e,)
-        return None
 
 
 # -- representatives of infinite paths ----------------------------------

@@ -46,10 +46,6 @@ class MixedPresentation(UltragradeError):
     pass
 
 
-class PathLengthCap(UltragradeError):
-    pass
-
-
 class TermCountCap(UltragradeError):
     pass
 
@@ -60,12 +56,6 @@ class NoEdges(UltragradeError):
 
 class NotStronglyGraded(UltragradeError):
     pass
-
-
-class BoundExceeded(UltragradeError):
-    def __init__(self, depth: int):
-        super().__init__(f"search bound exceeded at depth {depth}")
-        self.depth = depth
 
 
 class NotInDomain(UltragradeError):

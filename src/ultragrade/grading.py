@@ -124,6 +124,10 @@ def _strong_z_certificate(pres: UltragraphPresentation) -> dict:
     return {"kind": "vertex_factorizations", "pairs": factorizations}
 
 
+# the longest path for which the degree-n units are listed path by path
+PATH_LENGTH_CAP = 64
+
+
 def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
     if pres.edge_families:
         return GradingVerdict(
@@ -150,10 +154,10 @@ def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
         return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
     # acyclic: only finitely many graded components are nonzero, so a
     # finite family of verified unit candidates settles the question
-    if horizon > algebra.PATH_LENGTH_CAP:
+    if horizon > PATH_LENGTH_CAP:
         reasons.append(
             f"longest path has {horizon} edges, over PATH_LENGTH_CAP = "
-            f"{algebra.PATH_LENGTH_CAP}: unit certificates not attempted"
+            f"{PATH_LENGTH_CAP}: unit certificates not attempted"
         )
         return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
     certificate: dict[str, str] = {}

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
+from typing import Optional
 
+from ultragrade.condition_y import _BackwardSearch
 from ultragrade.errors import InfiniteEmitter
 from ultragrade.model import (
     CycleTail,
@@ -79,6 +81,16 @@ def named_chain(n: int) -> UltragraphPresentation:
     return parse_presentation("\n".join(lines) + "\n")
 
 
+def source_chain(n: int) -> UltragraphPresentation:
+    """t[0] ... t[n-1] and a_i : t[i] -> { t[i+1] } feeding a loop at c,
+    a_{n-1} : t[n-1] -> { c } and loop : c -> { c }
+    (corpus/source_chain64.ug at n = 64)."""
+    lines = [f"ultragraph source_chain{n}", f"vertex_family t finite {n}", "vertex c"]
+    lines += [f"edge a{i} : t[{i}] -> {{ t[{i + 1}] }}" for i in range(n - 1)]
+    lines += [f"edge a{n - 1} : t[{n - 1}] -> {{ c }}", "edge loop : c -> { c }"]
+    return parse_presentation("\n".join(lines) + "\n")
+
+
 def shift_path(p: InfinitePathRep) -> InfinitePathRep:
     """The shift map: drop the first edge."""
     if p.prefix:
@@ -87,6 +99,26 @@ def shift_path(p: InfinitePathRep) -> InfinitePathRep:
         c = p.tail.edges
         return InfinitePathRep((), CycleTail(c[1:] + c[:1]))
     return InfinitePathRep((), FamilyTail(p.tail.family, p.tail.start + 1))
+
+
+class PathSearch(_BackwardSearch):
+    """The backward search that also builds its paths: the first path of
+    the given length into v found depth first over the in-edges in id
+    order.  The strong-Z certificate once took its replacement paths from
+    here; now it is the oracle for the paths read off the length profile."""
+
+    def find(self, v: VertexRef, length: int) -> Optional[tuple[EdgeInst, ...]]:
+        ok, _ = self.exists(v, length)
+        if not ok:
+            return None
+        incoming, _ = self._in_edges(v)
+        if length == 1:
+            return (incoming[0],)
+        for e in incoming:
+            head = self.find(self.pres.edge_source(e), length - 1)
+            if head is not None:
+                return head + (e,)
+        return None
 
 
 def star(x):

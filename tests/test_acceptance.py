@@ -30,7 +30,6 @@ from ultragrade.algebra import (
     z_degree,
 )
 from ultragrade.condition_y import check_condition_y_bounded, decide_condition_y
-from ultragrade.errors import BoundExceeded
 from ultragrade.grading import analyze, classify_eps_strong_z, classify_strong_f, classify_strong_z
 from ultragrade.model import EdgeInst, FamilyTail
 from ultragrade.partial_action import phi_of_element, verify_generator_relations
@@ -125,11 +124,7 @@ def test_criterion_07_end_to_end_factorizations_200():
         strongly_graded += 1
         for v in pres.all_vertices():
             for n in (1, -1):
-                try:
-                    pairs = strong_factorization(pres, v, n)
-                except BoundExceeded:
-                    failures += 1
-                    continue
+                pairs = strong_factorization(pres, v, n)
                 if not verify_factorization(pres, v, pairs, n):
                     failures += 1
     assert failures == 0

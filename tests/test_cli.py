@@ -46,6 +46,19 @@ def test_analyze_text_and_json_agree(capsys):
     assert report["condition_y"]["witness"] in out_text
 
 
+def test_paths_longer_than_the_unit_cap(capsys, monkeypatch):
+    # the strong-Z certificate and a product are not bounded by the cap
+    # on the epsilon-unit certificates
+    monkeypatch.setenv("ULTRAGRADE_COLOR", "never")
+    code, out, _ = run(capsys, "check", "strong-z", path("source_chain64.ug"))
+    assert code == 0 and "Yes" in out
+    chain = " ".join(f"a{i}" for i in range(64))
+    code, out, _ = run(capsys, "eval", path("source_chain64.ug"), f"s({chain}) * s(loop)")
+    assert code == 0
+    assert f"normal form: s({chain} loop) p{{c}}" in out
+    assert "z-degree: 65" in out
+
+
 def test_check_exit_codes(capsys, monkeypatch):
     monkeypatch.setenv("ULTRAGRADE_COLOR", "never")
     code, out, _ = run(capsys, "check", "strong-z", path("two_cycle.ug"))

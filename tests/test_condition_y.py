@@ -14,7 +14,7 @@ from typing import Union
 import networkx as nx
 import pytest
 
-from conftest import CORPUS, FINITE_CORPUS, load, named_chain, random_presentation, shift_path
+from conftest import CORPUS, FINITE_CORPUS, PathSearch, load, named_chain, random_presentation, shift_path
 from ultragrade import algebra, condition_y
 from ultragrade.condition_y import (
     ConditionYVerdict,
@@ -372,7 +372,7 @@ def condition_y_witness(
     infinite path, searched for k up to the horizon."""
     if m < 1:
         raise ValueError("m must be positive")
-    search = condition_y._BackwardSearch(pres)
+    search = PathSearch(pres)
     edges = p.unroll(horizon + 2)
     shifted = p
     for k in range(horizon + 1):

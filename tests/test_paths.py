@@ -1,33 +1,39 @@
-"""Path enumeration, the longest path, the product and the epsilon-unit
-checks, each against the straightforward version it replaced: every
-length enumerated anew, lengths tried one by one, a recursive cycle
-search, a product that pairs every term with every term, a product that
-pairs terms through a first-edge index, and a range check per path."""
+"""Path enumeration, the longest path, the product, the epsilon-unit
+checks and the replacement paths, each against the straightforward
+version it replaced: every length enumerated anew, lengths tried one by
+one, a recursive cycle search, a product that pairs every term with every
+term, a product that pairs terms through a first-edge index, a range
+check per path, and a backward search over the in-edges."""
 
 from __future__ import annotations
 
 import random
 
 from conftest import (
+    CORPUS,
     FINITE_CORPUS,
+    PathSearch,
     load,
     random_element,
     random_path,
     random_presentation,
     random_vertex_set,
+    source_chain,
     star,
 )
 from ultragrade import algebra
 from ultragrade.algebra import (
-    PATH_LENGTH_CAP,
     AlgebraElement,
     all_paths,
     epsilon_candidate,
     multiply,
+    strong_factorization,
     verify_epsilon,
+    verify_factorization,
 )
 from ultragrade.condition_y import incoming_length_profile
-from ultragrade.grading import analyze, classify_eps_strong_z
+from ultragrade.errors import CertificateError
+from ultragrade.grading import PATH_LENGTH_CAP, analyze, classify_eps_strong_z
 from ultragrade.lattice import is_unital
 from ultragrade.model import Edge, EdgeInst, UltragraphPresentation, VertexRef, VertexSet
 
@@ -488,3 +494,80 @@ def test_term_count_cap_is_undetermined(monkeypatch):
     verdict = classify_eps_strong_z(pres)
     assert verdict.status == "Undetermined"
     assert "hit TERM_COUNT_CAP" in verdict.reasons[-1]
+
+
+# -- replacement paths of the strong-Z certificate ---------------------------
+
+
+def _finite_corpus_and_random(seed: int, count: int):
+    """Every finite corpus presentation, then `count` seeded ones, half of
+    them sinkless."""
+    for p in sorted(CORPUS.glob("*.ug")):
+        pres = load(p.name)
+        if pres.is_finite:
+            yield pres
+    rng = random.Random(seed)
+    for i in range(count):
+        yield random_presentation(rng, sinkless=i % 2 == 1)
+
+
+def test_replacement_paths_match_the_search_oracle():
+    cases = raised = 0
+    for pres in _finite_corpus_and_random(1616, 300):
+        profile = incoming_length_profile(pres)
+        search = PathSearch(pres)
+        for u in pres.all_vertices():
+            for length in range(1, profile.settle + 3):
+                cases += 1
+                ok, complete = search.exists(u, length)
+                assert complete
+                expected = search.find(u, length)
+                assert (expected is not None) == ok == profile.reached(length).member(u)
+                try:
+                    tau = algebra._replacement_path(pres, u, length)
+                except CertificateError as exc:
+                    assert "no replacement path" in str(exc)
+                    assert expected is None, (pres.name, u, length)
+                    raised += 1
+                    continue
+                assert tau == expected, (pres.name, u, length)
+                assert pres.is_path(tau) and pres.edge_range(tau[-1]).member(u)
+    assert cases > 40000 and 0 < raised < cases
+
+
+def _certificate_gammas(pres, v):
+    """The degree −1 factorization of p_v, re-checked, and the path γ of
+    each of its pairs s_γ p_u s_τ*, s_τ p_u s_γ*."""
+    pairs = strong_factorization(pres, v, -1)
+    assert verify_factorization(pres, v, pairs, -1)
+    gammas = []
+    for a, _ in pairs:
+        ((gamma, _),) = a.terms
+        gammas.append(gamma)
+    return gammas
+
+
+def test_certificate_branches_close_by_the_settle_length():
+    rng = random.Random(1717)
+    longest = 0
+    for _ in range(300):
+        pres = random_presentation(rng, sinkless=True)
+        settle = incoming_length_profile(pres).settle
+        for v in pres.all_vertices():
+            for gamma in _certificate_gammas(pres, v):
+                assert len(gamma) <= settle
+                longest = max(longest, len(gamma))
+    assert longest >= 2
+    assert source_chain(64).edges == load("source_chain64.ug").edges
+    for n in (64, 70, 200):
+        pres = source_chain(n)
+        settle = incoming_length_profile(pres).settle
+        assert settle == n + 1
+        for v in pres.all_vertices():
+            gammas = _certificate_gammas(pres, v)
+            assert all(len(gamma) <= settle for gamma in gammas)
+        # the source's one branch runs down the chain and closes at the
+        # loop with a replacement path one edge longer
+        (pair,) = strong_factorization(pres, VertexRef("t", 0), -1)
+        ((gamma, tau),) = pair[0].terms
+        assert len(gamma) == n and len(tau) == n + 1
