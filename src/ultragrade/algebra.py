@@ -11,8 +11,9 @@ contraction, never implicitly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .condition_y import _edge_successors, incoming_length_profile
 from .errors import (
@@ -315,18 +316,94 @@ def all_paths(pres: UltragraphPresentation, length: int) -> list[Path]:
 # -- epsilon units -------------------------------------------------------
 
 
-def _path_element(pres: UltragraphPresentation, keys: Iterable[tuple[Path, Path]]) -> AlgebraElement:
-    """Σ s_α p_{r(e)} s_β* over the pairs (α, β), where e is the last edge
-    of α, or of β when α is empty, and α and β end in the same edge when
-    both are nonempty.  The paths come from all_paths, which builds paths
-    only along edge_successors, so unlike monomial this does not walk them
-    again; the middle r(e) is what monomial would leave of it."""
-    return AlgebraElement._from_raw(
-        pres, {(a, b): [(1, pres.edge_range((a or b)[-1]))] for a, b in keys}
-    )
+Node = tuple  # (k, A): a path length k and a range type A
 
 
-def epsilon_candidate(pres: UltragraphPresentation, n: int) -> AlgebraElement:
+class UnitNodes(NamedTuple):
+    """The degree-n unit ε_n = Σ_{|α|=n} s_α p_{r(α)} s_α*, n > 0, as shared
+    nodes N(k, A) = Σ_{|α|=k, s(α)∈A} s_α p_{r(α)} s_α*, so that
+    N(k, A) = Σ_{s(e)∈A} s_e N(k − 1, r(e)) s_e*, N(0, A) = p_A and
+    ε_n = N(n, V).  A node is keyed by (k, A), where the range type A is V,
+    all vertices, or some r(e).  `nodes` maps (0, A) to the set A of p_A,
+    and (k, A), k >= 1, to its children: the pairs (e, (k − 1, r(e))) in
+    edge-id order.  A node with no path of length k out of A is zero, and
+    it is left out together with the children that would point at it, so
+    the expansion is the path-by-path sum term for term.  `root` is (n, V),
+    or None when ε_n = 0."""
+
+    root: Optional[Node]
+    nodes: dict
+
+
+def _type_out_edges(pres: UltragraphPresentation) -> dict[VertexSet, tuple[EdgeInst, ...]]:
+    """Each range type A, V first, with the edges whose source lies in A,
+    in id order: every edge for V, and edge_successors(e) for r(e); built
+    once per presentation."""
+
+    def build(p: UltragraphPresentation) -> dict[VertexSet, tuple[EdgeInst, ...]]:
+        succ = edge_successors(p)
+        out = {p.g0_universe(): tuple(succ)}
+        for e, nxt in succ.items():
+            out.setdefault(p.edge_range(e), tuple(nxt))
+        return out
+
+    return pres.derived("type_out_edges", build)
+
+
+def _type_heights(pres: UltragraphPresentation) -> dict[VertexSet, float]:
+    """H(A), the most edges on a path out of A (one with s(α) ∈ A), for
+    each range type A, or math.inf when such paths are arbitrarily long;
+    built once per presentation.  Level k keeps the types that a path of
+    length k leaves: level 0 keeps them all, and level k + 1 those with an
+    edge e out of them whose r(e) level k keeps.  The levels only shrink,
+    since a path of length k + 1 starts with one of length k, so H(A) is
+    the last level that keeps A, and a level equal to the one before it
+    keeps its types at every length."""
+
+    def build(p: UltragraphPresentation) -> dict[VertexSet, float]:
+        out = _type_out_edges(p)
+        height: dict[VertexSet, float] = {}
+        live, k = set(out), 0
+        while live:
+            kept = {a for a in live if any(p.edge_range(e) in live for e in out[a])}
+            if kept == live:
+                height.update(dict.fromkeys(live, math.inf))
+                break
+            height.update(dict.fromkeys(live - kept, k))
+            live, k = kept, k + 1
+        return height
+
+    return pres.derived("type_heights", build)
+
+
+def _unit_nodes(pres: UltragraphPresentation, n: int) -> UnitNodes:
+    """The nodes of ε_n that its root reaches.  N(k, A) is nonzero iff a
+    path of length k leaves A, iff k <= H(A)."""
+    out, height = _type_out_edges(pres), _type_heights(pres)
+    universe = pres.g0_universe()
+    if height[universe] < n:
+        return UnitNodes(None, {})
+    nodes: dict = {}
+    work = [(n, universe)]
+    while work:
+        key = work.pop()
+        if key in nodes:
+            continue
+        k, a = key
+        if k == 0:
+            nodes[key] = a
+            continue
+        kids = tuple(
+            (e, (k - 1, pres.edge_range(e))) for e in out[a] if height[pres.edge_range(e)] >= k - 1
+        )
+        nodes[key] = kids
+        work.extend(child for _, child in kids)
+    return UnitNodes((n, universe), nodes)
+
+
+def epsilon_candidate(pres: UltragraphPresentation, n: int) -> Union[AlgebraElement, UnitNodes]:
+    """The candidate unit of degree n: p_V at n = 0, p_{reached(|n|)} for
+    n < 0, and the shared nodes of UnitNodes for n > 0."""
     if pres.edge_families:
         raise NotFiniteEdges("epsilon units need a finite edge set")
     if n == 0:
@@ -334,7 +411,7 @@ def epsilon_candidate(pres: UltragraphPresentation, n: int) -> AlgebraElement:
             raise NotUnital("the algebra has no unit")
         return AlgebraElement.projection(pres, pres.g0_universe())
     if n > 0:
-        return _path_element(pres, ((p, p) for p in all_paths(pres, n)))
+        return _unit_nodes(pres, n)
     # the last ranges of the paths of length |n| cover what they reach
     return AlgebraElement.projection(pres, incoming_length_profile(pres).reached(-n))
 
@@ -351,47 +428,91 @@ def _last_ranges(pres: UltragraphPresentation, m: int) -> list[VertexSet]:
 
 def _relevant_edges(pres: UltragraphPresentation, m: int) -> list[EdgeInst]:
     """Edges that can begin the path part of a nonzero monomial of degree
-    ±m, i.e. edges from which some path of length j reaches a vertex set
-    meeting the ranges of length-(j+m) paths."""
-    profile = incoming_length_profile(pres)
+    ±m, i.e. edges e from which some path e … g of length j >= 1 has r(g)
+    meeting reached(j + m), in id order.  They are the edges with
+    B(e) >= m, for bounds computed once per presentation.
+
+    Let ind(u) be the largest depth of an edge whose range holds u, with
+    depth None read as ∞.  reached(l) is the union of the ranges of the
+    edges of depth at least l or None, so u is in reached(l) iff
+    ind(u) >= l, and r(g) meets reached(j + m) iff R(g) >= j + m, where
+    R(g) = max_{u∈r(g)} ind(u).  So e qualifies iff
+    B(e) = sup over the paths e … g of (R(g) − |e … g|) is at least m.
+    Splitting off the first edge gives
+    B(e) = max(R(e), max_{f∈succ(e)} B(f)) − 1.  An edge of depth None
+    has R at least its own depth, so B(e) = ∞ once e reaches one.
+    Otherwise every edge that e reaches has a finite depth, one more at
+    least along each step, so the paths from e are finitely many, the sup
+    is a max, and the recursion, taken in decreasing depth, meets each
+    successor first.  ind is read off the atoms of the ranges
+    (VertexSet.refine), so an infinite range needs no listing."""
+    bound = pres.derived("relevance_bounds", _relevance_bounds)
+    return [e for e, b in bound.items() if b >= m]
+
+
+def _relevance_bounds(pres: UltragraphPresentation) -> dict[EdgeInst, float]:
+    depth = incoming_length_profile(pres).depth
     succ = edge_successors(pres)
-
-    def reaches(e: EdgeInst) -> bool:
-        last = frozenset([e])
-        j = 1
-        seen = set()
-        while last:
-            target = profile.reached(j + m)
-            state = (last, target)
-            if state in seen:
-                return False
-            seen.add(state)
-            if any(pres.edge_range(g).intersection(target) for g in last):
-                return True
-            last = frozenset(f for g in last for f in succ[g])
-            j += 1
-        return False
-
-    return [e for e in succ if reaches(e)]
+    edges = list(succ)
+    d = {e: math.inf if depth[e.name] is None else depth[e.name] for e in edges}
+    top = dict.fromkeys(edges, 0)  # R(e)
+    for _, held in VertexSet.refine(pres.edge_range(e) for e in edges):
+        ind = max(d[edges[i]] for i in held)
+        for i in held:
+            top[edges[i]] = max(top[edges[i]], ind)
+    bound: dict[EdgeInst, float] = {}
+    for e in sorted(edges, key=d.__getitem__, reverse=True):
+        b = top[e]
+        if b != math.inf:
+            b = max([b] + [bound[f] for f in succ[e]])
+        bound[e] = b - 1
+    return {e: bound[e] for e in edges}
 
 
-def verify_epsilon(pres: UltragraphPresentation, n: int, cand: AlgebraElement) -> bool:
+def verify_epsilon(
+    pres: UltragraphPresentation, n: int, cand: Union[AlgebraElement, UnitNodes]
+) -> bool:
     """Check that cand is a left identity on the degree-n component and a
     right identity on the degree-(−n) component.
 
     Reduction to finitely many checks: every degree-n monomial (n > 0)
     left-factors as s_γ·w and every degree-(−n) monomial right-factors as
-    w·s_γ* with |γ| = n and w of degree 0, so the generator checks on
-    length-n paths decide both identities.  For n < 0 the factorizations
-    bottom out in p_{r(δ)} blocks (|δ| = |n|) and single s_e / s_e*
-    letters for edges that actually begin such monomials.
+    w·s_γ* with |γ| = n and w of degree 0, so it is enough that
+    ε_n s_β = s_β and s_β* ε_n = s_β* for every path β of length n.  For
+    n < 0 the factorizations bottom out in p_{r(δ)} blocks (|δ| = |n|)
+    and single s_e / s_e* letters for edges that actually begin such
+    monomials.
 
     For n < 0 each block p_{r(δ)} depends on δ only through its last
     range, and two paths with the same last range give the same two
     products, so each distinct range is checked once; _last_ranges finds
-    them from the length profile without listing the paths.  For n > 0
-    each path gives its own generators s_p and s_p*, so each is checked
-    once.
+    them from the length profile without listing the paths.
+
+    For n > 0 cand is a UnitNodes certificate, and its shape is
+    re-checked: the root is (n, V), or None exactly when no path of
+    length n exists; a node (0, A) is p_A; a node (k, A), k >= 1, has as
+    children exactly the edges e with s(e) ∈ A whose node (k − 1, r(e))
+    is nonzero, in id order, each pointing at that node, which is listed.
+    A node (k, A) is nonzero iff k <= H(A) (_type_heights), and the
+    heights are checked against H(A) = max_{s(e)∈A} (1 + H(r(e))), 0 when
+    no edge leaves A.  Nothing else solves these equations: by induction
+    on the true H where it is finite, and a cycle of types A → r(e) is a
+    cycle of edges, around which a finite value would exceed itself.
+    Then, once per distinct A, not once per k, the one-level element
+    L(A) = Σ_{s(e)∈A} s_e p_{r(e)} s_e* must give L(A) s_e = s_e and
+    s_e* L(A) = s_e* for each child e, through multiply.
+
+    Claim: for every listed node (k, A), k >= 1, and every path β of
+    length k with s(β) ∈ A, N(k, A) s_β = s_β and s_β* N(k, A) = s_β*.
+    By induction on k.  Write β = e β'.  Then s(e) ∈ A, and β' is a path
+    of length k − 1 out of r(e), so (k − 1, r(e)) is nonzero and e is a
+    child.  Since s_f* s_e = δ_{fe} p_{r(e)},
+    N(k, A) s_β = s_e N(k − 1, r(e)) p_{r(e)} s_β'.  At k = 1, β' is
+    empty and every e out of A is a child, so N(1, A) = L(A), and the
+    claim is the checked L(A) s_e = s_e.  At k > 1, p_{r(e)} s_β' = s_β'
+    because s(β') ∈ r(e), and N(k − 1, r(e)) s_β' = s_β' by induction,
+    so N(k, A) s_β = s_e s_β' = s_β.  The adjoint computation gives
+    s_β* N(k, A) = s_β*.  At the root (n, V) that is the reduction above.
     """
     if pres.edge_families:
         raise NotFiniteEdges("epsilon verification needs a finite edge set")
@@ -400,16 +521,9 @@ def verify_epsilon(pres: UltragraphPresentation, n: int, cand: AlgebraElement) -
         gens += [AlgebraElement.s(pres, (e,)) for e in map(EdgeInst, sorted(pres.edges))]
         gens += [AlgebraElement.s_star(pres, (e,)) for e in map(EdgeInst, sorted(pres.edges))]
         return all(multiply(cand, g) == g and multiply(g, cand) == g for g in gens)
-    m = abs(n)
     if n > 0:
-        for p in all_paths(pres, m):
-            sp = _path_element(pres, [(p, ())])
-            if multiply(cand, sp) != sp:
-                return False
-            sq = _path_element(pres, [((), p)])
-            if multiply(sq, cand) != sq:
-                return False
-        return True
+        return _verify_unit_nodes(pres, n, cand)
+    m = -n
     for rng in _last_ranges(pres, m):
         proj = AlgebraElement.projection(pres, rng)
         if multiply(cand, proj) != proj or multiply(proj, cand) != proj:
@@ -419,6 +533,48 @@ def verify_epsilon(pres: UltragraphPresentation, n: int, cand: AlgebraElement) -
         st = AlgebraElement.s_star(pres, (e,))
         if multiply(cand, se) != se or multiply(st, cand) != st:
             return False
+    return True
+
+
+def _verify_unit_nodes(pres: UltragraphPresentation, n: int, cand: UnitNodes) -> bool:
+    """The checks of verify_epsilon for n > 0."""
+    if not isinstance(cand, UnitNodes):
+        return False
+    out, height = _type_out_edges(pres), _type_heights(pres)
+    rng = pres.edge_range
+    if any(height[a] != max((1 + height[rng(e)] for e in es), default=0) for a, es in out.items()):
+        return False
+    universe = pres.g0_universe()
+    if cand.root != ((n, universe) if height[universe] >= n else None):
+        return False
+    if cand.root is not None and cand.root not in cand.nodes:
+        return False
+    children: dict[VertexSet, set[EdgeInst]] = {}
+    for (k, a), node in cand.nodes.items():
+        if a not in out:
+            return False
+        if k == 0:
+            if node != a:
+                return False
+            continue
+        want = tuple((e, (k - 1, rng(e))) for e in out[a] if height[rng(e)] >= k - 1)
+        if not want or node != want or any(child not in cand.nodes for _, child in want):
+            return False
+        children.setdefault(a, set()).update(e for e, _ in want)
+    # the identities hold or fail with the presentation alone, so each
+    # pair (A, e) is re-multiplied once for every degree
+    checked = pres.derived("unit_levels_checked", lambda _: set())
+    for a, edges in children.items():
+        todo = [e for e in edges if (a, e) not in checked]
+        if not todo:
+            continue
+        level = AlgebraElement._from_raw(pres, {((e,), (e,)): [(1, rng(e))] for e in out[a]})
+        for e in todo:
+            se = AlgebraElement._from_raw(pres, {((e,), ()): [(1, rng(e))]})
+            st = AlgebraElement._from_raw(pres, {((), (e,)): [(1, rng(e))]})
+            if multiply(level, se) != se or multiply(st, level) != st:
+                return False
+            checked.add((a, e))
     return True
 
 
@@ -480,6 +636,8 @@ def strong_factorization(
     the replacement path τ of _replacement_path; otherwise p_u is split
     over the out-edges of u, which is no sink.  So a vertex in some range
     closes at γ = () with its first in-edge, and only a source expands.
+    reached(1) is the union of all ranges, so at γ = () the test asks the
+    in-edge map, and reached is built only once a source expands.
 
     Every branch closes by |γ| = S, the profile's settle length: for
     |γ| >= 1, γ is a path into u, so u is in reached(|γ|), and
@@ -503,11 +661,12 @@ def strong_factorization(
             for e in out[v]
         ]
     profile = incoming_length_profile(pres)
+    into = _in_edge_map(pres)
     pairs: list[tuple[AlgebraElement, AlgebraElement]] = []
     work: list[tuple[Path, VertexRef]] = [((), v)]
     while work:
         gamma, u = work.pop()
-        if profile.reached(len(gamma) + 1).member(u):
+        if profile.reached(len(gamma) + 1).member(u) if gamma else u in into:
             tau = _replacement_path(pres, u, len(gamma) + 1)
             mid = VertexSet.of(u)
             a = AlgebraElement.monomial(pres, gamma, mid, tau)
@@ -593,3 +752,35 @@ def pretty(x: AlgebraElement) -> str:
                 bits.append("st(" + " ".join(e.label() for e in beta) + ")")
             chunks.append(" ".join(bits))
     return " + ".join(chunks)
+
+
+def pretty_unit(pres: UltragraphPresentation, cand: UnitNodes, printed: dict[str, str]) -> str:
+    """The name of ε_n's root, or 0 when it has none.  Each node (k, A),
+    k >= 1, not yet in `printed` is added under its name N(k, V) or
+    N(k, r(e)), for the first edge e in id order with range A, as the sum
+    s(e) N(k − 1, r(e)) st(e) + … over its children, with p{r(e)} in place
+    of a node of length 0."""
+    from .model import _print_vset
+
+    def build(p: UltragraphPresentation) -> dict[VertexSet, str]:
+        labels = {}
+        for e in edge_successors(p):
+            labels.setdefault(p.edge_range(e), f"r({e.label()})")
+        labels[p.g0_universe()] = "V"
+        return labels
+
+    labels = pres.derived("type_labels", build)
+
+    def name(key: Node) -> str:
+        return f"N({key[0]}, {labels[key[1]]})"
+
+    for key, kids in cand.nodes.items():
+        label = name(key)
+        if key[0] and label not in printed:
+            printed[label] = " + ".join(
+                f"s({e.label()}) "
+                + (name(child) if child[0] else "p{" + _print_vset(pres, cand.nodes[child]) + "}")
+                + f" st({e.label()})"
+                for e, child in kids
+            )
+    return "0" if cand.root is None else name(cand.root)

@@ -8,7 +8,10 @@ The decision rules:
   * epsilon-strongly Z-graded  ⇒  finitely many edges and a unital
     algebra; those two plus "every edge source lies in some range" are
     sufficient; the gap in between is genuine and is reported as
-    Undetermined unless an explicit family of unit certificates closes it;
+    Undetermined unless an explicit family of unit certificates closes it:
+    on acyclic input, p of a vertex set for each degree n <= 0 and, for
+    n > 0, the shared nodes N(k, A) of algebra.UnitNodes, checked once per
+    range type (proof in algebra.verify_epsilon);
   * strongly F-graded  ⇔  exactly one edge e with r(e) = {s(e)};
   * epsilon-strongly F-graded  ⇔  unital;
   * gauge saturation  ⇔  the strong-Z criterion.
@@ -124,7 +127,10 @@ def _strong_z_certificate(pres: UltragraphPresentation) -> dict:
     return {"kind": "vertex_factorizations", "pairs": factorizations}
 
 
-# the longest path for which the degree-n units are listed path by path
+# the longest path for which unit certificates are attempted: the positive
+# units are shared nodes, at most longest × (distinct ranges + 1), but each
+# negative degree still checks its last ranges and relevant edges, so the
+# certificates cost about longest × edges products
 PATH_LENGTH_CAP = 64
 
 
@@ -160,7 +166,8 @@ def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
             f"{PATH_LENGTH_CAP}: unit certificates not attempted"
         )
         return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
-    certificate: dict[str, str] = {}
+    units: dict[str, str] = {}
+    nodes: dict[str, str] = {}
     for n in range(-horizon, horizon + 1):
         try:
             cand = algebra.epsilon_candidate(pres, n)
@@ -171,13 +178,19 @@ def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
         if not verified:
             reasons.append(f"unit candidate for degree {n} failed verification")
             return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
-        certificate[str(n)] = algebra.pretty(cand)
+        if n > 0:
+            units[str(n)] = algebra.pretty_unit(pres, cand, nodes)
+        else:
+            units[str(n)] = algebra.pretty(cand)
     reasons.append(
         f"acyclic edge set: verified unit certificates for all degrees |n| <= {horizon}"
         " (higher components vanish)"
     )
     return GradingVerdict(
-        "EpsStrongZ", "Yes", reasons, {"kind": "epsilon_units", "units": certificate}
+        "EpsStrongZ",
+        "Yes",
+        reasons,
+        {"kind": "epsilon_unit_nodes", "units": units, "nodes": nodes},
     )
 
 

@@ -132,6 +132,32 @@ def star(x):
     return AlgebraElement._from_raw(x.pres, raw)
 
 
+def expand_unit(pres: UltragraphPresentation, cand) -> "AlgebraElement":
+    """The element that a UnitNodes certificate stands for, expanded node
+    by node: s_e N s_e* over each child e, with N(0, A) = p_A, each middle
+    cut to the last range of its path as monomial cuts it."""
+    from ultragrade.algebra import AlgebraElement
+
+    memo: dict = {}
+
+    def paths(key):
+        if key not in memo:
+            node = cand.nodes[key]
+            if key[0] == 0:
+                memo[key] = [((), node)]
+            else:
+                memo[key] = [((e,) + p, a) for e, child in node for p, a in paths(child)]
+        return memo[key]
+
+    raw: dict = {}
+    if cand.root is not None:
+        for path, a in paths(cand.root):
+            if path:
+                a = a.intersection(pres.edge_range(path[-1]))
+            raw.setdefault((path, path), []).append((1, a))
+    return AlgebraElement._from_raw(pres, raw)
+
+
 def random_path(
     rng: random.Random, pres: UltragraphPresentation, max_len: int = 3
 ) -> tuple[EdgeInst, ...]:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from conftest import (
     FINITE_CORPUS,
+    expand_unit,
     load,
     random_element,
     random_path,
@@ -83,7 +84,7 @@ def test_criterion_04_free_group_grading_instances():
     verdict = classify_eps_strong_z(one)
     assert verdict.status == "Yes"
     se = AlgebraElement.s(one, (EdgeInst("e"),))
-    assert epsilon_candidate(one, 1) == multiply(se, star(se))
+    assert expand_unit(one, epsilon_candidate(one, 1)) == multiply(se, star(se))
     assert verify_epsilon(one, 1, epsilon_candidate(one, 1))
     assert epsilon_candidate(one, -1) == AlgebraElement.projection(one, one.edges["e"].range)
     assert verify_epsilon(one, -1, epsilon_candidate(one, -1))

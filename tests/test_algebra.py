@@ -10,11 +10,13 @@ import pytest
 
 from conftest import (
     FINITE_CORPUS,
+    expand_unit,
     is_sink,
     load,
     random_element,
     random_path,
     random_presentation,
+    source_chain,
     star,
     t0_left_unit_for,
     t0_unit_for,
@@ -22,6 +24,7 @@ from conftest import (
 from ultragrade.algebra import (
     TERM_COUNT_CAP,
     AlgebraElement,
+    UnitNodes,
     _atomize,
     _vset_sort_key,
     all_paths,
@@ -35,6 +38,7 @@ from ultragrade.algebra import (
     verify_factorization,
     z_degree,
 )
+from ultragrade.condition_y import LengthProfile
 from ultragrade.errors import (
     NotFinite,
     NotHomogeneous,
@@ -265,20 +269,22 @@ def test_one_edge_epsilon_certificates():
     pres = load("one_edge.ug")
     e1 = epsilon_candidate(pres, 1)
     se = AlgebraElement.s(pres, E("e"))
-    assert e1 == multiply(se, star(se))
+    assert expand_unit(pres, e1) == multiply(se, star(se))
     assert verify_epsilon(pres, 1, e1)
     em1 = epsilon_candidate(pres, -1)
     assert em1 == AlgebraElement.projection(pres, pres.edges["e"].range)
     assert verify_epsilon(pres, -1, em1)
     assert verify_epsilon(pres, 0, epsilon_candidate(pres, 0))
     # the degree-2 component is zero, so the zero candidate is its unit
-    assert epsilon_candidate(pres, 2).is_zero()
+    assert expand_unit(pres, epsilon_candidate(pres, 2)).is_zero()
     assert verify_epsilon(pres, 2, epsilon_candidate(pres, 2))
     assert verify_epsilon(pres, -2, epsilon_candidate(pres, -2))
 
 
 def test_wrong_epsilon_candidate_rejected():
     pres = load("one_edge.ug")
+    # in degree 1 the zero unit has no root; an element is no node certificate
+    assert not verify_epsilon(pres, 1, UnitNodes(None, {}))
     assert not verify_epsilon(pres, 1, AlgebraElement.zero(pres))
     wrong = AlgebraElement.projection(pres, VertexSet.of(VertexRef("v", 0)))
     assert not verify_epsilon(pres, -1, wrong)
@@ -335,6 +341,31 @@ def test_strong_z_certificate_asks_each_vertex_once_on_a_cycle(monkeypatch):
     out, into = asked["out_edges"], asked["in_edges"]
     assert len(out) == len(set(out)) == n + 1, len(out)
     assert not into, len(into)
+
+
+def test_strong_z_certificate_builds_reached_only_when_a_source_expands(monkeypatch):
+    """A vertex in some range closes at γ = () through the in-edge map, so
+    the length profile's reached sets are built only for the paths out of
+    a source: none on the corpus files without a source, and lengths
+    2 … 201, never 1, on a chain of 200 vertices that one source at its
+    head feeds into a loop."""
+    asked = []
+    real = LengthProfile.reached
+
+    def spy(self, length):
+        asked.append(length)
+        return real(self, length)
+
+    monkeypatch.setattr(LengthProfile, "reached", spy)
+    for name in ("single_loop.ug", "two_cycle.ug", "two_range.ug", "cosingleton12.ug"):
+        pres = load(name)
+        for v in pres.all_vertices():
+            assert verify_factorization(pres, v, strong_factorization(pres, v, -1), -1)
+    assert asked == []
+    pres = source_chain(200)
+    for v in pres.all_vertices():
+        assert verify_factorization(pres, v, strong_factorization(pres, v, -1), -1)
+    assert sorted(set(asked)) == list(range(2, 202))
 
 
 def test_factorization_rejected_with_sinks():

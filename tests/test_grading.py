@@ -46,7 +46,7 @@ def test_one_edge_gradings():
     assert classify_strong_f(pres).status == "No"  # s(e) not in r(e)
     verdict = classify_eps_strong_z(pres)
     assert verdict.status == "Yes"
-    assert verdict.certificate["kind"] == "epsilon_units"
+    assert verdict.certificate["kind"] == "epsilon_unit_nodes"
     assert set(verdict.certificate["units"]) == {"-1", "0", "1"}
     assert classify_eps_strong_f(pres).status == "Yes"
 
@@ -111,8 +111,9 @@ def test_eps_strong_z_over_an_infinite_family_of_sinks():
     assert verdict.certificate["units"] == {
         "-1": "p{w[*]}",
         "0": "p{u, w[*]}",
-        "1": "s(e) p{w[*]} st(e)",
+        "1": "N(1, V)",
     }
+    assert verdict.certificate["nodes"] == {"N(1, V)": "s(e) p{w[*]} st(e)"}
     assert condition_y.incoming_length_profile(pres).longest == 1
 
 

@@ -1,9 +1,10 @@
-"""Path enumeration, the longest path, the product, the epsilon-unit
-checks and the replacement paths, each against the straightforward
+"""Path enumeration, the longest path, the product, the epsilon units and
+their checks, and the replacement paths, each against the straightforward
 version it replaced: every length enumerated anew, lengths tried one by
 one, a recursive cycle search, a product that pairs every term with every
-term, a product that pairs terms through a first-edge index, a range
-check per path, and a backward search over the in-edges."""
+term, a product that pairs terms through a first-edge index, units listed
+and checked path by path, a range check per path, a walk per edge for the
+relevant edges, and a backward search over the in-edges."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from conftest import (
     CORPUS,
     FINITE_CORPUS,
     PathSearch,
+    expand_unit,
     load,
     random_element,
     random_path,
@@ -24,6 +26,7 @@ from conftest import (
 from ultragrade import algebra
 from ultragrade.algebra import (
     AlgebraElement,
+    UnitNodes,
     all_paths,
     epsilon_candidate,
     multiply,
@@ -173,6 +176,27 @@ def multiply_first_edge_oracle(x, y):
     return AlgebraElement._from_raw(pres, raw)
 
 
+def unit_listing_oracle(pres, n):
+    """The degree-n unit, n > 0, listed path by path as the library built
+    it before the node certificates: Σ s_p p_{r(p)} s_p* over all_paths."""
+    return AlgebraElement._from_raw(
+        pres, {(p, p): [(1, pres.edge_range(p[-1]))] for p in all_paths(pres, n)}
+    )
+
+
+def verify_listing_oracle(pres, n, cand):
+    """The path-by-path check of a listed degree-n unit, n > 0:
+    cand s_p = s_p and s_p* cand = s_p* for every path p of length n."""
+    for p in all_paths(pres, n):
+        sp = AlgebraElement.s(pres, p)
+        if multiply(cand, sp) != sp:
+            return False
+        sq = star(sp)
+        if multiply(sq, cand) != sq:
+            return False
+    return True
+
+
 # -- inputs -----------------------------------------------------------------
 
 
@@ -226,6 +250,17 @@ def seeded_presentations():
     return out
 
 
+def _finite_edge_corpus():
+    """The corpus presentations with no edge family and at most 20 edges;
+    the longer chains and dag2x14 have tests of their own."""
+    out = []
+    for p in sorted(CORPUS.glob("*.ug")):
+        pres = load(p.name)
+        if not pres.edge_families and len(pres.edges) <= 20:
+            out.append(pres)
+    return out
+
+
 def random_homogeneous(rng, pres, degree, terms=6):
     """A sum of random monomials of one z-degree; paths may be empty."""
     out = AlgebraElement.zero(pres)
@@ -251,8 +286,9 @@ def test_all_paths_match_the_oracle_in_order():
 
 
 def test_every_listed_path_is_a_path():
-    """Unit certificates build their monomials from all_paths without
-    walking the paths again, so each one must be a path."""
+    """The listed units of the oracles build their monomials from
+    all_paths without walking the paths again, so each one must be a
+    path."""
     rng = random.Random(2026)
     presentations = [load(name) for name in FINITE_CORPUS] + [layered_dag(3, 5)]
     presentations += [random_presentation(rng) for _ in range(100)]
@@ -351,12 +387,13 @@ def test_products_match_the_first_edge_oracle():
         for a, b in ((x, y), (y, z), (multiply(x, y), z), (x, multiply(y, z))):
             assert multiply(a, b) == multiply_first_edge_oracle(a, b)
             pairs += 1
-    # the epsilon candidates of layered DAGs with their generators and
-    # with each other, so that either factor can be the larger
+    # the expanded epsilon candidates of layered DAGs with their generators
+    # and with each other, so that either factor can be the larger
     for w, d in ((2, 4), (3, 4), (3, 5)):
         pres = layered_dag(w, d)
         for n in range(1, d + 1):
-            cand, neg = epsilon_candidate(pres, n), epsilon_candidate(pres, -n)
+            cand = expand_unit(pres, epsilon_candidate(pres, n))
+            neg = epsilon_candidate(pres, -n)
             gens = [AlgebraElement.s(pres, p) for p in all_paths(pres, n)]
             gens += [star(g) for g in gens]
             gens += [AlgebraElement.projection(pres, r) for r in algebra._last_ranges(pres, n)]
@@ -403,17 +440,24 @@ def relevant_edges_oracle(pres, m):
 
 
 def test_relevant_edges_and_negative_units_match_the_path_oracle():
-    relevant = 0
-    for pres in seeded_presentations():
-        for m in (1, 2, 3):
+    """The relevant edges, read off the bounds B(e) of one pass per
+    presentation, against the walk per edge and length, for every length
+    up to one past the settle length, on cyclic and acyclic input and on
+    the finite-edge corpus, infinite ranges included."""
+    relevant = cyclic = 0
+    for pres in seeded_presentations() + _finite_edge_corpus():
+        profile = incoming_length_profile(pres)
+        cyclic += profile.longest is None
+        for m in range(1, profile.settle + 2):
             got = algebra._relevant_edges(pres, m)
             assert got == relevant_edges_oracle(pres, m), (pres.name, m)
             relevant += len(got)
-            covered = VertexSet.empty()
-            for q in all_paths_oracle(pres, m):
-                covered = covered.union(pres.edge_range(q[-1]))
-            assert algebra.epsilon_candidate(pres, -m) == AlgebraElement.projection(pres, covered)
-    assert relevant >= 500
+            if m <= 3:
+                covered = VertexSet.empty()
+                for q in all_paths_oracle(pres, m):
+                    covered = covered.union(pres.edge_range(q[-1]))
+                assert algebra.epsilon_candidate(pres, -m) == AlgebraElement.projection(pres, covered)
+    assert relevant >= 500 and cyclic >= 20
 
 
 def test_negative_units_check_each_last_range_once(monkeypatch):
@@ -494,6 +538,154 @@ def test_term_count_cap_is_undetermined(monkeypatch):
     verdict = classify_eps_strong_z(pres)
     assert verdict.status == "Undetermined"
     assert "hit TERM_COUNT_CAP" in verdict.reasons[-1]
+
+
+def _unit_inputs():
+    """(presentation, the degrees n > 0 to try): up to the longest path
+    on acyclic input, one past it, and up to 3 over a cycle."""
+    rng = random.Random(2031)
+    inputs = _finite_edge_corpus()
+    inputs += [p for p in seeded_presentations() if _longest(p) is not None]
+    inputs += [random_dag(rng) for _ in range(200)]
+    inputs += [layered_dag(w, d) for w, d in ((2, 4), (3, 4), (3, 5), (3, 6), (3, 7))]
+    for pres in inputs:
+        longest = _longest(pres)
+        yield pres, range(1, (3 if longest is None else longest + 1) + 1)
+
+
+def test_unit_nodes_expand_to_the_path_listing():
+    """The node certificate stands for the unit that was listed path by
+    path, term for term, and the node checker and the path-by-path check
+    give the same verdict on it; past the longest path both are zero."""
+    checked = zero = 0
+    for pres, degrees in _unit_inputs():
+        for n in degrees:
+            cand = epsilon_candidate(pres, n)
+            listed = unit_listing_oracle(pres, n)
+            assert expand_unit(pres, cand) == listed, (pres.name, n)
+            assert verify_epsilon(pres, n, cand) == verify_listing_oracle(pres, n, listed) is True
+            zero += cand.root is None
+            checked += 1
+    assert checked >= 800 and zero >= 200
+
+
+def _sabotaged(cand: UnitNodes, rng: random.Random):
+    """One certificate per kind of sabotage, each a fresh copy of cand:
+    a dropped child, a child retargeted to a wrong (k − 1, A) that is
+    listed, a wrong root, a wrong p_A at k = 0 and a child whose node is
+    not listed."""
+    inner = [key for key in cand.nodes if key[0] >= 1]
+    leaves = [key for key in cand.nodes if key[0] == 0]
+    key = rng.choice(inner)
+    kids = cand.nodes[key]
+    i = rng.randrange(len(kids))
+    e, (j, a) = kids[i]
+    dropped = dict(cand.nodes)
+    dropped[key] = kids[:i] + kids[i + 1 :]
+    others = [b for (k, b) in cand.nodes if k == j and b != a]
+    retargeted = None
+    if others:
+        retargeted = dict(cand.nodes)
+        retargeted[key] = kids[:i] + ((e, (j, rng.choice(others))),) + kids[i + 1 :]
+    n, universe = cand.root
+    roots = [r for r in cand.nodes if r != cand.root]
+    wrong_p = dict(cand.nodes)
+    leaf = rng.choice(leaves)
+    wrong_p[leaf] = universe if leaf[1] != universe else leaf[1].difference(leaf[1])
+    unlisted = dict(cand.nodes)
+    del unlisted[rng.choice(kids)[1]]
+    out = {
+        "dropped": UnitNodes(cand.root, dropped),
+        "unlisted": UnitNodes(cand.root, unlisted),
+        "wrong root": UnitNodes(rng.choice(roots) if roots else (n + 1, universe), cand.nodes),
+        "wrong p_A": UnitNodes(cand.root, wrong_p),
+    }
+    if retargeted is not None:
+        out["retargeted"] = UnitNodes(cand.root, retargeted)
+    return out
+
+
+def test_sabotaged_unit_nodes_are_rejected(monkeypatch):
+    rng = random.Random(2032)
+    seen = dict.fromkeys(("dropped", "retargeted", "wrong root", "wrong p_A", "unlisted"), 0)
+    for pres, degrees in _unit_inputs():
+        for n in degrees:
+            cand = epsilon_candidate(pres, n)
+            if cand.root is None:
+                continue
+            for kind, bad in _sabotaged(cand, rng).items():
+                assert not verify_epsilon(pres, n, bad), (pres.name, n, kind)
+                seen[kind] += 1
+                if kind == "dropped":
+                    # the path-by-path check rejects the smaller sum too
+                    assert not verify_listing_oracle(pres, n, expand_unit(pres, bad))
+            assert verify_epsilon(pres, n, cand)
+    assert min(seen.values()) >= 100, seen
+    # heights that miss one path: the nodes built from them and checked
+    # against them agree, but the heights fail their own equation
+    pres = layered_dag(3, 5)
+    real = algebra._type_heights(pres)
+    top = max(real, key=real.get)
+    short = dict(real)
+    short[top] -= 1
+    monkeypatch.setattr(algebra, "_type_heights", lambda _: short)
+    cand = epsilon_candidate(pres, 5)
+    assert cand.root is None and expand_unit(pres, cand).is_zero()
+    assert not verify_epsilon(pres, 5, cand)
+    assert not verify_epsilon(pres, 4, epsilon_candidate(pres, 4))
+
+
+def test_unit_levels_are_multiplied_once_per_type(monkeypatch):
+    """The one-level identities L(A) s_e = s_e and s_e* L(A) = s_e* go
+    through multiply once per range type A and child e, however many
+    degrees share them, and a wrong product fails the check."""
+    calls = []
+    real = algebra.multiply
+
+    def spy(x, y):
+        calls.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(algebra, "multiply", spy)
+    rng = random.Random(2033)
+    for pres in [layered_dag(3, 5), layered_dag(2, 6)] + [random_dag(rng) for _ in range(50)]:
+        longest = _longest(pres)
+        pairs = set()
+        calls.clear()
+        for n in range(1, longest + 1):
+            cand = epsilon_candidate(pres, n)
+            assert verify_epsilon(pres, n, cand)
+            pairs.update((key[1], e) for key, kids in cand.nodes.items() if key[0] for e, _ in kids)
+        assert len(calls) == 2 * len(pairs), pres.name
+    # a product that drops every term fails the identities
+    monkeypatch.setattr(algebra, "multiply", lambda x, y: AlgebraElement.zero(x.pres))
+    pres = layered_dag(3, 3)
+    assert not verify_epsilon(pres, 2, epsilon_candidate(pres, 2))
+
+
+def test_unit_nodes_stay_within_longest_times_ranges():
+    """Over all degrees 1 … longest, the distinct nodes, those of length
+    0 included, number at most longest × (distinct ranges + 1).  On a
+    layered DAG of depth d with r distinct ranges into each layer i >= 1,
+    each of those ranges carries the lengths 0 … d − i, so there are d
+    roots and r · d(d + 1)/2 other nodes: r = 3 on the 3 × 12 DAG, and
+    r = 1 on dag2x14, where both edges of a layer have the whole next
+    layer as range."""
+    inputs = [(p, None) for p, _ in _unit_inputs()] + [
+        (layered_dag(3, 12), 12 + 3 * 12 * 13 // 2),
+        (load("dag2x14.ug"), 14 + 14 * 15 // 2),
+    ]
+    for pres, exact in inputs:
+        longest = _longest(pres)
+        if not longest:
+            continue
+        keys = set()
+        for n in range(1, longest + 1):
+            keys.update(epsilon_candidate(pres, n).nodes)
+        ranges = {pres.edge_range(e) for e in algebra.edge_successors(pres)}
+        assert len(keys) <= longest * (len(ranges) + 1), pres.name
+        if exact is not None:
+            assert len(keys) == exact, (pres.name, len(keys))
 
 
 # -- replacement paths of the strong-Z certificate ---------------------------
