@@ -319,19 +319,25 @@ def all_paths(pres: UltragraphPresentation, length: int) -> list[Path]:
 Node = tuple  # (k, A): a path length k and a range type A
 
 
-class UnitNodes(NamedTuple):
-    """The degree-n unit ε_n = Σ_{|α|=n} s_α p_{r(α)} s_α*, n > 0, as shared
-    nodes N(k, A) = Σ_{|α|=k, s(α)∈A} s_α p_{r(α)} s_α*, so that
-    N(k, A) = Σ_{s(e)∈A} s_e N(k − 1, r(e)) s_e*, N(0, A) = p_A and
-    ε_n = N(n, V).  A node is keyed by (k, A), where the range type A is V,
-    all vertices, or some r(e).  `nodes` maps (0, A) to the set A of p_A,
-    and (k, A), k >= 1, to its children: the pairs (e, (k − 1, r(e))) in
-    edge-id order.  A node with no path of length k out of A is zero, and
-    it is left out together with the children that would point at it, so
-    the expansion is the path-by-path sum term for term.  `root` is (n, V),
-    or None when ε_n = 0."""
+class EpsilonUnits(NamedTuple):
+    """The candidate units ε_n of every degree |n| <= h, h = len(roots).
+    negative[m − 1] is c_m, the unit of degree −m, and zero is ε_0.
 
-    root: Optional[Node]
+    The positive units ε_n = Σ_{|α|=n} s_α p_{r(α)} s_α* share one table
+    of nodes N(k, A) = Σ_{|α|=k, s(α)∈A} s_α p_{r(α)} s_α*, so that
+    N(k, A) = Σ_{s(e)∈A} s_e N(k − 1, r(e)) s_e*, N(0, A) = p_A and
+    ε_n = N(n, V).  A node is keyed by (k, A), where the range type A is
+    V, all vertices, or some r(e).  `nodes` maps (0, A) to the set A of
+    p_A, and (k, A), k >= 1, to its children: the pairs (e, (k − 1, r(e)))
+    in edge-id order.  A node with no path of length k out of A is zero,
+    and it is left out together with the children that would point at
+    it, so each root expands to the path-by-path sum term for term.
+    roots[n − 1] is (n, V), or None when ε_n = 0, and the table holds the
+    nodes that the roots reach."""
+
+    negative: tuple
+    zero: AlgebraElement
+    roots: tuple
     nodes: dict
 
 
@@ -376,61 +382,63 @@ def _type_heights(pres: UltragraphPresentation) -> dict[VertexSet, float]:
     return pres.derived("type_heights", build)
 
 
-def _unit_nodes(pres: UltragraphPresentation, n: int) -> UnitNodes:
-    """The nodes of ε_n that its root reaches.  N(k, A) is nonzero iff a
-    path of length k leaves A, iff k <= H(A)."""
-    out, height = _type_out_edges(pres), _type_heights(pres)
-    universe = pres.g0_universe()
-    if height[universe] < n:
-        return UnitNodes(None, {})
-    nodes: dict = {}
-    work = [(n, universe)]
-    while work:
-        key = work.pop()
-        if key in nodes:
-            continue
-        k, a = key
-        if k == 0:
-            nodes[key] = a
-            continue
-        kids = tuple(
-            (e, (k - 1, pres.edge_range(e))) for e in out[a] if height[pres.edge_range(e)] >= k - 1
-        )
-        nodes[key] = kids
-        work.extend(child for _, child in kids)
-    return UnitNodes((n, universe), nodes)
-
-
-def epsilon_candidate(pres: UltragraphPresentation, n: int) -> Union[AlgebraElement, UnitNodes]:
-    """The candidate unit of degree n: p_V at n = 0, p_{reached(|n|)} for
-    n < 0, and the shared nodes of UnitNodes for n > 0."""
+def epsilon_candidate(pres: UltragraphPresentation, horizon: int) -> EpsilonUnits:
+    """The candidate units of every degree |n| <= horizon: c_m =
+    p_{reached(m)} for n = −m, since the last ranges of the paths of
+    length m cover what they reach, p_V at n = 0, and for n > 0 the roots
+    (n, V) of one node table.  N(k, A) is nonzero iff a path of length k
+    leaves A, iff k <= H(A).  The units are built from degree −horizon
+    up."""
     if pres.edge_families:
         raise NotFiniteEdges("epsilon units need a finite edge set")
-    if n == 0:
-        if not is_unital(pres):
-            raise NotUnital("the algebra has no unit")
-        return AlgebraElement.projection(pres, pres.g0_universe())
-    if n > 0:
-        return _unit_nodes(pres, n)
-    # the last ranges of the paths of length |n| cover what they reach
-    return AlgebraElement.projection(pres, incoming_length_profile(pres).reached(-n))
+    if horizon < 0:
+        raise ValueError(f"the horizon must be at least 0, got {horizon}")
+    if not is_unital(pres):
+        raise NotUnital("the algebra has no unit")
+    profile = incoming_length_profile(pres)
+    negative = [AlgebraElement.projection(pres, profile.reached(m)) for m in range(horizon, 0, -1)]
+    universe = pres.g0_universe()
+    zero = AlgebraElement.projection(pres, universe)
+    out, height = _type_out_edges(pres), _type_heights(pres)
+    roots = tuple((n, universe) if height[universe] >= n else None for n in range(1, horizon + 1))
+    nodes: dict = {}
+    for root in roots:
+        work = [root] if root is not None else []
+        while work:
+            key = work.pop()
+            if key in nodes:
+                continue
+            k, a = key
+            if k == 0:
+                nodes[key] = a
+                continue
+            kids = tuple(
+                (e, (k - 1, pres.edge_range(e))) for e in out[a] if height[pres.edge_range(e)] >= k - 1
+            )
+            nodes[key] = kids
+            work.extend(child for _, child in kids)
+    return EpsilonUnits(tuple(reversed(negative)), zero, roots, nodes)
 
 
-def _last_ranges(pres: UltragraphPresentation, m: int) -> list[VertexSet]:
-    """The distinct ranges r(p[-1]) over the paths p of length m >= 1, in
-    the sorted order of the first edge that has each.  An edge e ends a
-    path of length m iff its depth in the length profile is at least m or
-    None (see LengthProfile), so the paths themselves are never listed."""
+def _range_tops(pres: UltragraphPresentation) -> dict[VertexSet, float]:
+    """Each distinct range r, in the order of the first edge id that has
+    it, with T(r), the largest depth of an edge with range r, math.inf for
+    depth None.  An edge ends a path of length m iff its depth is at least
+    m or None (LengthProfile), so r is the last range of a path of length
+    m >= 1 iff m <= T(r), and the paths themselves are never listed."""
     depth = incoming_length_profile(pres).depth
-    ends = [eid for eid in sorted(depth) if depth[eid] is None or depth[eid] >= m]
-    return list(dict.fromkeys(pres.edges[eid].range for eid in ends))
+    top: dict[VertexSet, float] = {}
+    for eid in sorted(depth):
+        d = math.inf if depth[eid] is None else depth[eid]
+        rng = pres.edges[eid].range
+        top[rng] = max(top.get(rng, 0), d)
+    return top
 
 
-def _relevant_edges(pres: UltragraphPresentation, m: int) -> list[EdgeInst]:
-    """Edges that can begin the path part of a nonzero monomial of degree
-    ±m, i.e. edges e from which some path e … g of length j >= 1 has r(g)
-    meeting reached(j + m), in id order.  They are the edges with
-    B(e) >= m, for bounds computed once per presentation.
+def _relevance_bounds(pres: UltragraphPresentation) -> dict[EdgeInst, float]:
+    """B(e) for each edge, in id order: the edge e begins the path part of
+    a nonzero monomial of degree ±m, some path e … g of length j >= 1
+    having r(g) meet reached(j + m), iff B(e) >= m.
 
     Let ind(u) be the largest depth of an edge whose range holds u, with
     depth None read as ∞.  reached(l) is the union of the ranges of the
@@ -446,11 +454,6 @@ def _relevant_edges(pres: UltragraphPresentation, m: int) -> list[EdgeInst]:
     is a max, and the recursion, taken in decreasing depth, meets each
     successor first.  ind is read off the atoms of the ranges
     (VertexSet.refine), so an infinite range needs no listing."""
-    bound = pres.derived("relevance_bounds", _relevance_bounds)
-    return [e for e, b in bound.items() if b >= m]
-
-
-def _relevance_bounds(pres: UltragraphPresentation) -> dict[EdgeInst, float]:
     depth = incoming_length_profile(pres).depth
     succ = edge_successors(pres)
     edges = list(succ)
@@ -469,38 +472,97 @@ def _relevance_bounds(pres: UltragraphPresentation) -> dict[EdgeInst, float]:
     return {e: bound[e] for e in edges}
 
 
-def verify_epsilon(
-    pres: UltragraphPresentation, n: int, cand: Union[AlgebraElement, UnitNodes]
-) -> bool:
-    """Check that cand is a left identity on the degree-n component and a
-    right identity on the degree-(−n) component.
+def _degree_one(x: AlgebraElement) -> bool:
+    """Whether x is homogeneous of degree 1 in the free-group grading."""
+    try:
+        return f_degree(x).is_identity()
+    except NotHomogeneous:
+        return False
+
+
+def _edge_sums(pres: UltragraphPresentation, edges: list[EdgeInst]):
+    """(Σ s_e, Σ s_e*) over the edges, in pieces of at most
+    TERM_COUNT_CAP edges."""
+    step = max(TERM_COUNT_CAP, 1)
+    rng = pres.edge_range
+    for i in range(0, len(edges), step):
+        part = edges[i : i + step]
+        yield (
+            AlgebraElement._from_raw(pres, {((e,), ()): [(1, rng(e))] for e in part}),
+            AlgebraElement._from_raw(pres, {((), (e,)): [(1, rng(e))] for e in part}),
+        )
+
+
+def verify_epsilon(pres: UltragraphPresentation, units: EpsilonUnits) -> Optional[int]:
+    """Check the candidate units of every degree |n| <= h, h =
+    len(units.roots): ε_n must be a left identity on the degree-n
+    component and a right identity on the degree-(−n) component.  Returns
+    None when every check passes, and otherwise the first degree that
+    fails in the order −h, …, −1, 0, 1, …, h; the node table and the
+    heights serve every positive degree, so a failure in them is
+    reported at degree 1.
 
     Reduction to finitely many checks: every degree-n monomial (n > 0)
     left-factors as s_γ·w and every degree-(−n) monomial right-factors as
     w·s_γ* with |γ| = n and w of degree 0, so it is enough that
     ε_n s_β = s_β and s_β* ε_n = s_β* for every path β of length n.  For
-    n < 0 the factorizations bottom out in p_{r(δ)} blocks (|δ| = |n|)
-    and single s_e / s_e* letters for edges that actually begin such
-    monomials.
+    n = −m < 0 the factorizations bottom out in p_{r(δ)} blocks (|δ| = m)
+    and single s_e / s_e* letters for the edges that begin such
+    monomials: c_m p_r = p_r = p_r c_m for each last range r of a path of
+    length m, and c_m s_e = s_e and s_e* c_m = s_e* for each edge e with
+    B(e) >= m (_relevance_bounds).  At n = 0 it is enough that
+    ε_0 x = x = x ε_0 for x = p_V, s_e and s_e*, for every edge e.
 
-    For n < 0 each block p_{r(δ)} depends on δ only through its last
-    range, and two paths with the same last range give the same two
-    products, so each distinct range is checked once; _last_ranges finds
-    them from the length profile without listing the paths.
+    Batching by the free group.  The algebra is graded by the free group
+    F on the edges, s_α p_A s_β* having degree α β⁻¹, and the normal form
+    keeps the grading key by key: the key (α, β) has degree α β⁻¹, and
+    multiply combines keys of degrees g and h into keys of degree g h.  If
+    u has degree 1 (α = β in every term; f_degree) and S = Σ s_e over
+    distinct edges, the terms of S have the distinct degrees e, the
+    component of degree e of u S is u s_e, and keys of different degrees
+    differ, so u S = S in normal form iff u s_e = s_e for every e.  The
+    same holds for S u, and for u S* and S* u through the degrees e⁻¹.
+    So one product with S stands for one product per edge.  The sums are
+    cut into pieces of at most TERM_COUNT_CAP edges (_edge_sums), so only
+    L(V) below, with one term per edge, can exceed the cap, and it is
+    built by the checks of degree 1.
 
-    For n > 0 cand is a UnitNodes certificate, and its shape is
-    re-checked: the root is (n, V), or None exactly when no path of
-    length n exists; a node (0, A) is p_A; a node (k, A), k >= 1, has as
-    children exactly the edges e with s(e) ∈ A whose node (k − 1, r(e))
-    is nonzero, in id order, each pointing at that node, which is listed.
-    A node (k, A) is nonzero iff k <= H(A) (_type_heights), and the
-    heights are checked against H(A) = max_{s(e)∈A} (1 + H(r(e))), 0 when
-    no edge leaves A.  Nothing else solves these equations: by induction
-    on the true H where it is finite, and a cycle of types A → r(e) is a
-    cycle of edges, around which a finite value would exceed itself.
-    Then, once per distinct A, not once per k, the one-level element
-    L(A) = Σ_{s(e)∈A} s_e p_{r(e)} s_e* must give L(A) s_e = s_e and
-    s_e* L(A) = s_e* for each child e, through multiply.
+    n = 0: ε_0 must have degree 1, and six products check it against
+    p_V, S = Σ_e s_e and S* on either side.
+
+    n < 0: each c_m must have degree 1, and the units must form a chain,
+    c_m c_{m+1} = c_{m+1} = c_{m+1} c_m for m < h.  A range r is the
+    last range of a path of length m iff m <= T(r) (_range_tops), and
+    an edge e is tested at m iff m <= B(e), so the degrees at which
+    either is tested are downward closed.  So each distinct range r is
+    tested once, at its top degree t = min(T(r), h), and the edges once,
+    batched by their top degree min(B(e), h).  That gives every
+    per-degree identity: for m < t the chain gives c_m c_t = c_t and
+    c_t c_m = c_t, by induction on t − m, since
+    c_m c_t = (c_m c_{m+1}) c_t = c_{m+1} c_t and
+    c_t c_m = c_t (c_{m+1} c_m) = c_t c_{m+1}.  So for x = p_r or s_e,
+    c_m x = c_m (c_t x) = c_t x = x, and for x = p_r or s_e*,
+    x c_m = (x c_t) c_m = x c_t = x.  The candidates of
+    epsilon_candidate, c_m = p_{reached(m)}, always pass the chain, as
+    reached(m + 1) ⊆ reached(m), and the range tests, as r ⊆ reached(t).
+    So their check fails at −t only on an edge e of top degree t with
+    s(e) outside reached(t), and as reached shrinks when m grows, −t is
+    the first degree at which the per-degree identities fail.
+
+    n > 0: the node table is checked once for all degrees.  The heights
+    are checked against H(A) = max_{s(e)∈A} (1 + H(r(e))), 0 when no edge
+    leaves A.  Nothing else solves these equations: by induction on the
+    true H where it is finite, and a cycle of types A → r(e) is a cycle of
+    edges, around which a finite value would exceed itself.  The root of
+    degree n is (n, V), or None exactly when no path of length n exists,
+    and it is listed.  A node (0, A) is p_A; a node (k, A), k >= 1, has as
+    children exactly the edges e with s(e) ∈ A whose node (k − 1, r(e)) is
+    nonzero, in id order, each pointing at that node, which is listed.  A
+    node (k, A) is nonzero iff k <= H(A) (_type_heights).  Then, once per
+    range type A, the one-level element L(A) = Σ_{s(e)∈A} s_e p_{r(e)} s_e*
+    must give L(A) S_A = S_A and S_A* L(A) = S_A*, where S_A = Σ s_e over
+    the children e of the nodes (k, A).  L(A) has degree 1, so by the
+    batching this is L(A) s_e = s_e and s_e* L(A) = s_e* for each child e.
 
     Claim: for every listed node (k, A), k >= 1, and every path β of
     length k with s(β) ∈ A, N(k, A) s_β = s_β and s_β* N(k, A) = s_β*.
@@ -516,66 +578,81 @@ def verify_epsilon(
     """
     if pres.edge_families:
         raise NotFiniteEdges("epsilon verification needs a finite edge set")
-    if n == 0:
-        gens = [AlgebraElement.projection(pres, pres.g0_universe())]
-        gens += [AlgebraElement.s(pres, (e,)) for e in map(EdgeInst, sorted(pres.edges))]
-        gens += [AlgebraElement.s_star(pres, (e,)) for e in map(EdgeInst, sorted(pres.edges))]
-        return all(multiply(cand, g) == g and multiply(g, cand) == g for g in gens)
-    if n > 0:
-        return _verify_unit_nodes(pres, n, cand)
-    m = -n
-    for rng in _last_ranges(pres, m):
-        proj = AlgebraElement.projection(pres, rng)
-        if multiply(cand, proj) != proj or multiply(proj, cand) != proj:
-            return False
-    for e in _relevant_edges(pres, m):
-        se = AlgebraElement.s(pres, (e,))
-        st = AlgebraElement.s_star(pres, (e,))
-        if multiply(cand, se) != se or multiply(st, cand) != st:
-            return False
-    return True
+    horizon = len(units.roots)
+    if len(units.negative) != horizon:
+        raise ValueError("the negative and the positive units cover different horizons")
+    failed = _verify_negative_units(pres, units.negative)
+    if failed is not None:
+        return failed
+    edges = list(map(EdgeInst, sorted(pres.edges)))
+    gens = [AlgebraElement.projection(pres, pres.g0_universe())]
+    gens += [x for pair in _edge_sums(pres, edges) for x in pair]
+    unit = units.zero
+    if not _degree_one(unit) or any(multiply(unit, g) != g or multiply(g, unit) != g for g in gens):
+        return 0
+    if horizon:
+        return _verify_unit_table(pres, units.roots, units.nodes)
+    return None
 
 
-def _verify_unit_nodes(pres: UltragraphPresentation, n: int, cand: UnitNodes) -> bool:
+def _verify_negative_units(pres: UltragraphPresentation, negative: tuple) -> Optional[int]:
+    """The checks of verify_epsilon for n < 0, from n = −h up."""
+    horizon = len(negative)
+    ranges_at: dict[int, list[VertexSet]] = {}
+    for rng, top in _range_tops(pres).items():
+        ranges_at.setdefault(min(top, horizon), []).append(rng)
+    edges_at: dict[int, list[EdgeInst]] = {}
+    for e, bound in pres.derived("relevance_bounds", _relevance_bounds).items():
+        if bound >= 1:
+            edges_at.setdefault(min(bound, horizon), []).append(e)
+    for m in range(horizon, 0, -1):
+        unit = negative[m - 1]
+        if not _degree_one(unit):
+            return -m
+        if m < horizon:
+            below = negative[m]
+            if multiply(unit, below) != below or multiply(below, unit) != below:
+                return -m
+        for rng in ranges_at.get(m, ()):
+            proj = AlgebraElement.projection(pres, rng)
+            if multiply(unit, proj) != proj or multiply(proj, unit) != proj:
+                return -m
+        for s, st in _edge_sums(pres, edges_at.get(m, [])):
+            if multiply(unit, s) != s or multiply(st, unit) != st:
+                return -m
+    return None
+
+
+def _verify_unit_table(pres: UltragraphPresentation, roots: tuple, nodes: dict) -> Optional[int]:
     """The checks of verify_epsilon for n > 0."""
-    if not isinstance(cand, UnitNodes):
-        return False
     out, height = _type_out_edges(pres), _type_heights(pres)
     rng = pres.edge_range
     if any(height[a] != max((1 + height[rng(e)] for e in es), default=0) for a, es in out.items()):
-        return False
+        return 1
     universe = pres.g0_universe()
-    if cand.root != ((n, universe) if height[universe] >= n else None):
-        return False
-    if cand.root is not None and cand.root not in cand.nodes:
-        return False
-    children: dict[VertexSet, set[EdgeInst]] = {}
-    for (k, a), node in cand.nodes.items():
+    for n, root in enumerate(roots, 1):
+        if root != ((n, universe) if height[universe] >= n else None):
+            return n
+        if root is not None and root not in nodes:
+            return n
+    children: dict[VertexSet, dict[EdgeInst, None]] = {}
+    for (k, a), node in nodes.items():
         if a not in out:
-            return False
+            return 1
         if k == 0:
             if node != a:
-                return False
+                return 1
             continue
         want = tuple((e, (k - 1, rng(e))) for e in out[a] if height[rng(e)] >= k - 1)
-        if not want or node != want or any(child not in cand.nodes for _, child in want):
-            return False
-        children.setdefault(a, set()).update(e for e, _ in want)
-    # the identities hold or fail with the presentation alone, so each
-    # pair (A, e) is re-multiplied once for every degree
-    checked = pres.derived("unit_levels_checked", lambda _: set())
-    for a, edges in children.items():
-        todo = [e for e in edges if (a, e) not in checked]
-        if not todo:
-            continue
+        if not want or node != want or any(child not in nodes for _, child in want):
+            return 1
+        children.setdefault(a, {}).update(dict.fromkeys(e for e, _ in want))
+    for a, kids in children.items():
         level = AlgebraElement._from_raw(pres, {((e,), (e,)): [(1, rng(e))] for e in out[a]})
-        for e in todo:
-            se = AlgebraElement._from_raw(pres, {((e,), ()): [(1, rng(e))]})
-            st = AlgebraElement._from_raw(pres, {((), (e,)): [(1, rng(e))]})
-            if multiply(level, se) != se or multiply(st, level) != st:
-                return False
-            checked.add((a, e))
-    return True
+        for s, st in _edge_sums(pres, list(kids)):
+            if multiply(level, s) != s or multiply(st, level) != st:
+                return 1
+    return None
 
 
 # -- strong-grading factorization certificates ---------------------------
@@ -754,9 +831,10 @@ def pretty(x: AlgebraElement) -> str:
     return " + ".join(chunks)
 
 
-def pretty_unit(pres: UltragraphPresentation, cand: UnitNodes, printed: dict[str, str]) -> str:
-    """The name of ε_n's root, or 0 when it has none.  Each node (k, A),
-    k >= 1, not yet in `printed` is added under its name N(k, V) or
+def pretty_units(pres: UltragraphPresentation, units: EpsilonUnits) -> tuple[dict[str, str], dict[str, str]]:
+    """The printed units and nodes.  Degree n <= 0 maps to its element,
+    and degree n > 0 to its root's name N(n, V), or 0 when it has none.
+    Each node (k, A), k >= 1, is printed once under its name N(k, V) or
     N(k, r(e)), for the first edge e in id order with range A, as the sum
     s(e) N(k − 1, r(e)) st(e) + … over its children, with p{r(e)} in place
     of a node of length 0."""
@@ -774,13 +852,18 @@ def pretty_unit(pres: UltragraphPresentation, cand: UnitNodes, printed: dict[str
     def name(key: Node) -> str:
         return f"N({key[0]}, {labels[key[1]]})"
 
-    for key, kids in cand.nodes.items():
-        label = name(key)
-        if key[0] and label not in printed:
-            printed[label] = " + ".join(
-                f"s({e.label()}) "
-                + (name(child) if child[0] else "p{" + _print_vset(pres, cand.nodes[child]) + "}")
-                + f" st({e.label()})"
-                for e, child in kids
-            )
-    return "0" if cand.root is None else name(cand.root)
+    printed = {str(-m): pretty(c) for m, c in reversed(list(enumerate(units.negative, 1)))}
+    printed["0"] = pretty(units.zero)
+    for n, root in enumerate(units.roots, 1):
+        printed[str(n)] = "0" if root is None else name(root)
+    nodes = {
+        name(key): " + ".join(
+            f"s({e.label()}) "
+            + (name(child) if child[0] else "p{" + _print_vset(pres, units.nodes[child]) + "}")
+            + f" st({e.label()})"
+            for e, child in kids
+        )
+        for key, kids in units.nodes.items()
+        if key[0]
+    }
+    return printed, nodes

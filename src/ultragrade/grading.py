@@ -9,9 +9,11 @@ The decision rules:
     algebra; those two plus "every edge source lies in some range" are
     sufficient; the gap in between is genuine and is reported as
     Undetermined unless an explicit family of unit certificates closes it:
-    on acyclic input, p of a vertex set for each degree n <= 0 and, for
-    n > 0, the shared nodes N(k, A) of algebra.UnitNodes, checked once per
-    range type (proof in algebra.verify_epsilon);
+    on acyclic input, one algebra.EpsilonUnits for every degree |n| up to
+    the longest path, p of a vertex set for each n <= 0 and one shared
+    table of nodes N(k, A) for n > 0, checked by one call that tests each
+    range type, range and edge once and the negative units as a chain
+    (proofs in algebra.verify_epsilon);
   * strongly F-graded  ⇔  exactly one edge e with r(e) = {s(e)};
   * epsilon-strongly F-graded  ⇔  unital;
   * gauge saturation  ⇔  the strong-Z criterion.
@@ -127,10 +129,10 @@ def _strong_z_certificate(pres: UltragraphPresentation) -> dict:
     return {"kind": "vertex_factorizations", "pairs": factorizations}
 
 
-# the longest path for which unit certificates are attempted: the positive
-# units are shared nodes, at most longest × (distinct ranges + 1), but each
-# negative degree still checks its last ranges and relevant edges, so the
-# certificates cost about longest × edges products
+# the longest path for which unit certificates are attempted: the checks
+# take about 2 × (longest + ranges + range types) products, but the node
+# table holds up to longest × (distinct ranges + 1) nodes, and the printed
+# certificate grows with it
 PATH_LENGTH_CAP = 64
 
 
@@ -166,22 +168,22 @@ def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
             f"{PATH_LENGTH_CAP}: unit certificates not attempted"
         )
         return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
-    units: dict[str, str] = {}
-    nodes: dict[str, str] = {}
-    for n in range(-horizon, horizon + 1):
-        try:
-            cand = algebra.epsilon_candidate(pres, n)
-            verified = algebra.verify_epsilon(pres, n, cand)
-        except TermCountCap as exc:
-            reasons.append(f"unit candidate for degree {n} hit TERM_COUNT_CAP: {exc}")
-            return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
-        if not verified:
-            reasons.append(f"unit candidate for degree {n} failed verification")
-            return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
-        if n > 0:
-            units[str(n)] = algebra.pretty_unit(pres, cand, nodes)
-        else:
-            units[str(n)] = algebra.pretty(cand)
+    # every candidate unit is one projection, so only a cap under one term
+    # stops epsilon_candidate, at its first unit, of degree -horizon; the
+    # checks cut their sums to the cap, so in verify_epsilon only L(V),
+    # built by the checks of degree 1, can exceed it
+    degree = -horizon
+    try:
+        units = algebra.epsilon_candidate(pres, horizon)
+        degree = 1
+        failed = algebra.verify_epsilon(pres, units)
+    except TermCountCap as exc:
+        reasons.append(f"unit candidate for degree {degree} hit TERM_COUNT_CAP: {exc}")
+        return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
+    if failed is not None:
+        reasons.append(f"unit candidate for degree {failed} failed verification")
+        return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
+    printed, nodes = algebra.pretty_units(pres, units)
     reasons.append(
         f"acyclic edge set: verified unit certificates for all degrees |n| <= {horizon}"
         " (higher components vanish)"
@@ -190,7 +192,7 @@ def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
         "EpsStrongZ",
         "Yes",
         reasons,
-        {"kind": "epsilon_unit_nodes", "units": units, "nodes": nodes},
+        {"kind": "epsilon_unit_nodes", "units": printed, "nodes": nodes},
     )
 
 

@@ -132,17 +132,18 @@ def star(x):
     return AlgebraElement._from_raw(x.pres, raw)
 
 
-def expand_unit(pres: UltragraphPresentation, cand) -> "AlgebraElement":
-    """The element that a UnitNodes certificate stands for, expanded node
-    by node: s_e N s_e* over each child e, with N(0, A) = p_A, each middle
-    cut to the last range of its path as monomial cuts it."""
+def expand_unit(pres: UltragraphPresentation, units, n: int) -> "AlgebraElement":
+    """The element that the root of degree n > 0 of an EpsilonUnits table
+    stands for, expanded node by node: s_e N s_e* over each child e, with
+    N(0, A) = p_A, each middle cut to the last range of its path as
+    monomial cuts it."""
     from ultragrade.algebra import AlgebraElement
 
     memo: dict = {}
 
     def paths(key):
         if key not in memo:
-            node = cand.nodes[key]
+            node = units.nodes[key]
             if key[0] == 0:
                 memo[key] = [((), node)]
             else:
@@ -150,8 +151,9 @@ def expand_unit(pres: UltragraphPresentation, cand) -> "AlgebraElement":
         return memo[key]
 
     raw: dict = {}
-    if cand.root is not None:
-        for path, a in paths(cand.root):
+    root = units.roots[n - 1]
+    if root is not None:
+        for path, a in paths(root):
             if path:
                 a = a.intersection(pres.edge_range(path[-1]))
             raw.setdefault((path, path), []).append((1, a))

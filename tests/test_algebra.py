@@ -24,7 +24,6 @@ from conftest import (
 from ultragrade.algebra import (
     TERM_COUNT_CAP,
     AlgebraElement,
-    UnitNodes,
     _atomize,
     _vset_sort_key,
     all_paths,
@@ -267,34 +266,40 @@ def test_f_degree_values():
 
 def test_one_edge_epsilon_certificates():
     pres = load("one_edge.ug")
-    e1 = epsilon_candidate(pres, 1)
+    units = epsilon_candidate(pres, 2)
     se = AlgebraElement.s(pres, E("e"))
-    assert expand_unit(pres, e1) == multiply(se, star(se))
-    assert verify_epsilon(pres, 1, e1)
-    em1 = epsilon_candidate(pres, -1)
-    assert em1 == AlgebraElement.projection(pres, pres.edges["e"].range)
-    assert verify_epsilon(pres, -1, em1)
-    assert verify_epsilon(pres, 0, epsilon_candidate(pres, 0))
-    # the degree-2 component is zero, so the zero candidate is its unit
-    assert expand_unit(pres, epsilon_candidate(pres, 2)).is_zero()
-    assert verify_epsilon(pres, 2, epsilon_candidate(pres, 2))
-    assert verify_epsilon(pres, -2, epsilon_candidate(pres, -2))
+    assert expand_unit(pres, units, 1) == multiply(se, star(se))
+    assert units.negative[0] == AlgebraElement.projection(pres, pres.edges["e"].range)
+    assert units.zero == AlgebraElement.projection(pres, pres.g0_universe())
+    # the degree ±2 components are zero, so the zero candidates are their units
+    assert units.roots[1] is None and expand_unit(pres, units, 2).is_zero()
+    assert units.negative[1].is_zero()
+    assert verify_epsilon(pres, units) is None
+    assert verify_epsilon(pres, epsilon_candidate(pres, 1)) is None
+    assert verify_epsilon(pres, epsilon_candidate(pres, 0)) is None
 
 
 def test_wrong_epsilon_candidate_rejected():
     pres = load("one_edge.ug")
-    # in degree 1 the zero unit has no root; an element is no node certificate
-    assert not verify_epsilon(pres, 1, UnitNodes(None, {}))
-    assert not verify_epsilon(pres, 1, AlgebraElement.zero(pres))
+    units = epsilon_candidate(pres, 1)
+    # in degree 1 the zero unit has no root; an element is no root
+    assert verify_epsilon(pres, units._replace(roots=(None,), nodes={})) == 1
+    assert verify_epsilon(pres, units._replace(roots=(AlgebraElement.zero(pres),))) == 1
     wrong = AlgebraElement.projection(pres, VertexSet.of(VertexRef("v", 0)))
-    assert not verify_epsilon(pres, -1, wrong)
+    assert verify_epsilon(pres, units._replace(negative=(wrong,))) == -1
+    assert verify_epsilon(pres, units._replace(zero=wrong)) == 0
+    with pytest.raises(ValueError):
+        verify_epsilon(pres, units._replace(negative=()))
+    with pytest.raises(ValueError):
+        epsilon_candidate(pres, -1)
 
 
 def test_epsilon_zero_needs_unit_everywhere():
     pres = load("two_cycle.ug")
-    e0 = epsilon_candidate(pres, 0)
-    assert e0 == AlgebraElement.projection(pres, pres.g0_universe())
-    assert verify_epsilon(pres, 0, e0)
+    units = epsilon_candidate(pres, 0)
+    assert units.zero == AlgebraElement.projection(pres, pres.g0_universe())
+    assert units.negative == units.roots == () and not units.nodes
+    assert verify_epsilon(pres, units) is None
 
 
 # -- strong factorizations -------------------------------------------------

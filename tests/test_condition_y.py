@@ -322,10 +322,15 @@ def test_profile_matches_the_state_oracle():
         # the settle length bounds the strong-Z certificate's depth cap
         assert len(states) <= profile.settle, pres.name
         assert profile.longest == (None if states[-1] else len(states) - 1), pres.name
+        # the top degrees T(r) list each range once, in first-edge order,
+        # and the ranges with T(r) >= m are the last ranges of length m
+        tops = algebra._range_tops(pres)
+        assert list(tops) == state_last_ranges(pres, states, 1), pres.name
         for length in range(1, profile.settle + 4):
             assert profile.reached(length) == state_reached(states, length), (pres.name, length)
-            got = algebra._last_ranges(pres, length)
-            assert got == state_last_ranges(pres, states, length), (pres.name, length)
+            got = [rng for rng, top in tops.items() if top >= length]
+            want = state_last_ranges(pres, states, length)
+            assert len(got) == len(want) and set(got) == set(want), (pres.name, length)
         covered = all(states[0].member(e.source) for e in pres.edges.values())
         assert (1 not in profile.depth.values()) == covered, pres.name
         if is_unital(pres):

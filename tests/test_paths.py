@@ -3,12 +3,15 @@ their checks, and the replacement paths, each against the straightforward
 version it replaced: every length enumerated anew, lengths tried one by
 one, a recursive cycle search, a product that pairs every term with every
 term, a product that pairs terms through a first-edge index, units listed
-and checked path by path, a range check per path, a walk per edge for the
-relevant edges, and a backward search over the in-edges."""
+and checked path by path, each degree's units built and checked alone, a
+range check per path, a walk per edge for the relevant edges, and a
+backward search over the in-edges."""
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 
 from conftest import (
     CORPUS,
@@ -26,7 +29,6 @@ from conftest import (
 from ultragrade import algebra
 from ultragrade.algebra import (
     AlgebraElement,
-    UnitNodes,
     all_paths,
     epsilon_candidate,
     multiply,
@@ -35,10 +37,11 @@ from ultragrade.algebra import (
     verify_factorization,
 )
 from ultragrade.condition_y import incoming_length_profile
-from ultragrade.errors import CertificateError
+from ultragrade.errors import CertificateError, TermCountCap
+from ultragrade.freegroup import FreeWord
 from ultragrade.grading import PATH_LENGTH_CAP, analyze, classify_eps_strong_z
 from ultragrade.lattice import is_unital
-from ultragrade.model import Edge, EdgeInst, UltragraphPresentation, VertexRef, VertexSet
+from ultragrade.model import Edge, EdgeInst, UltragraphPresentation, VertexRef, VertexSet, parse_presentation
 
 # -- the oracles -------------------------------------------------------------
 
@@ -195,6 +198,130 @@ def verify_listing_oracle(pres, n, cand):
         if multiply(sq, cand) != sq:
             return False
     return True
+
+
+def last_ranges_oracle(pres, m):
+    """The distinct last ranges of the paths of length m, in the order of
+    the paths."""
+    return list(dict.fromkeys(pres.edge_range(p[-1]) for p in all_paths_oracle(pres, m)))
+
+
+def unit_nodes_oracle(pres, n):
+    """(root, nodes) of ε_n, n > 0, for one degree alone, as the library
+    built it before the degrees shared one table: the nodes that the root
+    (n, V) reaches, or (None, {}) when no path of length n exists."""
+    out, height = algebra._type_out_edges(pres), algebra._type_heights(pres)
+    universe = pres.g0_universe()
+    if height[universe] < n:
+        return None, {}
+    nodes = {}
+    work = [(n, universe)]
+    while work:
+        key = work.pop()
+        if key in nodes:
+            continue
+        k, a = key
+        if k == 0:
+            nodes[key] = a
+            continue
+        kids = tuple(
+            (e, (k - 1, pres.edge_range(e))) for e in out[a] if height[pres.edge_range(e)] >= k - 1
+        )
+        nodes[key] = kids
+        work.extend(child for _, child in kids)
+    return (n, universe), nodes
+
+
+def verify_degree_oracle(pres, n, cand, nodes=None):
+    """Degree n checked alone, as the library checked it before one check
+    served every degree.  For n < 0, cand against p_r for each last range
+    r of the paths of length |n|, and against s_e and s_e* for each edge e
+    that the walk finds relevant; at n = 0, against p_V, s_e and s_e*, one
+    edge at a time, on either side; for n > 0, cand is the root of degree
+    n in the table `nodes`, and the heights, the root, every node of the
+    table and each one-level identity, one edge at a time, are checked."""
+    if n < 0:
+        for rng in last_ranges_oracle(pres, -n):
+            proj = AlgebraElement.projection(pres, rng)
+            if multiply(cand, proj) != proj or multiply(proj, cand) != proj:
+                return False
+        for e in relevant_edges_oracle(pres, -n):
+            se = AlgebraElement.s(pres, (e,))
+            if multiply(cand, se) != se or multiply(star(se), cand) != star(se):
+                return False
+        return True
+    edges = [EdgeInst(eid) for eid in sorted(pres.edges)]
+    if n == 0:
+        gens = [AlgebraElement.projection(pres, pres.g0_universe())]
+        gens += [AlgebraElement.s(pres, (e,)) for e in edges]
+        gens += [star(g) for g in gens[1:]]
+        return all(multiply(cand, g) == g and multiply(g, cand) == g for g in gens)
+    out, height = algebra._type_out_edges(pres), algebra._type_heights(pres)
+    rng = pres.edge_range
+    if any(height[a] != max((1 + height[rng(e)] for e in es), default=0) for a, es in out.items()):
+        return False
+    universe = pres.g0_universe()
+    if cand != ((n, universe) if height[universe] >= n else None):
+        return False
+    if cand is not None and cand not in nodes:
+        return False
+    children = {}
+    for (k, a), node in nodes.items():
+        if a not in out:
+            return False
+        if k == 0:
+            if node != a:
+                return False
+            continue
+        want = tuple((e, (k - 1, rng(e))) for e in out[a] if height[rng(e)] >= k - 1)
+        if not want or node != want or any(child not in nodes for _, child in want):
+            return False
+        children.setdefault(a, set()).update(e for e, _ in want)
+    for a, kids in children.items():
+        level = AlgebraElement._from_raw(pres, {((e,), (e,)): [(1, rng(e))] for e in out[a]})
+        for e in kids:
+            se = AlgebraElement.s(pres, (e,))
+            if multiply(level, se) != se or multiply(star(se), level) != star(se):
+                return False
+    return True
+
+
+def verify_per_degree_oracle(pres, units):
+    """The first degree whose own check fails, from −h up, or None: the
+    certificate checked degree by degree, each positive degree with the
+    whole table."""
+    h = len(units.roots)
+    cands = [(-m, units.negative[m - 1]) for m in range(h, 0, -1)] + [(0, units.zero)]
+    cands += list(enumerate(units.roots, 1))
+    for n, cand in cands:
+        if not verify_degree_oracle(pres, n, cand, units.nodes):
+            return n
+    return None
+
+
+def unit_reason_oracle(pres, horizon):
+    """The last reason of classify_eps_strong_z's unit stage as the loop
+    over the degrees gave it, each degree's candidate built and checked
+    alone: p_{reached(m)} at −m, p_V at 0 and the nodes of
+    unit_nodes_oracle for n > 0."""
+    profile = incoming_length_profile(pres)
+    for n in range(-horizon, horizon + 1):
+        try:
+            if n < 0:
+                cand, nodes = AlgebraElement.projection(pres, profile.reached(-n)), None
+            elif n == 0:
+                cand, nodes = AlgebraElement.projection(pres, pres.g0_universe()), None
+            else:
+                cand, nodes = unit_nodes_oracle(pres, n)
+            ok = verify_degree_oracle(pres, n, cand, nodes)
+        except TermCountCap as exc:
+            return f"unit candidate for degree {n} hit TERM_COUNT_CAP: {exc}"
+        if not ok:
+            return f"unit candidate for degree {n} failed verification"
+    return (
+        f"acyclic edge set: verified unit certificates for all degrees |n| <= {horizon}"
+        " (higher components vanish)"
+    )
 
 
 # -- inputs -----------------------------------------------------------------
@@ -391,12 +518,13 @@ def test_products_match_the_first_edge_oracle():
     # and with each other, so that either factor can be the larger
     for w, d in ((2, 4), (3, 4), (3, 5)):
         pres = layered_dag(w, d)
+        units = epsilon_candidate(pres, d)
         for n in range(1, d + 1):
-            cand = expand_unit(pres, epsilon_candidate(pres, n))
-            neg = epsilon_candidate(pres, -n)
+            cand = expand_unit(pres, units, n)
+            neg = units.negative[n - 1]
             gens = [AlgebraElement.s(pres, p) for p in all_paths(pres, n)]
             gens += [star(g) for g in gens]
-            gens += [AlgebraElement.projection(pres, r) for r in algebra._last_ranges(pres, n)]
+            gens += [AlgebraElement.projection(pres, r) for r in last_ranges_oracle(pres, n)]
             for g in gens + [cand, star(cand), neg]:
                 for a, b in ((cand, g), (g, cand), (neg, g), (g, neg)):
                     assert multiply(a, b) == multiply_first_edge_oracle(a, b), (pres.name, n)
@@ -439,31 +567,36 @@ def relevant_edges_oracle(pres, m):
     return out
 
 
+def _relevant_edges(pres, m):
+    """The edges the library tests at degree −m: those with B(e) >= m."""
+    return [e for e, b in algebra._relevance_bounds(pres).items() if b >= m]
+
+
 def test_relevant_edges_and_negative_units_match_the_path_oracle():
     """The relevant edges, read off the bounds B(e) of one pass per
     presentation, against the walk per edge and length, for every length
     up to one past the settle length, on cyclic and acyclic input and on
-    the finite-edge corpus, infinite ranges included."""
+    the finite-edge corpus, infinite ranges included; the negative units
+    are p of what the paths reach."""
     relevant = cyclic = 0
     for pres in seeded_presentations() + _finite_edge_corpus():
         profile = incoming_length_profile(pres)
         cyclic += profile.longest is None
+        units = epsilon_candidate(pres, 3)
         for m in range(1, profile.settle + 2):
-            got = algebra._relevant_edges(pres, m)
+            got = _relevant_edges(pres, m)
             assert got == relevant_edges_oracle(pres, m), (pres.name, m)
             relevant += len(got)
             if m <= 3:
                 covered = VertexSet.empty()
                 for q in all_paths_oracle(pres, m):
                     covered = covered.union(pres.edge_range(q[-1]))
-                assert algebra.epsilon_candidate(pres, -m) == AlgebraElement.projection(pres, covered)
+                assert units.negative[m - 1] == AlgebraElement.projection(pres, covered)
     assert relevant >= 500 and cyclic >= 20
 
 
-def test_negative_units_check_each_last_range_once(monkeypatch):
-    """verify_epsilon(-m) checks the candidate against p_R once per
-    distinct last range R of the paths of length m, and against nothing
-    else of that shape."""
+def _spy(monkeypatch):
+    """Every product that the library's code makes, as (x, y) pairs."""
     calls = []
     real = algebra.multiply
 
@@ -472,28 +605,83 @@ def test_negative_units_check_each_last_range_once(monkeypatch):
         return real(x, y)
 
     monkeypatch.setattr(algebra, "multiply", spy)
+    return calls
+
+
+def _edge_sum(pres, edges):
+    return sum((AlgebraElement.s(pres, (e,)) for e in edges), AlgebraElement.zero(pres))
+
+
+def expected_negative_products(pres, units):
+    """The products of the negative checks, from the path and walk oracles:
+    each link of the chain both ways; each distinct last range r against
+    c_t, t the largest m <= h with r the last range of a path of length m,
+    on both sides; and the sum of s_e over the edges whose largest relevant
+    m <= h is t, against c_t, as S c_t … c_t S and S* c_t."""
+    h = len(units.roots)
+    c = units.negative
+    want = Counter()
+    for m in range(1, h):
+        want[(c[m - 1], c[m])] += 1
+        want[(c[m], c[m - 1])] += 1
+    range_top, edge_top = {}, {}
+    for m in range(1, h + 1):
+        range_top.update(dict.fromkeys(last_ranges_oracle(pres, m), m))
+        edge_top.update(dict.fromkeys(relevant_edges_oracle(pres, m), m))
+    for rng, t in range_top.items():
+        proj = AlgebraElement.projection(pres, rng)
+        want[(c[t - 1], proj)] += 1
+        want[(proj, c[t - 1])] += 1
+    for t in set(edge_top.values()):
+        s = _edge_sum(pres, [e for e, b in edge_top.items() if b == t])
+        want[(c[t - 1], s)] += 1
+        want[(star(s), c[t - 1])] += 1
+    return want
+
+
+def expected_positive_products(pres, h):
+    """The products of the node checks: for each range type A that a node
+    (k, A), k >= 1, of some degree n <= h has, built one degree at a time,
+    L(A) against the sum S_A of s_e over the children of those nodes, as
+    L(A) S_A and S_A* L(A)."""
+    children = {}
+    for n in range(1, h + 1):
+        for key, kids in unit_nodes_oracle(pres, n)[1].items():
+            if key[0]:
+                children.setdefault(key[1], set()).update(e for e, _ in kids)
+    want = Counter()
+    for a, kids in children.items():
+        out = [AlgebraElement.s(pres, (e,)) for e in pres.all_edge_insts() if a.member(pres.edge_source(e))]
+        level = sum((multiply(se, star(se)) for se in out), AlgebraElement.zero(pres))
+        s = _edge_sum(pres, kids)
+        want[(level, s)] += 1
+        want[(star(s), level)] += 1
+    return want
+
+
+def test_negative_units_check_each_last_range_once(monkeypatch):
+    """The negative checks make exactly the products of the chain, one
+    pair per distinct last range at its top degree and one pair per top
+    degree of the edges, on acyclic input up to the longest path and on
+    cyclic input up to 3: each range is tested twice over all degrees, as
+    a right and as a left factor, however many paths and degrees share
+    it."""
+    calls = _spy(monkeypatch)
     rng = random.Random(2027)
-    shared = 0
-    for _ in range(200):
-        pres = random_dag(rng)
-        for m in range(1, 5):
-            paths = all_paths_oracle(pres, m)
-            want = {pres.edge_range(p[-1]) for p in paths}
-            assert set(algebra._last_ranges(pres, m)) == want, (pres.name, m)
-            assert len(algebra._last_ranges(pres, m)) == len(want)
-            shared += len(paths) - len(want)
-            cand = epsilon_candidate(pres, -m)
-            calls.clear()
-            verify_epsilon(pres, -m, cand)
-            tested = [
-                z.terms[((), ())][0][1]
-                for x, y in calls
-                for z in (x, y)
-                if z is not cand and set(z.terms) == {((), ())}
-            ]
-            # each range twice: as a right and as a left factor
-            assert set(tested) == want and len(tested) == 2 * len(want), (pres.name, m)
-    assert shared >= 200
+    inputs = [random_dag(rng) for _ in range(200)] + seeded_presentations()
+    shared = batched = 0
+    for pres in inputs:
+        h = _longest(pres) or 3
+        units = epsilon_candidate(pres, h)
+        calls.clear()
+        failed = algebra._verify_negative_units(pres, units.negative)
+        if failed is not None:
+            continue
+        assert Counter(calls) == expected_negative_products(pres, units), pres.name
+        ranges = {r for m in range(1, h + 1) for r in last_ranges_oracle(pres, m)}
+        shared += sum(len(all_paths_oracle(pres, m)) for m in range(1, h + 1)) - len(ranges)
+        batched += sum(len(y.terms) > 1 for _, y in calls)
+    assert shared >= 200 and batched >= 50, (shared, batched)
 
 
 def test_a_unit_wrong_on_one_shared_range_is_rejected():
@@ -501,7 +689,7 @@ def test_a_unit_wrong_on_one_shared_range_is_rejected():
     length 2 share the last range {v[7]}; one more path ends in {v[10]}.
     A degree -2 unit that misses only v[7] fails the one check of that
     range, and no other check would catch it: no edge begins a longer
-    path into those ranges."""
+    path into those ranges, and the unit still lies under c_1."""
     pres = UltragraphPresentation("fan", {"v": 11})
     ends = {f"f{i}": (i, 6) for i in range(6)}
     ends.update(h=(6, 7), a=(8, 9), b=(9, 10))
@@ -510,15 +698,19 @@ def test_a_unit_wrong_on_one_shared_range_is_rejected():
     pres.validate()
     assert len(all_paths(pres, 2)) == 7
     # the shared range comes last, after the one it is not wrong on
-    assert algebra._last_ranges(pres, 2) == [
+    tops = algebra._range_tops(pres)
+    assert [r for r, t in tops.items() if t >= 2] == [
         VertexSet.of(VertexRef("v", 10)),
         VertexSet.of(VertexRef("v", 7)),
     ]
-    assert algebra._relevant_edges(pres, 2) == []
-    unit = epsilon_candidate(pres, -2)
-    assert unit == AlgebraElement.projection(pres, VertexSet.of(VertexRef("v", 7), VertexRef("v", 10)))
-    assert verify_epsilon(pres, -2, unit)
-    assert not verify_epsilon(pres, -2, AlgebraElement.projection(pres, VertexSet.of(VertexRef("v", 10))))
+    assert _relevant_edges(pres, 2) == []
+    units = epsilon_candidate(pres, 2)
+    v7, v10 = VertexRef("v", 7), VertexRef("v", 10)
+    assert units.negative[1] == AlgebraElement.projection(pres, VertexSet.of(v7, v10))
+    assert verify_epsilon(pres, units) is None
+    wrong = units._replace(negative=(units.negative[0], AlgebraElement.projection(pres, VertexSet.of(v10))))
+    assert verify_epsilon(pres, wrong) == -2
+    assert verify_per_degree_oracle(pres, wrong) == -2
 
 
 def test_chain_beyond_the_path_length_cap_is_undetermined():
@@ -538,6 +730,41 @@ def test_term_count_cap_is_undetermined(monkeypatch):
     verdict = classify_eps_strong_z(pres)
     assert verdict.status == "Undetermined"
     assert "hit TERM_COUNT_CAP" in verdict.reasons[-1]
+    assert verdict.reasons[-1] == "unit candidate for degree -1 hit TERM_COUNT_CAP: 1 terms exceed the cap 0"
+
+
+def _reaches_the_unit_stage(pres):
+    profile = incoming_length_profile(pres)
+    return (
+        is_unital(pres)
+        and 1 in profile.depth.values()
+        and profile.longest is not None
+        and profile.longest <= PATH_LENGTH_CAP
+    )
+
+
+def test_term_count_cap_reasons_match_the_per_degree_oracle(monkeypatch):
+    """Under small caps the one check stops at the degree, and with the
+    message, of the loop over the degrees: a cap under one term at the
+    first candidate, of degree −h, and otherwise at L(V) in degree 1, after
+    the negative degrees, whose sums are cut to the cap, have passed."""
+    rng = random.Random(2034)
+    inputs = [load("one_edge.ug"), load("two_range.ug"), layered_dag(2, 3), layered_dag(3, 4)]
+    inputs += [p for p in (random_dag(rng) for _ in range(40)) if _reaches_the_unit_stage(p)]
+    seen = Counter()
+    for cap in (0, 1, 2, 3, 5, 8):
+        monkeypatch.setattr(algebra, "TERM_COUNT_CAP", cap)
+        for pres in inputs:
+            if not _reaches_the_unit_stage(pres):
+                continue
+            pres.validate()
+            got = classify_eps_strong_z(pres).reasons[-1]
+            assert got == unit_reason_oracle(pres, _longest(pres)), (pres.name, cap)
+            seen[got.split(":")[0] if "TERM_COUNT_CAP" in got else got.split(" ")[0]] += 1
+    capped = {k for k in seen if k.startswith("unit candidate for degree")}
+    assert {"unit candidate for degree 1 hit TERM_COUNT_CAP"} <= capped, seen
+    assert any(k.endswith("-1 hit TERM_COUNT_CAP") for k in capped), seen
+    assert seen["acyclic"] >= 10 and seen["unit"] >= 5, seen
 
 
 def _unit_inputs():
@@ -553,55 +780,110 @@ def _unit_inputs():
         yield pres, range(1, (3 if longest is None else longest + 1) + 1)
 
 
+def _reach(units, root):
+    """The part of the table that one root reaches."""
+    out, work = {}, [root] if root is not None else []
+    while work:
+        key = work.pop()
+        if key not in out:
+            out[key] = units.nodes[key]
+            if key[0]:
+                work.extend(child for _, child in out[key])
+    return out
+
+
 def test_unit_nodes_expand_to_the_path_listing():
-    """The node certificate stands for the unit that was listed path by
-    path, term for term, and the node checker and the path-by-path check
-    give the same verdict on it; past the longest path both are zero."""
+    """Each root of the one node table stands for the unit that was listed
+    path by path, term for term, and reaches exactly the nodes of that
+    degree's own table; the node checks pass, and so does the
+    path-by-path check; past the longest path the roots are zero."""
     checked = zero = 0
     for pres, degrees in _unit_inputs():
+        units = epsilon_candidate(pres, degrees[-1])
+        assert algebra._verify_unit_table(pres, units.roots, units.nodes) is None, pres.name
         for n in degrees:
-            cand = epsilon_candidate(pres, n)
             listed = unit_listing_oracle(pres, n)
-            assert expand_unit(pres, cand) == listed, (pres.name, n)
-            assert verify_epsilon(pres, n, cand) == verify_listing_oracle(pres, n, listed) is True
-            zero += cand.root is None
+            assert expand_unit(pres, units, n) == listed, (pres.name, n)
+            assert verify_listing_oracle(pres, n, listed)
+            root, nodes = unit_nodes_oracle(pres, n)
+            assert units.roots[n - 1] == root and _reach(units, root) == nodes, (pres.name, n)
+            zero += root is None
             checked += 1
     assert checked >= 800 and zero >= 200
 
 
-def _sabotaged(cand: UnitNodes, rng: random.Random):
-    """One certificate per kind of sabotage, each a fresh copy of cand:
-    a dropped child, a child retargeted to a wrong (k − 1, A) that is
-    listed, a wrong root, a wrong p_A at k = 0 and a child whose node is
-    not listed."""
-    inner = [key for key in cand.nodes if key[0] >= 1]
-    leaves = [key for key in cand.nodes if key[0] == 0]
+def test_one_check_matches_the_per_degree_oracle():
+    """One check of every degree gives the verdict, and the first failing
+    degree, of each degree checked alone, on the unit inputs with cyclic
+    input up to horizon 3 and on the seeded presentations, at the longest
+    path and one past it."""
+    failed = passed = 0
+    inputs = [pres for pres, _ in _unit_inputs()] + seeded_presentations()
+    for pres in inputs:
+        longest = _longest(pres)
+        for h in (1, 2, 3) if longest is None else (longest, longest + 1):
+            units = epsilon_candidate(pres, h)
+            got = verify_epsilon(pres, units)
+            assert got == verify_per_degree_oracle(pres, units), (pres.name, h)
+            failed += got is not None
+            passed += got is None
+    assert failed >= 100 and passed >= 400, (failed, passed)
+
+
+def test_failure_degrees_match_the_per_degree_oracle():
+    """On random presentations of the benchmark's common shape, the
+    classifier's last reason, the failing degree included, is the one of
+    the loop that built and checked each degree alone."""
+    rng = random.Random(2035)
+    degrees = Counter()
+    for i in range(3000):
+        pres = random_presentation(rng, sinkless=bool(i % 2))
+        if not _reaches_the_unit_stage(pres):
+            continue
+        got = classify_eps_strong_z(pres).reasons[-1]
+        assert got == unit_reason_oracle(pres, _longest(pres)), pres.name
+        if got.endswith("failed verification"):
+            degrees[int(got.split()[4])] += 1
+    assert sum(degrees.values()) >= 20 and min(degrees) <= -2, degrees
+
+
+def _sabotaged(units, rng: random.Random):
+    """One certificate per kind of table sabotage, each a fresh copy of
+    units: a dropped child, a child retargeted to a wrong (k − 1, A) that
+    is listed, a wrong root, a wrong p_A at k = 0 and a child whose node
+    is not listed."""
+    inner = [key for key in units.nodes if key[0] >= 1]
+    leaves = [key for key in units.nodes if key[0] == 0]
     key = rng.choice(inner)
-    kids = cand.nodes[key]
+    kids = units.nodes[key]
     i = rng.randrange(len(kids))
     e, (j, a) = kids[i]
-    dropped = dict(cand.nodes)
+    dropped = dict(units.nodes)
     dropped[key] = kids[:i] + kids[i + 1 :]
-    others = [b for (k, b) in cand.nodes if k == j and b != a]
+    others = [b for (k, b) in units.nodes if k == j and b != a]
     retargeted = None
     if others:
-        retargeted = dict(cand.nodes)
+        retargeted = dict(units.nodes)
         retargeted[key] = kids[:i] + ((e, (j, rng.choice(others))),) + kids[i + 1 :]
-    n, universe = cand.root
-    roots = [r for r in cand.nodes if r != cand.root]
-    wrong_p = dict(cand.nodes)
+    listed = [n for n, root in enumerate(units.roots, 1) if root is not None]
+    n = rng.choice(listed)
+    universe = units.roots[n - 1][1]
+    roots = [r for r in units.nodes if r != units.roots[n - 1]]
+    wrong_root = list(units.roots)
+    wrong_root[n - 1] = rng.choice(roots) if roots else (n + 1, universe)
+    wrong_p = dict(units.nodes)
     leaf = rng.choice(leaves)
     wrong_p[leaf] = universe if leaf[1] != universe else leaf[1].difference(leaf[1])
-    unlisted = dict(cand.nodes)
+    unlisted = dict(units.nodes)
     del unlisted[rng.choice(kids)[1]]
     out = {
-        "dropped": UnitNodes(cand.root, dropped),
-        "unlisted": UnitNodes(cand.root, unlisted),
-        "wrong root": UnitNodes(rng.choice(roots) if roots else (n + 1, universe), cand.nodes),
-        "wrong p_A": UnitNodes(cand.root, wrong_p),
+        "dropped": units._replace(nodes=dropped),
+        "unlisted": units._replace(nodes=unlisted),
+        "wrong root": units._replace(roots=tuple(wrong_root)),
+        "wrong p_A": units._replace(nodes=wrong_p),
     }
     if retargeted is not None:
-        out["retargeted"] = UnitNodes(cand.root, retargeted)
+        out["retargeted"] = units._replace(nodes=retargeted)
     return out
 
 
@@ -609,17 +891,24 @@ def test_sabotaged_unit_nodes_are_rejected(monkeypatch):
     rng = random.Random(2032)
     seen = dict.fromkeys(("dropped", "retargeted", "wrong root", "wrong p_A", "unlisted"), 0)
     for pres, degrees in _unit_inputs():
-        for n in degrees:
-            cand = epsilon_candidate(pres, n)
-            if cand.root is None:
+        for h in degrees:
+            units = epsilon_candidate(pres, h)
+            if not units.nodes:
                 continue
-            for kind, bad in _sabotaged(cand, rng).items():
-                assert not verify_epsilon(pres, n, bad), (pres.name, n, kind)
+            for kind, bad in _sabotaged(units, rng).items():
+                failed = algebra._verify_unit_table(pres, bad.roots, bad.nodes)
+                assert failed is not None, (pres.name, h, kind)
                 seen[kind] += 1
                 if kind == "dropped":
-                    # the path-by-path check rejects the smaller sum too
-                    assert not verify_listing_oracle(pres, n, expand_unit(pres, bad))
-            assert verify_epsilon(pres, n, cand)
+                    # the path-by-path check rejects the smaller sum too,
+                    # in every degree whose root reaches the node
+                    smaller = [
+                        n for n in range(1, h + 1) if expand_unit(pres, bad, n) != expand_unit(pres, units, n)
+                    ]
+                    assert smaller, (pres.name, h)
+                    for n in smaller:
+                        assert not verify_listing_oracle(pres, n, expand_unit(pres, bad, n))
+            assert algebra._verify_unit_table(pres, units.roots, units.nodes) is None
     assert min(seen.values()) >= 100, seen
     # heights that miss one path: the nodes built from them and checked
     # against them agree, but the heights fail their own equation
@@ -629,48 +918,166 @@ def test_sabotaged_unit_nodes_are_rejected(monkeypatch):
     short = dict(real)
     short[top] -= 1
     monkeypatch.setattr(algebra, "_type_heights", lambda _: short)
-    cand = epsilon_candidate(pres, 5)
-    assert cand.root is None and expand_unit(pres, cand).is_zero()
-    assert not verify_epsilon(pres, 5, cand)
-    assert not verify_epsilon(pres, 4, epsilon_candidate(pres, 4))
+    units = epsilon_candidate(pres, 5)
+    assert units.roots[4] is None and expand_unit(pres, units, 5).is_zero()
+    assert verify_epsilon(pres, units) == 1
+    assert verify_epsilon(pres, epsilon_candidate(pres, 4)) == 1
+
+
+def _f_degree(key):
+    return FreeWord.from_path(key[0]) * FreeWord.from_path(key[1], sign=-1)
+
+
+def test_sabotaged_units_are_rejected(monkeypatch):
+    """Each sabotage of the units or of the product is rejected: a c_m
+    that misses one vertex of reached(m); two degrees of different units
+    swapped, so that the chain breaks; a unit of degree 0 that is not
+    homogeneous, p_V + s_e; and a multiply that drops one free-group
+    component of one product that has several.  The per-degree check
+    rejects the first three too."""
+    rng = random.Random(2036)
+    seen = dict.fromkeys(("missing vertex", "swapped", "not homogeneous", "dropped component"), 0)
+    real = algebra.multiply
+    more = (random_dag(rng) for _ in range(300))
+    inputs = itertools.chain(_unit_inputs(), ((p, range(1, _longest(p) + 2)) for p in more))
+    for pres, degrees in inputs:
+        units = epsilon_candidate(pres, degrees[-1])
+        if verify_epsilon(pres, units) is not None:
+            continue
+        h = len(units.roots)
+        bad = {}
+        m = rng.choice([m for m in range(1, h + 1) if units.negative[m - 1].terms])
+        have = list(itertools.islice(units.negative[m - 1].terms[((), ())][0][1].iter_vertices(), 50))
+        gone = units.negative[m - 1].terms[((), ())][0][1].difference(VertexSet.of(rng.choice(have)))
+        negative = list(units.negative)
+        negative[m - 1] = AlgebraElement.projection(pres, gone)
+        bad["missing vertex"] = units._replace(negative=tuple(negative))
+        pairs = [(i, j) for i in range(h) for j in range(i + 1, h) if units.negative[i] != units.negative[j]]
+        if pairs:
+            i, j = rng.choice(pairs)
+            negative = list(units.negative)
+            negative[i], negative[j] = negative[j], negative[i]
+            bad["swapped"] = units._replace(negative=tuple(negative))
+        e = rng.choice(pres.all_edge_insts())
+        bad["not homogeneous"] = units._replace(zero=units.zero + AlgebraElement.s(pres, (e,)))
+        for kind, wrong in bad.items():
+            assert verify_epsilon(pres, wrong) is not None, (pres.name, kind)
+            assert verify_per_degree_oracle(pres, wrong) is not None, (pres.name, kind)
+            seen[kind] += 1
+        # the products with several free-group components, counted on a
+        # clean run, and then one of them loses one component
+        several = []
+
+        def counting(x, y):
+            z = real(x, y)
+            several.append(len({_f_degree(k) for k in z.terms}) > 1)
+            return z
+
+        monkeypatch.setattr(algebra, "multiply", counting)
+        assert verify_epsilon(pres, units) is None
+        eligible = [i for i, many in enumerate(several) if many]
+        if not eligible:
+            monkeypatch.setattr(algebra, "multiply", real)
+            continue
+        target = rng.choice(eligible)
+        count = itertools.count()
+
+        def dropping(x, y):
+            z = real(x, y)
+            if next(count) == target:
+                gone = rng.choice(sorted({_f_degree(k) for k in z.terms}, key=repr))
+                z = AlgebraElement(pres, {k: v for k, v in z.terms.items() if _f_degree(k) != gone})
+            return z
+
+        monkeypatch.setattr(algebra, "multiply", dropping)
+        assert verify_epsilon(pres, units) is not None, pres.name
+        monkeypatch.setattr(algebra, "multiply", real)
+        seen["dropped component"] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_a_negative_unit_of_mixed_degree_is_rejected():
+    """Four parallel edges a -> {b, c} and g : b -> {c}.  With
+    x = (s_f − s_f') p_{b,c} (s_e1* − s_e2*), the unit c_1 = p_V + x passes
+    every product of the check: x s_e1 = −x s_e2 and s_f* x = s_f'* x, so
+    x cancels against the sum of the edges on either side, and a, the
+    source of x's paths, lies in no range.  But c_1 s_e1 ≠ s_e1.  Only the
+    test that c_1 has free-group degree 1 rejects it; p_V in its place
+    passes, alone and degree by degree."""
+    pres = parse_presentation(
+        "ultragraph fan4\nvertex a\nvertex b\nvertex c\n"
+        + "".join(f"edge {e} : a -> {{ b, c }}\n" for e in ("e1", "e2", "f", "f2"))
+        + "edge g : b -> { c }\n"
+    )
+    units = epsilon_candidate(pres, 2)
+    whole = AlgebraElement.projection(pres, pres.g0_universe())
+    units = units._replace(negative=(whole, units.negative[1]))
+    assert verify_epsilon(pres, units) is None and verify_per_degree_oracle(pres, units) is None
+    e1, e2, f, f2 = (EdgeInst(e) for e in ("e1", "e2", "f", "f2"))
+    bc = pres.edge_range(e1)
+    x = AlgebraElement.zero(pres)
+    for a, b, c in ((f, e1, 1), (f, e2, -1), (f2, e1, -1), (f2, e2, 1)):
+        x = x + AlgebraElement.monomial(pres, (a,), bc, (b,), c)
+    bad = units._replace(negative=(whole + x, units.negative[1]))
+    assert verify_epsilon(pres, bad) == -1
+    assert verify_per_degree_oracle(pres, bad) == -1
+    # the batched products alone let it through
+    assert algebra._verify_negative_units(pres, bad.negative) == -1
+    s = _edge_sum(pres, pres.all_edge_insts())
+    assert multiply(bad.negative[0], s) == s and multiply(star(s), bad.negative[0]) == star(s)
 
 
 def test_unit_levels_are_multiplied_once_per_type(monkeypatch):
-    """The one-level identities L(A) s_e = s_e and s_e* L(A) = s_e* go
-    through multiply once per range type A and child e, however many
-    degrees share them, and a wrong product fails the check."""
-    calls = []
-    real = algebra.multiply
-
-    def spy(x, y):
-        calls.append((x, y))
-        return real(x, y)
-
-    monkeypatch.setattr(algebra, "multiply", spy)
+    """The node checks make exactly two products per range type A with a
+    node (k, A), k >= 1, over all degrees: L(A) S_A and S_A* L(A), with
+    S_A the sum of s_e over the children of those nodes; and a wrong
+    product fails the check."""
+    calls = _spy(monkeypatch)
     rng = random.Random(2033)
     for pres in [layered_dag(3, 5), layered_dag(2, 6)] + [random_dag(rng) for _ in range(50)]:
         longest = _longest(pres)
-        pairs = set()
+        units = epsilon_candidate(pres, longest)
         calls.clear()
-        for n in range(1, longest + 1):
-            cand = epsilon_candidate(pres, n)
-            assert verify_epsilon(pres, n, cand)
-            pairs.update((key[1], e) for key, kids in cand.nodes.items() if key[0] for e, _ in kids)
-        assert len(calls) == 2 * len(pairs), pres.name
+        assert algebra._verify_unit_table(pres, units.roots, units.nodes) is None
+        want = expected_positive_products(pres, longest)
+        types = {key[1] for key in units.nodes if key[0]}
+        assert Counter(calls) == want and len(calls) == 2 * len(types), pres.name
     # a product that drops every term fails the identities
     monkeypatch.setattr(algebra, "multiply", lambda x, y: AlgebraElement.zero(x.pres))
     pres = layered_dag(3, 3)
-    assert not verify_epsilon(pres, 2, epsilon_candidate(pres, 2))
+    units = epsilon_candidate(pres, 2)
+    assert algebra._verify_unit_table(pres, units.roots, units.nodes) == 1
+
+
+def test_one_classification_makes_few_products(monkeypatch):
+    """The whole check, degree 0 included, makes exactly the products of
+    the negative and the node checks plus six at degree 0; the layered
+    DAGs of the benchmark stay under 120 products at 3 × 7 and 200 at
+    3 × 12, where the check of each degree alone made 494 and 1214."""
+    calls = _spy(monkeypatch)
+    for (w, d), most in (((3, 7), 120), ((3, 12), 200), ((2, 4), None), ((3, 5), None)):
+        pres = layered_dag(w, d)
+        units = epsilon_candidate(pres, d)
+        s = _edge_sum(pres, pres.all_edge_insts())
+        zero = Counter({(units.zero, g): 1 for g in (units.zero, s, star(s))})
+        zero.update({(g, units.zero): 1 for g in (units.zero, s, star(s))})
+        want = expected_negative_products(pres, units) + zero + expected_positive_products(pres, d)
+        calls.clear()
+        assert classify_eps_strong_z(pres).status == "Yes"
+        assert Counter(calls) == want, pres.name
+        if most is not None:
+            assert len(calls) <= most, (pres.name, len(calls))
 
 
 def test_unit_nodes_stay_within_longest_times_ranges():
-    """Over all degrees 1 … longest, the distinct nodes, those of length
-    0 included, number at most longest × (distinct ranges + 1).  On a
-    layered DAG of depth d with r distinct ranges into each layer i >= 1,
-    each of those ranges carries the lengths 0 … d − i, so there are d
-    roots and r · d(d + 1)/2 other nodes: r = 3 on the 3 × 12 DAG, and
-    r = 1 on dag2x14, where both edges of a layer have the whole next
-    layer as range."""
+    """The one table of degrees 1 … longest, the nodes of length 0
+    included, holds at most longest × (distinct ranges + 1) nodes, and it
+    is the union of the tables of the degrees built alone.  On a layered
+    DAG of depth d with r distinct ranges into each layer i >= 1, each of
+    those ranges carries the lengths 0 … d − i, so there are d roots and
+    r · d(d + 1)/2 other nodes: r = 3 on the 3 × 12 DAG, and r = 1 on
+    dag2x14, where both edges of a layer have the whole next layer as
+    range."""
     inputs = [(p, None) for p, _ in _unit_inputs()] + [
         (layered_dag(3, 12), 12 + 3 * 12 * 13 // 2),
         (load("dag2x14.ug"), 14 + 14 * 15 // 2),
@@ -679,9 +1086,8 @@ def test_unit_nodes_stay_within_longest_times_ranges():
         longest = _longest(pres)
         if not longest:
             continue
-        keys = set()
-        for n in range(1, longest + 1):
-            keys.update(epsilon_candidate(pres, n).nodes)
+        keys = set(epsilon_candidate(pres, longest).nodes)
+        assert keys == {key for n in range(1, longest + 1) for key in unit_nodes_oracle(pres, n)[1]}
         ranges = {pres.edge_range(e) for e in algebra.edge_successors(pres)}
         assert len(keys) <= longest * (len(ranges) + 1), pres.name
         if exact is not None:
