@@ -63,6 +63,19 @@ def _vset_sort_key(vs: VertexSet):
 
 
 class AlgebraElement:
+    """A finite sum of monomials c·s_α p_A s_β*, kept in normal form.
+
+    Invariant: every term is cut to its ranges, its middle set inside
+    r(α[-1]) when α is nonempty and inside r(β[-1]) when β is, so that
+    s_α p_A s_β* is never rewritten by s_e = s_e p_{r(e)}.  Every caller of
+    _from_raw keeps it: monomial cuts its middle; addition and scaling
+    reuse the sets of terms that are cut; multiply combines cut terms into
+    cut terms (proof in multiply); _atomize only splits sets into atoms
+    inside them; the checks of verify_epsilon build s_e, s_e* and
+    s_e p_{r(e)} s_e* with the middle r(e), and p_P with no path; and
+    verify_factorization's contraction puts p_{s(e)} under γ, where s(e)
+    lies in r(γ[-1]) as γ e is a path."""
+
     __slots__ = ("pres", "terms", "_index")
 
     def __init__(self, pres: UltragraphPresentation, terms: dict):
@@ -206,18 +219,20 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     prefixes of β, found in y's exact index; those with β a proper prefix
     of γ are listed under β in y's proper-prefix index.  The two cases
     are disjoint and cover every compatible pair, so each contributing
-    pair is combined exactly once, and no other pair is looked at."""
+    pair is combined exactly once, and no other pair is looked at.
+
+    Every combined term is already cut to its ranges, given that both
+    factors are (AlgebraElement): with inner paths of equal length the
+    middle is A ∩ B, A inside r(α[-1]) and B inside r(δ[-1]); when β is a
+    proper prefix of γ = β ρ, the middle is B, inside r(γ[-1]) = r(ρ[-1])
+    and r(δ[-1]); and the mirror case keeps A.  Empty middles are dropped
+    by _atomize."""
     x._require_same(y)
     pres = x.pres
     raw: dict = {}
 
     def add(alpha: Path, beta: Path, vs: VertexSet, c: Coeff) -> None:
-        if alpha:
-            vs = vs.intersection(pres.edge_range(alpha[-1]))
-        if beta:
-            vs = vs.intersection(pres.edge_range(beta[-1]))
-        if not vs.is_empty():
-            raw.setdefault((alpha, beta), []).append((c, vs))
+        raw.setdefault((alpha, beta), []).append((c, vs))
 
     def combine(xt, yt) -> None:
         (alpha, beta), xp = xt
@@ -316,29 +331,32 @@ def all_paths(pres: UltragraphPresentation, length: int) -> list[Path]:
 # -- epsilon units -------------------------------------------------------
 
 
-Node = tuple  # (k, A): a path length k and a range type A
-
-
 class EpsilonUnits(NamedTuple):
-    """The candidate units ε_n of every degree |n| <= h, h = len(roots).
-    negative[m − 1] is c_m, the unit of degree −m, and zero is ε_0.
+    """The units ε_n of all degrees n, over a finite edge set with a unit,
+    as one finite certificate with no horizon.  R(l) is reached(l) and L
+    the profile's settle length, so R(l) = R(L) for every l >= L.
 
-    The positive units ε_n = Σ_{|α|=n} s_α p_{r(α)} s_α* share one table
-    of nodes N(k, A) = Σ_{|α|=k, s(α)∈A} s_α p_{r(α)} s_α*, so that
-    N(k, A) = Σ_{s(e)∈A} s_e N(k − 1, r(e)) s_e*, N(0, A) = p_A and
-    ε_n = N(n, V).  A node is keyed by (k, A), where the range type A is
-    V, all vertices, or some r(e).  `nodes` maps (0, A) to the set A of
-    p_A, and (k, A), k >= 1, to its children: the pairs (e, (k − 1, r(e)))
-    in edge-id order.  A node with no path of length k out of A is zero,
-    and it is left out together with the children that would point at
-    it, so each root expands to the path-by-path sum term for term.
-    roots[n − 1] is (n, V), or None when ε_n = 0, and the table holds the
-    nodes that the roots reach."""
+    zero is ε_0 = p_V, V all vertices.
 
-    negative: tuple
+    n > 0: ε_n = Σ_{|α|=n} s_α p_{r(α)} s_α*.  Over the range types A, V
+    and each r(e), put N(0, A) = p_A and N(k, A) = Σ_{s(e)∈A} s_e
+    N(k − 1, r(e)) s_e* for k >= 1.  Then N(k, A) is the same sum over the
+    paths α of length k with s(α) ∈ A, and ε_n = N(n, V).  `positive`
+    maps each type A, V first, to its out-edges, the e with s(e) ∈ A, in
+    id order: one node per type stands for every k, and an empty sum is
+    0, so no length, root or height enters.
+
+    n = −m < 0: put D(m, A) = p_{A∩R(m)} + Σ s_e D(m + 1, r(e)) s_e*, the
+    sum over the e with s(e) ∈ A∖R(m), each m read as min(m, L); then
+    ε_{−m} = D(m, V).  `negative` maps each nonzero node (m, A),
+    1 <= m <= L, to (A ∩ R(m), children), the children the pairs
+    (e, (min(m + 1, L), r(e))), in id order, whose node is nonzero.  A zero
+    node is left out together with every pointer to it, and so is a zero
+    root (m, V).  The proofs are in verify_epsilon."""
+
     zero: AlgebraElement
-    roots: tuple
-    nodes: dict
+    positive: dict
+    negative: dict
 
 
 def _type_out_edges(pres: UltragraphPresentation) -> dict[VertexSet, tuple[EdgeInst, ...]]:
@@ -354,85 +372,6 @@ def _type_out_edges(pres: UltragraphPresentation) -> dict[VertexSet, tuple[EdgeI
         return out
 
     return pres.derived("type_out_edges", build)
-
-
-def _type_heights(pres: UltragraphPresentation) -> dict[VertexSet, float]:
-    """H(A), the most edges on a path out of A (one with s(α) ∈ A), for
-    each range type A, or math.inf when such paths are arbitrarily long;
-    built once per presentation.  Level k keeps the types that a path of
-    length k leaves: level 0 keeps them all, and level k + 1 those with an
-    edge e out of them whose r(e) level k keeps.  The levels only shrink,
-    since a path of length k + 1 starts with one of length k, so H(A) is
-    the last level that keeps A, and a level equal to the one before it
-    keeps its types at every length."""
-
-    def build(p: UltragraphPresentation) -> dict[VertexSet, float]:
-        out = _type_out_edges(p)
-        height: dict[VertexSet, float] = {}
-        live, k = set(out), 0
-        while live:
-            kept = {a for a in live if any(p.edge_range(e) in live for e in out[a])}
-            if kept == live:
-                height.update(dict.fromkeys(live, math.inf))
-                break
-            height.update(dict.fromkeys(live - kept, k))
-            live, k = kept, k + 1
-        return height
-
-    return pres.derived("type_heights", build)
-
-
-def epsilon_candidate(pres: UltragraphPresentation, horizon: int) -> EpsilonUnits:
-    """The candidate units of every degree |n| <= horizon: c_m =
-    p_{reached(m)} for n = −m, since the last ranges of the paths of
-    length m cover what they reach, p_V at n = 0, and for n > 0 the roots
-    (n, V) of one node table.  N(k, A) is nonzero iff a path of length k
-    leaves A, iff k <= H(A).  The units are built from degree −horizon
-    up."""
-    if pres.edge_families:
-        raise NotFiniteEdges("epsilon units need a finite edge set")
-    if horizon < 0:
-        raise ValueError(f"the horizon must be at least 0, got {horizon}")
-    if not is_unital(pres):
-        raise NotUnital("the algebra has no unit")
-    profile = incoming_length_profile(pres)
-    negative = [AlgebraElement.projection(pres, profile.reached(m)) for m in range(horizon, 0, -1)]
-    universe = pres.g0_universe()
-    zero = AlgebraElement.projection(pres, universe)
-    out, height = _type_out_edges(pres), _type_heights(pres)
-    roots = tuple((n, universe) if height[universe] >= n else None for n in range(1, horizon + 1))
-    nodes: dict = {}
-    for root in roots:
-        work = [root] if root is not None else []
-        while work:
-            key = work.pop()
-            if key in nodes:
-                continue
-            k, a = key
-            if k == 0:
-                nodes[key] = a
-                continue
-            kids = tuple(
-                (e, (k - 1, pres.edge_range(e))) for e in out[a] if height[pres.edge_range(e)] >= k - 1
-            )
-            nodes[key] = kids
-            work.extend(child for _, child in kids)
-    return EpsilonUnits(tuple(reversed(negative)), zero, roots, nodes)
-
-
-def _range_tops(pres: UltragraphPresentation) -> dict[VertexSet, float]:
-    """Each distinct range r, in the order of the first edge id that has
-    it, with T(r), the largest depth of an edge with range r, math.inf for
-    depth None.  An edge ends a path of length m iff its depth is at least
-    m or None (LengthProfile), so r is the last range of a path of length
-    m >= 1 iff m <= T(r), and the paths themselves are never listed."""
-    depth = incoming_length_profile(pres).depth
-    top: dict[VertexSet, float] = {}
-    for eid in sorted(depth):
-        d = math.inf if depth[eid] is None else depth[eid]
-        rng = pres.edges[eid].range
-        top[rng] = max(top.get(rng, 0), d)
-    return top
 
 
 def _relevance_bounds(pres: UltragraphPresentation) -> dict[EdgeInst, float]:
@@ -452,7 +391,8 @@ def _relevance_bounds(pres: UltragraphPresentation) -> dict[EdgeInst, float]:
     Otherwise every edge that e reaches has a finite depth, one more at
     least along each step, so the paths from e are finitely many, the sup
     is a max, and the recursion, taken in decreasing depth, meets each
-    successor first.  ind is read off the atoms of the ranges
+    successor first.  A finite depth is below the settle length L, so a
+    finite B(e) is at most L − 2.  ind is read off the atoms of the ranges
     (VertexSet.refine), so an infinite range needs no listing."""
     depth = incoming_length_profile(pres).depth
     succ = edge_successors(pres)
@@ -472,187 +412,215 @@ def _relevance_bounds(pres: UltragraphPresentation) -> dict[EdgeInst, float]:
     return {e: bound[e] for e in edges}
 
 
-def _degree_one(x: AlgebraElement) -> bool:
-    """Whether x is homogeneous of degree 1 in the free-group grading."""
-    try:
-        return f_degree(x).is_identity()
-    except NotHomogeneous:
-        return False
+def _unit_levels(pres: UltragraphPresentation) -> dict[EdgeInst, tuple[float, float]]:
+    """(I(e), B(e)) for each edge e, in id order; built once per
+    presentation.  I(e) is the largest depth of an edge f with s(e) in
+    r(f), math.inf for depth None and 0 when s(e) lies in no range, so
+    s(e) ∈ reached(m) iff m <= I(e): reached(m) is the union of the ranges
+    of the edges of depth at least m or None (LengthProfile).  B(e) is
+    _relevance_bounds'."""
+
+    def build(p: UltragraphPresentation) -> dict[EdgeInst, tuple[float, float]]:
+        depth = incoming_length_profile(p).depth
+        succ = edge_successors(p)
+        inward = dict.fromkeys(succ, 0)
+        for f, nxt in succ.items():
+            d = math.inf if depth[f.name] is None else depth[f.name]
+            for e in nxt:
+                inward[e] = max(inward[e], d)
+        bound = _relevance_bounds(p)
+        return {e: (inward[e], bound[e]) for e in succ}
+
+    return pres.derived("unit_levels", build)
 
 
-def _edge_sums(pres: UltragraphPresentation, edges: list[EdgeInst]):
-    """(Σ s_e, Σ s_e*) over the edges, in pieces of at most
-    TERM_COUNT_CAP edges."""
-    step = max(TERM_COUNT_CAP, 1)
-    rng = pres.edge_range
-    for i in range(0, len(edges), step):
-        part = edges[i : i + step]
-        yield (
-            AlgebraElement._from_raw(pres, {((e,), ()): [(1, rng(e))] for e in part}),
-            AlgebraElement._from_raw(pres, {((), (e,)): [(1, rng(e))] for e in part}),
-        )
+def _negative_node(pres: UltragraphPresentation, key: tuple) -> Optional[tuple]:
+    """The node (m, A), 1 <= m <= L, by its rule: (A ∩ R(m), children), or
+    None when it is zero.  The children are the pairs
+    (e, (min(m + 1, L), r(e))) over the out-edges e of A, in id order,
+    with I(e) < m <= B(e): s(e) lies outside R(m), and the child node is
+    nonzero (proof in verify_epsilon)."""
+    m, a = key
+    profile = incoming_length_profile(pres)
+    levels = _unit_levels(pres)
+    below = min(m + 1, profile.settle)
+    kids = tuple(
+        (e, (below, pres.edge_range(e)))
+        for e in _type_out_edges(pres)[a]
+        if levels[e][0] < m <= levels[e][1]
+    )
+    head = a.intersection(profile.reached(m))
+    if head.is_empty() and not kids:
+        return None
+    return head, kids
 
 
-def verify_epsilon(pres: UltragraphPresentation, units: EpsilonUnits) -> Optional[int]:
-    """Check the candidate units of every degree |n| <= h, h =
-    len(units.roots): ε_n must be a left identity on the degree-n
-    component and a right identity on the degree-(−n) component.  Returns
-    None when every check passes, and otherwise the first degree that
-    fails in the order −h, …, −1, 0, 1, …, h; the node table and the
-    heights serve every positive degree, so a failure in them is
-    reported at degree 1.
+def epsilon_candidate(pres: UltragraphPresentation) -> EpsilonUnits:
+    """The units of every degree: p_V, a copy of the type table, and the
+    nodes D(m, A) that the roots (m, V), 1 <= m <= L, reach, each built
+    once by its rule."""
+    if pres.edge_families:
+        raise NotFiniteEdges("epsilon units need a finite edge set")
+    if not is_unital(pres):
+        raise NotUnital("the algebra has no unit")
+    universe = pres.g0_universe()
+    negative: dict = {}
+    work = [(m, universe) for m in range(incoming_length_profile(pres).settle, 0, -1)]
+    while work:
+        key = work.pop()
+        if key not in negative:
+            node = _negative_node(pres, key)
+            if node is not None:
+                negative[key] = node
+                work.extend(child for _, child in node[1])
+    zero = AlgebraElement.projection(pres, universe)
+    return EpsilonUnits(zero, dict(_type_out_edges(pres)), negative)
 
-    Reduction to finitely many checks: every degree-n monomial (n > 0)
-    left-factors as s_γ·w and every degree-(−n) monomial right-factors as
-    w·s_γ* with |γ| = n and w of degree 0, so it is enough that
-    ε_n s_β = s_β and s_β* ε_n = s_β* for every path β of length n.  For
-    n = −m < 0 the factorizations bottom out in p_{r(δ)} blocks (|δ| = m)
-    and single s_e / s_e* letters for the edges that begin such
-    monomials: c_m p_r = p_r = p_r c_m for each last range r of a path of
-    length m, and c_m s_e = s_e and s_e* c_m = s_e* for each edge e with
-    B(e) >= m (_relevance_bounds).  At n = 0 it is enough that
-    ε_0 x = x = x ε_0 for x = p_V, s_e and s_e*, for every edge e.
+
+def _edge_sum(pres: UltragraphPresentation, head: VertexSet, edges, star: bool) -> AlgebraElement:
+    """p_head + Σ s_e over the edges, or p_head + Σ s_e* when star."""
+    raw = {((), ()): [(1, head)]}
+    for e in edges:
+        raw[((), (e,)) if star else ((e,), ())] = [(1, pres.edge_range(e))]
+    return AlgebraElement._from_raw(pres, raw)
+
+
+def _is_unit_on(pres: UltragraphPresentation, level: AlgebraElement, head: VertexSet, edges) -> bool:
+    """level y = y and y* level = y* for y = p_head + Σ s_e over the edges."""
+    y, y_star = _edge_sum(pres, head, edges, False), _edge_sum(pres, head, edges, True)
+    return multiply(level, y) == y and multiply(y_star, level) == y_star
+
+
+def verify_epsilon(pres: UltragraphPresentation, units: EpsilonUnits) -> bool:
+    """Whether units, in the shape epsilon_candidate builds, certifies that
+    the ℤ-grading is epsilon-strong: ε_n must lie in L_n L_{−n}, be a left
+    identity on the degree-n component and a right identity on the
+    degree-(−n) component, for every n.
+
+    What is checked.  ε_0 is p_V.  The type table is _type_out_edges:
+    every type, with all of its out-edges in id order.  Each node of
+    `negative` equals its rule (_negative_node), so it is nonzero, its set
+    is A ∩ R(m) and its children are re-derived from the profile and the
+    levels; each child it points at is listed, and the root (m, V) of
+    each m <= L is listed unless its rule is zero.  Then the products:
+    L(V) = Σ_e s_e p_{r(e)} s_e* must give L(V) S = S and S* L(V) = S*,
+    S = Σ_e s_e over all edges; and once per distinct one-level element
+    Λ = p_P + Σ_{children e} s_e p_{r(e)} s_e* of a node (m, A),
+    P = A ∩ R(m), Λ (p_P + S_A) = p_P + K and (p_P + S_A*) Λ = p_P + K*,
+    with S_A the sum of s_e over A's out-edges and K over the kept ones:
+    those with s(e) ∈ P, that is m <= I(e), and the children.
 
     Batching by the free group.  The algebra is graded by the free group
     F on the edges, s_α p_A s_β* having degree α β⁻¹, and the normal form
     keeps the grading key by key: the key (α, β) has degree α β⁻¹, and
-    multiply combines keys of degrees g and h into keys of degree g h.  If
-    u has degree 1 (α = β in every term; f_degree) and S = Σ s_e over
-    distinct edges, the terms of S have the distinct degrees e, the
-    component of degree e of u S is u s_e, and keys of different degrees
-    differ, so u S = S in normal form iff u s_e = s_e for every e.  The
-    same holds for S u, and for u S* and S* u through the degrees e⁻¹.
-    So one product with S stands for one product per edge.  The sums are
-    cut into pieces of at most TERM_COUNT_CAP edges (_edge_sums), so only
-    L(V) below, with one term per edge, can exceed the cap, and it is
-    built by the checks of degree 1.
+    multiply combines keys of degrees g and h into keys of degree g h.
+    L(V) and Λ have degree 1, and p_P and the s_e have the distinct
+    degrees 1 and e, so Λ (p_P + S_A) = p_P + K in normal form iff
+    Λ p_P = p_P, Λ s_e = s_e for each kept e and Λ s_e = 0 for the other
+    out-edges of A; the same holds on the other side through the degrees
+    e⁻¹.  So each product stands for one identity per edge.  These
+    identities follow from the relations s_f* s_e = δ_{fe} p_{r(e)},
+    p_X s_e = s_e for s(e) ∈ X and 0 otherwise, p_X p_Y = p_{X∩Y} and
+    s_e p_{r(e)} = s_e, with their adjoints, which the proofs below use;
+    the products re-multiply in the normal form exactly the instances
+    that the proofs use, so that the library's product agrees with them.
 
-    n = 0: ε_0 must have degree 1, and six products check it against
-    p_V, S = Σ_e s_e and S* on either side.
+    Reduction to paths.  Every degree-n monomial, n > 0, left-factors as
+    s_β w with |β| = n and w of degree 0, and every degree-(−n) monomial
+    right-factors as w s_β*.  For m > 0, a monomial y = s_α p_X s_β* of
+    degree −m has |β| = |α| + m and X ⊆ r(α) ∩ r(β), with
+    r(β) ⊆ R(|α| + m), so y = x p_X s_β* for
+    x = s_α p_{r(α)∩R(|α|+m)}, where α may be empty with r(()) = V; and a
+    monomial of degree m is y* = s_β p_X x*.  So it is enough that
+    ε_n s_β = s_β and s_β* ε_n = s_β* for every path β of length n, and
+    c_m x = x and x* c_m = x* for every such x, c_m = ε_{−m}.  Membership:
+    each term of ε_n is y y* with y = s_α p_{r(α)} of degree n; each term
+    s_α p_X s_α* of D(m, V), X = r(α) ∩ R(|α| + m), is the sum of
+    y_i y_i* for y_i = s_α p_{X_i} s_{β_i}* over pieces X_i of X, each in
+    the range of a path β_i of length |α| + m; and ε_0 = p_V is the unit.
 
-    n < 0: each c_m must have degree 1, and the units must form a chain,
-    c_m c_{m+1} = c_{m+1} = c_{m+1} c_m for m < h.  A range r is the
-    last range of a path of length m iff m <= T(r) (_range_tops), and
-    an edge e is tested at m iff m <= B(e), so the degrees at which
-    either is tested are downward closed.  So each distinct range r is
-    tested once, at its top degree t = min(T(r), h), and the edges once,
-    batched by their top degree min(B(e), h).  That gives every
-    per-degree identity: for m < t the chain gives c_m c_t = c_t and
-    c_t c_m = c_t, by induction on t − m, since
-    c_m c_t = (c_m c_{m+1}) c_t = c_{m+1} c_t and
-    c_t c_m = c_t (c_{m+1} c_m) = c_t c_{m+1}.  So for x = p_r or s_e,
-    c_m x = c_m (c_t x) = c_t x = x, and for x = p_r or s_e*,
-    x c_m = (x c_t) c_m = x c_t = x.  The candidates of
-    epsilon_candidate, c_m = p_{reached(m)}, always pass the chain, as
-    reached(m + 1) ⊆ reached(m), and the range tests, as r ⊆ reached(t).
-    So their check fails at −t only on an edge e of top degree t with
-    s(e) outside reached(t), and as reached shrinks when m grows, −t is
-    the first degree at which the per-degree identities fail.
+    Claim (n > 0): for every type A, k >= 1 and path β of length k with
+    s(β) ∈ A, N(k, A) s_β = s_β and s_β* N(k, A) = s_β*.  By induction on
+    k.  Write β = e β'; e is an out-edge of A, so A's list holds it.
+    Since s_f* s_e = δ_{fe} p_{r(e)},
+    N(k, A) s_β = s_e N(k − 1, r(e)) p_{r(e)} s_β'.  At k = 1 that is
+    s_e p_{r(e)} s_e* s_e, the one term of L(V) s_e, checked to be s_e.
+    At k > 1, p_{r(e)} s_β' = s_β' because s(β') ∈ r(e), and
+    N(k − 1, r(e)) s_β' = s_β' by induction, so N(k, A) s_β = s_β.  The
+    adjoint computation gives s_β* N(k, A) = s_β*, and A = V gives ε_n.
 
-    n > 0: the node table is checked once for all degrees.  The heights
-    are checked against H(A) = max_{s(e)∈A} (1 + H(r(e))), 0 when no edge
-    leaves A.  Nothing else solves these equations: by induction on the
-    true H where it is finite, and a cycle of types A → r(e) is a cycle of
-    edges, around which a finite value would exceed itself.  The root of
-    degree n is (n, V), or None exactly when no path of length n exists,
-    and it is listed.  A node (0, A) is p_A; a node (k, A), k >= 1, has as
-    children exactly the edges e with s(e) ∈ A whose node (k − 1, r(e)) is
-    nonzero, in id order, each pointing at that node, which is listed.  A
-    node (k, A) is nonzero iff k <= H(A) (_type_heights).  Then, once per
-    range type A, the one-level element L(A) = Σ_{s(e)∈A} s_e p_{r(e)} s_e*
-    must give L(A) S_A = S_A and S_A* L(A) = S_A*, where S_A = Σ s_e over
-    the children e of the nodes (k, A).  L(A) has degree 1, so by the
-    batching this is L(A) s_e = s_e and s_e* L(A) = s_e* for each child e.
+    D is well founded.  Follow child pointers from any node: the edges
+    e_1, e_2, … met form a path, as the node of a child has type r(e_i)
+    and its own children start in it; and each s(e_i) lies outside
+    R(m_i) ⊇ R(L).  An edge of depth None ends paths of every length, so
+    its range lies in R(L), and only the last edge of such a path can have
+    depth None; the others have finite depths, below L and rising along
+    the path.  So a chain of pointers has at most L edges: the recursion
+    never goes around a cycle, and for m > L, D(m, A) = D(L, A), since
+    R(m) = R(L).
 
-    Claim: for every listed node (k, A), k >= 1, and every path β of
-    length k with s(β) ∈ A, N(k, A) s_β = s_β and s_β* N(k, A) = s_β*.
-    By induction on k.  Write β = e β'.  Then s(e) ∈ A, and β' is a path
-    of length k − 1 out of r(e), so (k − 1, r(e)) is nonzero and e is a
-    child.  Since s_f* s_e = δ_{fe} p_{r(e)},
-    N(k, A) s_β = s_e N(k − 1, r(e)) p_{r(e)} s_β'.  At k = 1, β' is
-    empty and every e out of A is a child, so N(1, A) = L(A), and the
-    claim is the checked L(A) s_e = s_e.  At k > 1, p_{r(e)} s_β' = s_β'
-    because s(β') ∈ r(e), and N(k − 1, r(e)) s_β' = s_β' by induction,
-    so N(k, A) s_β = s_e s_β' = s_β.  The adjoint computation gives
-    s_β* N(k, A) = s_β*.  At the root (n, V) that is the reduction above.
+    The dropped children are the zero ones.  D(m + 1, r(e)) is nonzero iff
+    some path e … g of length j >= 1 has r(g) meeting R(m + j): the
+    shortest such path has each source after e outside the R it is tested
+    against, or a shorter one would do, so D expands along it to a nonzero
+    term, and its terms, all with coefficient 1, are pairwise orthogonal
+    projections, so none cancels.  That is B(e) >= m.  At the cap, a
+    finite B(e) is at most L − 2, so B(e) >= L iff B(e) >= m for every
+    m >= L, and the pointer to (L, r(e)) is right for every such m.
+
+    Claim (n < 0): for every m >= 1, type A and x = s_α p_{r(α)∩R(|α|+m)},
+    α a path with s(α) ∈ A or α = () with r(()) = A,
+    D(m, A) x = x and x* D(m, A) = x*, every m read as min(m, L).  By
+    induction on |α|.  D(m, A) = p_P + Σ_{children e} s_e D_e s_e*, with
+    D_e = D(m + 1, r(e)) and p_{r(e)} D_e = D_e = D_e p_{r(e)}, as every
+    path of D_e starts in r(e) and its set lies in r(e).
+      * α = (): x = p_P.  A child e has s(e) ∉ P, so s_e* p_P = 0, and
+        D(m, A) p_P = p_P p_P = p_P, which is Λ p_P = p_P.
+      * α = e α' with s(e) ∈ P: no child is e, so D(m, A) s_e = p_P s_e =
+        s_e, which is Λ s_e = s_e, and D(m, A) x = x.
+      * e is a child: D(m, A) s_e = s_e D_e p_{r(e)} = s_e D_e, the
+        identity Λ s_e = s_e with p_{r(e)} in place of D_e, and
+        x = s_e x' with x' = s_α' p_{r(α')∩R(|α'|+m+1)}, where α' starts
+        in r(e), or α' = () and x' = p_{r(e)∩R(m+1)}.  By induction
+        D_e x' = x', so D(m, A) x = s_e x' = x.
+      * otherwise s(e) ∉ R(m) and B(e) < m: no path e … g of length j
+        has r(g) meeting R(m + j), so x = 0 = D(m, A) x.
+    The adjoint computation gives x* D(m, A) = x*, and A = V gives c_m.
     """
     if pres.edge_families:
         raise NotFiniteEdges("epsilon verification needs a finite edge set")
-    horizon = len(units.roots)
-    if len(units.negative) != horizon:
-        raise ValueError("the negative and the positive units cover different horizons")
-    failed = _verify_negative_units(pres, units.negative)
-    if failed is not None:
-        return failed
-    edges = list(map(EdgeInst, sorted(pres.edges)))
-    gens = [AlgebraElement.projection(pres, pres.g0_universe())]
-    gens += [x for pair in _edge_sums(pres, edges) for x in pair]
-    unit = units.zero
-    if not _degree_one(unit) or any(multiply(unit, g) != g or multiply(g, unit) != g for g in gens):
-        return 0
-    if horizon:
-        return _verify_unit_table(pres, units.roots, units.nodes)
-    return None
-
-
-def _verify_negative_units(pres: UltragraphPresentation, negative: tuple) -> Optional[int]:
-    """The checks of verify_epsilon for n < 0, from n = −h up."""
-    horizon = len(negative)
-    ranges_at: dict[int, list[VertexSet]] = {}
-    for rng, top in _range_tops(pres).items():
-        ranges_at.setdefault(min(top, horizon), []).append(rng)
-    edges_at: dict[int, list[EdgeInst]] = {}
-    for e, bound in pres.derived("relevance_bounds", _relevance_bounds).items():
-        if bound >= 1:
-            edges_at.setdefault(min(bound, horizon), []).append(e)
-    for m in range(horizon, 0, -1):
-        unit = negative[m - 1]
-        if not _degree_one(unit):
-            return -m
-        if m < horizon:
-            below = negative[m]
-            if multiply(unit, below) != below or multiply(below, unit) != below:
-                return -m
-        for rng in ranges_at.get(m, ()):
-            proj = AlgebraElement.projection(pres, rng)
-            if multiply(unit, proj) != proj or multiply(proj, unit) != proj:
-                return -m
-        for s, st in _edge_sums(pres, edges_at.get(m, [])):
-            if multiply(unit, s) != s or multiply(st, unit) != st:
-                return -m
-    return None
-
-
-def _verify_unit_table(pres: UltragraphPresentation, roots: tuple, nodes: dict) -> Optional[int]:
-    """The checks of verify_epsilon for n > 0."""
-    out, height = _type_out_edges(pres), _type_heights(pres)
-    rng = pres.edge_range
-    if any(height[a] != max((1 + height[rng(e)] for e in es), default=0) for a, es in out.items()):
-        return 1
     universe = pres.g0_universe()
-    for n, root in enumerate(roots, 1):
-        if root != ((n, universe) if height[universe] >= n else None):
-            return n
-        if root is not None and root not in nodes:
-            return n
-    children: dict[VertexSet, dict[EdgeInst, None]] = {}
-    for (k, a), node in nodes.items():
-        if a not in out:
-            return 1
-        if k == 0:
-            if node != a:
-                return 1
+    out = _type_out_edges(pres)
+    if units.zero != AlgebraElement.projection(pres, universe) or units.positive != out:
+        return False
+    settle = incoming_length_profile(pres).settle
+    nodes = units.negative
+    if any((m, universe) not in nodes and _negative_node(pres, (m, universe)) for m in range(1, settle + 1)):
+        return False
+    for (m, a), node in nodes.items():
+        if not 1 <= m <= settle or a not in out or node != _negative_node(pres, (m, a)):
+            return False
+        if any(child not in nodes for _, child in node[1]):
+            return False
+    rng = pres.edge_range
+    edges = out[universe]
+    level = AlgebraElement._from_raw(pres, {((e,), (e,)): [(1, rng(e))] for e in edges})
+    if not _is_unit_on(pres, level, VertexSet.empty(), edges):
+        return False
+    levels = _unit_levels(pres)
+    seen = set()
+    for (m, a), (head, kids) in nodes.items():
+        children = tuple(e for e, _ in kids)
+        if (a, head, children) in seen:
             continue
-        want = tuple((e, (k - 1, rng(e))) for e in out[a] if height[rng(e)] >= k - 1)
-        if not want or node != want or any(child not in nodes for _, child in want):
-            return 1
-        children.setdefault(a, {}).update(dict.fromkeys(e for e, _ in want))
-    for a, kids in children.items():
-        level = AlgebraElement._from_raw(pres, {((e,), (e,)): [(1, rng(e))] for e in out[a]})
-        for s, st in _edge_sums(pres, list(kids)):
-            if multiply(level, s) != s or multiply(st, level) != st:
-                return 1
-    return None
+        seen.add((a, head, children))
+        raw = {((e,), (e,)): [(1, rng(e))] for e in children}
+        raw[((), ())] = [(1, head)]
+        level = AlgebraElement._from_raw(pres, raw)
+        kept = [e for e in out[a] if m <= levels[e][0] or e in children]
+        if not _is_unit_on(pres, level, head, kept):
+            return False
+    return True
 
 
 # -- strong-grading factorization certificates ---------------------------
@@ -832,12 +800,14 @@ def pretty(x: AlgebraElement) -> str:
 
 
 def pretty_units(pres: UltragraphPresentation, units: EpsilonUnits) -> tuple[dict[str, str], dict[str, str]]:
-    """The printed units and nodes.  Degree n <= 0 maps to its element,
-    and degree n > 0 to its root's name N(n, V), or 0 when it has none.
-    Each node (k, A), k >= 1, is printed once under its name N(k, V) or
-    N(k, r(e)), for the first edge e in id order with range A, as the sum
-    s(e) N(k − 1, r(e)) st(e) + … over its children, with p{r(e)} in place
-    of a node of length 0."""
+    """The printed units and nodes.  Degree 0 maps to its element, every
+    n >= 1 to N(n, V), each −m with m < L to D(m, V), and all −m with
+    m >= L together, under "<= −L", to D(L, V); a root that is not listed
+    prints as 0.  Each type A is printed once, under its name V or r(e),
+    for the first edge e in id order with range A, as N(k, A) =
+    Σ s(e) N(k-1, r(e)) st(e) over its out-edges, or 0 when it has none,
+    next to the base N(0, A) = p{A}.  Each node D(m, A) is printed once,
+    as p{A ∩ R(m)} + Σ s(e) D(m', r(e)) st(e), an empty set left out."""
     from .model import _print_vset
 
     def build(p: UltragraphPresentation) -> dict[VertexSet, str]:
@@ -849,21 +819,24 @@ def pretty_units(pres: UltragraphPresentation, units: EpsilonUnits) -> tuple[dic
 
     labels = pres.derived("type_labels", build)
 
-    def name(key: Node) -> str:
-        return f"N({key[0]}, {labels[key[1]]})"
+    def name(key: tuple) -> str:
+        return f"D({key[0]}, {labels[key[1]]})"
 
-    printed = {str(-m): pretty(c) for m, c in reversed(list(enumerate(units.negative, 1)))}
+    settle = incoming_length_profile(pres).settle
+    universe = pres.g0_universe()
+    printed = {}
+    for m in range(1, settle + 1):
+        root = (m, universe)
+        printed[str(-m) if m < settle else f"<= -{m}"] = name(root) if root in units.negative else "0"
     printed["0"] = pretty(units.zero)
-    for n, root in enumerate(units.roots, 1):
-        printed[str(n)] = "0" if root is None else name(root)
-    nodes = {
-        name(key): " + ".join(
-            f"s({e.label()}) "
-            + (name(child) if child[0] else "p{" + _print_vset(pres, units.nodes[child]) + "}")
-            + f" st({e.label()})"
-            for e, child in kids
-        )
-        for key, kids in units.nodes.items()
-        if key[0]
-    }
+    printed[">= 1"] = "N(n, V)"
+    nodes = {"N(0, A)": "p{A}"}
+    for a, edges in units.positive.items():
+        nodes[f"N(k, {labels[a]})"] = " + ".join(
+            f"s({e.label()}) N(k-1, {labels[pres.edge_range(e)]}) st({e.label()})" for e in edges
+        ) or "0"
+    for key, (head, kids) in units.negative.items():
+        bits = [] if head.is_empty() else ["p{" + _print_vset(pres, head) + "}"]
+        bits += [f"s({e.label()}) {name(child)} st({e.label()})" for e, child in kids]
+        nodes[name(key)] = " + ".join(bits)
     return printed, nodes

@@ -5,15 +5,14 @@ The decision rules:
   * strongly Z-graded  ⇔  no sinks, row-finite, and every infinite path
     admits replacement prefixes (the infinite-path condition decided by
     the condition_y module);
-  * epsilon-strongly Z-graded  ⇒  finitely many edges and a unital
-    algebra; those two plus "every edge source lies in some range" are
-    sufficient; the gap in between is genuine and is reported as
-    Undetermined unless an explicit family of unit certificates closes it:
-    on acyclic input, one algebra.EpsilonUnits for every degree |n| up to
-    the longest path, p of a vertex set for each n <= 0 and one shared
-    table of nodes N(k, A) for n > 0, checked by one call that tests each
-    range type, range and edge once and the negative units as a chain
-    (proofs in algebra.verify_epsilon);
+  * epsilon-strongly Z-graded  ⇔  finitely many edges and a unital
+    algebra.  Both are necessary.  When every edge source lies in some
+    range, that suffices and Yes is given without a certificate; otherwise
+    one algebra.EpsilonUnits covers every degree, cycles included: a node
+    per range type for n > 0 and nodes D(m, A), m up to the settle length,
+    for n < 0, re-checked by algebra.verify_epsilon, whose docstring holds
+    the proofs.  Only TERM_COUNT_CAP can leave it Undetermined, and a
+    certificate that fails its check raises CertificateError;
   * strongly F-graded  ⇔  exactly one edge e with r(e) = {s(e)};
   * epsilon-strongly F-graded  ⇔  unital;
   * gauge saturation  ⇔  the strong-Z criterion.
@@ -129,13 +128,6 @@ def _strong_z_certificate(pres: UltragraphPresentation) -> dict:
     return {"kind": "vertex_factorizations", "pairs": factorizations}
 
 
-# the longest path for which unit certificates are attempted: the checks
-# take about 2 × (longest + ranges + range types) products, but the node
-# table holds up to longest × (distinct ranges + 1) nodes, and the printed
-# certificate grows with it
-PATH_LENGTH_CAP = 64
-
-
 def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
     if pres.edge_families:
         return GradingVerdict(
@@ -156,36 +148,19 @@ def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
     reasons.append(
         "some edge source lies in no range; the sufficient criterion fails"
     )
-    horizon = profile.longest
-    if horizon is None:
-        reasons.append("cycles present: unit-certificate search not conclusive")
-        return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
-    # acyclic: only finitely many graded components are nonzero, so a
-    # finite family of verified unit candidates settles the question
-    if horizon > PATH_LENGTH_CAP:
-        reasons.append(
-            f"longest path has {horizon} edges, over PATH_LENGTH_CAP = "
-            f"{PATH_LENGTH_CAP}: unit certificates not attempted"
-        )
-        return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
-    # every candidate unit is one projection, so only a cap under one term
-    # stops epsilon_candidate, at its first unit, of degree -horizon; the
-    # checks cut their sums to the cap, so in verify_epsilon only L(V),
-    # built by the checks of degree 1, can exceed it
-    degree = -horizon
     try:
-        units = algebra.epsilon_candidate(pres, horizon)
-        degree = 1
-        failed = algebra.verify_epsilon(pres, units)
+        units = algebra.epsilon_candidate(pres)
+        if not algebra.verify_epsilon(pres, units):
+            raise CertificateError("the epsilon-unit certificate does not verify")
     except TermCountCap as exc:
-        reasons.append(f"unit candidate for degree {degree} hit TERM_COUNT_CAP: {exc}")
-        return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
-    if failed is not None:
-        reasons.append(f"unit candidate for degree {failed} failed verification")
+        reasons.append(f"unit certificate hit TERM_COUNT_CAP: {exc}")
         return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
     printed, nodes = algebra.pretty_units(pres, units)
+    longest = profile.longest
     reasons.append(
-        f"acyclic edge set: verified unit certificates for all degrees |n| <= {horizon}"
+        "edge set with cycles: verified unit certificates for all degrees"
+        if longest is None
+        else f"acyclic edge set: verified unit certificates for all degrees |n| <= {longest}"
         " (higher components vanish)"
     )
     return GradingVerdict(

@@ -133,30 +133,43 @@ def star(x):
 
 
 def expand_unit(pres: UltragraphPresentation, units, n: int) -> "AlgebraElement":
-    """The element that the root of degree n > 0 of an EpsilonUnits table
-    stands for, expanded node by node: s_e N s_e* over each child e, with
-    N(0, A) = p_A, each middle cut to the last range of its path as
-    monomial cuts it."""
+    """The unit ε_n that an EpsilonUnits certificate stands for, expanded
+    node by node, each middle cut to the last range of its path as
+    monomial cuts it: units.zero at n = 0; for n > 0, N(n, V), following
+    the type table, with N(0, A) = p_A; for n = −m < 0, D(min(m, L), V), L
+    the settle length, as p of its set plus s_e D s_e* over its children,
+    or 0 when that root is not listed."""
     from ultragrade.algebra import AlgebraElement
+    from ultragrade.condition_y import incoming_length_profile
 
-    memo: dict = {}
-
-    def paths(key):
-        if key not in memo:
-            node = units.nodes[key]
-            if key[0] == 0:
-                memo[key] = [((), node)]
-            else:
-                memo[key] = [((e,) + p, a) for e, child in node for p, a in paths(child)]
-        return memo[key]
-
+    if n == 0:
+        return units.zero
     raw: dict = {}
-    root = units.roots[n - 1]
-    if root is not None:
-        for path, a in paths(root):
-            if path:
-                a = a.intersection(pres.edge_range(path[-1]))
-            raw.setdefault((path, path), []).append((1, a))
+
+    def add(path, vs):
+        if path:
+            vs = vs.intersection(pres.edge_range(path[-1]))
+        raw.setdefault((path, path), []).append((1, vs))
+
+    def positive(k, a, path):
+        if k == 0:
+            add(path, a)
+            return
+        for e in units.positive[a]:
+            positive(k - 1, pres.edge_range(e), path + (e,))
+
+    def negative(key, path):
+        head, kids = units.negative[key]
+        add(path, head)
+        for e, child in kids:
+            negative(child, path + (e,))
+
+    if n > 0:
+        positive(n, pres.g0_universe(), ())
+    else:
+        root = (min(-n, incoming_length_profile(pres).settle), pres.g0_universe())
+        if root in units.negative:
+            negative(root, ())
     return AlgebraElement._from_raw(pres, raw)
 
 

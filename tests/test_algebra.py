@@ -266,40 +266,41 @@ def test_f_degree_values():
 
 def test_one_edge_epsilon_certificates():
     pres = load("one_edge.ug")
-    units = epsilon_candidate(pres, 2)
+    units = epsilon_candidate(pres)
     se = AlgebraElement.s(pres, E("e"))
+    universe = pres.g0_universe()
     assert expand_unit(pres, units, 1) == multiply(se, star(se))
-    assert units.negative[0] == AlgebraElement.projection(pres, pres.edges["e"].range)
-    assert units.zero == AlgebraElement.projection(pres, pres.g0_universe())
-    # the degree ±2 components are zero, so the zero candidates are their units
-    assert units.roots[1] is None and expand_unit(pres, units, 2).is_zero()
-    assert units.negative[1].is_zero()
-    assert verify_epsilon(pres, units) is None
-    assert verify_epsilon(pres, epsilon_candidate(pres, 1)) is None
-    assert verify_epsilon(pres, epsilon_candidate(pres, 0)) is None
+    assert expand_unit(pres, units, -1) == AlgebraElement.projection(pres, pres.edges["e"].range)
+    assert units.zero == AlgebraElement.projection(pres, universe)
+    # one node per range type stands for every positive degree, and the
+    # degree ±2 components are zero, so the zero units are theirs
+    assert units.positive == {universe: E("e"), pres.edges["e"].range: ()}
+    assert units.negative == {(1, universe): (pres.edges["e"].range, ())}
+    assert expand_unit(pres, units, 2).is_zero() and expand_unit(pres, units, -2).is_zero()
+    assert verify_epsilon(pres, units)
 
 
 def test_wrong_epsilon_candidate_rejected():
     pres = load("one_edge.ug")
-    units = epsilon_candidate(pres, 1)
-    # in degree 1 the zero unit has no root; an element is no root
-    assert verify_epsilon(pres, units._replace(roots=(None,), nodes={})) == 1
-    assert verify_epsilon(pres, units._replace(roots=(AlgebraElement.zero(pres),))) == 1
-    wrong = AlgebraElement.projection(pres, VertexSet.of(VertexRef("v", 0)))
-    assert verify_epsilon(pres, units._replace(negative=(wrong,))) == -1
-    assert verify_epsilon(pres, units._replace(zero=wrong)) == 0
-    with pytest.raises(ValueError):
-        verify_epsilon(pres, units._replace(negative=()))
-    with pytest.raises(ValueError):
-        epsilon_candidate(pres, -1)
+    units = epsilon_candidate(pres)
+    universe = pres.g0_universe()
+    wrong = VertexSet.of(VertexRef("v", 0))
+    # a type without its out-edge, a zero root listed, a wrong set, and a
+    # wrong ε_0
+    assert not verify_epsilon(pres, units._replace(positive={universe: (), pres.edges["e"].range: ()}))
+    assert not verify_epsilon(pres, units._replace(negative={**units.negative, (2, universe): (wrong, ())}))
+    assert not verify_epsilon(pres, units._replace(negative={(1, universe): (wrong, ())}))
+    assert not verify_epsilon(pres, units._replace(zero=AlgebraElement.projection(pres, wrong)))
+    assert verify_epsilon(pres, units)
 
 
 def test_epsilon_zero_needs_unit_everywhere():
     pres = load("two_cycle.ug")
-    units = epsilon_candidate(pres, 0)
+    units = epsilon_candidate(pres)
     assert units.zero == AlgebraElement.projection(pres, pres.g0_universe())
-    assert units.negative == units.roots == () and not units.nodes
-    assert verify_epsilon(pres, units) is None
+    assert verify_epsilon(pres, units)
+    missing = VertexSet.of(*pres.all_vertices()[:1])
+    assert not verify_epsilon(pres, units._replace(zero=AlgebraElement.projection(pres, missing)))
 
 
 # -- strong factorizations -------------------------------------------------

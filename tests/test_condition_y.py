@@ -15,7 +15,7 @@ import networkx as nx
 import pytest
 
 from conftest import CORPUS, FINITE_CORPUS, PathSearch, load, named_chain, random_presentation, shift_path
-from ultragrade import algebra, condition_y
+from ultragrade import condition_y
 from ultragrade.condition_y import (
     ConditionYVerdict,
     LengthProfile,
@@ -322,13 +322,19 @@ def test_profile_matches_the_state_oracle():
         # the settle length bounds the strong-Z certificate's depth cap
         assert len(states) <= profile.settle, pres.name
         assert profile.longest == (None if states[-1] else len(states) - 1), pres.name
-        # the top degrees T(r) list each range once, in first-edge order,
-        # and the ranges with T(r) >= m are the last ranges of length m
-        tops = algebra._range_tops(pres)
-        assert list(tops) == state_last_ranges(pres, states, 1), pres.name
+        # an edge ends a path of length m iff its depth is at least m or
+        # None, so the ranges of those edges are the last ranges of length m
+        ranges = [pres.edges[eid].range for eid in sorted(profile.depth)]
+        assert list(dict.fromkeys(ranges)) == state_last_ranges(pres, states, 1), pres.name
         for length in range(1, profile.settle + 4):
             assert profile.reached(length) == state_reached(states, length), (pres.name, length)
-            got = [rng for rng, top in tops.items() if top >= length]
+            got = list(
+                dict.fromkeys(
+                    pres.edges[eid].range
+                    for eid, d in sorted(profile.depth.items())
+                    if d is None or d >= length
+                )
+            )
             want = state_last_ranges(pres, states, length)
             assert len(got) == len(want) and set(got) == set(want), (pres.name, length)
         covered = all(states[0].member(e.source) for e in pres.edges.values())

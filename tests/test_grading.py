@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from conftest import load, named_chain
-from ultragrade import condition_y, grading, structure
+from conftest import CORPUS, load, named_chain, random_presentation
+from ultragrade import algebra, condition_y, grading, structure
 from ultragrade.errors import NoEdges
 from ultragrade.grading import (
     analyze,
@@ -47,7 +48,7 @@ def test_one_edge_gradings():
     verdict = classify_eps_strong_z(pres)
     assert verdict.status == "Yes"
     assert verdict.certificate["kind"] == "epsilon_unit_nodes"
-    assert set(verdict.certificate["units"]) == {"-1", "0", "1"}
+    assert set(verdict.certificate["units"]) == {"-1", "<= -2", "0", ">= 1"}
     assert classify_eps_strong_f(pres).status == "Yes"
 
 
@@ -85,11 +86,45 @@ def test_infinite_range_gradings():
     assert gauge_saturation(pres).status == "No"
 
 
-def test_eps_strong_z_undetermined_with_cycles():
+def test_eps_strong_z_yes_with_cycles():
     # a source feeding a loop: the sufficient criterion fails (s(e) lies in
-    # no range) and the cyclic certificate search is not conclusive
+    # no range), and the unit nodes cover every degree, the loop included
     pres = load("ef.ug")
-    assert classify_eps_strong_z(pres).status == "Undetermined"
+    verdict = classify_eps_strong_z(pres)
+    assert verdict.status == "Yes"
+    assert verdict.reasons[-1] == "edge set with cycles: verified unit certificates for all degrees"
+    assert verdict.certificate["units"] == {"-1": "D(1, V)", "<= -2": "D(2, V)", "0": "p{u, v}", ">= 1": "N(n, V)"}
+    assert verdict.certificate["nodes"]["D(1, V)"] == "p{v} + s(e) D(2, r(e)) st(e)"
+
+
+def test_eps_strong_z_is_yes_iff_unital_on_finite_edges():
+    """On the corpus and 500 seeded finite inputs, with finitely many
+    edges, EpsStrongZ reads Yes iff the algebra is unital, with a
+    certificate whenever the sufficient criterion fails, and never
+    Undetermined; StrongZ Yes with finite edges and a unit gives
+    EpsStrongZ Yes."""
+    rng = random.Random(2039)
+    reports = [analyze(load(p.name)) for p in sorted(CORPUS.glob("*.ug"))]
+    presentations = [load(p.name) for p in sorted(CORPUS.glob("*.ug"))]
+    for i in range(500):
+        pres = random_presentation(rng, sinkless=i % 2 == 1)
+        presentations.append(pres)
+        reports.append(analyze(pres))
+    gap = cyclic_gap = strong = 0
+    for pres, report in zip(presentations, reports):
+        eps = report["gradings"]["eps_strong_z"]
+        if pres.edge_families:
+            assert eps["status"] == "No", pres.name
+            continue
+        assert eps["status"] == ("Yes" if report["unital"] else "No"), pres.name
+        if eps["status"] == "Yes" and "sufficient criterion fails" in " ".join(eps["reasons"]):
+            assert eps["certificate"]["kind"] == "epsilon_unit_nodes", pres.name
+            gap += 1
+            cyclic_gap += condition_y.incoming_length_profile(pres).longest is None
+        if report["gradings"]["strong_z"]["status"] == "Yes" and report["unital"]:
+            assert eps["status"] == "Yes", pres.name
+            strong += 1
+    assert gap >= 60 and cyclic_gap >= 30 and strong >= 300, (gap, cyclic_gap, strong)
 
 
 def test_eps_strong_z_acyclic_chain():
@@ -99,7 +134,7 @@ def test_eps_strong_z_acyclic_chain():
     )
     verdict = classify_eps_strong_z(pres)
     assert verdict.status == "Yes"
-    assert set(verdict.certificate["units"]) == {"-2", "-1", "0", "1", "2"}
+    assert set(verdict.certificate["units"]) == {"-2", "-1", "<= -3", "0", ">= 1"}
 
 
 def test_eps_strong_z_over_an_infinite_family_of_sinks():
@@ -109,11 +144,17 @@ def test_eps_strong_z_over_an_infinite_family_of_sinks():
     verdict = classify_eps_strong_z(pres)
     assert verdict.status == "Yes"
     assert verdict.certificate["units"] == {
-        "-1": "p{w[*]}",
+        "-1": "D(1, V)",
+        "<= -2": "0",
         "0": "p{u, w[*]}",
-        "1": "N(1, V)",
+        ">= 1": "N(n, V)",
     }
-    assert verdict.certificate["nodes"] == {"N(1, V)": "s(e) p{w[*]} st(e)"}
+    assert verdict.certificate["nodes"] == {
+        "N(0, A)": "p{A}",
+        "N(k, V)": "s(e) N(k-1, r(e)) st(e)",
+        "N(k, r(e))": "0",
+        "D(1, V)": "p{w[*]}",
+    }
     assert condition_y.incoming_length_profile(pres).longest == 1
 
 
@@ -202,19 +243,42 @@ def test_analyze_builds_the_strong_z_certificate_once(monkeypatch):
 def test_analyze_merges_vertex_sets_linearly_on_a_named_chain(monkeypatch):
     # every vertex of the chain is its own family, so a fold that unions
     # one range at a time walks a growing part list; the length profile
-    # and the covers must union them in one pass instead
+    # and the covers must union them in one pass instead.  The unit
+    # certificate prints c_m = p_{reached(m)} for every m <= n, n(n + 1)/2
+    # vertices in all, so its own merges are counted apart: one per node
+    # for its set, one more when the check re-derives it, and two in its
+    # products; one each time the zero root (n + 1, V) is derived; and two
+    # per edge in the products of L(V)
     n = 550
     pres = named_chain(n)
-    merges = parts = 0
+    merges = parts = units = 0
+    in_units = False
     real = VertexSet._merge
 
     def spy(self, other, *args):
-        nonlocal merges, parts
-        merges += 1
-        parts += len(self.parts) + len(other.parts)
+        nonlocal merges, parts, units
+        if in_units:
+            units += 1
+        else:
+            merges += 1
+            parts += len(self.parts) + len(other.parts)
         return real(self, other, *args)
 
+    def apart(fn):
+        def wrapper(*args):
+            nonlocal in_units
+            in_units = True
+            try:
+                return fn(*args)
+            finally:
+                in_units = False
+
+        return wrapper
+
     monkeypatch.setattr(VertexSet, "_merge", spy)
+    for name in ("epsilon_candidate", "verify_epsilon", "pretty_units"):
+        monkeypatch.setattr(algebra, name, apart(getattr(algebra, name)))
     report = analyze(pres)
-    assert report["gradings"]["eps_strong_z"]["reasons"][-1].startswith(f"longest path has {n} edges")
+    assert report["gradings"]["eps_strong_z"]["status"] == "Yes"
     assert merges <= n and parts <= 8 * n, (merges, parts)
+    assert units == 6 * n + 2, units
