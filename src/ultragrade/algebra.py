@@ -58,6 +58,17 @@ def _atomize(pairs: list[tuple[Coeff, VertexSet]]) -> tuple:
     return tuple(sorted(by_coeff.items(), key=lambda p: _vset_sort_key(p[1])))
 
 
+def _normal_terms(raw: dict) -> dict:
+    """The normal form of a raw sum, key -> pieces: each key's pieces
+    atomized, and the keys whose pieces cancel dropped."""
+    terms = {}
+    for key, pieces in raw.items():
+        canon = _atomize(pieces)
+        if canon:
+            terms[key] = canon
+    return terms
+
+
 def _vset_sort_key(vs: VertexSet):
     return tuple((fam, s.sort_key()) for fam, s in vs.parts)
 
@@ -67,14 +78,15 @@ class AlgebraElement:
 
     Invariant: every term is cut to its ranges, its middle set inside
     r(α[-1]) when α is nonempty and inside r(β[-1]) when β is, so that
-    s_α p_A s_β* is never rewritten by s_e = s_e p_{r(e)}.  Every caller of
-    _from_raw keeps it: monomial cuts its middle; addition and scaling
+    s_α p_A s_β* is never rewritten by s_e = s_e p_{r(e)}.  Every maker of
+    elements keeps it: monomial cuts its middle; addition and scaling
     reuse the sets of terms that are cut; multiply combines cut terms into
     cut terms (proof in multiply); _atomize only splits sets into atoms
     inside them; the checks of verify_epsilon build s_e, s_e* and
     s_e p_{r(e)} s_e* with the middle r(e), and p_P with no path; and
-    verify_factorization's contraction puts p_{s(e)} under γ, where s(e)
-    lies in r(γ[-1]) as γ e is a path."""
+    strong_factorization builds its monomials already cut, with the
+    middle r(e) under e and {u} under paths into u (proof there), which
+    verify_factorization re-checks."""
 
     __slots__ = ("pres", "terms", "_index")
 
@@ -87,11 +99,7 @@ class AlgebraElement:
 
     @staticmethod
     def _from_raw(pres: UltragraphPresentation, raw: dict) -> "AlgebraElement":
-        terms = {}
-        for key, pairs in raw.items():
-            canon = _atomize(pairs)
-            if canon:
-                terms[key] = canon
+        terms = _normal_terms(raw)
         if len(terms) > TERM_COUNT_CAP:
             raise TermCountCap(f"{len(terms)} terms exceed the cap {TERM_COUNT_CAP}")
         return AlgebraElement(pres, terms)
@@ -675,7 +683,8 @@ def strong_factorization(
 ) -> list[tuple[AlgebraElement, AlgebraElement]]:
     """Pairs (aᵢ, bᵢ) of degree (n, −n) with Σ aᵢbᵢ = p_v, for n = ±1.
 
-    For n = −1, p_v is expanded along the paths γ out of v.  A branch
+    For n = 1 the pairs are s_e, s_e* over the out-edges e of v.  For
+    n = −1, p_v is expanded along the paths γ out of v.  A branch
     (γ, u), with u in the last range of γ (u = v at γ = ()), closes when u
     is in reached(|γ| + 1), with the pair s_γ p_u s_τ*, s_τ p_u s_γ* for
     the replacement path τ of _replacement_path; otherwise p_u is split
@@ -688,7 +697,13 @@ def strong_factorization(
     |γ| >= 1, γ is a path into u, so u is in reached(|γ|), and
     reached(l) = reached(S) for every l >= S; at |γ| = S that gives
     u in reached(S + 1).  The ultragraph is finite, so each split has
-    finitely many branches, and the expansion ends without a cap."""
+    finitely many branches, and the expansion ends without a cap.
+
+    Each pair is a monomial and its adjoint, built already cut, not
+    through monomial: the middle of s_e and s_e* is r(e), and the middle
+    {u} of a closing pair lies in r(γ[-1]), as the branch took u from that
+    range, and in r(τ[-1]), as τ is a path into u.  verify_factorization
+    re-checks both, and that γ and τ are paths."""
     if n not in (1, -1):
         raise ValueError("n must be 1 or -1")
     if not pres.is_finite:
@@ -697,26 +712,22 @@ def strong_factorization(
     if report.has_sinks or not report.row_finite:
         raise NotStronglyGraded("the algebra is not strongly graded")
     out = pres.out_edge_map()
+
+    def with_adjoint(alpha: Path, beta: Path, middle: VertexSet) -> tuple[AlgebraElement, AlgebraElement]:
+        piece = ((1, middle),)
+        return AlgebraElement(pres, {(alpha, beta): piece}), AlgebraElement(pres, {(beta, alpha): piece})
+
     if n == 1:
-        return [
-            (
-                AlgebraElement.s(pres, (e,)),
-                AlgebraElement.s_star(pres, (e,)),
-            )
-            for e in out[v]
-        ]
+        return [with_adjoint((e,), (), pres.edge_range(e)) for e in out[v]]
     profile = incoming_length_profile(pres)
     into = _in_edge_map(pres)
-    pairs: list[tuple[AlgebraElement, AlgebraElement]] = []
+    pairs = []
     work: list[tuple[Path, VertexRef]] = [((), v)]
     while work:
         gamma, u = work.pop()
         if profile.reached(len(gamma) + 1).member(u) if gamma else u in into:
             tau = _replacement_path(pres, u, len(gamma) + 1)
-            mid = VertexSet.of(u)
-            a = AlgebraElement.monomial(pres, gamma, mid, tau)
-            b = AlgebraElement.monomial(pres, tau, mid, gamma)
-            pairs.append((a, b))
+            pairs.append(with_adjoint(gamma, tau, VertexSet.of(u)))
             continue
         for e in out[u]:
             for u2 in pres.edge_range(e).vertices():
@@ -724,75 +735,143 @@ def strong_factorization(
     return pairs
 
 
+def _is_cut_monomial(pres: UltragraphPresentation, x: AlgebraElement, degree: int, paths: set) -> bool:
+    """Whether every term s_α p_A s_β* of x has z-degree `degree`, paths α
+    and β, and A inside r(α[-1]) and r(β[-1]): a term that monomial keeps
+    as it is.  `paths` holds the paths already found to be paths."""
+    for (alpha, beta), pieces in x.terms.items():
+        if len(alpha) - len(beta) != degree:
+            return False
+        for path in (alpha, beta):
+            if not path:
+                continue
+            if path not in paths:
+                if not pres.is_path(path):
+                    return False
+                paths.add(path)
+            last = pres.edge_range(path[-1])
+            if any(not vs.subset_of(last) for _, vs in pieces):
+                return False
+    return True
+
+
 def verify_factorization(
     pres: UltragraphPresentation,
-    v: VertexRef,
-    pairs: list[tuple[AlgebraElement, AlgebraElement]],
+    pairs_by_vertex: dict[VertexRef, list[tuple[AlgebraElement, AlgebraElement]]],
     n: int,
 ) -> bool:
-    """Re-multiply a factorization and reduce it back to p_v using only
-    vertex-splitting contractions Σ_{s(e)=u} s_{γe} p_{r(e)} s_{γe}* →
-    s_γ p_u s_γ*.  Sound and complete for the certificates produced by
-    strong_factorization, with cost bounded by the certificate size."""
-    total = AlgebraElement.zero(pres)
-    for a, b in pairs:
-        if z_degree(a) != n or z_degree(b) != -n:
-            return False
-        total = total + multiply(a, b)
-    target = AlgebraElement.projection(pres, VertexSet.of(v))
-    out = pres.out_edge_map()
-    current = total
-    while True:
-        if current == target:
-            return True
-        if not current.terms:
-            return False
-        if any(alpha != beta for alpha, beta in current.terms):
-            return False
-        max_len = max(len(alpha) for alpha, _ in current.terms)
-        if max_len == 0:
-            return False
-        raw: dict = {}
-        groups: dict[tuple[Path, VertexRef], set[str]] = {}
-        ok = True
-        for (alpha, beta), pieces in current.terms.items():
-            if len(alpha) < max_len:
-                raw.setdefault((alpha, beta), []).extend(pieces)
-                continue
-            last = alpha[-1]
-            full = pres.edge_range(last)
-            if len(pieces) != 1 or pieces[0][0] != 1 or pieces[0][1] != full:
-                ok = False
-                break
-            u = pres.edge_source(last)
-            groups.setdefault((alpha[:-1], u), set()).add(last.name)
-        if not ok:
-            return False
-        for (gamma, u), names in groups.items():
-            expected = {e.name for e in out[u]}
-            if names != expected:
+    """Whether Σᵢ aᵢbᵢ = p_v for every listed vertex v over its pairs, each
+    aᵢ of degree n and bᵢ of degree −n, checked for all the vertices at
+    once: one product per pair, one normal form of the sum of all the
+    products, and one contraction of that sum to p_W, W the listed
+    vertices.
+
+    What is checked.  Every term of aᵢ and bᵢ has the z-degree claimed,
+    paths on both sides, and its middle inside their last ranges
+    (_is_cut_monomial): the pairs are built directly, so the checker tests
+    what monomial would.  Every term of the product aᵢbᵢ of a pair listed
+    under v lies under v: s(α₁) = s(β₁) = v, or the key is ((), ()) with
+    middle {v}.  The sum T of all products is then contracted from its
+    longest paths down by vertex splitting,
+    Σ_{s(e)=u} s_{γe} p_{r(e)} s_{γe}* → s_γ p_u s_γ*: every term of the
+    current length must be s_{γe} p_{r(e)} s_{γe}* with coefficient 1, the
+    terms with the same γ and u = s(e), whose edges e are distinct
+    out-edges of u, must be as many as u's out-edges, and each such group
+    is replaced by its contraction one length down.  What is
+    left at length 0 must be p_W.  Each step is an identity of the
+    algebra (u is a finite emitter and no sink once it has a group), so
+    acceptance proves Σᵢ aᵢbᵢ = p_v; it is complete for the certificates
+    of strong_factorization, whose products are the leaves of the
+    expansion.
+
+    Why one sum decides every vertex.  A term under v is fixed by
+    x ↦ p_v x p_v, and a term under w ≠ v is sent to 0, since
+    p_v p_w = 0.  So that map recovers from T each vertex's own sum
+    T_v = Σᵢ aᵢbᵢ over v's pairs, and in the normal form it does so key by
+    key: a key with nonempty paths is under the vertex s(α₁), and the
+    piece of the key ((), ()) on {v} has v's coefficient in T_v, as the
+    pieces {v} of distinct vertices are disjoint.  A contraction turns a
+    group under v into one term under v, so the run on T, kept to the keys
+    under v, is the run on T_v, with the lengths at which T_v has no terms
+    passing over it unchanged.  Every test looks at one term or one group,
+    each under one vertex, and p_W kept to v is p_v.  So the call accepts
+    exactly when the call {v: pairs} accepts for every listed v.
+
+    Cost.  One product per pair and one sum per degree: each product's
+    terms are poured into one raw sum that is normalized once, and each
+    term of the sum, and each contracted term, is looked at once, at its
+    length.  The sum has as many keys as all the products together, up to
+    |E| for degree 1, more than any one vertex's sum; its size is bounded
+    by the certificate that was built, so TERM_COUNT_CAP does not apply."""
+    raw: dict = {}
+    paths: set = set()
+    for v, pairs in pairs_by_vertex.items():
+        own = VertexSet.of(v)
+        for a, b in pairs:
+            if not (_is_cut_monomial(pres, a, n, paths) and _is_cut_monomial(pres, b, -n, paths)):
                 return False
-            raw.setdefault((gamma, gamma), []).append((1, VertexSet.of(u)))
-        current = AlgebraElement._from_raw(pres, raw)
+            for (alpha, beta), pieces in multiply(a, b).terms.items():
+                if alpha or beta:
+                    if not (alpha and beta and pres.edge_source(alpha[0]) == v == pres.edge_source(beta[0])):
+                        return False
+                elif any(vs != own for _, vs in pieces):
+                    return False
+                raw.setdefault((alpha, beta), []).extend(pieces)
+    by_length: dict[int, dict] = {}
+    for (alpha, beta), pieces in _normal_terms(raw).items():
+        if alpha != beta:
+            return False
+        by_length.setdefault(len(alpha), {})[alpha, beta] = pieces
+    out = pres.out_edge_map()
+    for length in range(max(by_length, default=0), 0, -1):
+        groups: dict[tuple[Path, VertexRef], int] = {}
+        for (alpha, _), pieces in by_length.pop(length, {}).items():
+            last = alpha[-1]
+            if pieces != ((1, pres.edge_range(last)),):
+                return False
+            key = (alpha[:-1], pres.edge_source(last))
+            groups[key] = groups.get(key, 0) + 1
+        below = by_length.setdefault(length - 1, {})
+        heads: dict[Path, list[VertexRef]] = {}
+        for (gamma, u), count in groups.items():
+            if count != len(out[u]):
+                return False
+            heads.setdefault(gamma, []).append(u)
+        for gamma, us in heads.items():
+            # the heads of one γ are distinct, so their p_u add up to p of their set
+            key = (gamma, gamma)
+            pieces = _atomize([*below.get(key, ()), (1, VertexSet.of(*us))])
+            if pieces:
+                below[key] = pieces
+            else:
+                below.pop(key, None)
+    return by_length.get(0, {}) == AlgebraElement.projection(pres, VertexSet.of(*pairs_by_vertex)).terms
 
 
 # -- printing ------------------------------------------------------------
 
 
 def pretty(x: AlgebraElement) -> str:
+    """The terms in order of path lengths, then paths; each distinct vertex
+    set is labelled once per presentation."""
     from .model import _print_vset
 
     if not x.terms:
         return "0"
+    labels = x.pres.derived("vset_labels", lambda _: {})
+    keys = sorted(x.terms, key=lambda k: (len(k[0]), len(k[1]), k)) if len(x.terms) > 1 else x.terms
     chunks: list[str] = []
-    for (alpha, beta) in sorted(x.terms, key=lambda k: (len(k[0]), len(k[1]), k)):
+    for alpha, beta in keys:
         for c, vs in x.terms[(alpha, beta)]:
+            label = labels.get(vs)
+            if label is None:
+                label = labels[vs] = _print_vset(x.pres, vs)
             bits: list[str] = []
             if c != 1:
                 bits.append(str(c))
             if alpha:
                 bits.append("s(" + " ".join(e.label() for e in alpha) + ")")
-            bits.append("p{" + _print_vset(x.pres, vs) + "}")
+            bits.append("p{" + label + "}")
             if beta:
                 bits.append("st(" + " ".join(e.label() for e in beta) + ")")
             chunks.append(" ".join(bits))

@@ -114,18 +114,17 @@ def _strong_z_from(pres: UltragraphPresentation, cy: ConditionYVerdict) -> Gradi
 
 
 def _strong_z_certificate(pres: UltragraphPresentation) -> dict:
-    factorizations: dict[str, dict[str, list]] = {}
-    for v in pres.all_vertices():
-        per_v = {}
-        for n in (1, -1):
-            pairs = algebra.strong_factorization(pres, v, n)
-            if not algebra.verify_factorization(pres, v, pairs, n):
-                raise CertificateError(f"factorization of {v.label()} in degree {n} does not verify")
-            per_v[str(n)] = [
-                [algebra.pretty(a), algebra.pretty(b)] for a, b in pairs
-            ]
-        factorizations[v.label()] = per_v
-    return {"kind": "vertex_factorizations", "pairs": factorizations}
+    """Every vertex's factorizations of p_v in degrees 1 and −1, checked
+    with one call per degree."""
+    vertices = pres.all_vertices()
+    printed: dict[str, dict[str, list]] = {v.label(): {} for v in vertices}
+    for n in (1, -1):
+        by_vertex = {v: algebra.strong_factorization(pres, v, n) for v in vertices}
+        if not algebra.verify_factorization(pres, by_vertex, n):
+            raise CertificateError(f"the vertex factorizations in degree {n} do not verify")
+        for v, pairs in by_vertex.items():
+            printed[v.label()][str(n)] = [[algebra.pretty(a), algebra.pretty(b)] for a, b in pairs]
+    return {"kind": "vertex_factorizations", "pairs": printed}
 
 
 def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:

@@ -61,7 +61,7 @@ def test_criterion_02_source_example_holds_with_certificates():
     for v in pres.all_vertices():
         for n in (1, -1):  # T1*T-1 and T-1*T1 both reach p_v
             pairs = strong_factorization(pres, v, n)
-            assert verify_factorization(pres, v, pairs, n)
+            assert verify_factorization(pres, {v: pairs}, n)
     print("[criterion 2] PASS — exact holds despite a source; certificates verify")
 
 
@@ -126,7 +126,7 @@ def test_criterion_07_end_to_end_factorizations_200():
         for v in pres.all_vertices():
             for n in (1, -1):
                 pairs = strong_factorization(pres, v, n)
-                if not verify_factorization(pres, v, pairs, n):
+                if not verify_factorization(pres, {v: pairs}, n):
                     failures += 1
     assert failures == 0
     print("[criterion 7] PASS — 200 strongly graded instances, failure rate 0")

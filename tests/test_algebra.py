@@ -312,7 +312,7 @@ def test_factorizations_verify_on_corpus(name):
     for v in pres.all_vertices():
         for n in (1, -1):
             pairs = strong_factorization(pres, v, n)
-            assert verify_factorization(pres, v, pairs, n)
+            assert verify_factorization(pres, {v: pairs}, n)
 
 
 def test_source_vertex_factorization_shape():
@@ -324,6 +324,34 @@ def test_source_vertex_factorization_shape():
     assert z_degree(a) == -1 and z_degree(b) == 1
     assert pretty(a) == "s(e) p{v} st(e f)"
     assert pretty(b) == "s(e f) p{v} st(e)"
+
+
+def test_pretty_labels_each_vertex_set_once(monkeypatch):
+    # the certificate of a 60-cycle fed by a source prints every range
+    # twice in degree 1 and each cycle vertex again in degree -1, 60
+    # distinct sets in all; each is labelled once, with the labels of a
+    # fresh presentation
+    from ultragrade import model
+
+    text = "\n".join(
+        ["ultragraph cyc", "vertex src", "vertex_family c finite 60", "edge feed : src -> { c[0] }"]
+        + [f"edge e{i} : c[{i}] -> {{ c[{(i + 1) % 60}] }}" for i in range(60)]
+    )
+    expected = classify_strong_z(parse_presentation(text)).certificate
+    labelled = []
+    real = model._print_vset
+
+    def spy(pres, vs):
+        labelled.append(vs)
+        return real(pres, vs)
+
+    monkeypatch.setattr(model, "_print_vset", spy)
+    pres = parse_presentation(text)
+    assert classify_strong_z(pres).certificate == expected
+    assert len(labelled) == len(set(labelled)) == 60
+    x = AlgebraElement.projection(pres, VertexSet.of(VertexRef("c", 1))) + AlgebraElement.s(pres, [EdgeInst("e0")])
+    assert pretty(x) == "p{c[1]} + s(e0) p{c[1]}"
+    assert len(labelled) == 60
 
 
 def test_strong_z_certificate_asks_each_vertex_once_on_a_cycle(monkeypatch):
@@ -366,11 +394,11 @@ def test_strong_z_certificate_builds_reached_only_when_a_source_expands(monkeypa
     for name in ("single_loop.ug", "two_cycle.ug", "two_range.ug", "cosingleton12.ug"):
         pres = load(name)
         for v in pres.all_vertices():
-            assert verify_factorization(pres, v, strong_factorization(pres, v, -1), -1)
+            assert verify_factorization(pres, {v: strong_factorization(pres, v, -1)}, -1)
     assert asked == []
     pres = source_chain(200)
     for v in pres.all_vertices():
-        assert verify_factorization(pres, v, strong_factorization(pres, v, -1), -1)
+        assert verify_factorization(pres, {v: strong_factorization(pres, v, -1)}, -1)
     assert sorted(set(asked)) == list(range(2, 202))
 
 
@@ -384,13 +412,13 @@ def test_verify_rejects_wrong_certificates():
     pres = load("ef.ug")
     v = VertexRef("v", 0)
     good = strong_factorization(pres, v, 1)
-    assert verify_factorization(pres, v, good, 1)
+    assert verify_factorization(pres, {v: good}, 1)
     # wrong target vertex
-    assert not verify_factorization(pres, VertexRef("u", 0), good, 1)
+    assert not verify_factorization(pres, {VertexRef("u", 0): good}, 1)
     # wrong degree claim
-    assert not verify_factorization(pres, v, good, -1)
+    assert not verify_factorization(pres, {v: good}, -1)
     # dropped pair
-    assert not verify_factorization(pres, v, [], 1)
+    assert not verify_factorization(pres, {v: []}, 1)
 
 
 def test_all_paths_counts():

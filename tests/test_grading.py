@@ -127,6 +127,40 @@ def test_eps_strong_z_is_yes_iff_unital_on_finite_edges():
     assert gap >= 60 and cyclic_gap >= 30 and strong >= 300, (gap, cyclic_gap, strong)
 
 
+def test_gauge_saturation_equals_strong_z():
+    """On the corpus and 500 seeded inputs, GaugeSaturated reads the
+    StrongZ status and carries the same certificate, in analyze's report
+    and from gauge_saturation called alone."""
+    rng = random.Random(2041)
+    presentations = [load(p.name) for p in sorted(CORPUS.glob("*.ug"))]
+    presentations += [random_presentation(rng, sinkless=i % 2 == 1) for i in range(500)]
+    certified = 0
+    for pres in presentations:
+        gradings = analyze(pres)["gradings"]
+        strong = (gradings["strong_z"]["status"], gradings["strong_z"]["certificate"])
+        gauge = gradings["gauge_saturated"]
+        assert (gauge["status"], gauge["certificate"]) == strong, pres.name
+        alone = gauge_saturation(pres)
+        assert (alone.status, alone.certificate) == strong, pres.name
+        certified += strong[1] is not None
+    assert certified >= 250, certified
+
+
+def test_strong_z_certificate_checks_once_per_degree(monkeypatch):
+    calls = []
+    real = algebra.verify_factorization
+
+    def counted(pres, by_vertex, n):
+        calls.append((sorted(by_vertex), n))
+        return real(pres, by_vertex, n)
+
+    monkeypatch.setattr(algebra, "verify_factorization", counted)
+    pres = load("source_chain64.ug")
+    assert classify_strong_z(pres).status == "Yes"
+    vertices = sorted(pres.all_vertices())
+    assert calls == [(vertices, 1), (vertices, -1)]
+
+
 def test_eps_strong_z_acyclic_chain():
     pres = parse_presentation(
         "ultragraph g\nvertex u\nvertex v\nvertex w\n"

@@ -5,8 +5,8 @@ lengths tried one by one, a recursive cycle search, a product that pairs
 every term with every term, a product that pairs terms through a
 first-edge index, the units listed path by path, the direct identities of
 each degree checked alone, in the algebra and in the skew-product model, a
-walk per edge for the relevant edges, and a backward search over the
-in-edges."""
+walk per edge for the relevant edges, a backward search over the
+in-edges, and the strong-Z check of each vertex's factorization alone."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import itertools
 import random
 from collections import Counter
 
+import pytest
 from conftest import (
     CORPUS,
     FINITE_CORPUS,
@@ -38,12 +39,13 @@ from ultragrade.algebra import (
     verify_factorization,
 )
 from ultragrade.condition_y import incoming_length_profile
-from ultragrade.errors import CertificateError
+from ultragrade.errors import CertificateError, TermCountCap
 from ultragrade.freegroup import FreeWord
-from ultragrade.grading import analyze, classify_eps_strong_z
+from ultragrade.grading import analyze, classify_eps_strong_z, classify_strong_z
 from ultragrade.lattice import is_unital
 from ultragrade.model import Edge, EdgeInst, UltragraphPresentation, VertexRef, VertexSet, parse_presentation
 from ultragrade.partial_action import _GeneratorImages, skew_multiply
+from ultragrade.structure import structural_report
 
 # -- the oracles -------------------------------------------------------------
 
@@ -1180,7 +1182,7 @@ def _certificate_gammas(pres, v):
     """The degree −1 factorization of p_v, re-checked, and the path γ of
     each of its pairs s_γ p_u s_τ*, s_τ p_u s_γ*."""
     pairs = strong_factorization(pres, v, -1)
-    assert verify_factorization(pres, v, pairs, -1)
+    assert verify_factorization(pres, {v: pairs}, -1)
     gammas = []
     for a, _ in pairs:
         ((gamma, _),) = a.terms
@@ -1212,3 +1214,154 @@ def test_certificate_branches_close_by_the_settle_length():
         (pair,) = strong_factorization(pres, VertexRef("t", 0), -1)
         ((gamma, tau),) = pair[0].terms
         assert len(gamma) == n and len(tau) == n + 1
+
+
+# -- the strong-Z certificate's check ------------------------------------------
+
+
+def sinkless_layered_dag(w: int, d: int) -> UltragraphPresentation:
+    """layered_dag(w, d) with a loop on each vertex of the last layer: no
+    vertex is a sink, and every vertex of the first layer is a source
+    whose degree −1 factorization branches down to the loops."""
+    pres = layered_dag(w, d)
+    for j in range(w):
+        v = VertexRef(f"l{d}", j)
+        pres.edges[f"loop{j}"] = Edge(f"loop{j}", v, VertexSet.of(v))
+    pres.validate()
+    return pres
+
+
+def _strongly_graded_inputs(seed: int, count: int):
+    """The finite corpus files without sinks, `count` seeded sinkless
+    presentations, and the sinkless 3 × d DAGs for d = 2 … 5."""
+    for pres in _finite_corpus_and_random(seed, 0):
+        if not structural_report(pres).has_sinks:
+            yield pres
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield random_presentation(rng, sinkless=True)
+    for d in range(2, 6):
+        yield sinkless_layered_dag(3, d)
+
+
+def _checked(pres, by_vertex, n) -> bool:
+    """verify_factorization on all the vertices at once, asserted to agree
+    with the calls {v: pairs} of each vertex alone."""
+    batched = verify_factorization(pres, by_vertex, n)
+    alone = all(verify_factorization(pres, {v: pairs}, n) for v, pairs in by_vertex.items())
+    assert batched == alone, (pres.name, n)
+    return batched
+
+
+def _other_tau(pres, tau, u, path: bool):
+    """A sequence of edges as long as τ in place of τ, or None: a non-path
+    with τ's last edge when `path` is false, so that u stays in its last
+    range; a path whose last range misses u when it is true."""
+    if path:
+        return next((t for t in all_paths(pres, len(tau)) if not pres.edge_range(t[-1]).member(u)), None)
+    for k in range(len(tau) - 1):
+        for e in pres.all_edge_insts():
+            other = tau[:k] + (e,) + tau[k + 1 :]
+            if not pres.is_path(other):
+                return other
+    return None
+
+
+def test_sabotaged_factorizations_are_rejected():
+    """A pair moved to another vertex's list leaves the sum of all products
+    unchanged, so only the check that every product lies under its own
+    vertex rejects it.  A τ swapped for a non-path with the same last edge,
+    or for a path into a range that misses u, leaves every product
+    unchanged, so only the checker's own path and range tests reject them.
+    A dropped pair and a flipped coefficient are rejected too, and on every
+    input, sabotaged or not, the check of all vertices at once agrees with
+    the checks of each vertex alone."""
+    rng = random.Random(1818)
+    cases = Counter()
+    for pres in _strongly_graded_inputs(1818, 150):
+        vertices = pres.all_vertices()
+        for n in (1, -1):
+            good = {v: strong_factorization(pres, v, n) for v in vertices}
+            assert _checked(pres, good, n), (pres.name, n)
+            for v in vertices:
+                i = rng.randrange(len(good[v]))
+                a, b = good[v][i]
+                rest = good[v][:i] + good[v][i + 1 :]
+                bad = {"dropped": {**good, v: rest}, "flipped": {**good, v: rest + [(-a, b)]}}
+                w = rng.choice([u for u in vertices if u != v] or [v])
+                if w != v:
+                    bad["moved"] = {**good, v: rest, w: good[w] + [(a, b)]}
+                for kind, by_vertex in bad.items():
+                    assert not _checked(pres, by_vertex, n), (pres.name, n, v, kind)
+                    cases[kind] += 1
+                # every pair of v whose τ has a swap of either kind
+                for j, (a, b) in enumerate(good[v] if n == -1 else ()):
+                    (((gamma, tau), piece),) = a.terms.items()
+                    for kind, path in (("non-path tau", False), ("tau missing u", True)):
+                        other = _other_tau(pres, tau, piece[0][1].vertices()[0], path)
+                        if other is None:
+                            continue
+                        a2 = AlgebraElement(pres, {(gamma, other): piece})
+                        b2 = AlgebraElement(pres, {(other, gamma): piece})
+                        assert multiply(a2, b2) == multiply(a, b)
+                        swapped = {**good, v: good[v][:j] + [(a2, b2)] + good[v][j + 1 :]}
+                        assert not _checked(pres, swapped, n), (pres.name, v, kind)
+                        cases[kind] += 1
+    assert min(cases.values()) >= 100 and len(cases) == 5, cases
+
+
+def test_the_factorization_check_is_linear_in_its_pairs(monkeypatch):
+    """On the sinkless 3 × d DAGs, d = 6 … 9, the check of each degree
+    multiplies every pair once and nothing else, and _atomize receives two
+    to three pieces per pair: each product is normalized once, the sum of
+    all products once, and each contracted term once at its length.  A
+    running sum that re-normalizes its total after each pair hands
+    _atomize a number of pieces quadratic in a source's pairs."""
+    products = pieces = 0
+    real_multiply, real_atomize = algebra.multiply, algebra._atomize
+
+    def counted_multiply(x, y):
+        nonlocal products
+        products += 1
+        return real_multiply(x, y)
+
+    def counted_atomize(given):
+        nonlocal pieces
+        pieces += len(given)
+        return real_atomize(given)
+
+    monkeypatch.setattr(algebra, "multiply", counted_multiply)
+    monkeypatch.setattr(algebra, "_atomize", counted_atomize)
+    sizes = []
+    for d in range(6, 10):
+        pres = sinkless_layered_dag(3, d)
+        for n in (1, -1):
+            by_vertex = {v: strong_factorization(pres, v, n) for v in pres.all_vertices()}
+            pairs = sum(map(len, by_vertex.values()))
+            products = pieces = 0
+            assert verify_factorization(pres, by_vertex, n)
+            assert products == pairs, (d, n)
+            assert 2 * pairs <= pieces <= 3 * pairs, (d, n, pieces, pairs)
+            sizes.append(pairs)
+    assert sizes[1::2] == [210, 405, 792, 1563]
+
+
+def test_the_sum_of_all_vertices_is_not_capped(monkeypatch):
+    """With TERM_COUNT_CAP below the number of edges, the degree 1 sum of
+    a 60-edge chain feeding a loop has more terms than the cap, while each
+    vertex's own sum has one: the certificate still verifies, as its size
+    is bounded by the pairs that were built."""
+    pres = source_chain(60)
+    monkeypatch.setattr(algebra, "TERM_COUNT_CAP", 20)
+    certificate = {n: {v: strong_factorization(pres, v, n) for v in pres.all_vertices()} for n in (1, -1)}
+    for n, by_vertex in certificate.items():
+        assert _checked(pres, by_vertex, n)
+    degree_one = {
+        key: list(pieces)
+        for pairs in certificate[1].values()
+        for a, b in pairs
+        for key, pieces in multiply(a, b).terms.items()
+    }
+    with pytest.raises(TermCountCap):
+        AlgebraElement._from_raw(pres, degree_one)
+    assert classify_strong_z(pres).status == "Yes"

@@ -56,7 +56,7 @@ sys.exit("a rejected factorization was accepted")
 def test_strong_z_certificate_check_runs_under_dash_o():
     proc = _run_dash_o(SABOTAGED_STRONG_Z, str(CORPUS / "two_cycle.ug"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: factorization of u[0] in degree 1")
+    assert proc.stdout.startswith("raised: the vertex factorizations in degree 1 do not verify")
 
 
 # Replaces every cached range type of a presentation with a source by the

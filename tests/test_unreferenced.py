@@ -26,8 +26,6 @@ SPAN_LAYER_ONLY = {
     "all_paths",
     # perfbench/spans.py INDEXSET_OPS; delete with the next benchmark change
     "IndexSet.complement",
-    # perfbench/spans.py VERTEXSET_OPS; delete with the next benchmark change
-    "VertexSet.subset_of",
 }
 # Names kept without a call in the library, each for the reason given.
 KEPT = {
