@@ -81,8 +81,9 @@ class AlgebraElement:
     s_α p_A s_β* is never rewritten by s_e = s_e p_{r(e)}.  Every maker of
     elements keeps it: monomial cuts its middle; addition and scaling
     reuse the sets of terms that are cut; multiply combines cut terms into
-    cut terms (proof in multiply); _atomize only splits sets into atoms
-    inside them; the checks of verify_epsilon build s_e, s_e* and
+    cut terms (proof in multiply), also when both factors have one term
+    and the one product term is built directly; _atomize only splits sets
+    into atoms inside them; the checks of verify_epsilon build s_e, s_e* and
     s_e p_{r(e)} s_e* with the middle r(e), and p_P with no path; and
     strong_factorization builds its monomials already cut, with the
     middle r(e) under e and {u} under paths into u (proof there), which
@@ -216,6 +217,24 @@ def _prefix_index(x: AlgebraElement, side: int) -> tuple[dict, dict]:
     return index
 
 
+def _combine(pres: UltragraphPresentation, xt: tuple, yt: tuple) -> tuple[tuple, list]:
+    """The key and the raw pieces of the product of a term of x and a term
+    of y, (s_α · s_β*)(s_γ · s_δ*), whose inner paths β and γ are
+    compatible: one is a prefix of the other."""
+    (alpha, beta), xp = xt
+    (gamma, delta), yp = yt
+    nb, ng = len(beta), len(gamma)
+    if nb == ng:
+        return (alpha, delta), [(c * d, a_set.intersection(b_set)) for c, a_set in xp for d, b_set in yp]
+    if nb < ng:
+        rest = gamma[nb:]
+        v = pres.edge_source(rest[0])
+        return (alpha + rest, delta), [(c * d, b_set) for c, a_set in xp if a_set.member(v) for d, b_set in yp]
+    rest = beta[ng:]
+    v = pres.edge_source(rest[0])
+    return (alpha, delta + rest), [(c * d, a_set) for d, b_set in yp if b_set.member(v) for c, a_set in xp]
+
+
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """The product, paired through a prefix index of the larger factor.
 
@@ -229,43 +248,37 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     are disjoint and cover every compatible pair, so each contributing
     pair is combined exactly once, and no other pair is looked at.
 
+    When both factors have one term, as every pair of the strong-Z
+    certificate has, no index is built: the one pair of terms is combined
+    exactly when β and γ agree on the shorter of their lengths, that is
+    when they are compatible.  A product with one piece is its own normal
+    form, a nonzero coefficient (a product of nonzero ones) on a nonempty
+    set; an empty set gives 0, and more pieces are atomized.
+
     Every combined term is already cut to its ranges, given that both
     factors are (AlgebraElement): with inner paths of equal length the
     middle is A ∩ B, A inside r(α[-1]) and B inside r(δ[-1]); when β is a
     proper prefix of γ = β ρ, the middle is B, inside r(γ[-1]) = r(ρ[-1])
     and r(δ[-1]); and the mirror case keeps A.  Empty middles are dropped
-    by _atomize."""
+    by _atomize, or by the one-term case."""
     x._require_same(y)
     pres = x.pres
+    if len(x.terms) == 1 == len(y.terms):
+        ((xt,), (yt,)) = x.terms.items(), y.terms.items()
+        beta, gamma = xt[0][1], yt[0][0]
+        k = min(len(beta), len(gamma))
+        if beta[:k] != gamma[:k]:
+            return AlgebraElement(pres, {})
+        key, pieces = _combine(pres, xt, yt)
+        if len(pieces) != 1:
+            return AlgebraElement._from_raw(pres, {key: pieces})
+        return AlgebraElement(pres, {key: tuple(pieces)} if pieces[0][1].parts else {})
     raw: dict = {}
 
-    def add(alpha: Path, beta: Path, vs: VertexSet, c: Coeff) -> None:
-        raw.setdefault((alpha, beta), []).append((c, vs))
-
     def combine(xt, yt) -> None:
-        (alpha, beta), xp = xt
-        (gamma, delta), yp = yt
-        nb, ng = len(beta), len(gamma)
-        if nb == ng:
-            for c, a_set in xp:
-                for d, b_set in yp:
-                    add(alpha, delta, a_set.intersection(b_set), c * d)
-        elif nb < ng:
-            rest = gamma[nb:]
-            v = pres.edge_source(rest[0])
-            for c, a_set in xp:
-                if not a_set.member(v):
-                    continue
-                for d, b_set in yp:
-                    add(alpha + rest, delta, b_set, c * d)
-        else:
-            rest = beta[ng:]
-            v = pres.edge_source(rest[0])
-            for d, b_set in yp:
-                if not b_set.member(v):
-                    continue
-                for c, a_set in xp:
-                    add(alpha, delta + rest, a_set, c * d)
+        key, pieces = _combine(pres, xt, yt)
+        if pieces:
+            raw.setdefault(key, []).extend(pieces)
 
     if len(x.terms) <= len(y.terms):
         exact, proper = _prefix_index(y, 0)
@@ -750,7 +763,7 @@ def _is_cut_monomial(pres: UltragraphPresentation, x: AlgebraElement, degree: in
                     return False
                 paths.add(path)
             last = pres.edge_range(path[-1])
-            if any(not vs.subset_of(last) for _, vs in pieces):
+            if any(vs is not last and not vs.subset_of(last) for _, vs in pieces):
                 return False
     return True
 
@@ -806,7 +819,7 @@ def verify_factorization(
     raw: dict = {}
     paths: set = set()
     for v, pairs in pairs_by_vertex.items():
-        own = VertexSet.of(v)
+        own = None  # {v}, built when a product has the key ((), ())
         for a, b in pairs:
             if not (_is_cut_monomial(pres, a, n, paths) and _is_cut_monomial(pres, b, -n, paths)):
                 return False
@@ -814,8 +827,11 @@ def verify_factorization(
                 if alpha or beta:
                     if not (alpha and beta and pres.edge_source(alpha[0]) == v == pres.edge_source(beta[0])):
                         return False
-                elif any(vs != own for _, vs in pieces):
-                    return False
+                else:
+                    if own is None:
+                        own = VertexSet.of(v)
+                    if any(vs != own for _, vs in pieces):
+                        return False
                 raw.setdefault((alpha, beta), []).extend(pieces)
     by_length: dict[int, dict] = {}
     for (alpha, beta), pieces in _normal_terms(raw).items():
@@ -845,7 +861,9 @@ def verify_factorization(
                 below[key] = pieces
             else:
                 below.pop(key, None)
-    return by_length.get(0, {}) == AlgebraElement.projection(pres, VertexSet.of(*pairs_by_vertex)).terms
+    # p_W in normal form: one piece, or no term when W is empty
+    w = VertexSet.of(*pairs_by_vertex)
+    return by_length.get(0, {}) == ({((), ()): ((1, w),)} if w.parts else {})
 
 
 # -- printing ------------------------------------------------------------
@@ -853,12 +871,20 @@ def verify_factorization(
 
 def pretty(x: AlgebraElement) -> str:
     """The terms in order of path lengths, then paths; each distinct vertex
-    set is labelled once per presentation."""
+    set and each distinct path is labelled once per presentation."""
     from .model import _print_vset
 
     if not x.terms:
         return "0"
     labels = x.pres.derived("vset_labels", lambda _: {})
+    path_labels = x.pres.derived("path_labels", lambda _: {})
+
+    def path_label(path: Path) -> str:
+        label = path_labels.get(path)
+        if label is None:
+            label = path_labels[path] = " ".join(e.label() for e in path)
+        return label
+
     keys = sorted(x.terms, key=lambda k: (len(k[0]), len(k[1]), k)) if len(x.terms) > 1 else x.terms
     chunks: list[str] = []
     for alpha, beta in keys:
@@ -870,10 +896,10 @@ def pretty(x: AlgebraElement) -> str:
             if c != 1:
                 bits.append(str(c))
             if alpha:
-                bits.append("s(" + " ".join(e.label() for e in alpha) + ")")
+                bits.append("s(" + path_label(alpha) + ")")
             bits.append("p{" + label + "}")
             if beta:
-                bits.append("st(" + " ".join(e.label() for e in beta) + ")")
+                bits.append("st(" + path_label(beta) + ")")
             chunks.append(" ".join(bits))
     return " + ".join(chunks)
 

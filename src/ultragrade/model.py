@@ -81,11 +81,41 @@ class EdgeInst(NamedTuple):
 FinitePath = tuple  # tuple[EdgeInst, ...]; a length-0 path is a VertexSet
 
 
-@dataclass(frozen=True)
 class VertexSet:
-    """Per-family eventually periodic subset of the vertices."""
+    """Per-family eventually periodic subset of the vertices.
 
-    parts: tuple[tuple[str, IndexSet], ...]  # sorted, no empty components
+    Values are immutable, like IndexSet's: build them with the static
+    constructors or the Boolean operations, never by assigning to `parts`.
+    The hash is computed on first use and kept.  It is hash((parts,)): a
+    set of vertex sets iterates in an order that depends on the hash, so
+    another hash could reorder what is built from such a set."""
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts: tuple[tuple[str, IndexSet], ...]):
+        self.parts = parts  # sorted, no empty components
+        self._hash = None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not VertexSet:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.parts,))
+        return h
+
+    def __repr__(self) -> str:
+        return f"VertexSet(parts={self.parts!r})"
+
+    def __reduce__(self):
+        # string hashes differ between processes, so the kept hash is not
+        # carried along
+        return VertexSet, (self.parts,)
 
     @staticmethod
     def make(parts: Iterable[tuple[str, IndexSet]]) -> "VertexSet":
@@ -105,6 +135,12 @@ class VertexSet:
 
     @staticmethod
     def of(*vrefs: VertexRef) -> "VertexSet":
+        if len(vrefs) == 1:
+            fam, i = vrefs[0]
+            if i < 0:
+                raise ValueError("indices must be nonnegative")
+            # the finite set {i} in IndexSet's canonical form
+            return VertexSet(((fam, IndexSet(i + 1, 1 << i, 1, 0)),))
         parts: dict[str, set[int]] = {}
         for v in vrefs:
             parts.setdefault(v.family, set()).add(v.index)
@@ -115,6 +151,9 @@ class VertexSet:
         they share, and a family on one side only is kept as it is or
         dropped."""
         a, b = self.parts, other.parts
+        if a is b:
+            # op(s, s) is s for union and intersection, empty for difference
+            return self if keep_self == keep_other else VertexSet(())
         if not b:
             return self if keep_self else other
         if not a:

@@ -49,6 +49,7 @@ from ultragrade.freegroup import FreeWord
 from ultragrade.indexset import IndexSet
 from ultragrade.grading import classify_strong_z
 from ultragrade.model import EdgeInst, UltragraphPresentation, VertexRef, VertexSet, parse_presentation
+from test_paths import sinkless_layered_dag
 
 
 def E(*names):
@@ -352,6 +353,49 @@ def test_pretty_labels_each_vertex_set_once(monkeypatch):
     x = AlgebraElement.projection(pres, VertexSet.of(VertexRef("c", 1))) + AlgebraElement.s(pres, [EdgeInst("e0")])
     assert pretty(x) == "p{c[1]} + s(e0) p{c[1]}"
     assert len(labelled) == 60
+
+
+def _pretty_anew(x):
+    """pretty with every label built anew for each term it prints."""
+    from ultragrade.model import _print_vset
+
+    chunks = []
+    for alpha, beta in sorted(x.terms, key=lambda k: (len(k[0]), len(k[1]), k)):
+        for c, vs in x.terms[alpha, beta]:
+            bits = [] if c == 1 else [str(c)]
+            if alpha:
+                bits.append("s(" + " ".join(e.label() for e in alpha) + ")")
+            bits.append("p{" + _print_vset(x.pres, vs) + "}")
+            if beta:
+                bits.append("st(" + " ".join(e.label() for e in beta) + ")")
+            chunks.append(" ".join(bits))
+    return " + ".join(chunks) or "0"
+
+
+def test_pretty_labels_each_path_once(monkeypatch):
+    # the degree -1 pairs of the sinkless 3 x 8 DAG repeat their long
+    # paths gamma and tau; printing the strong-Z certificate labels each
+    # edge of each distinct path once, and prints what labelling every
+    # path anew prints
+    pres = sinkless_layered_dag(3, 8)
+    vertices = pres.all_vertices()
+    certificate = {n: {v: strong_factorization(pres, v, n) for v in vertices} for n in (-1, 1)}
+    elements = [z for by_vertex in certificate.values() for pairs in by_vertex.values() for pair in pairs for z in pair]
+    paths = {path for z in elements for key in z.terms for path in key}
+    expected = {v.label(): {str(n): [[_pretty_anew(a), _pretty_anew(b)] for a, b in certificate[n][v]] for n in (1, -1)} for v in vertices}
+    labelled = 0
+    real = EdgeInst.label
+
+    def spy(self):
+        nonlocal labelled
+        labelled += 1
+        return real(self)
+
+    monkeypatch.setattr(EdgeInst, "label", spy)
+    verdict = classify_strong_z(pres)
+    assert verdict.certificate["pairs"] == expected
+    assert 0 < labelled <= sum(map(len, paths)), (labelled, sum(map(len, paths)))
+    assert sum(len(z.terms) for z in elements) > 3 * len(paths)
 
 
 def test_strong_z_certificate_asks_each_vertex_once_on_a_cycle(monkeypatch):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
 import random
+from dataclasses import dataclass
 from math import lcm
 
 import pytest
@@ -229,3 +231,82 @@ def test_refine_gives_the_atoms_of_the_inputs():
         for a, held in atoms:
             for v in a.iter_vertices(bound=bound):
                 assert held == tuple(j for j, s in enumerate(sets) if s.member(v))
+
+
+# -- vertex sets as values ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FrozenVertexSet:
+    """The frozen dataclass VertexSet used to be: the reference for its
+    equality and its hash."""
+
+    parts: tuple
+
+
+def _seeded_vertex_sets(rng: random.Random) -> list[VertexSet]:
+    """Periodic sets, finite sets of one to four vertices, the empty set,
+    repeats of the same value and equal values built anew."""
+    sets = []
+    for _ in range(100):
+        sets.append(_random_vertex_set(rng))
+        vrefs = [VertexRef(rng.choice("abc"), rng.randrange(40)) for _ in range(rng.randint(1, 4))]
+        sets.append(VertexSet.of(*vrefs))
+    sets.append(VertexSet.empty())
+    sets += [rng.choice(sets) for _ in range(40)]
+    sets += [VertexSet.make(rng.choice(sets).parts) for _ in range(40)]
+    return sets
+
+
+def test_vertex_sets_compare_and_hash_as_the_frozen_dataclass():
+    rng = random.Random(29)
+    sets = _seeded_vertex_sets(rng)
+    periodic = sum(not vs.is_finite() for vs in sets)
+    assert periodic >= 50 and len(sets) - periodic >= 50
+    refs = [FrozenVertexSet(vs.parts) for vs in sets]
+    for vs, ref in zip(sets, refs):
+        assert hash(vs) == hash(ref) == hash((vs.parts,))
+        assert hash(vs) == hash(vs)  # the kept hash
+        assert vs != vs.parts and vs != ref
+    equal = 0
+    for a, ra in zip(sets, refs):
+        for b, rb in zip(sets, refs):
+            assert (a == b) == (ra == rb) == (a.parts == b.parts)
+            assert (a != b) == (ra != rb)
+            equal += a == b and a is not b
+    assert equal >= 100
+    # sets and dicts keyed by vertex sets iterate in the reference's order
+    assert [vs.parts for vs in set(sets)] == [ref.parts for ref in set(refs)]
+    assert repr(sets[0]) == repr(refs[0]).replace("FrozenVertexSet", "VertexSet")
+
+
+def test_one_vertex_sets_match_make():
+    for i in range(301):
+        got = VertexSet.of(VertexRef("a", i))
+        want = VertexSet.make([("a", IndexSet.from_indices([i]))])
+        assert got == want and hash(got) == hash(want)
+        assert got.parts[0][1] == IndexSet.make([j == i for j in range(i + 1)], [False])
+    with pytest.raises(ValueError, match="nonnegative"):
+        VertexSet.of(VertexRef("a", -1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        VertexSet.of(VertexRef("a", 0), VertexRef("b", -1))
+
+
+def test_operations_of_a_set_with_itself_match_the_general_ones():
+    rng = random.Random(31)
+    for a in _seeded_vertex_sets(rng):
+        copy = VertexSet(tuple(list(a.parts)))  # equal parts in another tuple
+        for op in (VertexSet.union, VertexSet.intersection, VertexSet.difference):
+            assert op(a, a) == op(a, copy) == op(copy, a), (op.__name__, a)
+        assert a.union(a) == a.intersection(a) == a
+        assert a.difference(a) == VertexSet.empty()
+
+
+def test_vertex_sets_are_slotted_values():
+    vs = VertexSet.of(VertexRef("a", 3), VertexRef("b", 0))
+    assert not hasattr(vs, "__dict__")
+    with pytest.raises(AttributeError):
+        vs.extra = 1
+    hash(vs)
+    copy = pickle.loads(pickle.dumps(vs))
+    assert copy == vs and copy._hash is None and hash(copy) == hash(vs)
