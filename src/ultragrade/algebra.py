@@ -5,8 +5,9 @@ keeps, for each path pair (α, β), a middle layer of disjoint vertex sets
 with distinct coefficients (a Boolean-atom refinement of the occurring
 sets), so syntactic equality decides equality modulo the purely
 set-theoretic relations.  The vertex-splitting relation
-p_v = Σ_{s(e)=v} s_e s_e* is applied only by explicit expansion or
-contraction, never implicitly.
+p_v = Σ_{s(e)=v} s_e s_e* is never applied by the normal form: the split
+nodes of the strong-Z certificate state it, and its check compares them
+with the out-edges and the ranges.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     TermCountCap,
 )
 from .freegroup import FreeWord
-from .lattice import is_unital
+from .lattice import is_unital, range_atoms
 from .model import EdgeInst, UltragraphPresentation, VertexRef, VertexSet
 from .structure import structural_report
 
@@ -85,9 +86,10 @@ class AlgebraElement:
     and the one product term is built directly; _atomize only splits sets
     into atoms inside them; the checks of verify_epsilon build s_e, s_e* and
     s_e p_{r(e)} s_e* with the middle r(e), and p_P with no path; and
-    strong_factorization builds its monomials already cut, with the
-    middle r(e) under e and {u} under paths into u (proof there), which
-    verify_factorization re-checks."""
+    strong_factorization builds the pairs of its tables already cut: s_e
+    and s_e* with the middle r(e) for each edge, and p_u s_τ* and s_τ p_u
+    with the middle {u} for each closing node, τ a path into u (proof
+    there), which verify_factorization re-checks."""
 
     __slots__ = ("pres", "terms", "_index")
 
@@ -414,13 +416,15 @@ def _relevance_bounds(pres: UltragraphPresentation) -> dict[EdgeInst, float]:
     is a max, and the recursion, taken in decreasing depth, meets each
     successor first.  A finite depth is below the settle length L, so a
     finite B(e) is at most L − 2.  ind is read off the atoms of the ranges
-    (VertexSet.refine), so an infinite range needs no listing."""
+    (range_atoms, whose positions are those of the edges in id order, the
+    order of edge_successors on a finite edge set), so an infinite range
+    needs no listing."""
     depth = incoming_length_profile(pres).depth
     succ = edge_successors(pres)
     edges = list(succ)
     d = {e: math.inf if depth[e.name] is None else depth[e.name] for e in edges}
     top = dict.fromkeys(edges, 0)  # R(e)
-    for _, held in VertexSet.refine(pres.edge_range(e) for e in edges):
+    for _, held in range_atoms(pres):
         ind = max(d[edges[i]] for i in held)
         for i in held:
             top[edges[i]] = max(top[edges[i]], ind)
@@ -691,32 +695,47 @@ def _replacement_path(pres: UltragraphPresentation, u: VertexRef, length: int) -
     return tuple(reversed(tau))
 
 
-def strong_factorization(
-    pres: UltragraphPresentation, v: VertexRef, n: int
-) -> list[tuple[AlgebraElement, AlgebraElement]]:
-    """Pairs (aᵢ, bᵢ) of degree (n, −n) with Σ aᵢbᵢ = p_v, for n = ±1.
+class StrongNode(NamedTuple):
+    """A node (k, u) of the degree −1 strong-Z table, standing for
+    s_γ p_u s_γ* for every path γ of length k with u in its last range
+    (γ = () at k = 0).  A closing node holds the pair
+    (p_u s_τ*, s_τ p_u), τ a path of length k + 1 with u in its last
+    range, and no split; any other node holds no pair and the
+    Cuntz–Krieger split of p_u: each out-edge e of u, in id order, with
+    the vertices u′ of r(e), each the child node (k + 1, u′)."""
 
-    For n = 1 the pairs are s_e, s_e* over the out-edges e of v.  For
-    n = −1, p_v is expanded along the paths γ out of v.  A branch
-    (γ, u), with u in the last range of γ (u = v at γ = ()), closes when u
-    is in reached(|γ| + 1), with the pair s_γ p_u s_τ*, s_τ p_u s_γ* for
-    the replacement path τ of _replacement_path; otherwise p_u is split
-    over the out-edges of u, which is no sink.  So a vertex in some range
-    closes at γ = () with its first in-edge, and only a source expands.
-    reached(1) is the union of all ranges, so at γ = () the test asks the
-    in-edge map, and reached is built only once a source expands.
+    pair: Optional[tuple[AlgebraElement, AlgebraElement]]
+    split: tuple[tuple[EdgeInst, tuple[VertexRef, ...]], ...]
 
-    Every branch closes by |γ| = S, the profile's settle length: for
-    |γ| >= 1, γ is a path into u, so u is in reached(|γ|), and
-    reached(l) = reached(S) for every l >= S; at |γ| = S that gives
-    u in reached(S + 1).  The ultragraph is finite, so each split has
-    finitely many branches, and the expansion ends without a cap.
+
+def strong_factorization(pres: UltragraphPresentation, n: int) -> dict:
+    """The strong-Z certificate table of degree n = ±1, for every vertex
+    at once.
+
+    n = 1: each vertex v maps to its out-edges e in id order, each with
+    the pair (s_e, s_e*), so p_v = Σ s_e s_e*.
+
+    n = −1: a table of StrongNode keyed by the states (k, u), built once
+    each from a work list that starts at the roots (0, v), one per
+    vertex.  A state closes when u is in reached(k + 1), with τ the
+    replacement path of _replacement_path, walked once per node; at k = 0
+    that is u in the in-edge map, as reached(1) is the union of all
+    ranges, so reached is built only once a source expands.  Any other
+    state splits p_u over the out-edges of u, which is no sink, into the
+    children (k + 1, u′) for u′ in r(e).  A branch (γ, u) of the
+    expansion of p_v depends on γ only through k = |γ|, so one node per
+    state stands for all the branches through it.
+
+    No state has k > S, the profile's settle length: for k >= 1 the state
+    is reached along a path γ of length k into u, so u is in reached(k),
+    and reached(l) = reached(S) for every l >= S; at k = S that gives u in
+    reached(S + 1), so the state closes.  So the table has at most
+    (S + 1)·|V| nodes, and the expansion ends without a cap.
 
     Each pair is a monomial and its adjoint, built already cut, not
     through monomial: the middle of s_e and s_e* is r(e), and the middle
-    {u} of a closing pair lies in r(γ[-1]), as the branch took u from that
-    range, and in r(τ[-1]), as τ is a path into u.  verify_factorization
-    re-checks both, and that γ and τ are paths."""
+    {u} of a closing pair lies in r(τ[-1]), as τ is a path into u.
+    verify_factorization re-checks both, and that τ is a path."""
     if n not in (1, -1):
         raise ValueError("n must be 1 or -1")
     if not pres.is_finite:
@@ -725,27 +744,31 @@ def strong_factorization(
     if report.has_sinks or not report.row_finite:
         raise NotStronglyGraded("the algebra is not strongly graded")
     out = pres.out_edge_map()
+    rng = pres.edge_range
 
     def with_adjoint(alpha: Path, beta: Path, middle: VertexSet) -> tuple[AlgebraElement, AlgebraElement]:
         piece = ((1, middle),)
         return AlgebraElement(pres, {(alpha, beta): piece}), AlgebraElement(pres, {(beta, alpha): piece})
 
     if n == 1:
-        return [with_adjoint((e,), (), pres.edge_range(e)) for e in out[v]]
+        return {v: tuple((e, with_adjoint((e,), (), rng(e))) for e in edges) for v, edges in out.items()}
     profile = incoming_length_profile(pres)
     into = _in_edge_map(pres)
-    pairs = []
-    work: list[tuple[Path, VertexRef]] = [((), v)]
+    nodes: dict[tuple[int, VertexRef], StrongNode] = {}
+    work = [(0, v) for v in reversed(out)]
     while work:
-        gamma, u = work.pop()
-        if profile.reached(len(gamma) + 1).member(u) if gamma else u in into:
-            tau = _replacement_path(pres, u, len(gamma) + 1)
-            pairs.append(with_adjoint(gamma, tau, VertexSet.of(u)))
+        key = work.pop()
+        if key in nodes:
             continue
-        for e in out[u]:
-            for u2 in pres.edge_range(e).vertices():
-                work.append((gamma + (e,), u2))
-    return pairs
+        k, u = key
+        if profile.reached(k + 1).member(u) if k else u in into:
+            tau = _replacement_path(pres, u, k + 1)
+            nodes[key] = StrongNode(with_adjoint((), tau, VertexSet.of(u)), ())
+            continue
+        split = tuple((e, tuple(rng(e).vertices())) for e in out[u])
+        nodes[key] = StrongNode(None, split)
+        work.extend((k + 1, w) for _, kids in reversed(split) for w in reversed(kids))
+    return nodes
 
 
 def _is_cut_monomial(pres: UltragraphPresentation, x: AlgebraElement, degree: int, paths: set) -> bool:
@@ -768,102 +791,113 @@ def _is_cut_monomial(pres: UltragraphPresentation, x: AlgebraElement, degree: in
     return True
 
 
-def verify_factorization(
-    pres: UltragraphPresentation,
-    pairs_by_vertex: dict[VertexRef, list[tuple[AlgebraElement, AlgebraElement]]],
-    n: int,
-) -> bool:
-    """Whether Σᵢ aᵢbᵢ = p_v for every listed vertex v over its pairs, each
-    aᵢ of degree n and bᵢ of degree −n, checked for all the vertices at
-    once: one product per pair, one normal form of the sum of all the
-    products, and one contraction of that sum to p_W, W the listed
-    vertices.
+def verify_factorization(pres: UltragraphPresentation, table: dict, n: int) -> None:
+    """Check the strong-Z table of degree n = ±1 that strong_factorization
+    builds, one identity per node; raise CertificateError naming the
+    first entry that fails.  Acceptance proves p_v ∈ L_1 L_{−1} (n = 1) or
+    p_v ∈ L_{−1} L_1 (n = −1) for every vertex v, L_d the degree-d
+    component and L_d L_{−d} the span of the products.
 
-    What is checked.  Every term of aᵢ and bᵢ has the z-degree claimed,
-    paths on both sides, and its middle inside their last ranges
-    (_is_cut_monomial): the pairs are built directly, so the checker tests
-    what monomial would.  Every term of the product aᵢbᵢ of a pair listed
-    under v lies under v: s(α₁) = s(β₁) = v, or the key is ((), ()) with
-    middle {v}.  The sum T of all products is then contracted from its
-    longest paths down by vertex splitting,
-    Σ_{s(e)=u} s_{γe} p_{r(e)} s_{γe}* → s_γ p_u s_γ*: every term of the
-    current length must be s_{γe} p_{r(e)} s_{γe}* with coefficient 1, the
-    terms with the same γ and u = s(e), whose edges e are distinct
-    out-edges of u, must be as many as u's out-edges, and each such group
-    is replaced by its contraction one length down.  What is
-    left at length 0 must be p_W.  Each step is an identity of the
-    algebra (u is a finite emitter and no sink once it has a group), so
-    acceptance proves Σᵢ aᵢbᵢ = p_v; it is complete for the certificates
-    of strong_factorization, whose products are the leaves of the
-    expansion.
+    What is checked, n = 1.  The table lists every vertex and nothing
+    else; each vertex v is no sink and lists exactly its out-edges, in
+    id order; each edge's pair is exactly (s_e, s_e*), with the middle
+    r(e) and coefficient 1, both cut and of degrees 1 and −1
+    (_is_cut_monomial), and the product re-multiplies to
+    s_e p_{r(e)} s_e* in normal form.  Then p_v = Σ_{s(e)=v} s_e s_e*
+    (v is a finite emitter and no sink), a sum of products ab with
+    a ∈ L_1 and b ∈ L_{−1}.
 
-    Why one sum decides every vertex.  A term under v is fixed by
-    x ↦ p_v x p_v, and a term under w ≠ v is sent to 0, since
-    p_v p_w = 0.  So that map recovers from T each vertex's own sum
-    T_v = Σᵢ aᵢbᵢ over v's pairs, and in the normal form it does so key by
-    key: a key with nonempty paths is under the vertex s(α₁), and the
-    piece of the key ((), ()) on {v} has v's coefficient in T_v, as the
-    pieces {v} of distinct vertices are disjoint.  A contraction turns a
-    group under v into one term under v, so the run on T, kept to the keys
-    under v, is the run on T_v, with the lengths at which T_v has no terms
-    passing over it unchanged.  Every test looks at one term or one group,
-    each under one vertex, and p_W kept to v is p_v.  So the call accepts
-    exactly when the call {v: pairs} accepts for every listed v.
+    What is checked, n = −1.  The root (0, v) of every vertex is listed.
+    Every node (k, u) has u a vertex and 0 <= k <= S, the settle length,
+    and holds exactly one of a pair and a split.  A closing node's pair is
+    exactly (p_u s_τ*, s_τ p_u) for the path of its one term, with the
+    middle {u} and coefficient 1; both factors are cut and of degrees
+    −(k + 1) and k + 1, that is, τ is a path of length k + 1 with u in
+    r(τ[-1]); and ab re-multiplies to p_u exactly in normal form.  A
+    split node's u is no sink, its edges are exactly u's out-edges in id
+    order, each edge's children are exactly the vertices of r(e), in
+    order, and every child (k + 1, u′) is listed.  So the printed
+    certificate, which names each pair by its edge or its τ, is what was
+    checked.
 
-    Cost.  One product per pair and one sum per degree: each product's
-    terms are poured into one raw sum that is normalized once, and each
-    term of the sum, and each contracted term, is looked at once, at its
-    length.  The sum has as many keys as all the products together, up to
-    |E| for degree 1, more than any one vertex's sum; its size is bounded
-    by the certificate that was built, so TERM_COUNT_CAP does not apply."""
-    raw: dict = {}
-    paths: set = set()
-    for v, pairs in pairs_by_vertex.items():
-        own = None  # {v}, built when a product has the key ((), ())
-        for a, b in pairs:
-            if not (_is_cut_monomial(pres, a, n, paths) and _is_cut_monomial(pres, b, -n, paths)):
-                return False
-            for (alpha, beta), pieces in multiply(a, b).terms.items():
-                if alpha or beta:
-                    if not (alpha and beta and pres.edge_source(alpha[0]) == v == pres.edge_source(beta[0])):
-                        return False
-                else:
-                    if own is None:
-                        own = VertexSet.of(v)
-                    if any(vs != own for _, vs in pieces):
-                        return False
-                raw.setdefault((alpha, beta), []).extend(pieces)
-    by_length: dict[int, dict] = {}
-    for (alpha, beta), pieces in _normal_terms(raw).items():
-        if alpha != beta:
-            return False
-        by_length.setdefault(len(alpha), {})[alpha, beta] = pieces
+    Claim: for every listed node (k, u) and every path γ of length k
+    with u in r(γ[-1]), or γ = () at k = 0, s_γ p_u s_γ* ∈ L_{−1} L_1.
+    By descending induction on k, from k = S.
+      * A closing node: s_γ p_u s_γ* = (s_γ a)(b s_γ*), as ab = p_u in the
+        normal form, which only the relations rewrite; s_γ a has degree
+        k − (k + 1) = −1 and b s_γ* degree 1.
+      * A split node: u is a finite emitter (the ultragraph is finite) and
+        no sink, so p_u = Σ_{s(e)=u} s_e p_{r(e)} s_e*, and
+        p_{r(e)} = Σ_{u′∈r(e)} p_{u′}, r(e) being finite.  So
+        s_γ p_u s_γ* = Σ s_{γe} p_{u′} s_{γe}* over the listed edges and
+        children, where γe is a path of length k + 1 (s(e) = u lies in
+        r(γ[-1])) with u′ in r(e).  Each child (k + 1, u′) is listed, so
+        k + 1 <= S, and each term lies in L_{−1} L_1 by induction, hence
+        the sum.  At k = S no child can be listed, while u has an
+        out-edge and every range is nonempty (validate), so no split node
+        passes there: the nodes at k = S all close, which starts the
+        induction.
+    The roots, with γ = (), give p_v ∈ L_{−1} L_1 for every vertex.
+
+    The check is complete for the tables strong_factorization builds:
+    each of its states has k <= S (proof there) and is listed once, its
+    closing pairs are cut with p_u s_τ* s_τ p_u = p_u p_{r(τ[-1])} p_u = p_u,
+    and its splits list every out-edge and every child.
+
+    Cost: one product per edge (n = 1) or per closing node (n = −1), each
+    of two one-term factors with no index or normalization (multiply),
+    compared with its one expected term; no sum of products is formed, so
+    TERM_COUNT_CAP does not apply."""
     out = pres.out_edge_map()
-    for length in range(max(by_length, default=0), 0, -1):
-        groups: dict[tuple[Path, VertexRef], int] = {}
-        for (alpha, _), pieces in by_length.pop(length, {}).items():
-            last = alpha[-1]
-            if pieces != ((1, pres.edge_range(last)),):
-                return False
-            key = (alpha[:-1], pres.edge_source(last))
-            groups[key] = groups.get(key, 0) + 1
-        below = by_length.setdefault(length - 1, {})
-        heads: dict[Path, list[VertexRef]] = {}
-        for (gamma, u), count in groups.items():
-            if count != len(out[u]):
-                return False
-            heads.setdefault(gamma, []).append(u)
-        for gamma, us in heads.items():
-            # the heads of one γ are distinct, so their p_u add up to p of their set
-            key = (gamma, gamma)
-            pieces = _atomize([*below.get(key, ()), (1, VertexSet.of(*us))])
-            if pieces:
-                below[key] = pieces
-            else:
-                below.pop(key, None)
-    # p_W in normal form: one piece, or no term when W is empty
-    w = VertexSet.of(*pairs_by_vertex)
-    return by_length.get(0, {}) == ({((), ()): ((1, w),)} if w.parts else {})
+    rng = pres.edge_range
+    paths: set = set()
+
+    def fail(why: str) -> None:
+        raise CertificateError(f"the strong-Z certificate of degree {n} does not verify: {why}")
+
+    if n == 1:
+        if table.keys() != out.keys():
+            fail("its vertices are not the vertices of the ultragraph")
+        for v, listed in table.items():
+            if not out[v] or tuple(e for e, _ in listed) != out[v]:
+                fail(f"{v.label()} does not list its out-edges")
+            for e, (a, b) in listed:
+                piece = ((1, rng(e)),)
+                if a.terms != {((e,), ()): piece} or b.terms != {((), (e,)): piece}:
+                    fail(f"the pair of {e.label()} is not (s_e, s_e*)")
+                if not (_is_cut_monomial(pres, a, 1, paths) and _is_cut_monomial(pres, b, -1, paths)):
+                    fail(f"the pair of {e.label()} is not cut")
+                if multiply(a, b).terms != {((e,), (e,)): piece}:
+                    fail(f"the pair of {e.label()} does not multiply to s_e p_r(e) s_e*")
+        return
+    for v in out:
+        if (0, v) not in table:
+            fail(f"the root (0, {v.label()}) is not listed")
+    settle = incoming_length_profile(pres).settle
+    for (k, u), node in table.items():
+        if u not in out or not 0 <= k <= settle:
+            fail(f"node ({k}, {u.label()}) is not a state of the ultragraph")
+        if node.pair is not None:
+            if node.split:
+                fail(f"node ({k}, {u.label()}) holds both a pair and a split")
+            a, b = node.pair
+            piece = ((1, VertexSet.of(u)),)
+            tau = next(iter(a.terms))[1] if len(a.terms) == 1 else None
+            if tau is None or a.terms != {((), tau): piece} or b.terms != {(tau, ()): piece}:
+                fail(f"the pair of node ({k}, {u.label()}) is not (p_u s_tau*, s_tau p_u)")
+            if not (_is_cut_monomial(pres, a, -k - 1, paths) and _is_cut_monomial(pres, b, k + 1, paths)):
+                fail(f"the tau of node ({k}, {u.label()}) is not a path of length {k + 1} into its vertex")
+            if multiply(a, b).terms != {((), ()): piece}:
+                fail(f"the pair of node ({k}, {u.label()}) does not multiply to p_u")
+            continue
+        if not out[u] or tuple(e for e, _ in node.split) != out[u]:
+            fail(f"node ({k}, {u.label()}) does not split over the out-edges of its vertex")
+        for e, kids in node.split:
+            if kids != tuple(rng(e).vertices()):
+                fail(f"the children of node ({k}, {u.label()}) under {e.label()} are not the vertices of its range")
+            for w in kids:
+                if (k + 1, w) not in table:
+                    fail(f"the child ({k + 1}, {w.label()}) of node ({k}, {u.label()}) is not listed")
 
 
 # -- printing ------------------------------------------------------------
@@ -871,20 +905,12 @@ def verify_factorization(
 
 def pretty(x: AlgebraElement) -> str:
     """The terms in order of path lengths, then paths; each distinct vertex
-    set and each distinct path is labelled once per presentation."""
+    set is labelled once per presentation."""
     from .model import _print_vset
 
     if not x.terms:
         return "0"
     labels = x.pres.derived("vset_labels", lambda _: {})
-    path_labels = x.pres.derived("path_labels", lambda _: {})
-
-    def path_label(path: Path) -> str:
-        label = path_labels.get(path)
-        if label is None:
-            label = path_labels[path] = " ".join(e.label() for e in path)
-        return label
-
     keys = sorted(x.terms, key=lambda k: (len(k[0]), len(k[1]), k)) if len(x.terms) > 1 else x.terms
     chunks: list[str] = []
     for alpha, beta in keys:
@@ -896,10 +922,10 @@ def pretty(x: AlgebraElement) -> str:
             if c != 1:
                 bits.append(str(c))
             if alpha:
-                bits.append("s(" + path_label(alpha) + ")")
+                bits.append("s(" + " ".join(e.label() for e in alpha) + ")")
             bits.append("p{" + label + "}")
             if beta:
-                bits.append("st(" + path_label(beta) + ")")
+                bits.append("st(" + " ".join(e.label() for e in beta) + ")")
             chunks.append(" ".join(bits))
     return " + ".join(chunks)
 

@@ -4,7 +4,10 @@ and over the free group on the edges, plus gauge saturation.
 The decision rules:
   * strongly Z-graded  ⇔  no sinks, row-finite, and every infinite path
     admits replacement prefixes (the infinite-path condition decided by
-    the condition_y module);
+    the condition_y module).  On a finite ultragraph a Yes carries the
+    strong-Z node tables, one per degree, with one node per state (k, u)
+    in degree −1, checked one identity per node by
+    algebra.verify_factorization (proof there) and printed once per node;
   * epsilon-strongly Z-graded  ⇔  finitely many edges and a unital
     algebra.  Both are necessary.  When every edge source lies in some
     range, that suffices and Yes is given without a certificate; otherwise
@@ -31,7 +34,7 @@ from .condition_y import (
 )
 from .errors import CertificateError, NoEdges, TermCountCap
 from .lattice import is_unital, unit_witness
-from .model import UltragraphPresentation, VertexSet
+from .model import UltragraphPresentation, VertexSet, _print_vref
 from .structure import structural_report
 
 
@@ -114,17 +117,36 @@ def _strong_z_from(pres: UltragraphPresentation, cy: ConditionYVerdict) -> Gradi
 
 
 def _strong_z_certificate(pres: UltragraphPresentation) -> dict:
-    """Every vertex's factorizations of p_v in degrees 1 and −1, checked
-    with one call per degree."""
-    vertices = pres.all_vertices()
-    printed: dict[str, dict[str, list]] = {v.label(): {} for v in vertices}
+    """The node tables of degrees 1 and −1, each checked with one call and
+    printed once per node: every vertex with its degree 1 sum
+    Σ s(e) st(e) and its degree −1 root P(0, v), and every node P(k, u),
+    either its closing pair p{u} st(τ) s(τ) p{u} or its split
+    Σ s(e) P(k+1, u′) st(e).  The check accepts only pairs of exactly
+    these shapes, so each prints from its edge or its τ."""
+    labels = {v: _print_vref(pres, v) for v in pres.all_vertices()}
+
+    def node(k: int, u) -> str:
+        return f"P({k}, {labels[u]})"
+
+    tables = {}
     for n in (1, -1):
-        by_vertex = {v: algebra.strong_factorization(pres, v, n) for v in vertices}
-        if not algebra.verify_factorization(pres, by_vertex, n):
-            raise CertificateError(f"the vertex factorizations in degree {n} do not verify")
-        for v, pairs in by_vertex.items():
-            printed[v.label()][str(n)] = [[algebra.pretty(a), algebra.pretty(b)] for a, b in pairs]
-    return {"kind": "vertex_factorizations", "pairs": printed}
+        tables[n] = algebra.strong_factorization(pres, n)
+        algebra.verify_factorization(pres, tables[n], n)
+    vertices = {
+        labels[v]: {"1": " + ".join(f"s({e.label()}) st({e.label()})" for e, _ in edges), "-1": node(0, v)}
+        for v, edges in tables[1].items()
+    }
+    nodes = {}
+    for (k, u), (pair, split) in tables[-1].items():
+        if pair is None:
+            nodes[node(k, u)] = " + ".join(
+                f"s({e.label()}) {node(k + 1, w)} st({e.label()})" for e, kids in split for w in kids
+            )
+        else:
+            ((_, tau),) = pair[0].terms
+            path = " ".join(e.label() for e in tau)
+            nodes[node(k, u)] = f"p{{{labels[u]}}} st({path}) s({path}) p{{{labels[u]}}}"
+    return {"kind": "strong_z_nodes", "vertices": vertices, "nodes": nodes}
 
 
 def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:

@@ -41,13 +41,21 @@ class GeneralizedVertex:
         return VertexSet.make(parts)
 
 
+def range_atoms(pres: UltragraphPresentation) -> list[tuple[VertexSet, tuple[int, ...]]]:
+    """VertexSet.refine over the ranges of the individually specified
+    edges in id order: each atom with the positions, in that order, of
+    the ranges that hold it; refined once per presentation and shared by
+    the range types and the epsilon units' relevance bounds."""
+    return pres.derived("range_atoms", lambda p: VertexSet.refine(p.edges[eid].range for eid in sorted(p.edges)))
+
+
 def _range_types(pres: UltragraphPresentation) -> list[tuple[tuple[str, ...], VertexSet]]:
     """One pair (T, R_T) per type T of vertex: the ids of the individually
     specified edges whose ranges hold it, and those ranges' intersection."""
     ids = sorted(pres.edges)
     ranges = [pres.edges[eid].range for eid in ids]
     out = []
-    for _, held in VertexSet.refine(ranges):
+    for _, held in range_atoms(pres):
         out.append((tuple(ids[i] for i in held), reduce(VertexSet.intersection, (ranges[i] for i in held))))
     return out
 

@@ -21,9 +21,11 @@ from conftest import (
     t0_left_unit_for,
     t0_unit_for,
 )
+from ultragrade import algebra
 from ultragrade.algebra import (
     TERM_COUNT_CAP,
     AlgebraElement,
+    StrongNode,
     _atomize,
     _vset_sort_key,
     all_paths,
@@ -39,6 +41,7 @@ from ultragrade.algebra import (
 )
 from ultragrade.condition_y import LengthProfile
 from ultragrade.errors import (
+    CertificateError,
     NotFinite,
     NotHomogeneous,
     NotStronglyGraded,
@@ -49,7 +52,6 @@ from ultragrade.freegroup import FreeWord
 from ultragrade.indexset import IndexSet
 from ultragrade.grading import classify_strong_z
 from ultragrade.model import EdgeInst, UltragraphPresentation, VertexRef, VertexSet, parse_presentation
-from test_paths import sinkless_layered_dag
 
 
 def E(*names):
@@ -310,92 +312,61 @@ def test_epsilon_zero_needs_unit_everywhere():
 @pytest.mark.parametrize("name", ["single_loop.ug", "ef.ug", "two_cycle.ug", "two_range.ug"])
 def test_factorizations_verify_on_corpus(name):
     pres = load(name)
-    for v in pres.all_vertices():
-        for n in (1, -1):
-            pairs = strong_factorization(pres, v, n)
-            assert verify_factorization(pres, {v: pairs}, n)
+    for n in (1, -1):
+        table = strong_factorization(pres, n)
+        verify_factorization(pres, table, n)
+        roots = set(table) if n == 1 else {u for k, u in table if k == 0}
+        assert roots == set(pres.all_vertices())
 
 
 def test_source_vertex_factorization_shape():
-    # degree -1 at the source u of ef needs path surgery through v
+    # degree -1 at the source u of ef needs path surgery through v: the
+    # root (0, u) splits over e into (1, v), which closes with the
+    # replacement path e f, and the one branch they stand for is the pair
+    # s_e (p_v st(e f)), (s(e f) p_v) s_e*
     pres = load("ef.ug")
-    pairs = strong_factorization(pres, VertexRef("u", 0), -1)
-    assert len(pairs) == 1
-    a, b = pairs[0]
-    assert z_degree(a) == -1 and z_degree(b) == 1
-    assert pretty(a) == "s(e) p{v} st(e f)"
-    assert pretty(b) == "s(e f) p{v} st(e)"
+    u, v = VertexRef("u", 0), VertexRef("v", 0)
+    table = strong_factorization(pres, -1)
+    assert set(table) == {(0, u), (1, v), (0, v)}
+    assert table[0, u] == StrongNode(None, ((EdgeInst("e"), (v,)),))
+    assert table[1, v].split == table[0, v].split == ()
+    a, b = table[1, v].pair
+    assert z_degree(a) == -2 and z_degree(b) == 2
+    assert (pretty(a), pretty(b)) == ("p{v} st(e f)", "s(e f) p{v}")
+    assert pretty(AlgebraElement.s(pres, E("e")) * a) == "s(e) p{v} st(e f)"
+    assert pretty(b * AlgebraElement.s_star(pres, E("e"))) == "s(e f) p{v} st(e)"
+    assert [pretty(z) for z in table[0, v].pair] == ["p{v} st(e)", "s(e) p{v}"]
 
 
 def test_pretty_labels_each_vertex_set_once(monkeypatch):
-    # the certificate of a 60-cycle fed by a source prints every range
-    # twice in degree 1 and each cycle vertex again in degree -1, 60
-    # distinct sets in all; each is labelled once, with the labels of a
-    # fresh presentation
-    from ultragrade import model
+    # the certificate of a 60-cycle fed by a source names each of its 61
+    # vertices once and prints no vertex set; pretty, over the 122 factors
+    # of the 61 degree 1 pairs, labels each of their 60 distinct ranges once,
+    # with the labels of a fresh presentation
+    from ultragrade import grading, model
 
     text = "\n".join(
         ["ultragraph cyc", "vertex src", "vertex_family c finite 60", "edge feed : src -> { c[0] }"]
         + [f"edge e{i} : c[{i}] -> {{ c[{(i + 1) % 60}] }}" for i in range(60)]
     )
     expected = classify_strong_z(parse_presentation(text)).certificate
-    labelled = []
-    real = model._print_vset
-
-    def spy(pres, vs):
-        labelled.append(vs)
-        return real(pres, vs)
-
-    monkeypatch.setattr(model, "_print_vset", spy)
+    fresh = parse_presentation(text)
+    fresh_printed = [pretty(z) for edges in strong_factorization(fresh, 1).values() for _, pair in edges for z in pair]
+    labelled, named = [], []
+    real_vset, real_vref = model._print_vset, grading._print_vref
+    monkeypatch.setattr(model, "_print_vset", lambda pres, vs: labelled.append(vs) or real_vset(pres, vs))
+    monkeypatch.setattr(grading, "_print_vref", lambda pres, v: named.append(v) or real_vref(pres, v))
     pres = parse_presentation(text)
     assert classify_strong_z(pres).certificate == expected
-    assert len(labelled) == len(set(labelled)) == 60
+    assert not labelled
+    assert sorted(named) == sorted(pres.all_vertices()) and len(named) == 61
+    factors = [z for edges in strong_factorization(pres, 1).values() for _, pair in edges for z in pair]
+    assert [pretty(z) for z in factors] == fresh_printed
+    assert "s(feed) p{c[0]}" in fresh_printed and "p{c[1]} st(e0)" in fresh_printed
+    assert len(factors) == 122 and len(labelled) == len(set(labelled)) == 60
     x = AlgebraElement.projection(pres, VertexSet.of(VertexRef("c", 1))) + AlgebraElement.s(pres, [EdgeInst("e0")])
     assert pretty(x) == "p{c[1]} + s(e0) p{c[1]}"
     assert len(labelled) == 60
-
-
-def _pretty_anew(x):
-    """pretty with every label built anew for each term it prints."""
-    from ultragrade.model import _print_vset
-
-    chunks = []
-    for alpha, beta in sorted(x.terms, key=lambda k: (len(k[0]), len(k[1]), k)):
-        for c, vs in x.terms[alpha, beta]:
-            bits = [] if c == 1 else [str(c)]
-            if alpha:
-                bits.append("s(" + " ".join(e.label() for e in alpha) + ")")
-            bits.append("p{" + _print_vset(x.pres, vs) + "}")
-            if beta:
-                bits.append("st(" + " ".join(e.label() for e in beta) + ")")
-            chunks.append(" ".join(bits))
-    return " + ".join(chunks) or "0"
-
-
-def test_pretty_labels_each_path_once(monkeypatch):
-    # the degree -1 pairs of the sinkless 3 x 8 DAG repeat their long
-    # paths gamma and tau; printing the strong-Z certificate labels each
-    # edge of each distinct path once, and prints what labelling every
-    # path anew prints
-    pres = sinkless_layered_dag(3, 8)
-    vertices = pres.all_vertices()
-    certificate = {n: {v: strong_factorization(pres, v, n) for v in vertices} for n in (-1, 1)}
-    elements = [z for by_vertex in certificate.values() for pairs in by_vertex.values() for pair in pairs for z in pair]
-    paths = {path for z in elements for key in z.terms for path in key}
-    expected = {v.label(): {str(n): [[_pretty_anew(a), _pretty_anew(b)] for a, b in certificate[n][v]] for n in (1, -1)} for v in vertices}
-    labelled = 0
-    real = EdgeInst.label
-
-    def spy(self):
-        nonlocal labelled
-        labelled += 1
-        return real(self)
-
-    monkeypatch.setattr(EdgeInst, "label", spy)
-    verdict = classify_strong_z(pres)
-    assert verdict.certificate["pairs"] == expected
-    assert 0 < labelled <= sum(map(len, paths)), (labelled, sum(map(len, paths)))
-    assert sum(len(z.terms) for z in elements) > 3 * len(paths)
 
 
 def test_strong_z_certificate_asks_each_vertex_once_on_a_cycle(monkeypatch):
@@ -437,32 +408,42 @@ def test_strong_z_certificate_builds_reached_only_when_a_source_expands(monkeypa
     monkeypatch.setattr(LengthProfile, "reached", spy)
     for name in ("single_loop.ug", "two_cycle.ug", "two_range.ug", "cosingleton12.ug"):
         pres = load(name)
-        for v in pres.all_vertices():
-            assert verify_factorization(pres, {v: strong_factorization(pres, v, -1)}, -1)
+        verify_factorization(pres, strong_factorization(pres, -1), -1)
     assert asked == []
     pres = source_chain(200)
-    for v in pres.all_vertices():
-        assert verify_factorization(pres, {v: strong_factorization(pres, v, -1)}, -1)
+    verify_factorization(pres, strong_factorization(pres, -1), -1)
     assert sorted(set(asked)) == list(range(2, 202))
 
 
 def test_factorization_rejected_with_sinks():
     pres = load("one_edge.ug")
     with pytest.raises(NotStronglyGraded):
-        strong_factorization(pres, VertexRef("u", 0), 1)
+        strong_factorization(pres, 1)
 
 
-def test_verify_rejects_wrong_certificates():
+def test_verify_rejects_wrong_certificates(monkeypatch):
     pres = load("ef.ug")
-    v = VertexRef("v", 0)
-    good = strong_factorization(pres, v, 1)
-    assert verify_factorization(pres, {v: good}, 1)
-    # wrong target vertex
-    assert not verify_factorization(pres, {VertexRef("u", 0): good}, 1)
+    u, v = VertexRef("u", 0), VertexRef("v", 0)
+    good = strong_factorization(pres, 1)
+    verify_factorization(pres, good, 1)
+    # a vertex listing another vertex's edges
+    with pytest.raises(CertificateError, match="does not list its out-edges"):
+        verify_factorization(pres, {u: good[v], v: good[v]}, 1)
     # wrong degree claim
-    assert not verify_factorization(pres, {v: good}, -1)
+    with pytest.raises(CertificateError, match="root"):
+        verify_factorization(pres, good, -1)
     # dropped pair
-    assert not verify_factorization(pres, {v: []}, 1)
+    with pytest.raises(CertificateError, match="does not list its out-edges"):
+        verify_factorization(pres, {**good, v: ()}, 1)
+    # a vertex left out
+    with pytest.raises(CertificateError, match="not the vertices"):
+        verify_factorization(pres, {v: good[v]}, 1)
+    # a product that breaks the identities is caught by the re-multiplication
+    table = strong_factorization(pres, -1)
+    monkeypatch.setattr(algebra, "multiply", lambda x, y: multiply(x, y).scale(-1))
+    for n, t in ((1, good), (-1, table)):
+        with pytest.raises(CertificateError, match="does not multiply"):
+            verify_factorization(pres, t, n)
 
 
 def test_all_paths_counts():

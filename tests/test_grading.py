@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,13 +33,23 @@ def test_single_loop_everything_yes():
 
 
 def test_strong_z_certificate_shape():
+    # two_cycle's vertices both lie in a range, so every root closes at
+    # once; ef's source u splits over e into the node (1, v), which closes
+    # with the replacement path e f
     verdict = classify_strong_z(load("two_cycle.ug"))
     assert verdict.status == "Yes"
-    cert = verdict.certificate
-    assert cert["kind"] == "vertex_factorizations"
-    assert set(cert["pairs"]) == {"u[0]", "v[0]"}
-    for per_v in cert["pairs"].values():
-        assert set(per_v) == {"1", "-1"}
+    assert verdict.certificate == {
+        "kind": "strong_z_nodes",
+        "vertices": {"u": {"1": "s(e) st(e)", "-1": "P(0, u)"}, "v": {"1": "s(f) st(f)", "-1": "P(0, v)"}},
+        "nodes": {"P(0, u)": "p{u} st(f) s(f) p{u}", "P(0, v)": "p{v} st(e) s(e) p{v}"},
+    }
+    cert = classify_strong_z(load("ef.ug")).certificate
+    assert cert["vertices"]["u"] == {"1": "s(e) st(e)", "-1": "P(0, u)"}
+    assert cert["nodes"] == {
+        "P(0, u)": "s(e) P(1, v) st(e)",
+        "P(1, v)": "p{v} st(e f) s(e f) p{v}",
+        "P(0, v)": "p{v} st(e) s(e) p{v}",
+    }
 
 
 def test_one_edge_gradings():
@@ -147,18 +158,30 @@ def test_gauge_saturation_equals_strong_z():
 
 
 def test_strong_z_certificate_checks_once_per_degree(monkeypatch):
-    calls = []
-    real = algebra.verify_factorization
+    # one table per degree, built and checked by one call each: degree 1
+    # lists every vertex, and degree -1 every root (0, v) and the 64 nodes
+    # down the chain from the source t[0] to the loop
+    calls, tables = [], []
+    build, check = algebra.strong_factorization, algebra.verify_factorization
 
-    def counted(pres, by_vertex, n):
-        calls.append((sorted(by_vertex), n))
-        return real(pres, by_vertex, n)
+    def counted_build(pres, n):
+        calls.append(("build", n))
+        return build(pres, n)
 
-    monkeypatch.setattr(algebra, "verify_factorization", counted)
+    def counted_check(pres, table, n):
+        calls.append(("check", n))
+        tables.append(table)
+        return check(pres, table, n)
+
+    monkeypatch.setattr(algebra, "strong_factorization", counted_build)
+    monkeypatch.setattr(algebra, "verify_factorization", counted_check)
     pres = load("source_chain64.ug")
     assert classify_strong_z(pres).status == "Yes"
-    vertices = sorted(pres.all_vertices())
-    assert calls == [(vertices, 1), (vertices, -1)]
+    assert calls == [("build", 1), ("check", 1), ("build", -1), ("check", -1)]
+    vertices = set(pres.all_vertices())
+    assert set(tables[0]) == vertices
+    assert {u for k, u in tables[1] if k == 0} == vertices
+    assert len(tables[1]) == len(vertices) + 64
 
 
 def test_eps_strong_z_acyclic_chain():
@@ -272,6 +295,31 @@ def test_analyze_builds_the_strong_z_certificate_once(monkeypatch):
     assert len(calls) == 1
     assert report["gradings"]["gauge_saturated"]["certificate"] is not None
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == _golden("two_cycle")
+
+
+def test_analyze_refines_the_edge_ranges_once(monkeypatch):
+    """The range types of the unit decision and the relevance bounds of the
+    epsilon units read one refinement of the edge ranges, range_atoms: one
+    VertexSet.refine per analyze besides the normal forms' (_atomize),
+    also when both read it, on the corpus and 200 seeded inputs."""
+    callers = []
+    real = VertexSet.refine
+
+    def spy(sets):
+        callers.append(sys._getframe(1).f_code.co_qualname)
+        return real(sets)
+
+    monkeypatch.setattr(VertexSet, "refine", staticmethod(spy))
+    rng = random.Random(2828)
+    inputs = [load(p.name) for p in sorted(CORPUS.glob("*.ug"))]
+    inputs += [random_presentation(rng, sinkless=i % 2 == 1) for i in range(200)]
+    both = 0
+    for pres in inputs:
+        callers.clear()
+        report = analyze(pres)
+        assert [c for c in callers if c != "_atomize"] == ["range_atoms.<locals>.<lambda>"], (pres.name, callers)
+        both += report["gradings"]["eps_strong_z"]["certificate"] is not None
+    assert both >= 30, both
 
 
 def test_analyze_merges_vertex_sets_linearly_on_a_named_chain(monkeypatch):

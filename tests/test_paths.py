@@ -6,7 +6,8 @@ every term with every term, a product that pairs terms through a
 first-edge index, the units listed path by path, the direct identities of
 each degree checked alone, in the algebra and in the skew-product model, a
 walk per edge for the relevant edges, a backward search over the
-in-edges, and the strong-Z check of each vertex's factorization alone."""
+in-edges, and the strong-Z node tables read back into the pair-per-branch
+listing they replaced and re-multiplied in the skew-product model."""
 
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from conftest import (
 from ultragrade import algebra
 from ultragrade.algebra import (
     AlgebraElement,
+    StrongNode,
     all_paths,
     epsilon_candidate,
     multiply,
@@ -45,7 +47,7 @@ from ultragrade.freegroup import FreeWord
 from ultragrade.grading import analyze, classify_eps_strong_z, classify_strong_z
 from ultragrade.lattice import is_unital
 from ultragrade.model import Edge, EdgeInst, UltragraphPresentation, VertexRef, VertexSet, parse_presentation
-from ultragrade.partial_action import _GeneratorImages, skew_multiply
+from ultragrade.partial_action import SkewElement, _GeneratorImages, phi_of_element, skew_multiply
 from ultragrade.structure import structural_report
 
 # -- the oracles -------------------------------------------------------------
@@ -1224,42 +1226,35 @@ def test_replacement_paths_match_the_search_oracle():
     assert cases > 40000 and 0 < raised < cases
 
 
-def _certificate_gammas(pres, v):
-    """The degree −1 factorization of p_v, re-checked, and the path γ of
-    each of its pairs s_γ p_u s_τ*, s_τ p_u s_γ*."""
-    pairs = strong_factorization(pres, v, -1)
-    assert verify_factorization(pres, {v: pairs}, -1)
-    gammas = []
-    for a, _ in pairs:
-        ((gamma, _),) = a.terms
-        gammas.append(gamma)
-    return gammas
-
-
 def test_certificate_branches_close_by_the_settle_length():
+    """No node of the degree −1 table has k above the settle length, the
+    table re-checks, and on the chains the source's nodes run down the
+    chain and close at the loop with a replacement path one edge longer."""
     rng = random.Random(1717)
     longest = 0
     for _ in range(300):
         pres = random_presentation(rng, sinkless=True)
         settle = incoming_length_profile(pres).settle
-        for v in pres.all_vertices():
-            for gamma in _certificate_gammas(pres, v):
-                assert len(gamma) <= settle
-                longest = max(longest, len(gamma))
+        table = strong_factorization(pres, -1)
+        verify_factorization(pres, table, -1)
+        assert all(k <= settle for k, _ in table)
+        longest = max(longest, max(k for k, _ in table))
     assert longest >= 2
     assert source_chain(64).edges == load("source_chain64.ug").edges
     for n in (64, 70, 200):
         pres = source_chain(n)
         settle = incoming_length_profile(pres).settle
         assert settle == n + 1
-        for v in pres.all_vertices():
-            gammas = _certificate_gammas(pres, v)
-            assert all(len(gamma) <= settle for gamma in gammas)
-        # the source's one branch runs down the chain and closes at the
-        # loop with a replacement path one edge longer
-        (pair,) = strong_factorization(pres, VertexRef("t", 0), -1)
-        ((gamma, tau),) = pair[0].terms
-        assert len(gamma) == n and len(tau) == n + 1
+        table = strong_factorization(pres, -1)
+        verify_factorization(pres, table, -1)
+        assert all(k <= settle for k, _ in table)
+        chain = [(k, VertexRef("t", k)) for k in range(n)]
+        assert [table[key].split for key in chain] == [
+            ((EdgeInst(f"a{k}"), (VertexRef("t", k + 1) if k < n - 1 else VertexRef("c", 0),)),) for k in range(n)
+        ]
+        ((_, tau),) = table[n, VertexRef("c", 0)].pair[0].terms
+        assert len(tau) == n + 1
+        assert len(table) == len(pres.all_vertices()) + n
 
 
 # -- the strong-Z certificate's check ------------------------------------------
@@ -1268,7 +1263,8 @@ def test_certificate_branches_close_by_the_settle_length():
 def sinkless_layered_dag(w: int, d: int) -> UltragraphPresentation:
     """layered_dag(w, d) with a loop on each vertex of the last layer: no
     vertex is a sink, and every vertex of the first layer is a source
-    whose degree −1 factorization branches down to the loops."""
+    whose degree −1 factorization branches down to the loops
+    (corpus/sinkless_dag3x20.ug at w = 3, d = 20, renamed)."""
     pres = layered_dag(w, d)
     for j in range(w):
         v = VertexRef(f"l{d}", j)
@@ -1279,24 +1275,127 @@ def sinkless_layered_dag(w: int, d: int) -> UltragraphPresentation:
 
 def _strongly_graded_inputs(seed: int, count: int):
     """The finite corpus files without sinks, `count` seeded sinkless
-    presentations, and the sinkless 3 × d DAGs for d = 2 … 5."""
+    presentations, every other one fed by a source (_fed), and the
+    sinkless 3 × d DAGs for d = 2 … 5."""
     for pres in _finite_corpus_and_random(seed, 0):
         if not structural_report(pres).has_sinks:
             yield pres
     rng = random.Random(seed)
-    for _ in range(count):
-        yield random_presentation(rng, sinkless=True)
+    for i in range(count):
+        pres = random_presentation(rng, sinkless=True)
+        yield _fed(rng, pres) if i % 2 else pres
     for d in range(2, 6):
         yield sinkless_layered_dag(3, d)
 
 
-def _checked(pres, by_vertex, n) -> bool:
-    """verify_factorization on all the vertices at once, asserted to agree
-    with the calls {v: pairs} of each vertex alone."""
-    batched = verify_factorization(pres, by_vertex, n)
-    alone = all(verify_factorization(pres, {v: pairs}, n) for v, pairs in by_vertex.items())
-    assert batched == alone, (pres.name, n)
-    return batched
+def _pairs_per_branch(pres, v, n):
+    """The oracle: the pairs of p_v as they were listed before the node
+    table, one per branch of the degree −1 expansion, each branch walked
+    on its own and each closing branch's replacement path walked anew; or
+    one pair (s_e, s_e*) per out-edge for n = 1."""
+    out = pres.out_edge_map()
+
+    def with_adjoint(alpha, beta, middle):
+        piece = ((1, middle),)
+        return AlgebraElement(pres, {(alpha, beta): piece}), AlgebraElement(pres, {(beta, alpha): piece})
+
+    if n == 1:
+        return [with_adjoint((e,), (), pres.edge_range(e)) for e in out[v]]
+    profile = incoming_length_profile(pres)
+    pairs = []
+    work = [((), v)]
+    while work:
+        gamma, u = work.pop()
+        if profile.reached(len(gamma) + 1).member(u):
+            tau = algebra._replacement_path(pres, u, len(gamma) + 1)
+            pairs.append(with_adjoint(gamma, tau, VertexSet.of(u)))
+            continue
+        for e in out[u]:
+            for u2 in pres.edge_range(e).vertices():
+                work.append((gamma + (e,), u2))
+    return pairs
+
+
+def _expanded(pres, table, v, n):
+    """The node table read back into one pair per branch of p_v: each
+    closing node (k, u) reached along γ gives (s_γ a, b s_γ*), multiplied
+    out, for its pair (a, b)."""
+    if n == 1:
+        return [pair for _, pair in table[v]]
+    pairs = []
+
+    def walk(gamma, key):
+        node = table[key]
+        if node.pair is None:
+            for e, kids in node.split:
+                for w in kids:
+                    walk(gamma + (e,), (key[0] + 1, w))
+            return
+        a, b = node.pair
+        if gamma:
+            a = multiply(AlgebraElement.s(pres, gamma), a)
+            b = multiply(b, AlgebraElement.s_star(pres, gamma))
+        pairs.append((a, b))
+
+    walk((), (0, v))
+    return pairs
+
+
+def _branch_states(pres):
+    """The states (k, u) that the branches of every vertex's degree −1
+    expansion pass through, found by walking the oracle's expansion
+    breadth first over states."""
+    profile = incoming_length_profile(pres)
+    out = pres.out_edge_map()
+    seen = set()
+    frontier = {(0, v) for v in pres.all_vertices()}
+    while frontier:
+        seen |= frontier
+        nxt = set()
+        for k, u in frontier:
+            if not profile.reached(k + 1).member(u):
+                nxt |= {(k + 1, w) for e in out[u] for w in pres.edge_range(e).vertices()}
+        frontier = nxt - seen
+    return seen
+
+
+def test_node_tables_expand_to_the_pair_per_branch_listing():
+    """Read back into one pair per branch, each table lists exactly the
+    pairs of the pair-per-branch expansion it replaced, vertex by vertex
+    and in both degrees, as multisets; and it has one node per state the
+    branches pass through.  On the sinkless 3 × d DAGs, d = 1 … 8, and
+    on 200 seeded sinkless inputs, every other one fed by a source."""
+    rng = random.Random(2626)
+    inputs = [sinkless_layered_dag(3, d) for d in range(1, 9)]
+    for i in range(200):
+        pres = random_presentation(rng, sinkless=True)
+        inputs.append(_fed(rng, pres) if i % 2 else pres)
+    branches = 0
+    for pres in inputs:
+        for n in (1, -1):
+            table = strong_factorization(pres, n)
+            verify_factorization(pres, table, n)
+            for v in pres.all_vertices():
+                expected = _pairs_per_branch(pres, v, n)
+                assert Counter(_expanded(pres, table, v, n)) == Counter(expected), (pres.name, v, n)
+                branches += len(expected)
+        assert set(strong_factorization(pres, -1)) == _branch_states(pres), pres.name
+    assert branches >= 3000, branches
+
+
+def _lazy_paths(pres, length):
+    """The paths of the given length, lazily, in edge-id order."""
+    succ = algebra.edge_successors(pres)
+
+    def extend(path):
+        if len(path) == length:
+            yield path
+            return
+        for f in succ[path[-1]]:
+            yield from extend(path + (f,))
+
+    for e in succ:
+        yield from extend((e,))
 
 
 def _other_tau(pres, tau, u, path: bool):
@@ -1304,7 +1403,7 @@ def _other_tau(pres, tau, u, path: bool):
     with τ's last edge when `path` is false, so that u stays in its last
     range; a path whose last range misses u when it is true."""
     if path:
-        return next((t for t in all_paths(pres, len(tau)) if not pres.edge_range(t[-1]).member(u)), None)
+        return next((t for t in _lazy_paths(pres, len(tau)) if not pres.edge_range(t[-1]).member(u)), None)
     for k in range(len(tau) - 1):
         for e in pres.all_edge_insts():
             other = tau[:k] + (e,) + tau[k + 1 :]
@@ -1313,57 +1412,192 @@ def _other_tau(pres, tau, u, path: bool):
     return None
 
 
+def _closing_pair(pres, tau, u, coeff=1):
+    """(c p_u s_τ*, s_τ p_u), built directly with no cut and no path test."""
+    piece = ((coeff, VertexSet.of(u)),)
+    return AlgebraElement(pres, {((), tau): piece}), AlgebraElement(pres, {(tau, ()): piece})
+
+
+def _sabotaged_tables(pres, table, n, rng):
+    """Copies of a good table of degree n, each with one fault, as pairs
+    (kind, table), at every vertex or node where the kind applies.
+    Degree −1: a dropped child, an unlisted child, a missing root, a τ that
+    is no path or whose range misses u (both leave the product p_u), a
+    τ of the wrong length (a path into u one edge longer or shorter), a
+    flipped coefficient, an extra or a missing out-edge of a split, and a
+    node beyond the settle length (a true identity, outside the table's
+    bound).  Degree 1: a flipped coefficient, a missing and an extra out-edge, and
+    a vertex left out."""
+    edges = pres.all_edge_insts()
+    if n == 1:
+        for v, listed in table.items():
+            i = rng.randrange(len(listed))
+            e, (a, b) = listed[i]
+            yield "flipped coefficient", {**table, v: listed[:i] + ((e, (a, -b)),) + listed[i + 1 :]}
+            yield "missing out-edge", {**table, v: listed[:i] + listed[i + 1 :]}
+            f = rng.choice(edges)
+            if pres.edge_source(f) != v:
+                pair = (AlgebraElement.s(pres, (f,)), AlgebraElement.s_star(pres, (f,)))
+                yield "extra out-edge", {**table, v: listed + ((f, pair),)}
+            yield "missing root", {u: listed for u, listed in table.items() if u != v}
+        return
+    profile = incoming_length_profile(pres)
+    settle = profile.settle
+    far = next((u for (_, u), node in table.items() if node.pair and profile.reached(settle + 2).member(u)), None)
+    if far is not None:
+        pair = _closing_pair(pres, algebra._replacement_path(pres, far, settle + 2), far)
+        yield "node beyond the settle length", {**table, (settle + 1, far): StrongNode(pair, ())}
+    for key, (pair, split) in table.items():
+        k, u = key
+        if key[0] == 0:
+            yield "missing root", {other: node for other, node in table.items() if other != key}
+        if pair is None:
+            i = rng.randrange(len(split))
+            e, kids = split[i]
+            j = rng.randrange(len(kids))
+            dropped = split[:i] + ((e, kids[:j] + kids[j + 1 :]),) + split[i + 1 :]
+            yield "dropped child", {**table, key: StrongNode(None, dropped)}
+            unlisted = (k + 1, kids[j])
+            yield "unlisted child", {other: node for other, node in table.items() if other != unlisted}
+            yield "missing out-edge", {**table, key: StrongNode(None, split[:i] + split[i + 1 :])}
+            f = rng.choice(edges)
+            extra = split + ((f, tuple(pres.edge_range(f).vertices())),)
+            yield "extra out-edge", {**table, key: StrongNode(None, extra)}
+            continue
+        a, b = pair
+        ((_, tau),) = a.terms
+        yield "flipped coefficient", {**table, key: StrongNode((-a, b), ())}
+        for kind, path in (("non-path tau", False), ("tau missing u", True)):
+            other = _other_tau(pres, tau, u, path)
+            if other is not None:
+                swapped = _closing_pair(pres, other, u)
+                assert multiply(*swapped) == multiply(a, b)
+                yield kind, {**table, key: StrongNode(swapped, ())}
+        if profile.reached(k + 2).member(u):
+            longer = algebra._replacement_path(pres, u, k + 2)
+            yield "tau of wrong length", {**table, key: StrongNode(_closing_pair(pres, longer, u), ())}
+        if len(tau) > 1:
+            yield "tau of wrong length", {**table, key: StrongNode(_closing_pair(pres, tau[1:], u), ())}
+
+
 def test_sabotaged_factorizations_are_rejected():
-    """A pair moved to another vertex's list leaves the sum of all products
-    unchanged, so only the check that every product lies under its own
-    vertex rejects it.  A τ swapped for a non-path with the same last edge,
-    or for a path into a range that misses u, leaves every product
-    unchanged, so only the checker's own path and range tests reject them.
-    A dropped pair and a flipped coefficient are rejected too, and on every
-    input, sabotaged or not, the check of all vertices at once agrees with
-    the checks of each vertex alone."""
+    """Every kind of fault in a node table raises CertificateError: in
+    degree −1 a dropped child, an unlisted child, a missing root, a τ
+    that is no path or misses u (the product stays p_u, so only the
+    checker's own path and range tests reject them), a τ of the wrong
+    length, a flipped coefficient, an extra or a missing out-edge, a node
+    beyond the settle length; in degree 1 a flipped coefficient, a missing
+    or an extra out-edge and a vertex left out.  Each kind at least 100 times, on the sinkless
+    corpus, 150 seeded sinkless inputs, half of them fed by a source, and
+    the sinkless 3 × d DAGs."""
     rng = random.Random(1818)
     cases = Counter()
     for pres in _strongly_graded_inputs(1818, 150):
-        vertices = pres.all_vertices()
         for n in (1, -1):
-            good = {v: strong_factorization(pres, v, n) for v in vertices}
-            assert _checked(pres, good, n), (pres.name, n)
-            for v in vertices:
-                i = rng.randrange(len(good[v]))
-                a, b = good[v][i]
-                rest = good[v][:i] + good[v][i + 1 :]
-                bad = {"dropped": {**good, v: rest}, "flipped": {**good, v: rest + [(-a, b)]}}
-                w = rng.choice([u for u in vertices if u != v] or [v])
-                if w != v:
-                    bad["moved"] = {**good, v: rest, w: good[w] + [(a, b)]}
-                for kind, by_vertex in bad.items():
-                    assert not _checked(pres, by_vertex, n), (pres.name, n, v, kind)
-                    cases[kind] += 1
-                # every pair of v whose τ has a swap of either kind
-                for j, (a, b) in enumerate(good[v] if n == -1 else ()):
-                    (((gamma, tau), piece),) = a.terms.items()
-                    for kind, path in (("non-path tau", False), ("tau missing u", True)):
-                        other = _other_tau(pres, tau, piece[0][1].vertices()[0], path)
-                        if other is None:
-                            continue
-                        a2 = AlgebraElement(pres, {(gamma, other): piece})
-                        b2 = AlgebraElement(pres, {(other, gamma): piece})
-                        assert multiply(a2, b2) == multiply(a, b)
-                        swapped = {**good, v: good[v][:j] + [(a2, b2)] + good[v][j + 1 :]}
-                        assert not _checked(pres, swapped, n), (pres.name, v, kind)
-                        cases[kind] += 1
-    assert min(cases.values()) >= 100 and len(cases) == 5, cases
+            good = strong_factorization(pres, n)
+            verify_factorization(pres, good, n)
+            for kind, bad in _sabotaged_tables(pres, good, n, rng):
+                with pytest.raises(CertificateError):
+                    verify_factorization(pres, bad, n)
+                cases[n, kind] += 1
+    assert len(cases) == 14 and min(cases.values()) >= 100, cases
+
+
+def test_strong_z_node_identities_hold_in_the_skew_product_model():
+    """Each node's one-level identity re-multiplied in the partial skew
+    group ring, through phi_of_element and skew_multiply, and compared by
+    SkewElement ==, which share no code with multiply: φ(a) φ(b) = φ(p_u)
+    for a closing node's pair, φ(p_u) = Σ φ(s_e) φ(p_u′) φ(s_e*) over a
+    split node's edges and children, and φ(p_v) = Σ φ(s_e) φ(s_e*) over
+    the degree 1 pairs of each vertex.  A flipped coefficient and a
+    dropped child fail in the model too.  On the sinkless corpus files with
+    at most 6 edges, the sinkless 3 × d DAGs for d <= 3 and 100 seeded
+    sinkless inputs, every other one fed by a source."""
+    rng = random.Random(2727)
+    inputs = [p for p in _finite_edge_corpus() if p.is_finite and len(p.edges) <= 6]
+    inputs = [p for p in inputs if not structural_report(p).has_sinks]
+    inputs += [sinkless_layered_dag(3, d) for d in (1, 2, 3)]
+    for i in range(100):
+        pres = random_presentation(rng, max_vertices=4, max_edges=5, sinkless=True)
+        inputs.append(_fed(rng, pres) if i % 2 else pres)
+    nodes = splits = rejected = 0
+    for pres in inputs:
+        phi = {}
+
+        def image(x):
+            key = tuple(sorted(x.terms.items()))
+            if key not in phi:
+                phi[key] = phi_of_element(pres, x)
+            return phi[key]
+
+        def p_of(u):
+            return image(AlgebraElement.projection(pres, VertexSet.of(u)))
+
+        def split_sum(k, split):
+            total = SkewElement.zero(pres)
+            for e, kids in split:
+                s_e, st_e = image(AlgebraElement.s(pres, (e,))), image(AlgebraElement.s_star(pres, (e,)))
+                for w in kids:
+                    total = total + skew_multiply(skew_multiply(s_e, p_of(w)), st_e)
+            return total
+
+        for v, edges in strong_factorization(pres, 1).items():
+            total = SkewElement.zero(pres)
+            for _, (a, b) in edges:
+                total = total + skew_multiply(image(a), image(b))
+            assert total == p_of(v), (pres.name, v)
+        table = strong_factorization(pres, -1)
+        for (k, u), node in table.items():
+            if node.pair is not None:
+                a, b = node.pair
+                assert skew_multiply(image(a), image(b)) == p_of(u), (pres.name, k, u)
+                assert skew_multiply(image(-a), image(b)) != p_of(u)
+                rejected += 1
+            else:
+                assert split_sum(k, node.split) == p_of(u), (pres.name, k, u)
+                e, kids = node.split[0]
+                dropped = ((e, kids[1:]),) + node.split[1:]
+                assert split_sum(k, dropped) != p_of(u)
+                rejected += 1
+                splits += 1
+            nodes += 1
+    assert nodes >= 300 and splits >= 50 and rejected == nodes, (nodes, splits, rejected)
+
+
+def test_the_sinkless_dag_has_one_node_per_state(monkeypatch):
+    """The corpus file sinkless_dag3x20: its degree −1 expansion has 2^20
+    branches per vertex of the first layer, but the table holds one node
+    per state (k, u) that the branches pass through, at most
+    (S + 1)·|V| of them, and walks one replacement path per closing
+    node."""
+    pres = load("sinkless_dag3x20.ug")
+    walks = []
+    real = algebra._replacement_path
+    monkeypatch.setattr(algebra, "_replacement_path", lambda pres, u, length: walks.append((u, length)) or real(pres, u, length))
+    table = strong_factorization(pres, -1)
+    verify_factorization(pres, table, -1)
+    settle = incoming_length_profile(pres).settle
+    vertices = pres.all_vertices()
+    assert set(table) == _branch_states(pres)
+    assert len(table) <= (settle + 1) * len(vertices)
+    closing = [(u, k + 1) for (k, u), node in table.items() if node.pair is not None]
+    assert sorted(walks) == sorted(closing) and len(set(walks)) == len(walks)
+    assert (len(table), len(walks), settle) == (123, 63, 21)
+    # 3 x 10: the 3102 pairs of the per-branch listing walked 3102
+    # replacement paths for 33 distinct answers
+    pres = sinkless_layered_dag(3, 10)
+    walks.clear()
+    assert classify_strong_z(pres).status == "Yes"
+    assert len(walks) == 33
+    assert sum(len(_pairs_per_branch(pres, v, -1)) for v in pres.all_vertices()) == 3102
 
 
 def test_the_factorization_check_is_linear_in_its_pairs(monkeypatch):
     """On the sinkless 3 × d DAGs, d = 6 … 9, the check of each degree
-    multiplies every pair once and nothing else, and _atomize receives at
-    most the pieces of one normal form of the sum of all products, one per
-    pair, and of each contracted term once at its length; a product of two
-    one-term factors is its own normal form.  A running sum that
-    re-normalizes its total after each pair hands _atomize a number of
-    pieces quadratic in a source's pairs."""
+    multiplies once per edge (degree 1) or per closing node (degree −1)
+    and nothing else, and no normal form is taken: each product is of two
+    one-term factors, its own normal form.  The node counts grow linearly
+    in d, where the pair-per-branch listing grew as 2^d."""
     products = pieces = 0
     real_multiply, real_atomize = algebra.multiply, algebra._atomize
 
@@ -1379,36 +1613,35 @@ def test_the_factorization_check_is_linear_in_its_pairs(monkeypatch):
 
     monkeypatch.setattr(algebra, "multiply", counted_multiply)
     monkeypatch.setattr(algebra, "_atomize", counted_atomize)
-    most_pieces = {(6, 1): 22, (6, -1): 305, (7, 1): 25, (7, -1): 596}
-    most_pieces |= {(8, 1): 28, (8, -1): 1175, (9, 1): 31, (9, -1): 2330}
     sizes = []
     for d in range(6, 10):
         pres = sinkless_layered_dag(3, d)
         for n in (1, -1):
-            by_vertex = {v: strong_factorization(pres, v, n) for v in pres.all_vertices()}
-            pairs = sum(map(len, by_vertex.values()))
+            table = strong_factorization(pres, n)
+            pairs = len(pres.edges) if n == 1 else sum(node.pair is not None for node in table.values())
             products = pieces = 0
-            assert verify_factorization(pres, by_vertex, n)
-            assert products == pairs, (d, n)
-            assert pieces <= most_pieces[d, n], (d, n, pieces, pairs)
-            sizes.append(pairs)
-    assert sizes[1::2] == [210, 405, 792, 1563]
+            verify_factorization(pres, table, n)
+            assert products == pairs and pieces == 0, (d, n, products, pieces)
+            sizes.append(len(table))
+    assert sizes[1::2] == [39, 45, 51, 57]
 
 
 def test_the_sum_of_all_vertices_is_not_capped(monkeypatch):
-    """With TERM_COUNT_CAP below the number of edges, the degree 1 sum of
-    a 60-edge chain feeding a loop has more terms than the cap, while each
-    vertex's own sum has one: the certificate still verifies, as its size
-    is bounded by the pairs that were built."""
+    """With TERM_COUNT_CAP below the number of edges, a 60-edge chain
+    feeding a loop still verifies in both degrees: the check compares one
+    product per edge or closing node with its one expected term and forms
+    no sum of all vertices, so the cap, which bounds the normal form of a
+    sum, has nothing to bound, while a sum of the degree 1 products would
+    exceed it."""
     pres = source_chain(60)
     monkeypatch.setattr(algebra, "TERM_COUNT_CAP", 20)
-    certificate = {n: {v: strong_factorization(pres, v, n) for v in pres.all_vertices()} for n in (1, -1)}
-    for n, by_vertex in certificate.items():
-        assert _checked(pres, by_vertex, n)
+    tables = {n: strong_factorization(pres, n) for n in (1, -1)}
+    for n, table in tables.items():
+        verify_factorization(pres, table, n)
     degree_one = {
         key: list(pieces)
-        for pairs in certificate[1].values()
-        for a, b in pairs
+        for edges in tables[1].values()
+        for _, (a, b) in edges
         for key, pieces in multiply(a, b).terms.items()
     }
     with pytest.raises(TermCountCap):

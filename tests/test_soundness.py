@@ -13,7 +13,7 @@ import pytest
 from conftest import CORPUS, load
 from ultragrade import algebra, condition_y, partial_action
 from ultragrade.errors import CertificateError
-from ultragrade.model import EdgeInst, VertexRef
+from ultragrade.model import EdgeInst
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -30,8 +30,10 @@ def _run_dash_o(script: str, *argv: str) -> subprocess.CompletedProcess:
     )
 
 
-# Runs the strong-Z certificate path once as it is, then with a
-# verify_factorization that rejects every factorization.
+# Runs the strong-Z certificate path once as it is, then with a table
+# builder that breaks the degree -1 table in one of three ways: a child
+# dropped from the source's split, a closing pair with its coefficient
+# flipped, a root left out.
 SABOTAGED_STRONG_Z = """
 import sys
 if __debug__:
@@ -43,20 +45,51 @@ from ultragrade.model import parse_presentation
 pres = parse_presentation(open(sys.argv[1]).read())
 if grading.classify_strong_z(pres).status != "Yes":
     sys.exit("the certificate path was not taken")
-algebra.verify_factorization = lambda *args, **kwargs: False
-try:
-    grading.classify_strong_z(pres)
-except CertificateError as exc:
-    print("raised:", exc)
-    sys.exit(0)
-sys.exit("a rejected factorization was accepted")
+build = algebra.strong_factorization
+
+
+def dropped_child(key, node):
+    if not node.split:
+        return node
+    (e, kids), *rest = node.split
+    return node._replace(split=((e, kids[1:]), *rest))
+
+
+def flipped(key, node):
+    return node._replace(pair=(-node.pair[0], node.pair[1])) if node.pair else node
+
+
+def no_root(key, node):
+    return None if key[0] == 0 else node
+
+
+for fault in (dropped_child, flipped, no_root):
+    def sabotaged(pres, n, fault=fault):
+        table = build(pres, n)
+        if n == 1:
+            return table
+        out = {key: fault(key, node) for key, node in table.items()}
+        return {key: node for key, node in out.items() if node is not None}
+
+    algebra.strong_factorization = sabotaged
+    try:
+        grading.classify_strong_z(pres)
+    except CertificateError as exc:
+        print("raised:", exc)
+    else:
+        sys.exit(f"a table with the fault {fault.__name__} was accepted")
 """
 
 
 def test_strong_z_certificate_check_runs_under_dash_o():
-    proc = _run_dash_o(SABOTAGED_STRONG_Z, str(CORPUS / "two_cycle.ug"))
+    proc = _run_dash_o(SABOTAGED_STRONG_Z, str(CORPUS / "ef.ug"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: the vertex factorizations in degree 1 do not verify")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3, proc.stdout
+    assert all(line.startswith("raised: the strong-Z certificate of degree -1 does not verify") for line in lines)
+    assert lines[0].endswith("the children of node (0, u[0]) under e are not the vertices of its range")
+    assert lines[1].endswith("the pair of node (1, v[0]) is not (p_u s_tau*, s_tau p_u)")
+    assert lines[2].endswith("the root (0, u[0]) is not listed")
 
 
 # Replaces every cached range type of a presentation with a source by the
@@ -120,7 +153,7 @@ def test_mismatched_split_raises_under_dash_o():
 def test_missing_replacement_path_raises(monkeypatch):
     monkeypatch.setattr(algebra, "_in_edge_map", lambda pres: {})
     with pytest.raises(CertificateError, match="no replacement path"):
-        algebra.strong_factorization(load("ef.ug"), VertexRef("u", 0), -1)
+        algebra.strong_factorization(load("ef.ug"), -1)
 
 
 def test_bounded_witness_is_rechecked(monkeypatch):
