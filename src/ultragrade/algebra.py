@@ -60,12 +60,14 @@ def _atomize(pairs: list[tuple[Coeff, VertexSet]]) -> tuple:
 
 
 def _normal_terms(raw: dict) -> dict:
-    """The normal form of a raw sum, key -> pieces: each key's pieces
-    atomized, and the keys whose pieces cancel dropped."""
+    """The normal form of a raw sum, key -> pieces: a key's one nonzero
+    piece on a nonempty set kept as it is, its own atom; any other key's
+    pieces atomized; and the keys whose pieces cancel dropped."""
     terms = {}
     for key, pieces in raw.items():
-        canon = _atomize(pieces)
-        if canon:
+        if len(pieces) == 1 and pieces[0][0] != 0 and pieces[0][1].parts:
+            terms[key] = tuple(pieces)
+        elif canon := _atomize(pieces):
             terms[key] = canon
     return terms
 
@@ -84,8 +86,11 @@ class AlgebraElement:
     reuse the sets of terms that are cut; multiply combines cut terms into
     cut terms (proof in multiply), also when both factors have one term
     and the one product term is built directly; _atomize only splits sets
-    into atoms inside them; the checks of verify_epsilon build s_e, s_e* and
-    s_e p_{r(e)} s_e* with the middle r(e), and p_P with no path; and
+    into atoms inside them, and a key with one nonzero piece on a nonempty
+    set keeps it as it is; the checks of verify_epsilon build L(V), each
+    Λ, each y = p_P + Σ s_e and its adjoint directly in normal form, each
+    piece coefficient 1 on the middle r(e) for s_e, s_e* and
+    s_e p_{r(e)} s_e*, and on a nonempty P for p_P, which has no path; and
     strong_factorization builds the pairs of its tables already cut: s_e
     and s_e* with the middle r(e) for each edge, and p_u s_τ* and s_τ p_u
     with the middle {u} for each closing node, τ a path into u (proof
@@ -102,7 +107,11 @@ class AlgebraElement:
 
     @staticmethod
     def _from_raw(pres: UltragraphPresentation, raw: dict) -> "AlgebraElement":
-        terms = _normal_terms(raw)
+        return AlgebraElement._capped(pres, _normal_terms(raw))
+
+    @staticmethod
+    def _capped(pres: UltragraphPresentation, terms: dict) -> "AlgebraElement":
+        """The element of terms already in normal form, under TERM_COUNT_CAP."""
         if len(terms) > TERM_COUNT_CAP:
             raise TermCountCap(f"{len(terms)} terms exceed the cap {TERM_COUNT_CAP}")
         return AlgebraElement(pres, terms)
@@ -219,6 +228,14 @@ def _prefix_index(x: AlgebraElement, side: int) -> tuple[dict, dict]:
     return index
 
 
+def _partners(exact: dict, proper: dict, path: Path) -> list:
+    """The indexed terms whose path is a prefix of `path`, shortest first,
+    then those that have `path` as a proper prefix (one side of a
+    _prefix_index)."""
+    found = [t for k in range(len(path) + 1) for t in exact.get(path[:k], ())]
+    return found + proper.get(path, [])
+
+
 def _combine(pres: UltragraphPresentation, xt: tuple, yt: tuple) -> tuple[tuple, list]:
     """The key and the raw pieces of the product of a term of x and a term
     of y, (s_α · s_β*)(s_γ · s_δ*), whose inner paths β and γ are
@@ -255,7 +272,9 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     exactly when β and γ agree on the shorter of their lengths, that is
     when they are compatible.  A product with one piece is its own normal
     form, a nonzero coefficient (a product of nonzero ones) on a nonempty
-    set; an empty set gives 0, and more pieces are atomized.
+    set; an empty set gives 0, and more pieces are atomized.  The general
+    case reads each key of its raw sum the same way (_normal_terms): a key
+    with one such piece skips _atomize.
 
     Every combined term is already cut to its ranges, given that both
     factors are (AlgebraElement): with inner paths of equal length the
@@ -275,31 +294,17 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         if len(pieces) != 1:
             return AlgebraElement._from_raw(pres, {key: pieces})
         return AlgebraElement(pres, {key: tuple(pieces)} if pieces[0][1].parts else {})
+    if len(x.terms) <= len(y.terms):
+        exact, proper = _prefix_index(y, 0)
+        pairs = [(xt, yt) for xt in x.terms.items() for yt in _partners(exact, proper, xt[0][1])]
+    else:
+        exact, proper = _prefix_index(x, 1)
+        pairs = [(xt, yt) for yt in y.terms.items() for xt in _partners(exact, proper, yt[0][0])]
     raw: dict = {}
-
-    def combine(xt, yt) -> None:
+    for xt, yt in pairs:
         key, pieces = _combine(pres, xt, yt)
         if pieces:
             raw.setdefault(key, []).extend(pieces)
-
-    if len(x.terms) <= len(y.terms):
-        exact, proper = _prefix_index(y, 0)
-        for xt in x.terms.items():
-            beta = xt[0][1]
-            for k in range(len(beta) + 1):
-                for yt in exact.get(beta[:k], ()):
-                    combine(xt, yt)
-            for yt in proper.get(beta, ()):
-                combine(xt, yt)
-    else:
-        exact, proper = _prefix_index(x, 1)
-        for yt in y.terms.items():
-            gamma = yt[0][0]
-            for k in range(len(gamma) + 1):
-                for xt in exact.get(gamma[:k], ()):
-                    combine(xt, yt)
-            for xt in proper.get(gamma, ()):
-                combine(xt, yt)
     return AlgebraElement._from_raw(pres, raw)
 
 
@@ -502,17 +507,17 @@ def epsilon_candidate(pres: UltragraphPresentation) -> EpsilonUnits:
     return EpsilonUnits(zero, dict(_type_out_edges(pres)), negative)
 
 
-def _edge_sum(pres: UltragraphPresentation, head: VertexSet, edges, star: bool) -> AlgebraElement:
-    """p_head + Σ s_e over the edges, or p_head + Σ s_e* when star."""
-    raw = {((), ()): [(1, head)]}
-    for e in edges:
-        raw[((), (e,)) if star else ((e,), ())] = [(1, pres.edge_range(e))]
-    return AlgebraElement._from_raw(pres, raw)
-
-
-def _is_unit_on(pres: UltragraphPresentation, level: AlgebraElement, head: VertexSet, edges) -> bool:
-    """level y = y and y* level = y* for y = p_head + Σ s_e over the edges."""
-    y, y_star = _edge_sum(pres, head, edges, False), _edge_sum(pres, head, edges, True)
+def _is_unit_on(pres: UltragraphPresentation, level_terms: dict, head: VertexSet, edges) -> bool:
+    """level y = y and y* level = y* for y = p_head + Σ s_e over the edges,
+    level the element of level_terms.  Each element is built in normal form,
+    under TERM_COUNT_CAP: every piece is coefficient 1 on a nonempty set
+    cut to its ranges, r(e) for an edge and head with no path, and an
+    empty head is left out."""
+    base = {((), ()): ((1, head),)} if head.parts else {}
+    rng = pres.edge_range
+    level = AlgebraElement._capped(pres, level_terms)
+    y = AlgebraElement._capped(pres, {**base, **{((e,), ()): ((1, rng(e)),) for e in edges}})
+    y_star = AlgebraElement._capped(pres, {**base, **{((), (e,)): ((1, rng(e)),) for e in edges}})
     return multiply(level, y) == y and multiply(y_star, level) == y_star
 
 
@@ -531,19 +536,22 @@ def verify_epsilon(pres: UltragraphPresentation, units: EpsilonUnits) -> bool:
     L(V) = Σ_e s_e p_{r(e)} s_e* must give L(V) S = S and S* L(V) = S*,
     S = Σ_e s_e over all edges; and once per distinct one-level element
     Λ = p_P + Σ_{children e} s_e p_{r(e)} s_e* of a node (m, A),
-    P = A ∩ R(m), Λ (p_P + S_A) = p_P + K and (p_P + S_A*) Λ = p_P + K*,
-    with S_A the sum of s_e over A's out-edges and K over the kept ones:
-    those with s(e) ∈ P, that is m <= I(e), and the children.
+    P = A ∩ R(m), Λ (p_P + K) = p_P + K and (p_P + K*) Λ = p_P + K*,
+    with K the sum of s_e over A's kept out-edges: those with s(e) ∈ P,
+    that is m <= I(e), and the children.  The other out-edges of A enter
+    no product: the proof below needs no identity for them.  Each of
+    these elements is built directly in normal form, p_P left out when P
+    is empty, and each is held to TERM_COUNT_CAP.
 
     Batching by the free group.  The algebra is graded by the free group
     F on the edges, s_α p_A s_β* having degree α β⁻¹, and the normal form
     keeps the grading key by key: the key (α, β) has degree α β⁻¹, and
     multiply combines keys of degrees g and h into keys of degree g h.
     L(V) and Λ have degree 1, and p_P and the s_e have the distinct
-    degrees 1 and e, so Λ (p_P + S_A) = p_P + K in normal form iff
-    Λ p_P = p_P, Λ s_e = s_e for each kept e and Λ s_e = 0 for the other
-    out-edges of A; the same holds on the other side through the degrees
-    e⁻¹.  So each product stands for one identity per edge.  These
+    degrees 1 and e, so Λ (p_P + K) = p_P + K in normal form iff
+    Λ p_P = p_P and Λ s_e = s_e for each kept e; the same holds on the
+    other side through the degrees e⁻¹.  So each product stands for one
+    identity per kept edge, and L(V) S = S for one per edge.  These
     identities follow from the relations s_f* s_e = δ_{fe} p_{r(e)},
     p_X s_e = s_e for s(e) ∈ X and 0 otherwise, p_X p_Y = p_{X∩Y} and
     s_e p_{r(e)} = s_e, with their adjoints, which the proofs below use;
@@ -608,8 +616,11 @@ def verify_epsilon(pres: UltragraphPresentation, units: EpsilonUnits) -> bool:
         x = s_e x' with x' = s_α' p_{r(α')∩R(|α'|+m+1)}, where α' starts
         in r(e), or α' = () and x' = p_{r(e)∩R(m+1)}.  By induction
         D_e x' = x', so D(m, A) x = s_e x' = x.
-      * otherwise s(e) ∉ R(m) and B(e) < m: no path e … g of length j
-        has r(g) meeting R(m + j), so x = 0 = D(m, A) x.
+      * otherwise e is not kept: s(e) ∉ R(m) and B(e) < m, so no path
+        e … g of length j has r(g) meeting R(m + j), and
+        x = 0 = D(m, A) x, with no identity used.
+    The first three cases use Λ p_P = p_P and Λ s_e = s_e for the kept
+    edges e, which are the identities checked, and nothing else.
     The adjoint computation gives x* D(m, A) = x*, and A = V gives c_m.
     """
     if pres.edge_families:
@@ -629,8 +640,7 @@ def verify_epsilon(pres: UltragraphPresentation, units: EpsilonUnits) -> bool:
             return False
     rng = pres.edge_range
     edges = out[universe]
-    level = AlgebraElement._from_raw(pres, {((e,), (e,)): [(1, rng(e))] for e in edges})
-    if not _is_unit_on(pres, level, VertexSet.empty(), edges):
+    if not _is_unit_on(pres, {((e,), (e,)): ((1, rng(e)),) for e in edges}, VertexSet.empty(), edges):
         return False
     levels = _unit_levels(pres)
     seen = set()
@@ -639,9 +649,9 @@ def verify_epsilon(pres: UltragraphPresentation, units: EpsilonUnits) -> bool:
         if (a, head, children) in seen:
             continue
         seen.add((a, head, children))
-        raw = {((e,), (e,)): [(1, rng(e))] for e in children}
-        raw[((), ())] = [(1, head)]
-        level = AlgebraElement._from_raw(pres, raw)
+        level = {((e,), (e,)): ((1, rng(e)),) for e in children}
+        if head.parts:
+            level[((), ())] = ((1, head),)
         kept = [e for e in out[a] if m <= levels[e][0] or e in children]
         if not _is_unit_on(pres, level, head, kept):
             return False
@@ -771,26 +781,6 @@ def strong_factorization(pres: UltragraphPresentation, n: int) -> dict:
     return nodes
 
 
-def _is_cut_monomial(pres: UltragraphPresentation, x: AlgebraElement, degree: int, paths: set) -> bool:
-    """Whether every term s_α p_A s_β* of x has z-degree `degree`, paths α
-    and β, and A inside r(α[-1]) and r(β[-1]): a term that monomial keeps
-    as it is.  `paths` holds the paths already found to be paths."""
-    for (alpha, beta), pieces in x.terms.items():
-        if len(alpha) - len(beta) != degree:
-            return False
-        for path in (alpha, beta):
-            if not path:
-                continue
-            if path not in paths:
-                if not pres.is_path(path):
-                    return False
-                paths.add(path)
-            last = pres.edge_range(path[-1])
-            if any(vs is not last and not vs.subset_of(last) for _, vs in pieces):
-                return False
-    return True
-
-
 def verify_factorization(pres: UltragraphPresentation, table: dict, n: int) -> None:
     """Check the strong-Z table of degree n = ±1 that strong_factorization
     builds, one identity per node; raise CertificateError naming the
@@ -801,24 +791,26 @@ def verify_factorization(pres: UltragraphPresentation, table: dict, n: int) -> N
     What is checked, n = 1.  The table lists every vertex and nothing
     else; each vertex v is no sink and lists exactly its out-edges, in
     id order; each edge's pair is exactly (s_e, s_e*), with the middle
-    r(e) and coefficient 1, both cut and of degrees 1 and −1
-    (_is_cut_monomial), and the product re-multiplies to
-    s_e p_{r(e)} s_e* in normal form.  Then p_v = Σ_{s(e)=v} s_e s_e*
-    (v is a finite emitter and no sink), a sum of products ab with
-    a ∈ L_1 and b ∈ L_{−1}.
+    r(e) and coefficient 1, and the product re-multiplies to
+    s_e p_{r(e)} s_e* in normal form.  The exact shape fixes the rest:
+    e is an edge, so (e,) is a path, the middle r(e) is its last range
+    and the degrees are 1 and −1, so the pair is cut.  Then
+    p_v = Σ_{s(e)=v} s_e s_e* (v is a finite emitter and no sink), a sum
+    of products ab with a ∈ L_1 and b ∈ L_{−1}.
 
     What is checked, n = −1.  The root (0, v) of every vertex is listed.
     Every node (k, u) has u a vertex and 0 <= k <= S, the settle length,
     and holds exactly one of a pair and a split.  A closing node's pair is
     exactly (p_u s_τ*, s_τ p_u) for the path of its one term, with the
-    middle {u} and coefficient 1; both factors are cut and of degrees
-    −(k + 1) and k + 1, that is, τ is a path of length k + 1 with u in
-    r(τ[-1]); and ab re-multiplies to p_u exactly in normal form.  A
-    split node's u is no sink, its edges are exactly u's out-edges in id
-    order, each edge's children are exactly the vertices of r(e), in
-    order, and every child (k + 1, u′) is listed.  So the printed
-    certificate, which names each pair by its edge or its τ, is what was
-    checked.
+    middle {u} and coefficient 1; τ has length k + 1, is a path, and has
+    u in r(τ[-1]); and ab re-multiplies to p_u exactly in normal form.
+    Given the exact shape, those three facts are the whole of the pair
+    being cut and of degrees −(k + 1) and k + 1: the only path is τ, and
+    the middle {u} lies in r(τ[-1]) iff u does.  A split node's u is no
+    sink, its edges are exactly u's out-edges in id order, each edge's
+    children are exactly the vertices of r(e), in order, and every child
+    (k + 1, u′) is listed.  So the printed certificate, which names each
+    pair by its edge or its τ, is what was checked.
 
     Claim: for every listed node (k, u) and every path γ of length k
     with u in r(γ[-1]), or γ = () at k = 0, s_γ p_u s_γ* ∈ L_{−1} L_1.
@@ -846,11 +838,11 @@ def verify_factorization(pres: UltragraphPresentation, table: dict, n: int) -> N
 
     Cost: one product per edge (n = 1) or per closing node (n = −1), each
     of two one-term factors with no index or normalization (multiply),
-    compared with its one expected term; no sum of products is formed, so
-    TERM_COUNT_CAP does not apply."""
+    compared with its one expected term, and one path test per closing
+    node; no sum of products is formed, so TERM_COUNT_CAP does not
+    apply."""
     out = pres.out_edge_map()
     rng = pres.edge_range
-    paths: set = set()
 
     def fail(why: str) -> None:
         raise CertificateError(f"the strong-Z certificate of degree {n} does not verify: {why}")
@@ -865,8 +857,6 @@ def verify_factorization(pres: UltragraphPresentation, table: dict, n: int) -> N
                 piece = ((1, rng(e)),)
                 if a.terms != {((e,), ()): piece} or b.terms != {((), (e,)): piece}:
                     fail(f"the pair of {e.label()} is not (s_e, s_e*)")
-                if not (_is_cut_monomial(pres, a, 1, paths) and _is_cut_monomial(pres, b, -1, paths)):
-                    fail(f"the pair of {e.label()} is not cut")
                 if multiply(a, b).terms != {((e,), (e,)): piece}:
                     fail(f"the pair of {e.label()} does not multiply to s_e p_r(e) s_e*")
         return
@@ -885,7 +875,7 @@ def verify_factorization(pres: UltragraphPresentation, table: dict, n: int) -> N
             tau = next(iter(a.terms))[1] if len(a.terms) == 1 else None
             if tau is None or a.terms != {((), tau): piece} or b.terms != {(tau, ()): piece}:
                 fail(f"the pair of node ({k}, {u.label()}) is not (p_u s_tau*, s_tau p_u)")
-            if not (_is_cut_monomial(pres, a, -k - 1, paths) and _is_cut_monomial(pres, b, k + 1, paths)):
+            if len(tau) != k + 1 or not pres.is_path(tau) or not rng(tau[-1]).member(u):
                 fail(f"the tau of node ({k}, {u.label()}) is not a path of length {k + 1} into its vertex")
             if multiply(a, b).terms != {((), ()): piece}:
                 fail(f"the pair of node ({k}, {u.label()}) does not multiply to p_u")

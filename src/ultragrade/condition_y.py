@@ -90,9 +90,10 @@ def incoming_length_profile(pres: UltragraphPresentation) -> LengthProfile:
 
 
 def _build_length_profile(pres: UltragraphPresentation) -> LengthProfile:
-    # Kahn's count (CACM 1962) over f -> g when s(g) is in r(f): an edge is
-    # taken once every edge before it is, and one that a cycle reaches never is
-    succ = _successors({eid: (e.source, e.range) for eid, e in pres.edges.items()})
+    # Kahn's count (CACM 1962) over f -> g when s(g) is in r(f), the shared
+    # _edge_successors: an edge is taken once every edge before it is, and one
+    # that a cycle reaches never is; the counts do not depend on list order
+    succ = _edge_successors(pres)
     waiting = dict.fromkeys(succ, 0)
     for nxt in succ.values():
         for g in nxt:
@@ -105,7 +106,7 @@ def _build_length_profile(pres: UltragraphPresentation) -> LengthProfile:
             waiting[g] -= 1
             if not waiting[g]:
                 ready.append(g)
-    depth = {eid: None if waiting[eid] else count[eid] for eid in succ}
+    depth = {e.name: None if waiting[e] else count[e] for e in succ}
     return LengthProfile(depth, {eid: e.range for eid, e in pres.edges.items()})
 
 

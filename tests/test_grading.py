@@ -322,6 +322,48 @@ def test_analyze_refines_the_edge_ranges_once(monkeypatch):
     assert both >= 30, both
 
 
+def test_analyze_builds_one_successor_relation(monkeypatch):
+    """The length profile and the edge successors are one relation, built
+    by one condition_y._successors call per analyze of a finite input, on
+    the corpus and 200 seeded inputs; the reports match those built with
+    the profile's own successor relation, as it was computed before."""
+
+    def own_relation_profile(pres):
+        succ = condition_y._successors({eid: (e.source, e.range) for eid, e in pres.edges.items()})
+        waiting = dict.fromkeys(succ, 0)
+        for nxt in succ.values():
+            for g in nxt:
+                waiting[g] += 1
+        count = dict.fromkeys(succ, 1)
+        ready = [e for e in succ if not waiting[e]]
+        for f in ready:
+            for g in succ[f]:
+                count[g] = max(count[g], count[f] + 1)
+                waiting[g] -= 1
+                if not waiting[g]:
+                    ready.append(g)
+        depth = {eid: None if waiting[eid] else count[eid] for eid in succ}
+        return condition_y.LengthProfile(depth, {eid: e.range for eid, e in pres.edges.items()})
+
+    rng = random.Random(2929)
+    inputs = [load(p.name) for p in sorted(CORPUS.glob("*.ug"))]
+    inputs = [p for p in inputs if p.is_finite]
+    inputs += [random_presentation(rng, sinkless=i % 2 == 1) for i in range(200)]
+    calls = []
+    real = condition_y._successors
+    monkeypatch.setattr(condition_y, "_successors", lambda edges: calls.append(len(edges)) or real(edges))
+    reports = []
+    for pres in inputs:
+        calls.clear()
+        reports.append(json.dumps(analyze(pres), sort_keys=True))
+        assert calls == [len(pres.edges)], (pres.name, calls)
+    monkeypatch.setattr(condition_y, "_successors", real)
+    monkeypatch.setattr(condition_y, "_build_length_profile", own_relation_profile)
+    for pres, report in zip(inputs, reports):
+        pres.validate()
+        assert json.dumps(analyze(pres), sort_keys=True) == report, pres.name
+
+
 def test_analyze_merges_vertex_sets_linearly_on_a_named_chain(monkeypatch):
     # every vertex of the chain is its own family, so a fold that unions
     # one range at a time walks a growing part list; the length profile

@@ -721,6 +721,69 @@ def test_a_unit_wrong_on_one_shared_range_is_rejected():
     assert direct_identities_oracle(pres, wrong, 4) == -2
 
 
+def _raw_edge_sum(pres, head, edges, star):
+    """p_head + Σ s_e over the edges, or p_head + Σ s_e* when star, through
+    _from_raw, as the unit check built it before its elements were built
+    directly."""
+    raw = {((), ()): [(1, head)]}
+    for e in edges:
+        raw[((), (e,)) if star else ((e,), ())] = [(1, pres.edge_range(e))]
+    return AlgebraElement._from_raw(pres, raw)
+
+
+def _raw_unit_factors(pres, units):
+    """The factors of the check's products in order, each element built
+    through _from_raw as before: L(V) against the sum of all edges, then
+    for each distinct one-level element of the nodes Λ against p_P plus
+    the kept edges."""
+    rng = pres.edge_range
+    out = algebra._type_out_edges(pres)
+    edges = out[pres.g0_universe()]
+    level = AlgebraElement._from_raw(pres, {((e,), (e,)): [(1, rng(e))] for e in edges})
+    y, y_star = _raw_edge_sum(pres, VertexSet.empty(), edges, False), _raw_edge_sum(pres, VertexSet.empty(), edges, True)
+    factors = [(level, y), (y_star, level)]
+    levels = algebra._unit_levels(pres)
+    seen = set()
+    for (m, a), (head, kids) in units.negative.items():
+        children = tuple(e for e, _ in kids)
+        if (a, head, children) in seen:
+            continue
+        seen.add((a, head, children))
+        raw = {((e,), (e,)): [(1, rng(e))] for e in children}
+        raw[((), ())] = [(1, head)]
+        level = AlgebraElement._from_raw(pres, raw)
+        kept = [e for e in out[a] if m <= levels[e][0] or e in children]
+        y, y_star = _raw_edge_sum(pres, head, kept, False), _raw_edge_sum(pres, head, kept, True)
+        factors += [(level, y), (y_star, level)]
+    return factors
+
+
+def test_unit_sums_match_the_raw_construction(monkeypatch):
+    """The unit check builds L(V), each Λ, each y = p_P + Σ s_e and y*
+    directly in normal form; each equals the element that _from_raw
+    builds from the same pieces, term for term and in the same key order,
+    every piece one nonzero coefficient on a nonempty set; and the check
+    multiplies them in the order it did.  On the finite-edge corpus, the
+    seeded unital inputs, 100 random DAGs and the layered DAGs."""
+    calls = _spy(monkeypatch)
+    rng = random.Random(2040)
+    inputs = [p for p in _finite_edge_corpus() + seeded_presentations() if is_unital(p)]
+    inputs += [random_dag(rng) for _ in range(100)] + [layered_dag(3, d) for d in (3, 5)]
+    empty_head = 0
+    for pres in inputs:
+        units = epsilon_candidate(pres)
+        calls.clear()
+        assert verify_epsilon(pres, units), pres.name
+        want = _raw_unit_factors(pres, units)
+        assert len(calls) == len(want), pres.name
+        for got, raw in zip(calls, want):
+            for x, y in zip(got, raw):
+                assert list(x.terms.items()) == list(y.terms.items()), pres.name
+                assert all(len(p) == 1 and p[0][0] == 1 and not p[0][1].is_empty() for p in x.terms.values())
+        empty_head += sum(((), ()) not in x.terms for x, _ in calls[2::2])
+    assert empty_head >= 30, empty_head
+
+
 def test_long_chains_have_checked_unit_certificates():
     """The chains of 70 and 200 edges and the chain of 64 into a loop,
     over the old path-length cap, read Yes with a re-checked certificate.
@@ -1624,6 +1687,43 @@ def test_the_factorization_check_is_linear_in_its_pairs(monkeypatch):
             assert products == pairs and pieces == 0, (d, n, products, pieces)
             sizes.append(len(table))
     assert sizes[1::2] == [39, 45, 51, 57]
+
+
+def test_the_factorization_check_multiplies_once_and_tests_paths_once_per_closing_node(monkeypatch):
+    """The check of each degree makes one product per edge (degree 1) or
+    per closing node (degree −1), one path test per closing node and none
+    for a degree 1 pair, whose exact shape (s_e, s_e*) already makes it
+    cut.  On the sinkless corpus, 150 seeded sinkless inputs, half of them
+    fed by a source, and the sinkless 3 × d DAGs."""
+    products = tests = 0
+    real_multiply, real_is_path = algebra.multiply, UltragraphPresentation.is_path
+
+    def counted_multiply(x, y):
+        nonlocal products
+        products += 1
+        return real_multiply(x, y)
+
+    def counted_is_path(self, seq):
+        nonlocal tests
+        tests += 1
+        return real_is_path(self, seq)
+
+    monkeypatch.setattr(algebra, "multiply", counted_multiply)
+    monkeypatch.setattr(UltragraphPresentation, "is_path", counted_is_path)
+    closing = 0
+    for pres in _strongly_graded_inputs(1919, 150):
+        for n in (1, -1):
+            table = strong_factorization(pres, n)
+            if n == 1:
+                pairs = len(pres.edges)
+            else:
+                pairs = sum(node.pair is not None for node in table.values())
+                closing += pairs
+            products = tests = 0
+            verify_factorization(pres, table, n)
+            assert products == pairs, (pres.name, n, products, pairs)
+            assert tests == (0 if n == 1 else pairs), (pres.name, n, tests, pairs)
+    assert closing >= 500, closing
 
 
 def test_the_sum_of_all_vertices_is_not_capped(monkeypatch):
