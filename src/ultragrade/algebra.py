@@ -60,14 +60,12 @@ def _atomize(pairs: list[tuple[Coeff, VertexSet]]) -> tuple:
 
 
 def _normal_terms(raw: dict) -> dict:
-    """The normal form of a raw sum, key -> pieces: a key's one nonzero
-    piece on a nonempty set kept as it is, its own atom; any other key's
-    pieces atomized; and the keys whose pieces cancel dropped."""
+    """The normal form of a raw sum, key -> pieces: each key's pieces
+    atomized, and the keys whose pieces cancel dropped."""
     terms = {}
     for key, pieces in raw.items():
-        if len(pieces) == 1 and pieces[0][0] != 0 and pieces[0][1].parts:
-            terms[key] = tuple(pieces)
-        elif canon := _atomize(pieces):
+        canon = _atomize(pieces)
+        if canon:
             terms[key] = canon
     return terms
 
@@ -86,8 +84,7 @@ class AlgebraElement:
     reuse the sets of terms that are cut; multiply combines cut terms into
     cut terms (proof in multiply), also when both factors have one term
     and the one product term is built directly; _atomize only splits sets
-    into atoms inside them, and a key with one nonzero piece on a nonempty
-    set keeps it as it is; the checks of verify_epsilon build L(V), each
+    into atoms inside them; the checks of verify_epsilon build L(V), each
     Λ, each y = p_P + Σ s_e and its adjoint directly in normal form, each
     piece coefficient 1 on the middle r(e) for s_e, s_e* and
     s_e p_{r(e)} s_e*, and on a nonempty P for p_P, which has no path; and
@@ -272,9 +269,7 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     exactly when β and γ agree on the shorter of their lengths, that is
     when they are compatible.  A product with one piece is its own normal
     form, a nonzero coefficient (a product of nonzero ones) on a nonempty
-    set; an empty set gives 0, and more pieces are atomized.  The general
-    case reads each key of its raw sum the same way (_normal_terms): a key
-    with one such piece skips _atomize.
+    set; an empty set gives 0, and more pieces are atomized.
 
     Every combined term is already cut to its ranges, given that both
     factors are (AlgebraElement): with inner paths of equal length the
@@ -296,10 +291,10 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(pres, {key: tuple(pieces)} if pieces[0][1].parts else {})
     if len(x.terms) <= len(y.terms):
         exact, proper = _prefix_index(y, 0)
-        pairs = [(xt, yt) for xt in x.terms.items() for yt in _partners(exact, proper, xt[0][1])]
+        pairs = ((xt, yt) for xt in x.terms.items() for yt in _partners(exact, proper, xt[0][1]))
     else:
         exact, proper = _prefix_index(x, 1)
-        pairs = [(xt, yt) for yt in y.terms.items() for xt in _partners(exact, proper, yt[0][0])]
+        pairs = ((xt, yt) for yt in y.terms.items() for xt in _partners(exact, proper, yt[0][0]))
     raw: dict = {}
     for xt, yt in pairs:
         key, pieces = _combine(pres, xt, yt)

@@ -27,7 +27,6 @@ from ultragrade.algebra import (
     AlgebraElement,
     StrongNode,
     _atomize,
-    _normal_terms,
     _vset_sort_key,
     all_paths,
     epsilon_candidate,
@@ -501,43 +500,3 @@ def test_atomize_matches_the_subset_oracle():
             pairs.append((rng.choice(coeffs), VertexSet.make(parts.items())))
         assert _atomize(pairs) == _atomize_by_subsets(pairs), pairs
 
-
-def test_normal_terms_match_atomize_on_every_key():
-    """_normal_terms keeps a key's one nonzero piece on a nonempty set as it
-    is and atomizes every other key; the result is _atomize on every key,
-    in the same key order, with the keys whose pieces cancel dropped.
-    Random raw sums with zero coefficients, empty sets, repeated pieces
-    and keys listed more than once, as the raw sums of multiply and
-    addition have them."""
-    rng = random.Random(4242)
-    coeffs = [1, -1, 2, 0, Fraction(1, 2), Fraction(-1, 2)]
-    keys = [((), ()), (E("e"), ()), ((), E("e")), (E("e", "f"), E("g"))]
-    sets = [VertexSet.empty()]
-    for _ in range(6):
-        parts = {}
-        for fam in rng.sample(["a", "b"], rng.randint(1, 2)):
-            prefix = [rng.random() < 0.5 for _ in range(rng.randint(0, 5))]
-            period = [rng.random() < 0.3 for _ in range(rng.randint(1, 2))]
-            parts[fam] = IndexSet.make(prefix, period)
-        sets.append(VertexSet.make(parts.items()))
-    kept = atomized = dropped = 0
-    for _ in range(1500):
-        raw = {}
-        for _ in range(rng.randint(0, 5)):
-            pieces = raw.setdefault(rng.choice(keys), [])
-            for _ in range(rng.choice((1, 1, 2, 3))):
-                piece = (rng.choice(coeffs), rng.choice(sets))
-                pieces += [piece] * rng.choice((1, 1, 2))
-        want = {}
-        for key, pieces in raw.items():
-            canon = _atomize(list(pieces))
-            if canon:
-                want[key] = canon
-        got = _normal_terms(raw)
-        assert list(got.items()) == list(want.items()), raw
-        for key, pieces in raw.items():
-            one = len(pieces) == 1 and pieces[0][0] != 0 and not pieces[0][1].is_empty()
-            kept += one
-            atomized += not one and key in got
-            dropped += key not in got
-    assert min(kept, atomized, dropped) >= 300, (kept, atomized, dropped)
