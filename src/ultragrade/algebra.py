@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .condition_y import _edge_successors, incoming_length_profile
 from .errors import (
@@ -88,10 +88,10 @@ class AlgebraElement:
     Λ, each y = p_P + Σ s_e and its adjoint directly in normal form, each
     piece coefficient 1 on the middle r(e) for s_e, s_e* and
     s_e p_{r(e)} s_e*, and on a nonempty P for p_P, which has no path; and
-    strong_factorization builds the pairs of its tables already cut: s_e
-    and s_e* with the middle r(e) for each edge, and p_u s_τ* and s_τ p_u
-    with the middle {u} for each closing node, τ a path into u (proof
-    there), which verify_factorization re-checks."""
+    verify_factorization builds the factors of its products already cut:
+    s_e and s_e* with the middle r(e) for each edge, and p_u s_τ* and
+    s_τ p_u with the middle {u} for each closing node, once it has tested
+    that τ is a path with u in its last range (proof there)."""
 
     __slots__ = ("pres", "terms", "_index")
 
@@ -351,35 +351,27 @@ def all_paths(pres: UltragraphPresentation, length: int) -> list[Path]:
     return list(levels[length])
 
 
+# -- node tables ---------------------------------------------------------
+
+
+def _closure(roots: Iterable, rule: Callable[[object], Optional[tuple]]) -> dict:
+    """The node table that the roots reach, key -> (base, children), the
+    children a tuple of pairs (e, child key).  One work list builds each
+    key once by rule(key), depth first from the roots in order, the first
+    child first; a None rule leaves its node out, unexpanded."""
+    table: dict = {}
+    work = list(roots)[::-1]
+    while work:
+        key = work.pop()
+        if key not in table:
+            node = rule(key)
+            if node is not None:
+                table[key] = node
+                work.extend(child for _, child in reversed(node[1]))
+    return table
+
+
 # -- epsilon units -------------------------------------------------------
-
-
-class EpsilonUnits(NamedTuple):
-    """The units ε_n of all degrees n, over a finite edge set with a unit,
-    as one finite certificate with no horizon.  R(l) is reached(l) and L
-    the profile's settle length, so R(l) = R(L) for every l >= L.
-
-    zero is ε_0 = p_V, V all vertices.
-
-    n > 0: ε_n = Σ_{|α|=n} s_α p_{r(α)} s_α*.  Over the range types A, V
-    and each r(e), put N(0, A) = p_A and N(k, A) = Σ_{s(e)∈A} s_e
-    N(k − 1, r(e)) s_e* for k >= 1.  Then N(k, A) is the same sum over the
-    paths α of length k with s(α) ∈ A, and ε_n = N(n, V).  `positive`
-    maps each type A, V first, to its out-edges, the e with s(e) ∈ A, in
-    id order: one node per type stands for every k, and an empty sum is
-    0, so no length, root or height enters.
-
-    n = −m < 0: put D(m, A) = p_{A∩R(m)} + Σ s_e D(m + 1, r(e)) s_e*, the
-    sum over the e with s(e) ∈ A∖R(m), each m read as min(m, L); then
-    ε_{−m} = D(m, V).  `negative` maps each nonzero node (m, A),
-    1 <= m <= L, to (A ∩ R(m), children), the children the pairs
-    (e, (min(m + 1, L), r(e))), in id order, whose node is nonzero.  A zero
-    node is left out together with every pointer to it, and so is a zero
-    root (m, V).  The proofs are in verify_epsilon."""
-
-    zero: AlgebraElement
-    positive: dict
-    negative: dict
 
 
 def _type_out_edges(pres: UltragraphPresentation) -> dict[VertexSet, tuple[EdgeInst, ...]]:
@@ -480,54 +472,69 @@ def _negative_node(pres: UltragraphPresentation, key: tuple) -> Optional[tuple]:
     return head, kids
 
 
-def epsilon_candidate(pres: UltragraphPresentation) -> EpsilonUnits:
-    """The units of every degree: p_V, a copy of the type table, and the
-    nodes D(m, A) that the roots (m, V), 1 <= m <= L, reach, each built
-    once by its rule."""
+def epsilon_candidate(pres: UltragraphPresentation) -> dict:
+    """The units ε_n of all degrees n, over a finite edge set with a unit,
+    as one node table with no horizon: the nodes D(m, A) that the roots
+    (m, V), 1 <= m <= L, reach, built by _closure with _negative_node.
+    R(l) is reached(l) and L the profile's settle length, so R(l) = R(L)
+    for every l >= L.
+
+    ε_0 is p_V, V all vertices.
+
+    n > 0: ε_n = Σ_{|α|=n} s_α p_{r(α)} s_α*.  Over the range types A, V
+    and each r(e), put N(0, A) = p_A and N(k, A) = Σ_{s(e)∈A} s_e
+    N(k − 1, r(e)) s_e* for k >= 1.  Then N(k, A) is the same sum over the
+    paths α of length k with s(α) ∈ A, and ε_n = N(n, V).
+    _type_out_edges maps each type A, V first, to its out-edges, the e
+    with s(e) ∈ A, in id order: one node per type stands for every k, and
+    an empty sum is 0, so no length, root or height enters.  ε_0 and the
+    N(k, A) are read off the presentation alone, so the table holds
+    neither.
+
+    n = −m < 0: put D(m, A) = p_{A∩R(m)} + Σ s_e D(m + 1, r(e)) s_e*, the
+    sum over the e with s(e) ∈ A∖R(m), each m read as min(m, L); then
+    ε_{−m} = D(m, V).  The table maps each nonzero node (m, A),
+    1 <= m <= L, to (A ∩ R(m), children), the children the pairs
+    (e, (min(m + 1, L), r(e))), in id order, whose node is nonzero.  A zero
+    node is left out together with every pointer to it, and so is a zero
+    root (m, V).  The proofs are in verify_epsilon."""
     if pres.edge_families:
         raise NotFiniteEdges("epsilon units need a finite edge set")
     if not is_unital(pres):
         raise NotUnital("the algebra has no unit")
     universe = pres.g0_universe()
-    negative: dict = {}
-    work = [(m, universe) for m in range(incoming_length_profile(pres).settle, 0, -1)]
-    while work:
-        key = work.pop()
-        if key not in negative:
-            node = _negative_node(pres, key)
-            if node is not None:
-                negative[key] = node
-                work.extend(child for _, child in node[1])
-    zero = AlgebraElement.projection(pres, universe)
-    return EpsilonUnits(zero, dict(_type_out_edges(pres)), negative)
+    roots = [(m, universe) for m in range(1, incoming_length_profile(pres).settle + 1)]
+    return _closure(roots, lambda key: _negative_node(pres, key))
 
 
-def _is_unit_on(pres: UltragraphPresentation, level_terms: dict, head: VertexSet, edges) -> bool:
-    """level y = y and y* level = y* for y = p_head + Σ s_e over the edges,
-    level the element of level_terms.  Each element is built in normal form,
-    under TERM_COUNT_CAP: every piece is coefficient 1 on a nonempty set
-    cut to its ranges, r(e) for an edge and head with no path, and an
-    empty head is left out."""
+def _is_unit_on(pres: UltragraphPresentation, head: VertexSet, children, edges) -> bool:
+    """Λ y = y and y* Λ = y* for Λ = p_head + Σ s_e p_{r(e)} s_e* over the
+    children and y = p_head + Σ s_e over the edges.  Each element is built
+    in normal form, under TERM_COUNT_CAP: every piece is coefficient 1 on
+    a nonempty set cut to its ranges, r(e) for an edge and head with no
+    path, and an empty head is left out."""
     base = {((), ()): ((1, head),)} if head.parts else {}
     rng = pres.edge_range
-    level = AlgebraElement._capped(pres, level_terms)
+    level = AlgebraElement._capped(pres, {**{((e,), (e,)): ((1, rng(e)),) for e in children}, **base})
     y = AlgebraElement._capped(pres, {**base, **{((e,), ()): ((1, rng(e)),) for e in edges}})
     y_star = AlgebraElement._capped(pres, {**base, **{((), (e,)): ((1, rng(e)),) for e in edges}})
     return multiply(level, y) == y and multiply(y_star, level) == y_star
 
 
-def verify_epsilon(pres: UltragraphPresentation, units: EpsilonUnits) -> bool:
-    """Whether units, in the shape epsilon_candidate builds, certifies that
-    the ℤ-grading is epsilon-strong: ε_n must lie in L_n L_{−n}, be a left
-    identity on the degree-n component and a right identity on the
-    degree-(−n) component, for every n.
+def verify_epsilon(pres: UltragraphPresentation, nodes: dict) -> None:
+    """Check the node table of the negative units that epsilon_candidate
+    builds; raise CertificateError naming the first root or node that
+    fails.  Acceptance proves that the ℤ-grading is epsilon-strong: ε_n
+    lies in L_n L_{−n}, is a left identity on the degree-n component and
+    a right identity on the degree-(−n) component, for every n.
 
-    What is checked.  ε_0 is p_V.  The type table is _type_out_edges:
-    every type, with all of its out-edges in id order.  Each node of
-    `negative` equals its rule (_negative_node), so it is nonzero, its set
-    is A ∩ R(m) and its children are re-derived from the profile and the
-    levels; each child it points at is listed, and the root (m, V) of
-    each m <= L is listed unless its rule is zero.  Then the products:
+    What is checked.  ε_0 = p_V and the N(k, A) are not in the table: the
+    check reads them, as the printer does, off g0_universe and
+    _type_out_edges.  The root (m, V) of each m <= L is listed unless its
+    rule is zero.  Every node (m, A) has 1 <= m <= L and a range type A,
+    and equals its rule (_negative_node), so it is nonzero, its set is
+    A ∩ R(m) and its children are re-derived from the profile and the
+    levels; each child it points at is listed.  Then the products:
     L(V) = Σ_e s_e p_{r(e)} s_e* must give L(V) S = S and S* L(V) = S*,
     S = Σ_e s_e over all edges; and once per distinct one-level element
     Λ = p_P + Σ_{children e} s_e p_{r(e)} s_e* of a node (m, A),
@@ -620,23 +627,24 @@ def verify_epsilon(pres: UltragraphPresentation, units: EpsilonUnits) -> bool:
     """
     if pres.edge_families:
         raise NotFiniteEdges("epsilon verification needs a finite edge set")
+
+    def fail(why: str) -> None:
+        raise CertificateError(f"the epsilon-unit certificate does not verify: {why}")
+
     universe = pres.g0_universe()
     out = _type_out_edges(pres)
-    if units.zero != AlgebraElement.projection(pres, universe) or units.positive != out:
-        return False
     settle = incoming_length_profile(pres).settle
-    nodes = units.negative
-    if any((m, universe) not in nodes and _negative_node(pres, (m, universe)) for m in range(1, settle + 1)):
-        return False
-    for (m, a), node in nodes.items():
-        if not 1 <= m <= settle or a not in out or node != _negative_node(pres, (m, a)):
-            return False
-        if any(child not in nodes for _, child in node[1]):
-            return False
-    rng = pres.edge_range
-    edges = out[universe]
-    if not _is_unit_on(pres, {((e,), (e,)): ((1, rng(e)),) for e in edges}, VertexSet.empty(), edges):
-        return False
+    for m in range(1, settle + 1):
+        if (m, universe) not in nodes and _negative_node(pres, (m, universe)):
+            fail(f"the root {_unit_name(pres, (m, universe))} is not listed")
+    for key, node in nodes.items():
+        if not 1 <= key[0] <= settle or key[1] not in out or node != _negative_node(pres, key):
+            fail(f"node {_unit_name(pres, key)} does not follow its rule")
+        for _, child in node[1]:
+            if child not in nodes:
+                fail(f"the child {_unit_name(pres, child)} of node {_unit_name(pres, key)} is not listed")
+    if not _is_unit_on(pres, VertexSet.empty(), out[universe], out[universe]):
+        fail("L(V) is not a unit on the edges, so neither is N(n, V)")
     levels = _unit_levels(pres)
     seen = set()
     for (m, a), (head, kids) in nodes.items():
@@ -644,13 +652,9 @@ def verify_epsilon(pres: UltragraphPresentation, units: EpsilonUnits) -> bool:
         if (a, head, children) in seen:
             continue
         seen.add((a, head, children))
-        level = {((e,), (e,)): ((1, rng(e)),) for e in children}
-        if head.parts:
-            level[((), ())] = ((1, head),)
         kept = [e for e in out[a] if m <= levels[e][0] or e in children]
-        if not _is_unit_on(pres, level, head, kept):
-            return False
-    return True
+        if not _is_unit_on(pres, head, children, kept):
+            fail(f"node {_unit_name(pres, (m, a))} is not a unit on its kept edges")
 
 
 # -- strong-grading factorization certificates ---------------------------
@@ -700,47 +704,32 @@ def _replacement_path(pres: UltragraphPresentation, u: VertexRef, length: int) -
     return tuple(reversed(tau))
 
 
-class StrongNode(NamedTuple):
-    """A node (k, u) of the degree −1 strong-Z table, standing for
-    s_γ p_u s_γ* for every path γ of length k with u in its last range
-    (γ = () at k = 0).  A closing node holds the pair
-    (p_u s_τ*, s_τ p_u), τ a path of length k + 1 with u in its last
-    range, and no split; any other node holds no pair and the
-    Cuntz–Krieger split of p_u: each out-edge e of u, in id order, with
-    the vertices u′ of r(e), each the child node (k + 1, u′)."""
-
-    pair: Optional[tuple[AlgebraElement, AlgebraElement]]
-    split: tuple[tuple[EdgeInst, tuple[VertexRef, ...]], ...]
-
-
 def strong_factorization(pres: UltragraphPresentation, n: int) -> dict:
     """The strong-Z certificate table of degree n = ±1, for every vertex
     at once.
 
-    n = 1: each vertex v maps to its out-edges e in id order, each with
-    the pair (s_e, s_e*), so p_v = Σ s_e s_e*.
+    n = 1: the out-edge map, each vertex v with its out-edges in id order,
+    for p_v = Σ s_e s_e*.
 
-    n = −1: a table of StrongNode keyed by the states (k, u), built once
-    each from a work list that starts at the roots (0, v), one per
-    vertex.  A state closes when u is in reached(k + 1), with τ the
-    replacement path of _replacement_path, walked once per node; at k = 0
-    that is u in the in-edge map, as reached(1) is the union of all
+    n = −1: a node table keyed by the states (k, u), built by _closure
+    from the roots (0, v), one per vertex.  The node (k, u) stands for
+    s_γ p_u s_γ* for every path γ of length k with u in its last range
+    (γ = () at k = 0).  A state closes when u is in reached(k + 1); its
+    node is (τ, ()), τ the replacement path of _replacement_path, a path
+    of length k + 1 with u in its last range, walked once per node.  At
+    k = 0 that is u in the in-edge map, as reached(1) is the union of all
     ranges, so reached is built only once a source expands.  Any other
-    state splits p_u over the out-edges of u, which is no sink, into the
-    children (k + 1, u′) for u′ in r(e).  A branch (γ, u) of the
-    expansion of p_v depends on γ only through k = |γ|, so one node per
-    state stands for all the branches through it.
+    state splits p_u over the out-edges of u, which is no sink: its node
+    is (None, children), the children the pairs (e, (k + 1, u′)) for each
+    out-edge e in id order and each vertex u′ of r(e) in order.  A branch
+    (γ, u) of the expansion of p_v depends on γ only through k = |γ|, so
+    one node per state stands for all the branches through it.
 
     No state has k > S, the profile's settle length: for k >= 1 the state
     is reached along a path γ of length k into u, so u is in reached(k),
     and reached(l) = reached(S) for every l >= S; at k = S that gives u in
     reached(S + 1), so the state closes.  So the table has at most
-    (S + 1)·|V| nodes, and the expansion ends without a cap.
-
-    Each pair is a monomial and its adjoint, built already cut, not
-    through monomial: the middle of s_e and s_e* is r(e), and the middle
-    {u} of a closing pair lies in r(τ[-1]), as τ is a path into u.
-    verify_factorization re-checks both, and that τ is a path."""
+    (S + 1)·|V| nodes, and the expansion ends without a cap."""
     if n not in (1, -1):
         raise ValueError("n must be 1 or -1")
     if not pres.is_finite:
@@ -749,31 +738,18 @@ def strong_factorization(pres: UltragraphPresentation, n: int) -> dict:
     if report.has_sinks or not report.row_finite:
         raise NotStronglyGraded("the algebra is not strongly graded")
     out = pres.out_edge_map()
-    rng = pres.edge_range
-
-    def with_adjoint(alpha: Path, beta: Path, middle: VertexSet) -> tuple[AlgebraElement, AlgebraElement]:
-        piece = ((1, middle),)
-        return AlgebraElement(pres, {(alpha, beta): piece}), AlgebraElement(pres, {(beta, alpha): piece})
-
     if n == 1:
-        return {v: tuple((e, with_adjoint((e,), (), rng(e))) for e in edges) for v, edges in out.items()}
+        return out
     profile = incoming_length_profile(pres)
     into = _in_edge_map(pres)
-    nodes: dict[tuple[int, VertexRef], StrongNode] = {}
-    work = [(0, v) for v in reversed(out)]
-    while work:
-        key = work.pop()
-        if key in nodes:
-            continue
+
+    def rule(key: tuple[int, VertexRef]) -> tuple:
         k, u = key
         if profile.reached(k + 1).member(u) if k else u in into:
-            tau = _replacement_path(pres, u, k + 1)
-            nodes[key] = StrongNode(with_adjoint((), tau, VertexSet.of(u)), ())
-            continue
-        split = tuple((e, tuple(rng(e).vertices())) for e in out[u])
-        nodes[key] = StrongNode(None, split)
-        work.extend((k + 1, w) for _, kids in reversed(split) for w in reversed(kids))
-    return nodes
+            return _replacement_path(pres, u, k + 1), ()
+        return None, tuple((e, (k + 1, w)) for e in out[u] for w in pres.edge_range(e).vertices())
+
+    return _closure([(0, v) for v in out], rule)
 
 
 def verify_factorization(pres: UltragraphPresentation, table: dict, n: int) -> None:
@@ -785,27 +761,24 @@ def verify_factorization(pres: UltragraphPresentation, table: dict, n: int) -> N
 
     What is checked, n = 1.  The table lists every vertex and nothing
     else; each vertex v is no sink and lists exactly its out-edges, in
-    id order; each edge's pair is exactly (s_e, s_e*), with the middle
-    r(e) and coefficient 1, and the product re-multiplies to
-    s_e p_{r(e)} s_e* in normal form.  The exact shape fixes the rest:
-    e is an edge, so (e,) is a path, the middle r(e) is its last range
-    and the degrees are 1 and −1, so the pair is cut.  Then
-    p_v = Σ_{s(e)=v} s_e s_e* (v is a finite emitter and no sink), a sum
-    of products ab with a ∈ L_1 and b ∈ L_{−1}.
+    id order.  For each edge e the check builds the pair (s_e, s_e*) with
+    coefficient 1, of degrees 1 and −1 and cut, its middle r(e) the last
+    range of the path (e,), and re-multiplies it to s_e p_{r(e)} s_e* in
+    normal form.  Then p_v = Σ_{s(e)=v} s_e s_e* (v is a finite emitter
+    and no sink), a sum of products ab with a ∈ L_1 and b ∈ L_{−1}.
 
     What is checked, n = −1.  The root (0, v) of every vertex is listed.
     Every node (k, u) has u a vertex and 0 <= k <= S, the settle length,
-    and holds exactly one of a pair and a split.  A closing node's pair is
-    exactly (p_u s_τ*, s_τ p_u) for the path of its one term, with the
-    middle {u} and coefficient 1; τ has length k + 1, is a path, and has
-    u in r(τ[-1]); and ab re-multiplies to p_u exactly in normal form.
-    Given the exact shape, those three facts are the whole of the pair
-    being cut and of degrees −(k + 1) and k + 1: the only path is τ, and
-    the middle {u} lies in r(τ[-1]) iff u does.  A split node's u is no
-    sink, its edges are exactly u's out-edges in id order, each edge's
-    children are exactly the vertices of r(e), in order, and every child
-    (k + 1, u′) is listed.  So the printed certificate, which names each
-    pair by its edge or its τ, is what was checked.
+    and holds a τ and no children, or children and no τ.  A closing
+    node's τ has length k + 1, is a path and has u in r(τ[-1]), which
+    makes the pair (p_u s_τ*, s_τ p_u) that the check builds, with the
+    middle {u} and coefficient 1, cut and of degrees −(k + 1) and k + 1;
+    ab re-multiplies to p_u exactly in normal form.  A split node's u is
+    no sink, and its children, compared once with the re-derived ones,
+    are the pairs (e, (k + 1, u′)) over u's out-edges e in id order and
+    the vertices u′ of r(e) in order, each one listed.  So the printed
+    certificate, which names each node by its τ or its children, is what
+    was checked.
 
     Claim: for every listed node (k, u) and every path γ of length k
     with u in r(γ[-1]), or γ = () at k = 0, s_γ p_u s_γ* ∈ L_{−1} L_1.
@@ -828,8 +801,9 @@ def verify_factorization(pres: UltragraphPresentation, table: dict, n: int) -> N
 
     The check is complete for the tables strong_factorization builds:
     each of its states has k <= S (proof there) and is listed once, its
-    closing pairs are cut with p_u s_τ* s_τ p_u = p_u p_{r(τ[-1])} p_u = p_u,
-    and its splits list every out-edge and every child.
+    closing τ is a path of length k + 1 into u, so that
+    p_u s_τ* s_τ p_u = p_u p_{r(τ[-1])} p_u = p_u, and its splits list
+    every out-edge and every child.
 
     Cost: one product per edge (n = 1) or per closing node (n = −1), each
     of two one-term factors with no index or normalization (multiply),
@@ -845,13 +819,12 @@ def verify_factorization(pres: UltragraphPresentation, table: dict, n: int) -> N
     if n == 1:
         if table.keys() != out.keys():
             fail("its vertices are not the vertices of the ultragraph")
-        for v, listed in table.items():
-            if not out[v] or tuple(e for e, _ in listed) != out[v]:
+        for v, edges in table.items():
+            if not out[v] or edges != out[v]:
                 fail(f"{v.label()} does not list its out-edges")
-            for e, (a, b) in listed:
+            for e in edges:
                 piece = ((1, rng(e)),)
-                if a.terms != {((e,), ()): piece} or b.terms != {((), (e,)): piece}:
-                    fail(f"the pair of {e.label()} is not (s_e, s_e*)")
+                a, b = AlgebraElement(pres, {((e,), ()): piece}), AlgebraElement(pres, {((), (e,)): piece})
                 if multiply(a, b).terms != {((e,), (e,)): piece}:
                     fail(f"the pair of {e.label()} does not multiply to s_e p_r(e) s_e*")
         return
@@ -859,30 +832,24 @@ def verify_factorization(pres: UltragraphPresentation, table: dict, n: int) -> N
         if (0, v) not in table:
             fail(f"the root (0, {v.label()}) is not listed")
     settle = incoming_length_profile(pres).settle
-    for (k, u), node in table.items():
+    for (k, u), (tau, children) in table.items():
         if u not in out or not 0 <= k <= settle:
             fail(f"node ({k}, {u.label()}) is not a state of the ultragraph")
-        if node.pair is not None:
-            if node.split:
-                fail(f"node ({k}, {u.label()}) holds both a pair and a split")
-            a, b = node.pair
-            piece = ((1, VertexSet.of(u)),)
-            tau = next(iter(a.terms))[1] if len(a.terms) == 1 else None
-            if tau is None or a.terms != {((), tau): piece} or b.terms != {(tau, ()): piece}:
-                fail(f"the pair of node ({k}, {u.label()}) is not (p_u s_tau*, s_tau p_u)")
-            if len(tau) != k + 1 or not pres.is_path(tau) or not rng(tau[-1]).member(u):
-                fail(f"the tau of node ({k}, {u.label()}) is not a path of length {k + 1} into its vertex")
-            if multiply(a, b).terms != {((), ()): piece}:
-                fail(f"the pair of node ({k}, {u.label()}) does not multiply to p_u")
+        if tau is None:
+            if not out[u] or children != tuple((e, (k + 1, w)) for e in out[u] for w in rng(e).vertices()):
+                fail(f"the children of node ({k}, {u.label()}) are not its out-edges with the vertices of their ranges")
+            for _, (j, w) in children:
+                if (j, w) not in table:
+                    fail(f"the child ({j}, {w.label()}) of node ({k}, {u.label()}) is not listed")
             continue
-        if not out[u] or tuple(e for e, _ in node.split) != out[u]:
-            fail(f"node ({k}, {u.label()}) does not split over the out-edges of its vertex")
-        for e, kids in node.split:
-            if kids != tuple(rng(e).vertices()):
-                fail(f"the children of node ({k}, {u.label()}) under {e.label()} are not the vertices of its range")
-            for w in kids:
-                if (k + 1, w) not in table:
-                    fail(f"the child ({k + 1}, {w.label()}) of node ({k}, {u.label()}) is not listed")
+        if children:
+            fail(f"node ({k}, {u.label()}) holds both a tau and children")
+        if len(tau) != k + 1 or not pres.is_path(tau) or not rng(tau[-1]).member(u):
+            fail(f"the tau of node ({k}, {u.label()}) is not a path of length {k + 1} into its vertex")
+        piece = ((1, VertexSet.of(u)),)
+        a, b = AlgebraElement(pres, {((), tau): piece}), AlgebraElement(pres, {(tau, ()): piece})
+        if multiply(a, b).terms != {((), ()): piece}:
+            fail(f"the pair of node ({k}, {u.label()}) does not multiply to p_u")
 
 
 # -- printing ------------------------------------------------------------
@@ -915,44 +882,49 @@ def pretty(x: AlgebraElement) -> str:
     return " + ".join(chunks)
 
 
-def pretty_units(pres: UltragraphPresentation, units: EpsilonUnits) -> tuple[dict[str, str], dict[str, str]]:
-    """The printed units and nodes.  Degree 0 maps to its element, every
-    n >= 1 to N(n, V), each −m with m < L to D(m, V), and all −m with
-    m >= L together, under "<= −L", to D(L, V); a root that is not listed
-    prints as 0.  Each type A is printed once, under its name V or r(e),
-    for the first edge e in id order with range A, as N(k, A) =
-    Σ s(e) N(k-1, r(e)) st(e) over its out-edges, or 0 when it has none,
-    next to the base N(0, A) = p{A}.  Each node D(m, A) is printed once,
-    as p{A ∩ R(m)} + Σ s(e) D(m', r(e)) st(e), an empty set left out."""
+def _type_labels(pres: UltragraphPresentation) -> dict[VertexSet, str]:
+    """Each range type's name: V, or r(e) for the first edge e in id order
+    with range A."""
+    labels = {}
+    for e in edge_successors(pres):
+        labels.setdefault(pres.edge_range(e), f"r({e.label()})")
+    labels[pres.g0_universe()] = "V"
+    return labels
+
+
+def _unit_name(pres: UltragraphPresentation, key: tuple) -> str:
+    """D(m, A) for the node (m, A), A named by its type label, or by
+    itself when it is no range type."""
+    return f"D({key[0]}, {pres.derived('type_labels', _type_labels).get(key[1], key[1])})"
+
+
+def pretty_units(pres: UltragraphPresentation, nodes: dict) -> tuple[dict[str, str], dict[str, str]]:
+    """The printed units and nodes.  Degree 0 maps to p{V}, every n >= 1
+    to N(n, V), each −m with m < L to D(m, V), and all −m with m >= L
+    together, under "<= −L", to D(L, V); a root that is not listed prints
+    as 0.  Each type A of _type_out_edges is printed once, under its name
+    V or r(e), as N(k, A) = Σ s(e) N(k-1, r(e)) st(e) over its out-edges,
+    or 0 when it has none, next to the base N(0, A) = p{A}.  Each node
+    D(m, A) of the table is printed once, as
+    p{A ∩ R(m)} + Σ s(e) D(m', r(e)) st(e), an empty set left out."""
     from .model import _print_vset
 
-    def build(p: UltragraphPresentation) -> dict[VertexSet, str]:
-        labels = {}
-        for e in edge_successors(p):
-            labels.setdefault(p.edge_range(e), f"r({e.label()})")
-        labels[p.g0_universe()] = "V"
-        return labels
-
-    labels = pres.derived("type_labels", build)
-
-    def name(key: tuple) -> str:
-        return f"D({key[0]}, {labels[key[1]]})"
-
+    labels = pres.derived("type_labels", _type_labels)
     settle = incoming_length_profile(pres).settle
     universe = pres.g0_universe()
     printed = {}
     for m in range(1, settle + 1):
         root = (m, universe)
-        printed[str(-m) if m < settle else f"<= -{m}"] = name(root) if root in units.negative else "0"
-    printed["0"] = pretty(units.zero)
+        printed[str(-m) if m < settle else f"<= -{m}"] = _unit_name(pres, root) if root in nodes else "0"
+    printed["0"] = "p{" + _print_vset(pres, universe) + "}"
     printed[">= 1"] = "N(n, V)"
-    nodes = {"N(0, A)": "p{A}"}
-    for a, edges in units.positive.items():
-        nodes[f"N(k, {labels[a]})"] = " + ".join(
+    lines = {"N(0, A)": "p{A}"}
+    for a, edges in _type_out_edges(pres).items():
+        lines[f"N(k, {labels[a]})"] = " + ".join(
             f"s({e.label()}) N(k-1, {labels[pres.edge_range(e)]}) st({e.label()})" for e in edges
         ) or "0"
-    for key, (head, kids) in units.negative.items():
+    for key, (head, kids) in nodes.items():
         bits = [] if head.is_empty() else ["p{" + _print_vset(pres, head) + "}"]
-        bits += [f"s({e.label()}) {name(child)} st({e.label()})" for e, child in kids]
-        nodes[name(key)] = " + ".join(bits)
-    return printed, nodes
+        bits += [f"s({e.label()}) {_unit_name(pres, child)} st({e.label()})" for e, child in kids]
+        lines[_unit_name(pres, key)] = " + ".join(bits)
+    return printed, lines

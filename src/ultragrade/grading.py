@@ -5,16 +5,16 @@ The decision rules:
   * strongly Z-graded  ⇔  no sinks, row-finite, and every infinite path
     admits replacement prefixes (the infinite-path condition decided by
     the condition_y module).  On a finite ultragraph a Yes carries the
-    strong-Z node tables, one per degree, with one node per state (k, u)
-    in degree −1, checked one identity per node by
-    algebra.verify_factorization (proof there) and printed once per node;
+    strong-Z tables: the out-edge map in degree 1, and in degree −1 one
+    node, a τ or children, per state (k, u), checked one identity per
+    node by algebra.verify_factorization (proof there) and printed once;
   * epsilon-strongly Z-graded  ⇔  finitely many edges and a unital
     algebra.  Both are necessary.  When every edge source lies in some
     range, that suffices and Yes is given without a certificate; otherwise
-    one algebra.EpsilonUnits covers every degree, cycles included: a node
-    per range type for n > 0 and nodes D(m, A), m up to the settle length,
-    for n < 0, re-checked by algebra.verify_epsilon, whose docstring holds
-    the proofs.  Only TERM_COUNT_CAP can leave it Undetermined, and a
+    one node table D(m, A), m up to the settle length, with the range
+    types' out-edges for n > 0, covers every degree, cycles included,
+    re-checked by algebra.verify_epsilon, whose docstring holds the
+    proofs.  Only TERM_COUNT_CAP can leave it Undetermined, and a
     certificate that fails its check raises CertificateError;
   * strongly F-graded  ⇔  exactly one edge e with r(e) = {s(e)};
   * epsilon-strongly F-graded  ⇔  unital;
@@ -32,7 +32,7 @@ from .condition_y import (
     check_condition_y_bounded,
     incoming_length_profile,
 )
-from .errors import CertificateError, NoEdges, TermCountCap
+from .errors import NoEdges, TermCountCap
 from .lattice import is_unital, unit_witness
 from .model import UltragraphPresentation, VertexSet, _print_vref
 from .structure import structural_report
@@ -117,12 +117,11 @@ def _strong_z_from(pres: UltragraphPresentation, cy: ConditionYVerdict) -> Gradi
 
 
 def _strong_z_certificate(pres: UltragraphPresentation) -> dict:
-    """The node tables of degrees 1 and −1, each checked with one call and
+    """The tables of degrees 1 and −1, each checked with one call and
     printed once per node: every vertex with its degree 1 sum
     Σ s(e) st(e) and its degree −1 root P(0, v), and every node P(k, u),
     either its closing pair p{u} st(τ) s(τ) p{u} or its split
-    Σ s(e) P(k+1, u′) st(e).  The check accepts only pairs of exactly
-    these shapes, so each prints from its edge or its τ."""
+    Σ s(e) P(k+1, u′) st(e), as the check re-multiplied them."""
     labels = {v: _print_vref(pres, v) for v in pres.all_vertices()}
 
     def node(k: int, u) -> str:
@@ -133,17 +132,14 @@ def _strong_z_certificate(pres: UltragraphPresentation) -> dict:
         tables[n] = algebra.strong_factorization(pres, n)
         algebra.verify_factorization(pres, tables[n], n)
     vertices = {
-        labels[v]: {"1": " + ".join(f"s({e.label()}) st({e.label()})" for e, _ in edges), "-1": node(0, v)}
+        labels[v]: {"1": " + ".join(f"s({e.label()}) st({e.label()})" for e in edges), "-1": node(0, v)}
         for v, edges in tables[1].items()
     }
     nodes = {}
-    for (k, u), (pair, split) in tables[-1].items():
-        if pair is None:
-            nodes[node(k, u)] = " + ".join(
-                f"s({e.label()}) {node(k + 1, w)} st({e.label()})" for e, kids in split for w in kids
-            )
+    for (k, u), (tau, children) in tables[-1].items():
+        if tau is None:
+            nodes[node(k, u)] = " + ".join(f"s({e.label()}) {node(*child)} st({e.label()})" for e, child in children)
         else:
-            ((_, tau),) = pair[0].terms
             path = " ".join(e.label() for e in tau)
             nodes[node(k, u)] = f"p{{{labels[u]}}} st({path}) s({path}) p{{{labels[u]}}}"
     return {"kind": "strong_z_nodes", "vertices": vertices, "nodes": nodes}
@@ -170,13 +166,12 @@ def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
         "some edge source lies in no range; the sufficient criterion fails"
     )
     try:
-        units = algebra.epsilon_candidate(pres)
-        if not algebra.verify_epsilon(pres, units):
-            raise CertificateError("the epsilon-unit certificate does not verify")
+        nodes = algebra.epsilon_candidate(pres)
+        algebra.verify_epsilon(pres, nodes)
     except TermCountCap as exc:
         reasons.append(f"unit certificate hit TERM_COUNT_CAP: {exc}")
         return GradingVerdict("EpsStrongZ", "Undetermined", reasons)
-    printed, nodes = algebra.pretty_units(pres, units)
+    printed, lines = algebra.pretty_units(pres, nodes)
     longest = profile.longest
     reasons.append(
         "edge set with cycles: verified unit certificates for all degrees"
@@ -188,7 +183,7 @@ def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
         "EpsStrongZ",
         "Yes",
         reasons,
-        {"kind": "epsilon_unit_nodes", "units": printed, "nodes": nodes},
+        {"kind": "epsilon_unit_nodes", "units": printed, "nodes": lines},
     )
 
 

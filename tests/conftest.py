@@ -132,18 +132,18 @@ def star(x):
     return AlgebraElement._from_raw(x.pres, raw)
 
 
-def expand_unit(pres: UltragraphPresentation, units, n: int) -> "AlgebraElement":
-    """The unit ε_n that an EpsilonUnits certificate stands for, expanded
-    node by node, each middle cut to the last range of its path as
-    monomial cuts it: units.zero at n = 0; for n > 0, N(n, V), following
-    the type table, with N(0, A) = p_A; for n = −m < 0, D(min(m, L), V), L
-    the settle length, as p of its set plus s_e D s_e* over its children,
-    or 0 when that root is not listed."""
+def expand_unit(pres: UltragraphPresentation, nodes, n: int) -> "AlgebraElement":
+    """The unit ε_n that the negative node table of epsilon_candidate
+    stands for, expanded node by node, each middle cut to the last range
+    of its path as monomial cuts it: p_V at n = 0; for n > 0, N(n, V),
+    with N(0, A) = p_A and the out-edges of A found by testing every edge;
+    for n = −m < 0, D(min(m, L), V), L the settle length, as p of its set
+    plus s_e D s_e* over its children, or 0 when that root is not listed."""
     from ultragrade.algebra import AlgebraElement
     from ultragrade.condition_y import incoming_length_profile
 
     if n == 0:
-        return units.zero
+        return AlgebraElement.projection(pres, pres.g0_universe())
     raw: dict = {}
 
     def add(path, vs):
@@ -155,11 +155,12 @@ def expand_unit(pres: UltragraphPresentation, units, n: int) -> "AlgebraElement"
         if k == 0:
             add(path, a)
             return
-        for e in units.positive[a]:
-            positive(k - 1, pres.edge_range(e), path + (e,))
+        for e in pres.all_edge_insts():
+            if a.member(pres.edge_source(e)):
+                positive(k - 1, pres.edge_range(e), path + (e,))
 
     def negative(key, path):
-        head, kids = units.negative[key]
+        head, kids = nodes[key]
         add(path, head)
         for e, child in kids:
             negative(child, path + (e,))
@@ -168,7 +169,7 @@ def expand_unit(pres: UltragraphPresentation, units, n: int) -> "AlgebraElement"
         positive(n, pres.g0_universe(), ())
     else:
         root = (min(-n, incoming_length_profile(pres).settle), pres.g0_universe())
-        if root in units.negative:
+        if root in nodes:
             negative(root, ())
     return AlgebraElement._from_raw(pres, raw)
 

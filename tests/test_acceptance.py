@@ -83,10 +83,10 @@ def test_criterion_04_free_group_grading_instances():
     verdict = classify_eps_strong_z(one)
     assert verdict.status == "Yes"
     se = AlgebraElement.s(one, (EdgeInst("e"),))
-    units = epsilon_candidate(one)
-    assert expand_unit(one, units, 1) == multiply(se, star(se))
-    assert expand_unit(one, units, -1) == AlgebraElement.projection(one, one.edges["e"].range)
-    assert verify_epsilon(one, units)
+    nodes = epsilon_candidate(one)
+    assert expand_unit(one, nodes, 1) == multiply(se, star(se))
+    assert expand_unit(one, nodes, -1) == AlgebraElement.projection(one, one.edges["e"].range)
+    verify_epsilon(one, nodes)  # raises CertificateError on failure
     for name in ("ef.ug", "two_cycle.ug"):
         assert classify_strong_f(load(name)).status == "No"
     print("[criterion 4] PASS — strong-F and epsilon-unit instances")

@@ -25,7 +25,6 @@ from ultragrade import algebra
 from ultragrade.algebra import (
     TERM_COUNT_CAP,
     AlgebraElement,
-    StrongNode,
     _atomize,
     _vset_sort_key,
     all_paths,
@@ -34,6 +33,7 @@ from ultragrade.algebra import (
     monomial_degrees,
     multiply,
     pretty,
+    pretty_units,
     strong_factorization,
     verify_epsilon,
     verify_factorization,
@@ -269,41 +269,48 @@ def test_f_degree_values():
 
 def test_one_edge_epsilon_certificates():
     pres = load("one_edge.ug")
-    units = epsilon_candidate(pres)
+    nodes = epsilon_candidate(pres)
     se = AlgebraElement.s(pres, E("e"))
     universe = pres.g0_universe()
-    assert expand_unit(pres, units, 1) == multiply(se, star(se))
-    assert expand_unit(pres, units, -1) == AlgebraElement.projection(pres, pres.edges["e"].range)
-    assert units.zero == AlgebraElement.projection(pres, universe)
-    # one node per range type stands for every positive degree, and the
-    # degree ±2 components are zero, so the zero units are theirs
-    assert units.positive == {universe: E("e"), pres.edges["e"].range: ()}
-    assert units.negative == {(1, universe): (pres.edges["e"].range, ())}
-    assert expand_unit(pres, units, 2).is_zero() and expand_unit(pres, units, -2).is_zero()
-    assert verify_epsilon(pres, units)
+    assert expand_unit(pres, nodes, 1) == multiply(se, star(se))
+    assert expand_unit(pres, nodes, -1) == AlgebraElement.projection(pres, pres.edges["e"].range)
+    # one type per range stands for every positive degree, read off the
+    # presentation, and the degree ±2 components are zero, so the zero
+    # units are theirs; the table holds the one negative node
+    assert algebra._type_out_edges(pres) == {universe: E("e"), pres.edges["e"].range: ()}
+    assert nodes == {(1, universe): (pres.edges["e"].range, ())}
+    assert expand_unit(pres, nodes, 2).is_zero() and expand_unit(pres, nodes, -2).is_zero()
+    verify_epsilon(pres, nodes)
 
 
 def test_wrong_epsilon_candidate_rejected():
     pres = load("one_edge.ug")
-    units = epsilon_candidate(pres)
+    nodes = epsilon_candidate(pres)
     universe = pres.g0_universe()
     wrong = VertexSet.of(VertexRef("v", 0))
-    # a type without its out-edge, a zero root listed, a wrong set, and a
-    # wrong ε_0
-    assert not verify_epsilon(pres, units._replace(positive={universe: (), pres.edges["e"].range: ()}))
-    assert not verify_epsilon(pres, units._replace(negative={**units.negative, (2, universe): (wrong, ())}))
-    assert not verify_epsilon(pres, units._replace(negative={(1, universe): (wrong, ())}))
-    assert not verify_epsilon(pres, units._replace(zero=AlgebraElement.projection(pres, wrong)))
-    assert verify_epsilon(pres, units)
+    # a zero root listed, a wrong set, and a root left out, each named
+    with pytest.raises(CertificateError, match=r"node D\(2, V\) does not follow its rule"):
+        verify_epsilon(pres, {**nodes, (2, universe): (wrong, ())})
+    with pytest.raises(CertificateError, match=r"node D\(1, V\) does not follow its rule"):
+        verify_epsilon(pres, {(1, universe): (wrong, ())})
+    with pytest.raises(CertificateError, match=r"the root D\(1, V\) is not listed"):
+        verify_epsilon(pres, {})
+    verify_epsilon(pres, nodes)
 
 
 def test_epsilon_zero_needs_unit_everywhere():
+    """ε_0 is not in the table: it is p_V over every vertex, printed from
+    the presentation, and a projection that misses a vertex is no unit
+    on the generators, so it could not stand in for it."""
     pres = load("two_cycle.ug")
-    units = epsilon_candidate(pres)
-    assert units.zero == AlgebraElement.projection(pres, pres.g0_universe())
-    assert verify_epsilon(pres, units)
-    missing = VertexSet.of(*pres.all_vertices()[:1])
-    assert not verify_epsilon(pres, units._replace(zero=AlgebraElement.projection(pres, missing)))
+    nodes = epsilon_candidate(pres)
+    verify_epsilon(pres, nodes)
+    universe = pres.g0_universe()
+    assert pretty_units(pres, nodes)[0]["0"] == pretty(AlgebraElement.projection(pres, universe))
+    assert expand_unit(pres, nodes, 0) == AlgebraElement.projection(pres, universe)
+    missing = AlgebraElement.projection(pres, VertexSet.of(*pres.all_vertices()[:1]))
+    gens = [AlgebraElement.s(pres, (e,)) for e in pres.all_edge_insts()]
+    assert any(multiply(missing, g) != g or multiply(star(g), missing) != star(g) for g in gens)
 
 
 # -- strong factorizations -------------------------------------------------
@@ -328,14 +335,17 @@ def test_source_vertex_factorization_shape():
     u, v = VertexRef("u", 0), VertexRef("v", 0)
     table = strong_factorization(pres, -1)
     assert set(table) == {(0, u), (1, v), (0, v)}
-    assert table[0, u] == StrongNode(None, ((EdgeInst("e"), (v,)),))
-    assert table[1, v].split == table[0, v].split == ()
-    a, b = table[1, v].pair
+    e, f = EdgeInst("e"), EdgeInst("f")
+    assert table[0, u] == (None, ((e, (1, v)),))
+    assert table[1, v] == ((e, f), ()) and table[0, v] == ((e,), ())
+    # the pair of the closing node (1, v), built from its τ as the check
+    # builds it
+    a = AlgebraElement.monomial(pres, (), VertexSet.of(v), (e, f))
+    b = AlgebraElement.monomial(pres, (e, f), VertexSet.of(v), ())
     assert z_degree(a) == -2 and z_degree(b) == 2
     assert (pretty(a), pretty(b)) == ("p{v} st(e f)", "s(e f) p{v}")
     assert pretty(AlgebraElement.s(pres, E("e")) * a) == "s(e) p{v} st(e f)"
     assert pretty(b * AlgebraElement.s_star(pres, E("e"))) == "s(e f) p{v} st(e)"
-    assert [pretty(z) for z in table[0, v].pair] == ["p{v} st(e)", "s(e) p{v}"]
 
 
 def test_pretty_labels_each_vertex_set_once(monkeypatch):
@@ -351,7 +361,13 @@ def test_pretty_labels_each_vertex_set_once(monkeypatch):
     )
     expected = classify_strong_z(parse_presentation(text)).certificate
     fresh = parse_presentation(text)
-    fresh_printed = [pretty(z) for edges in strong_factorization(fresh, 1).values() for _, pair in edges for z in pair]
+
+    def pair_factors(p):
+        """s_e and s_e* for each edge of the degree 1 table, in order."""
+        edges = [e for listed in strong_factorization(p, 1).values() for e in listed]
+        return [z for e in edges for z in (AlgebraElement.s(p, (e,)), AlgebraElement.s_star(p, (e,)))]
+
+    fresh_printed = [pretty(z) for z in pair_factors(fresh)]
     labelled, named = [], []
     real_vset, real_vref = model._print_vset, grading._print_vref
     monkeypatch.setattr(model, "_print_vset", lambda pres, vs: labelled.append(vs) or real_vset(pres, vs))
@@ -360,7 +376,7 @@ def test_pretty_labels_each_vertex_set_once(monkeypatch):
     assert classify_strong_z(pres).certificate == expected
     assert not labelled
     assert sorted(named) == sorted(pres.all_vertices()) and len(named) == 61
-    factors = [z for edges in strong_factorization(pres, 1).values() for _, pair in edges for z in pair]
+    factors = pair_factors(pres)
     assert [pretty(z) for z in factors] == fresh_printed
     assert "s(feed) p{c[0]}" in fresh_printed and "p{c[1]} st(e0)" in fresh_printed
     assert len(factors) == 122 and len(labelled) == len(set(labelled)) == 60

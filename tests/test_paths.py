@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -33,7 +34,6 @@ from conftest import (
 from ultragrade import algebra
 from ultragrade.algebra import (
     AlgebraElement,
-    StrongNode,
     all_paths,
     epsilon_candidate,
     multiply,
@@ -259,7 +259,8 @@ def direct_identities_oracle(pres, units, bound, lengths=None):
     gens = [AlgebraElement.projection(pres, pres.g0_universe())]
     gens += [AlgebraElement.s(pres, (e,)) for e in pres.all_edge_insts()]
     gens += [star(g) for g in gens[1:]]
-    if any(multiply(units.zero, g) != g or multiply(g, units.zero) != g for g in gens):
+    zero = expand_unit(pres, units, 0)
+    if any(multiply(zero, g) != g or multiply(g, zero) != g for g in gens):
         return 0
     for n in range(1, (bound if lengths is None else lengths) + 1):
         if not verify_listing_oracle(pres, n, expand_unit(pres, units, n)):
@@ -659,7 +660,7 @@ def expected_unit_products(pres, units):
     level = sum((multiply(_edge_sum(pres, [e]), star(_edge_sum(pres, [e]))) for e in edges), AlgebraElement.zero(pres))
     s = _edge_sum(pres, edges)
     want = Counter({(level, s): 1, (star(s), level): 1})
-    distinct = {(a, head, tuple(e for e, _ in kids)) for (_, a), (head, kids) in units.negative.items()}
+    distinct = {(a, head, tuple(e for e, _ in kids)) for (_, a), (head, kids) in units.items()}
     for a, head, children in distinct:
         p = AlgebraElement.projection(pres, head)
         out = [e for e in edges if a.member(pres.edge_source(e))]
@@ -683,15 +684,16 @@ def test_unit_levels_are_multiplied_once_per_distinct_level(monkeypatch):
     for pres in inputs:
         units = epsilon_candidate(pres)
         calls.clear()
-        assert verify_epsilon(pres, units), pres.name
+        verify_epsilon(pres, units)
         want = expected_unit_products(pres, units)
         assert Counter(calls) == want, pres.name
-        shared += len(units.negative) - (len(calls) - 2) // 2
+        shared += len(units) - (len(calls) - 2) // 2
         cyclic += _longest(pres) is None
     assert shared >= 2000 and cyclic >= 10, (shared, cyclic)
     monkeypatch.setattr(algebra, "multiply", lambda x, y: AlgebraElement.zero(x.pres))
     pres = layered_dag(3, 3)
-    assert not verify_epsilon(pres, epsilon_candidate(pres))
+    with pytest.raises(CertificateError, match=r"L\(V\) is not a unit on the edges, so neither is N\(n, V\)"):
+        verify_epsilon(pres, epsilon_candidate(pres))
 
 
 def test_a_unit_wrong_on_one_shared_range_is_rejected():
@@ -712,12 +714,12 @@ def test_a_unit_wrong_on_one_shared_range_is_rejected():
     units = epsilon_candidate(pres)
     universe = pres.g0_universe()
     v7, v10 = VertexRef("v", 7), VertexRef("v", 10)
-    assert units.negative[(2, universe)] == (VertexSet.of(v7, v10), ())
-    assert verify_epsilon(pres, units) and direct_identities_oracle(pres, units, 4) is None
-    negative = dict(units.negative)
-    negative[(2, universe)] = (VertexSet.of(v10), ())
-    wrong = units._replace(negative=negative)
-    assert not verify_epsilon(pres, wrong)
+    assert units[(2, universe)] == (VertexSet.of(v7, v10), ())
+    verify_epsilon(pres, units)
+    assert direct_identities_oracle(pres, units, 4) is None
+    wrong = {**units, (2, universe): (VertexSet.of(v10), ())}
+    with pytest.raises(CertificateError, match=r"node D\(2, V\) does not follow its rule"):
+        verify_epsilon(pres, wrong)
     assert direct_identities_oracle(pres, wrong, 4) == -2
 
 
@@ -744,7 +746,7 @@ def _raw_unit_factors(pres, units):
     factors = [(level, y), (y_star, level)]
     levels = algebra._unit_levels(pres)
     seen = set()
-    for (m, a), (head, kids) in units.negative.items():
+    for (m, a), (head, kids) in units.items():
         children = tuple(e for e, _ in kids)
         if (a, head, children) in seen:
             continue
@@ -773,7 +775,7 @@ def test_unit_sums_match_the_raw_construction(monkeypatch):
     for pres in inputs:
         units = epsilon_candidate(pres)
         calls.clear()
-        assert verify_epsilon(pres, units), pres.name
+        verify_epsilon(pres, units)
         want = _raw_unit_factors(pres, units)
         assert len(calls) == len(want), pres.name
         for got, raw in zip(calls, want):
@@ -797,14 +799,14 @@ def test_long_chains_have_checked_unit_certificates():
         eps = analyze(pres)["gradings"]["eps_strong_z"]
         assert eps["status"] == "Yes" and eps["certificate"]["kind"] == "epsilon_unit_nodes", name
         units = epsilon_candidate(pres)
-        assert verify_epsilon(pres, units), name
+        verify_epsilon(pres, units)
         if longest is not None:
-            assert sorted(units.negative) == [(m, pres.g0_universe()) for m in range(1, longest + 1)]
+            assert sorted(units) == [(m, pres.g0_universe()) for m in range(1, longest + 1)]
             for m in (1, longest // 2, longest, longest + 1):
                 assert expand_unit(pres, units, -m) == AlgebraElement.projection(pres, profile.reached(m))
             assert eps["certificate"]["units"][f"<= -{longest + 1}"] == "0"
         else:
-            assert any(kids for _, kids in units.negative.values())
+            assert any(kids for _, kids in units.values())
             assert expand_unit(pres, units, -70) == negative_unit_listing_oracle(pres, 70)
 
 
@@ -827,7 +829,7 @@ def largest_check_element(pres, units):
     and the sum of all edges, and per node Λ, with one term for p_P and
     one per child, and y, with one term for p_P and one per kept edge."""
     sizes = [1, len(pres.edges)]
-    for (m, a), (head, kids) in units.negative.items():
+    for (m, a), (head, kids) in units.items():
         out = [e for e in pres.all_edge_insts() if a.member(pres.edge_source(e))]
         kept = [e for e in out if head.member(pres.edge_source(e)) or any(e == k for k, _ in kids)]
         p = 0 if head.is_empty() else 1
@@ -880,7 +882,7 @@ def test_unit_nodes_expand_to_the_path_listing():
     checked = zero = cyclic = 0
     for pres, degrees in _unit_inputs():
         units = epsilon_candidate(pres)
-        assert verify_epsilon(pres, units), pres.name
+        verify_epsilon(pres, units)
         cyclic += _longest(pres) is None
         for n in degrees:
             listed = unit_listing_oracle(pres, n)
@@ -936,10 +938,10 @@ def test_one_check_matches_the_per_degree_oracle():
         acyclic += profile.longest is not None
         bound = profile.settle + 2
         units = epsilon_candidate(pres)
-        assert verify_epsilon(pres, units), pres.name
+        verify_epsilon(pres, units)
         assert direct_identities_oracle(pres, units, bound) is None, pres.name
-        for kind, bad in _shrunk(units, rng).items():
-            assert not verify_epsilon(pres, bad), (pres.name, kind)
+        for kind, (key, bad) in _shrunk(units, rng).items():
+            _assert_rejected(pres, bad, key)
             assert direct_identities_oracle(pres, bad, bound) is not None, (pres.name, kind)
             rejected[kind] += 1
     assert cyclic >= 100 and acyclic >= 100 and min(rejected.values(), default=0) >= 100, (cyclic, acyclic, rejected)
@@ -1001,112 +1003,100 @@ def test_unit_identities_hold_in_the_skew_product_model():
         for n in range(1, bound + 1):
             betas = ((s_of[beta], st_of[beta]) for beta in all_paths_oracle(pres, n))
             assert holds(expand_unit(pres, units, n), betas), (pres.name, n)
-        bad = _shrunk(units, rng).get("dropped child")
+        _, bad = _shrunk(units, rng).get("dropped child", (None, None))
         if bad is not None:
             assert not all(holds(expand_unit(pres, bad, -m), pairs(m)) for m in range(1, bound + 1)), pres.name
             dropped += 1
     assert cyclic >= 20 and checked >= 150 and dropped >= 10, (cyclic, checked, dropped)
 
 
+def _assert_rejected(pres, bad, key):
+    """verify_epsilon raises on the table bad, naming the root, node or
+    child at key."""
+    name = re.escape(algebra._unit_name(pres, key))
+    with pytest.raises(CertificateError, match=rf"(root|node|child) {name} "):
+        verify_epsilon(pres, bad)
+
+
 def _shrunk(units, rng: random.Random):
-    """Certificates whose units lose a term: a node with one child dropped,
-    and a node whose set misses one vertex, each a fresh copy of units."""
+    """Tables whose units lose a term, as kind -> (the key of the node the
+    check must name, the table): a node with one child dropped, and a node
+    whose set misses one vertex, each a fresh copy of units."""
     out = {}
-    with_kids = [key for key, (_, kids) in units.negative.items() if kids]
+    with_kids = [key for key, (_, kids) in units.items() if kids]
     if with_kids:
         key = rng.choice(with_kids)
-        head, kids = units.negative[key]
+        head, kids = units[key]
         i = rng.randrange(len(kids))
-        dropped = dict(units.negative)
-        dropped[key] = (head, kids[:i] + kids[i + 1 :])
-        out["dropped child"] = units._replace(negative=dropped)
-    with_set = [key for key, (head, _) in units.negative.items() if not head.is_empty()]
+        out["dropped child"] = key, {**units, key: (head, kids[:i] + kids[i + 1 :])}
+    with_set = [key for key, (head, _) in units.items() if not head.is_empty()]
     if with_set:
         key = rng.choice(with_set)
-        head, kids = units.negative[key]
+        head, kids = units[key]
         have = list(itertools.islice(head.iter_vertices(), 50))
-        missing = dict(units.negative)
-        missing[key] = (head.difference(VertexSet.of(rng.choice(have))), kids)
-        out["missing vertex"] = units._replace(negative=missing)
+        out["missing vertex"] = key, {**units, key: (head.difference(VertexSet.of(rng.choice(have))), kids)}
     return out
 
 
 def _sabotaged(pres, units, rng: random.Random):
-    """One certificate per kind of sabotage, each a fresh copy of units:
-    the shrunk ones; a node's set with one vertex of A outside R(m)
-    added; a type missing one out-edge; a child pointer retargeted to
-    another listed node of the same type; a child whose node is not
-    listed; a root left out; and ε_0 ≠ p_V."""
+    """One table per kind of sabotage, as kind -> (the key the check must
+    name, the table), each a fresh copy of units: the shrunk ones; a
+    node's set with one vertex of A outside R(m) added; a child pointer
+    retargeted to another listed node of the same type; a child whose node
+    is not listed; and a root left out."""
     out = _shrunk(units, rng)
     profile = incoming_length_profile(pres)
     grow = [
         (key, extra)
-        for key in units.negative
+        for key in units
         for extra in [key[1].difference(profile.reached(key[0]))]
         if not extra.is_empty()
     ]
     if grow:
-        (m, a), extra = rng.choice(grow)
-        head, kids = units.negative[(m, a)]
+        key, extra = rng.choice(grow)
+        head, kids = units[key]
         v = rng.choice(list(itertools.islice(extra.iter_vertices(), 50)))
-        larger = dict(units.negative)
-        larger[(m, a)] = (head.union(VertexSet.of(v)), kids)
-        out["extra vertex"] = units._replace(negative=larger)
-    types = [a for a, edges in units.positive.items() if edges]
-    a = rng.choice(types)
-    edges = units.positive[a]
-    i = rng.randrange(len(edges))
-    positive = dict(units.positive)
-    positive[a] = edges[:i] + edges[i + 1 :]
-    out["missing out-edge"] = units._replace(positive=positive)
-    pointers = [(key, i) for key, (_, kids) in units.negative.items() for i in range(len(kids))]
+        out["extra vertex"] = key, {**units, key: (head.union(VertexSet.of(v)), kids)}
+    pointers = [(key, i) for key, (_, kids) in units.items() for i in range(len(kids))]
     if pointers:
         key, i = rng.choice(pointers)
-        unlisted = dict(units.negative)
-        del unlisted[units.negative[key][1][i][1]]
-        out["unlisted child"] = units._replace(negative=unlisted)
+        child = units[key][1][i][1]
+        out["unlisted child"] = child, {other: node for other, node in units.items() if other != child}
     moves = [
         (key, i, other)
-        for key, (_, kids) in units.negative.items()
+        for key, (_, kids) in units.items()
         for i, (_, child) in enumerate(kids)
-        for other in units.negative
+        for other in units
         if other[1] == child[1] and other != child
     ]
     if moves:
         key, i, other = rng.choice(moves)
-        head, kids = units.negative[key]
-        moved = dict(units.negative)
-        moved[key] = (head, kids[:i] + ((kids[i][0], other),) + kids[i + 1 :])
-        out["retargeted child"] = units._replace(negative=moved)
-    roots = [key for key in units.negative if key[1] == pres.g0_universe()]
+        head, kids = units[key]
+        out["retargeted child"] = key, {**units, key: (head, kids[:i] + ((kids[i][0], other),) + kids[i + 1 :])}
+    roots = [key for key in units if key[1] == pres.g0_universe()]
     if roots:
-        rootless = dict(units.negative)
-        del rootless[rng.choice(roots)]
-        out["root left out"] = units._replace(negative=rootless)
-    e = rng.choice(pres.all_edge_insts())
-    out["epsilon_0"] = units._replace(zero=units.zero + AlgebraElement.s(pres, (e,)))
+        root = rng.choice(roots)
+        out["root left out"] = root, {key: node for key, node in units.items() if key != root}
     return out
 
 
 def test_sabotaged_unit_nodes_are_rejected():
-    """Every kind of sabotage of the certificate is rejected by the check,
-    each at least 100 times, on acyclic and cyclic input, chains into a
-    loop included, whose nodes of one type recur at many lengths; the
-    library's own certificate passes."""
+    """Every kind of sabotage of the certificate raises CertificateError
+    naming the node, root or child at fault, each kind at least 100
+    times, on acyclic and cyclic input, chains into a loop included, whose
+    nodes of one type recur at many lengths; the library's own
+    certificate passes."""
     rng = random.Random(2032)
-    kinds = (
-        "dropped child", "missing vertex", "extra vertex", "missing out-edge",
-        "retargeted child", "unlisted child", "root left out", "epsilon_0",
-    )
+    kinds = ("dropped child", "missing vertex", "extra vertex", "retargeted child", "unlisted child", "root left out")
     seen = dict.fromkeys(kinds, 0)
     inputs = [pres for pres, _ in _unit_inputs()] + _direct_inputs()
     inputs += [source_chain(n) for n in range(2, 40)]
     for pres in inputs:
         units = epsilon_candidate(pres)
-        for kind, bad in _sabotaged(pres, units, rng).items():
-            assert not verify_epsilon(pres, bad), (pres.name, kind)
+        for kind, (key, bad) in _sabotaged(pres, units, rng).items():
+            _assert_rejected(pres, bad, key)
             seen[kind] += 1
-        assert verify_epsilon(pres, units)
+        verify_epsilon(pres, units)
     assert min(seen.values()) >= 100, seen
 
 
@@ -1114,31 +1104,27 @@ def _f_degree(key):
     return FreeWord.from_path(key[0]) * FreeWord.from_path(key[1], sign=-1)
 
 
+def _level_keys(units):
+    """The first node of each distinct one-level element (A, P, children),
+    in the order the check multiplies them."""
+    firsts = {}
+    for (m, a), (head, kids) in units.items():
+        firsts.setdefault((a, head, tuple(e for e, _ in kids)), (m, a))
+    return list(firsts.values())
+
+
 def test_sabotaged_units_are_rejected(monkeypatch):
-    """Each sabotage of the units or of the product is rejected: ε_0
-    other than p_V, whether p_V + s_e or p of V less one vertex; and a
-    multiply that drops one free-group component of one product that has
-    several.  The direct identities reject the first two too."""
+    """A multiply that drops one free-group component of one product of
+    the check that has several is rejected, the error naming N(n, V) for
+    the products of L(V) and otherwise the first node of the one-level
+    element whose product it was, at least 100 times."""
     rng = random.Random(2036)
-    seen = dict.fromkeys(("p_V + s_e", "p_V less a vertex", "dropped component"), 0)
+    seen = dict.fromkeys(("dropped component",), 0)
     real = algebra.multiply
     more = (random_dag(rng) for _ in range(300))
     inputs = itertools.chain(_unit_inputs(), ((p, range(1, _longest(p) + 2)) for p in more))
     for pres, degrees in inputs:
         units = epsilon_candidate(pres)
-        e = rng.choice(pres.all_edge_insts())
-        universe = pres.g0_universe()
-        v = rng.choice(list(itertools.islice(universe.iter_vertices(), 50)))
-        bad = {
-            "p_V + s_e": units._replace(zero=units.zero + AlgebraElement.s(pres, (e,))),
-            "p_V less a vertex": units._replace(
-                zero=AlgebraElement.projection(pres, universe.difference(VertexSet.of(v)))
-            ),
-        }
-        for kind, wrong in bad.items():
-            assert not verify_epsilon(pres, wrong), (pres.name, kind)
-            assert direct_identities_oracle(pres, wrong, 1) == 0, (pres.name, kind)
-            seen[kind] += 1
         # the products with several free-group components, counted on a
         # clean run, and then one of them loses one component
         several = []
@@ -1149,7 +1135,7 @@ def test_sabotaged_units_are_rejected(monkeypatch):
             return z
 
         monkeypatch.setattr(algebra, "multiply", counting)
-        assert verify_epsilon(pres, units)
+        verify_epsilon(pres, units)
         eligible = [i for i, many in enumerate(several) if many]
         if not eligible:
             monkeypatch.setattr(algebra, "multiply", real)
@@ -1165,7 +1151,12 @@ def test_sabotaged_units_are_rejected(monkeypatch):
             return z
 
         monkeypatch.setattr(algebra, "multiply", dropping)
-        assert not verify_epsilon(pres, units), pres.name
+        if target < 2:
+            named = r"N\(n, V\)"
+        else:
+            named = re.escape(f"node {algebra._unit_name(pres, _level_keys(units)[(target - 2) // 2])} ")
+        with pytest.raises(CertificateError, match=named):
+            verify_epsilon(pres, units)
         monkeypatch.setattr(algebra, "multiply", real)
         seen["dropped component"] += 1
     assert min(seen.values()) >= 100, seen
@@ -1180,18 +1171,19 @@ def test_a_negative_unit_of_mixed_degree_is_rejected():
     lies in no range.  But (c_1 + x) s_e1 ≠ s_e1.  A node holds only a
     vertex set and child edges, compared with its rule before any
     product, so a certificate whose node (1, V) holds p_{b,c} + x in
-    place of its set is rejected."""
+    place of its set is rejected, the error naming that node."""
     pres = parse_presentation(
         "ultragraph fan4\nvertex a\nvertex b\nvertex c\n"
         + "".join(f"edge {e} : a -> {{ b, c }}\n" for e in ("e1", "e2", "f", "f2"))
         + "edge g : b -> { c }\n"
     )
     units = epsilon_candidate(pres)
-    assert verify_epsilon(pres, units) and direct_identities_oracle(pres, units, 4) is None
+    verify_epsilon(pres, units)
+    assert direct_identities_oracle(pres, units, 4) is None
     e1, e2, f, f2, g = (EdgeInst(e) for e in ("e1", "e2", "f", "f2", "g"))
     bc = pres.edge_range(e1)
     root = (1, pres.g0_universe())
-    head, kids = units.negative[root]
+    head, kids = units[root]
     assert head == bc and [e for e, _ in kids] == [e1, e2, f, f2]
     x = AlgebraElement.zero(pres)
     for a, b, c in ((f, e1, 1), (f, e2, -1), (f2, e1, -1), (f2, e2, 1)):
@@ -1205,9 +1197,9 @@ def test_a_negative_unit_of_mixed_degree_is_rejected():
     assert multiply(level + x, y) == y and multiply(star(y), level + x) == star(y)
     se1 = _edge_sum(pres, [e1])
     assert multiply(expand_unit(pres, units, -1) + x, se1) != se1
-    bad = dict(units.negative)
-    bad[root] = (AlgebraElement.projection(pres, bc) + x, kids)
-    assert not verify_epsilon(pres, units._replace(negative=bad))
+    bad = {**units, root: (AlgebraElement.projection(pres, bc) + x, kids)}
+    with pytest.raises(CertificateError, match=r"node D\(1, V\) does not follow its rule"):
+        verify_epsilon(pres, bad)
 
 
 def test_one_classification_makes_few_products(monkeypatch):
@@ -1230,7 +1222,8 @@ def test_one_classification_makes_few_products(monkeypatch):
 
 def test_unit_nodes_stay_within_longest_times_ranges():
     """The type table has one entry per range type, V included, and the
-    negative nodes number at most the settle length times the types.  On
+    nodes of the unit table number at most the settle length times the
+    types.  On
     a layered DAG of depth d every c_m is p_{reached(m)}, one node per
     degree up to d; the chain of 64 into a loop has a node (m, {t[j]}) for
     each j < m <= 65, and 64 roots."""
@@ -1242,12 +1235,12 @@ def test_unit_nodes_stay_within_longest_times_ranges():
     for pres, exact in inputs:
         units = epsilon_candidate(pres)
         types = {pres.edge_range(e) for e in algebra.edge_successors(pres)} | {pres.g0_universe()}
-        assert set(units.positive) == types, pres.name
+        assert set(algebra._type_out_edges(pres)) == types, pres.name
         settle = incoming_length_profile(pres).settle
-        assert len(units.negative) <= settle * len(types), pres.name
-        assert all(1 <= m <= settle and a in types for m, a in units.negative), pres.name
+        assert len(units) <= settle * len(types), pres.name
+        assert all(1 <= m <= settle and a in types for m, a in units), pres.name
         if exact is not None:
-            assert len(units.negative) == exact, (pres.name, len(units.negative))
+            assert len(units) == exact, (pres.name, len(units))
 
 
 # -- replacement paths of the strong-Z certificate ---------------------------
@@ -1312,11 +1305,12 @@ def test_certificate_branches_close_by_the_settle_length():
         verify_factorization(pres, table, -1)
         assert all(k <= settle for k, _ in table)
         chain = [(k, VertexRef("t", k)) for k in range(n)]
-        assert [table[key].split for key in chain] == [
-            ((EdgeInst(f"a{k}"), (VertexRef("t", k + 1) if k < n - 1 else VertexRef("c", 0),)),) for k in range(n)
+        assert [table[key] for key in chain] == [
+            (None, ((EdgeInst(f"a{k}"), (k + 1, VertexRef("t", k + 1) if k < n - 1 else VertexRef("c", 0))),))
+            for k in range(n)
         ]
-        ((_, tau),) = table[n, VertexRef("c", 0)].pair[0].terms
-        assert len(tau) == n + 1
+        tau, children = table[n, VertexRef("c", 0)]
+        assert len(tau) == n + 1 and children == ()
         assert len(table) == len(pres.all_vertices()) + n
 
 
@@ -1382,19 +1376,19 @@ def _pairs_per_branch(pres, v, n):
 def _expanded(pres, table, v, n):
     """The node table read back into one pair per branch of p_v: each
     closing node (k, u) reached along γ gives (s_γ a, b s_γ*), multiplied
-    out, for its pair (a, b)."""
+    out, for the pair (a, b) = (p_u s_τ*, s_τ p_u) of its τ; or the pair
+    (s_e, s_e*) for each out-edge e that the degree 1 table lists."""
     if n == 1:
-        return [pair for _, pair in table[v]]
+        return [(AlgebraElement.s(pres, (e,)), AlgebraElement.s_star(pres, (e,))) for e in table[v]]
     pairs = []
 
     def walk(gamma, key):
-        node = table[key]
-        if node.pair is None:
-            for e, kids in node.split:
-                for w in kids:
-                    walk(gamma + (e,), (key[0] + 1, w))
+        tau, children = table[key]
+        if tau is None:
+            for e, child in children:
+                walk(gamma + (e,), child)
             return
-        a, b = node.pair
+        a, b = _closing_pair(pres, tau, key[1])
         if gamma:
             a = multiply(AlgebraElement.s(pres, gamma), a)
             b = multiply(b, AlgebraElement.s_star(pres, gamma))
@@ -1475,9 +1469,9 @@ def _other_tau(pres, tau, u, path: bool):
     return None
 
 
-def _closing_pair(pres, tau, u, coeff=1):
-    """(c p_u s_τ*, s_τ p_u), built directly with no cut and no path test."""
-    piece = ((coeff, VertexSet.of(u)),)
+def _closing_pair(pres, tau, u):
+    """(p_u s_τ*, s_τ p_u), built directly with no cut and no path test."""
+    piece = ((1, VertexSet.of(u)),)
     return AlgebraElement(pres, {((), tau): piece}), AlgebraElement(pres, {(tau, ()): piece})
 
 
@@ -1487,70 +1481,63 @@ def _sabotaged_tables(pres, table, n, rng):
     Degree −1: a dropped child, an unlisted child, a missing root, a τ that
     is no path or whose range misses u (both leave the product p_u), a
     τ of the wrong length (a path into u one edge longer or shorter), a
-    flipped coefficient, an extra or a missing out-edge of a split, and a
-    node beyond the settle length (a true identity, outside the table's
-    bound).  Degree 1: a flipped coefficient, a missing and an extra out-edge, and
-    a vertex left out."""
+    closing node that also holds the children of a split, an extra or a
+    missing out-edge of a split, and a node beyond the settle length (a
+    true identity, outside the table's bound).  Degree 1: a missing and an
+    extra out-edge, and a vertex left out."""
     edges = pres.all_edge_insts()
     if n == 1:
         for v, listed in table.items():
             i = rng.randrange(len(listed))
-            e, (a, b) = listed[i]
-            yield "flipped coefficient", {**table, v: listed[:i] + ((e, (a, -b)),) + listed[i + 1 :]}
             yield "missing out-edge", {**table, v: listed[:i] + listed[i + 1 :]}
             f = rng.choice(edges)
             if pres.edge_source(f) != v:
-                pair = (AlgebraElement.s(pres, (f,)), AlgebraElement.s_star(pres, (f,)))
-                yield "extra out-edge", {**table, v: listed + ((f, pair),)}
+                yield "extra out-edge", {**table, v: listed + (f,)}
             yield "missing root", {u: listed for u, listed in table.items() if u != v}
         return
     profile = incoming_length_profile(pres)
     settle = profile.settle
-    far = next((u for (_, u), node in table.items() if node.pair and profile.reached(settle + 2).member(u)), None)
+    out = pres.out_edge_map()
+    far = next((u for (_, u), (tau, _) in table.items() if tau and profile.reached(settle + 2).member(u)), None)
     if far is not None:
-        pair = _closing_pair(pres, algebra._replacement_path(pres, far, settle + 2), far)
-        yield "node beyond the settle length", {**table, (settle + 1, far): StrongNode(pair, ())}
-    for key, (pair, split) in table.items():
+        tau = algebra._replacement_path(pres, far, settle + 2)
+        yield "node beyond the settle length", {**table, (settle + 1, far): (tau, ())}
+    for key, (tau, children) in table.items():
         k, u = key
         if key[0] == 0:
             yield "missing root", {other: node for other, node in table.items() if other != key}
-        if pair is None:
-            i = rng.randrange(len(split))
-            e, kids = split[i]
-            j = rng.randrange(len(kids))
-            dropped = split[:i] + ((e, kids[:j] + kids[j + 1 :]),) + split[i + 1 :]
-            yield "dropped child", {**table, key: StrongNode(None, dropped)}
-            unlisted = (k + 1, kids[j])
+        if tau is None:
+            j = rng.randrange(len(children))
+            yield "dropped child", {**table, key: (None, children[:j] + children[j + 1 :])}
+            unlisted = children[j][1]
             yield "unlisted child", {other: node for other, node in table.items() if other != unlisted}
-            yield "missing out-edge", {**table, key: StrongNode(None, split[:i] + split[i + 1 :])}
+            e = children[j][0]
+            yield "missing out-edge", {**table, key: (None, tuple(c for c in children if c[0] != e))}
             f = rng.choice(edges)
-            extra = split + ((f, tuple(pres.edge_range(f).vertices())),)
-            yield "extra out-edge", {**table, key: StrongNode(None, extra)}
+            extra = children + tuple((f, (k + 1, w)) for w in pres.edge_range(f).vertices())
+            yield "extra out-edge", {**table, key: (None, extra)}
             continue
-        a, b = pair
-        ((_, tau),) = a.terms
-        yield "flipped coefficient", {**table, key: StrongNode((-a, b), ())}
+        split = tuple((e, (k + 1, w)) for e in out[u] for w in pres.edge_range(e).vertices())
+        yield "tau and children", {**table, key: (tau, split)}
         for kind, path in (("non-path tau", False), ("tau missing u", True)):
             other = _other_tau(pres, tau, u, path)
             if other is not None:
-                swapped = _closing_pair(pres, other, u)
-                assert multiply(*swapped) == multiply(a, b)
-                yield kind, {**table, key: StrongNode(swapped, ())}
+                assert multiply(*_closing_pair(pres, other, u)) == multiply(*_closing_pair(pres, tau, u))
+                yield kind, {**table, key: (other, ())}
         if profile.reached(k + 2).member(u):
-            longer = algebra._replacement_path(pres, u, k + 2)
-            yield "tau of wrong length", {**table, key: StrongNode(_closing_pair(pres, longer, u), ())}
+            yield "tau of wrong length", {**table, key: (algebra._replacement_path(pres, u, k + 2), ())}
         if len(tau) > 1:
-            yield "tau of wrong length", {**table, key: StrongNode(_closing_pair(pres, tau[1:], u), ())}
+            yield "tau of wrong length", {**table, key: (tau[1:], ())}
 
 
 def test_sabotaged_factorizations_are_rejected():
-    """Every kind of fault in a node table raises CertificateError: in
-    degree −1 a dropped child, an unlisted child, a missing root, a τ
-    that is no path or misses u (the product stays p_u, so only the
-    checker's own path and range tests reject them), a τ of the wrong
-    length, a flipped coefficient, an extra or a missing out-edge, a node
-    beyond the settle length; in degree 1 a flipped coefficient, a missing
-    or an extra out-edge and a vertex left out.  Each kind at least 100 times, on the sinkless
+    """Every kind of fault in a table raises CertificateError: in degree
+    −1 a dropped child, an unlisted child, a missing root, a τ that is no
+    path or misses u (the product stays p_u, so only the checker's own
+    path and range tests reject them), a τ of the wrong length, a closing
+    node that also holds children, an extra or a missing out-edge, a node
+    beyond the settle length; in degree 1 a missing or an extra out-edge
+    and a vertex left out.  Each kind at least 100 times, on the sinkless
     corpus, 150 seeded sinkless inputs, half of them fed by a source, and
     the sinkless 3 × d DAGs."""
     rng = random.Random(1818)
@@ -1563,16 +1550,17 @@ def test_sabotaged_factorizations_are_rejected():
                 with pytest.raises(CertificateError):
                     verify_factorization(pres, bad, n)
                 cases[n, kind] += 1
-    assert len(cases) == 14 and min(cases.values()) >= 100, cases
+    assert len(cases) == 13 and min(cases.values()) >= 100, cases
 
 
 def test_strong_z_node_identities_hold_in_the_skew_product_model():
     """Each node's one-level identity re-multiplied in the partial skew
     group ring, through phi_of_element and skew_multiply, and compared by
     SkewElement ==, which share no code with multiply: φ(a) φ(b) = φ(p_u)
-    for a closing node's pair, φ(p_u) = Σ φ(s_e) φ(p_u′) φ(s_e*) over a
-    split node's edges and children, and φ(p_v) = Σ φ(s_e) φ(s_e*) over
-    the degree 1 pairs of each vertex.  A flipped coefficient and a
+    for the pair (a, b) = (p_u s_τ*, s_τ p_u) of a closing node's τ,
+    φ(p_u) = Σ φ(s_e) φ(p_u′) φ(s_e*) over a split node's children
+    (e, (k + 1, u′)), and φ(p_v) = Σ φ(s_e) φ(s_e*) over the out-edges
+    that the degree 1 table lists for each vertex.  A flipped coefficient and a
     dropped child fail in the model too.  On the sinkless corpus files with
     at most 6 edges, the sinkless 3 × d DAGs for d <= 3 and 100 seeded
     sinkless inputs, every other one fed by a source."""
@@ -1596,31 +1584,28 @@ def test_strong_z_node_identities_hold_in_the_skew_product_model():
         def p_of(u):
             return image(AlgebraElement.projection(pres, VertexSet.of(u)))
 
-        def split_sum(k, split):
+        def split_sum(children):
             total = SkewElement.zero(pres)
-            for e, kids in split:
+            for e, (_, w) in children:
                 s_e, st_e = image(AlgebraElement.s(pres, (e,))), image(AlgebraElement.s_star(pres, (e,)))
-                for w in kids:
-                    total = total + skew_multiply(skew_multiply(s_e, p_of(w)), st_e)
+                total = total + skew_multiply(skew_multiply(s_e, p_of(w)), st_e)
             return total
 
         for v, edges in strong_factorization(pres, 1).items():
             total = SkewElement.zero(pres)
-            for _, (a, b) in edges:
-                total = total + skew_multiply(image(a), image(b))
+            for e in edges:
+                total = total + skew_multiply(image(AlgebraElement.s(pres, (e,))), image(AlgebraElement.s_star(pres, (e,))))
             assert total == p_of(v), (pres.name, v)
         table = strong_factorization(pres, -1)
-        for (k, u), node in table.items():
-            if node.pair is not None:
-                a, b = node.pair
+        for (k, u), (tau, children) in table.items():
+            if tau is not None:
+                a, b = _closing_pair(pres, tau, u)
                 assert skew_multiply(image(a), image(b)) == p_of(u), (pres.name, k, u)
                 assert skew_multiply(image(-a), image(b)) != p_of(u)
                 rejected += 1
             else:
-                assert split_sum(k, node.split) == p_of(u), (pres.name, k, u)
-                e, kids = node.split[0]
-                dropped = ((e, kids[1:]),) + node.split[1:]
-                assert split_sum(k, dropped) != p_of(u)
+                assert split_sum(children) == p_of(u), (pres.name, k, u)
+                assert split_sum(children[1:]) != p_of(u)
                 rejected += 1
                 splits += 1
             nodes += 1
@@ -1643,7 +1628,7 @@ def test_the_sinkless_dag_has_one_node_per_state(monkeypatch):
     vertices = pres.all_vertices()
     assert set(table) == _branch_states(pres)
     assert len(table) <= (settle + 1) * len(vertices)
-    closing = [(u, k + 1) for (k, u), node in table.items() if node.pair is not None]
+    closing = [(u, k + 1) for (k, u), (tau, _) in table.items() if tau is not None]
     assert sorted(walks) == sorted(closing) and len(set(walks)) == len(walks)
     assert (len(table), len(walks), settle) == (123, 63, 21)
     # 3 x 10: the 3102 pairs of the per-branch listing walked 3102
@@ -1681,7 +1666,7 @@ def test_the_factorization_check_is_linear_in_its_pairs(monkeypatch):
         pres = sinkless_layered_dag(3, d)
         for n in (1, -1):
             table = strong_factorization(pres, n)
-            pairs = len(pres.edges) if n == 1 else sum(node.pair is not None for node in table.values())
+            pairs = len(pres.edges) if n == 1 else sum(tau is not None for tau, _ in table.values())
             products = pieces = 0
             verify_factorization(pres, table, n)
             assert products == pairs and pieces == 0, (d, n, products, pieces)
@@ -1692,8 +1677,8 @@ def test_the_factorization_check_is_linear_in_its_pairs(monkeypatch):
 def test_the_factorization_check_multiplies_once_and_tests_paths_once_per_closing_node(monkeypatch):
     """The check of each degree makes one product per edge (degree 1) or
     per closing node (degree −1), one path test per closing node and none
-    for a degree 1 pair, whose exact shape (s_e, s_e*) already makes it
-    cut.  On the sinkless corpus, 150 seeded sinkless inputs, half of them
+    for a degree 1 edge, whose pair (s_e, s_e*) the check builds cut from
+    the edge.  On the sinkless corpus, 150 seeded sinkless inputs, half of them
     fed by a source, and the sinkless 3 × d DAGs."""
     products = tests = 0
     real_multiply, real_is_path = algebra.multiply, UltragraphPresentation.is_path
@@ -1717,7 +1702,7 @@ def test_the_factorization_check_multiplies_once_and_tests_paths_once_per_closin
             if n == 1:
                 pairs = len(pres.edges)
             else:
-                pairs = sum(node.pair is not None for node in table.values())
+                pairs = sum(tau is not None for tau, _ in table.values())
                 closing += pairs
             products = tests = 0
             verify_factorization(pres, table, n)
@@ -1741,8 +1726,8 @@ def test_the_sum_of_all_vertices_is_not_capped(monkeypatch):
     degree_one = {
         key: list(pieces)
         for edges in tables[1].values()
-        for _, (a, b) in edges
-        for key, pieces in multiply(a, b).terms.items()
+        for e in edges
+        for key, pieces in multiply(AlgebraElement.s(pres, (e,)), AlgebraElement.s_star(pres, (e,))).terms.items()
     }
     with pytest.raises(TermCountCap):
         AlgebraElement._from_raw(pres, degree_one)

@@ -32,8 +32,8 @@ def _run_dash_o(script: str, *argv: str) -> subprocess.CompletedProcess:
 
 # Runs the strong-Z certificate path once as it is, then with a table
 # builder that breaks the degree -1 table in one of three ways: a child
-# dropped from the source's split, a closing pair with its coefficient
-# flipped, a root left out.
+# dropped from the source's split, a closing node given a child next to
+# its tau, a root left out.
 SABOTAGED_STRONG_Z = """
 import sys
 if __debug__:
@@ -49,21 +49,20 @@ build = algebra.strong_factorization
 
 
 def dropped_child(key, node):
-    if not node.split:
-        return node
-    (e, kids), *rest = node.split
-    return node._replace(split=((e, kids[1:]), *rest))
+    tau, children = node
+    return (tau, children[1:]) if children else node
 
 
-def flipped(key, node):
-    return node._replace(pair=(-node.pair[0], node.pair[1])) if node.pair else node
+def tau_and_child(key, node):
+    tau, children = node
+    return (tau, ((tau[0], (key[0] + 1, key[1])),)) if tau else node
 
 
 def no_root(key, node):
     return None if key[0] == 0 else node
 
 
-for fault in (dropped_child, flipped, no_root):
+for fault in (dropped_child, tau_and_child, no_root):
     def sabotaged(pres, n, fault=fault):
         table = build(pres, n)
         if n == 1:
@@ -87,8 +86,8 @@ def test_strong_z_certificate_check_runs_under_dash_o():
     lines = proc.stdout.splitlines()
     assert len(lines) == 3, proc.stdout
     assert all(line.startswith("raised: the strong-Z certificate of degree -1 does not verify") for line in lines)
-    assert lines[0].endswith("the children of node (0, u[0]) under e are not the vertices of its range")
-    assert lines[1].endswith("the pair of node (1, v[0]) is not (p_u s_tau*, s_tau p_u)")
+    assert lines[0].endswith("the children of node (0, u[0]) are not its out-edges with the vertices of their ranges")
+    assert lines[1].endswith("node (1, v[0]) holds both a tau and children")
     assert lines[2].endswith("the root (0, u[0]) is not listed")
 
 
