@@ -77,6 +77,9 @@ def _vset_sort_key(vs: VertexSet):
 class AlgebraElement:
     """A finite sum of monomials c·s_α p_A s_β*, kept in normal form.
 
+    An element holds its presentation and its terms and nothing else; no
+    index rides on it, and multiply buckets the terms afresh.
+
     Invariant: every term is cut to its ranges, its middle set inside
     r(α[-1]) when α is nonempty and inside r(β[-1]) when β is, so that
     s_α p_A s_β* is never rewritten by s_e = s_e p_{r(e)}.  Every maker of
@@ -93,12 +96,11 @@ class AlgebraElement:
     s_τ p_u with the middle {u} for each closing node, once it has tested
     that τ is a path with u in its last range (proof there)."""
 
-    __slots__ = ("pres", "terms", "_index")
+    __slots__ = ("pres", "terms")
 
     def __init__(self, pres: UltragraphPresentation, terms: dict):
         self.pres = pres
         self.terms = terms  # (alpha, beta) -> tuple[(coeff, VertexSet), ...]
-        self._index = None  # _prefix_index per side, built on demand
 
     # -- construction ------------------------------------------------------
 
@@ -206,33 +208,6 @@ class AlgebraElement:
         return f"AlgebraElement({pretty(self)})"
 
 
-def _prefix_index(x: AlgebraElement, side: int) -> tuple[dict, dict]:
-    """x's terms keyed by their path on one side (0: α, 1: β), and keyed by
-    every proper prefix of that path; built once per element and side and
-    dropped with the element."""
-    if x._index is None:
-        x._index = [None, None]
-    index = x._index[side]
-    if index is None:
-        exact: dict = {}
-        proper: dict = {}
-        for term in x.terms.items():
-            path = term[0][side]
-            exact.setdefault(path, []).append(term)
-            for k in range(len(path)):
-                proper.setdefault(path[:k], []).append(term)
-        index = x._index[side] = (exact, proper)
-    return index
-
-
-def _partners(exact: dict, proper: dict, path: Path) -> list:
-    """The indexed terms whose path is a prefix of `path`, shortest first,
-    then those that have `path` as a proper prefix (one side of a
-    _prefix_index)."""
-    found = [t for k in range(len(path) + 1) for t in exact.get(path[:k], ())]
-    return found + proper.get(path, [])
-
-
 def _combine(pres: UltragraphPresentation, xt: tuple, yt: tuple) -> tuple[tuple, list]:
     """The key and the raw pieces of the product of a term of x and a term
     of y, (s_α · s_β*)(s_γ · s_δ*), whose inner paths β and γ are
@@ -252,24 +227,24 @@ def _combine(pres: UltragraphPresentation, xt: tuple, yt: tuple) -> tuple[tuple,
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """The product, paired through a prefix index of the larger factor.
+    """The product, pairing x's terms with y's by the first edge of γ.
 
-    s_β* s_γ is zero unless one of β, γ is a prefix of the other, so only
-    such pairs of terms (s_α · s_β*)(s_γ · s_δ*) contribute.  Walk the
-    terms of the factor with fewer terms; say it is x, with inner path β
-    (the case of y, with inner path γ, is the mirror image).  The y terms
-    with γ a prefix of β are those whose γ equals one of the len(β) + 1
-    prefixes of β, found in y's exact index; those with β a proper prefix
-    of γ are listed under β in y's proper-prefix index.  The two cases
-    are disjoint and cover every compatible pair, so each contributing
-    pair is combined exactly once, and no other pair is looked at.
+    s_β* s_γ is zero unless one of β, γ is a prefix of the other, that is
+    unless they agree on the shorter of their lengths, so only such pairs
+    of terms (s_α · s_β*)(s_γ · s_δ*) contribute.  y's terms are put in
+    buckets by the first edge of γ, those with γ empty in a bucket of
+    their own.  An empty β is a prefix of every γ and meets every term of
+    y.  A nonempty β is compatible with γ only if γ is empty or starts
+    with β's first edge, so it meets the empty bucket and the bucket of
+    that edge: the two are disjoint and hold every compatible γ, and a
+    pair in them is kept when β and γ agree on the shorter length.  So
+    each contributing pair is combined exactly once.
 
     When both factors have one term, as every pair of the strong-Z
-    certificate has, no index is built: the one pair of terms is combined
-    exactly when β and γ agree on the shorter of their lengths, that is
-    when they are compatible.  A product with one piece is its own normal
-    form, a nonzero coefficient (a product of nonzero ones) on a nonempty
-    set; an empty set gives 0, and more pieces are atomized.
+    certificate has, no bucket is built: the one pair of terms is combined
+    exactly when it is compatible.  A product with one piece is its own
+    normal form, a nonzero coefficient (a product of nonzero ones) on a
+    nonempty set; an empty set gives 0, and more pieces are atomized.
 
     Every combined term is already cut to its ranges, given that both
     factors are (AlgebraElement): with inner paths of equal length the
@@ -289,17 +264,20 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         if len(pieces) != 1:
             return AlgebraElement._from_raw(pres, {key: pieces})
         return AlgebraElement(pres, {key: tuple(pieces)} if pieces[0][1].parts else {})
-    if len(x.terms) <= len(y.terms):
-        exact, proper = _prefix_index(y, 0)
-        pairs = ((xt, yt) for xt in x.terms.items() for yt in _partners(exact, proper, xt[0][1]))
-    else:
-        exact, proper = _prefix_index(x, 1)
-        pairs = ((xt, yt) for yt in y.terms.items() for xt in _partners(exact, proper, yt[0][0]))
+    buckets: dict = {}
+    for yt in y.terms.items():
+        buckets.setdefault(yt[0][0][:1], []).append(yt)
+    empty = buckets.get((), [])
     raw: dict = {}
-    for xt, yt in pairs:
-        key, pieces = _combine(pres, xt, yt)
-        if pieces:
-            raw.setdefault(key, []).extend(pieces)
+    for xt in x.terms.items():
+        beta = xt[0][1]
+        for yt in (empty + buckets.get(beta[:1], []) if beta else y.terms.items()):
+            gamma = yt[0][0]
+            k = min(len(beta), len(gamma))
+            if beta[:k] == gamma[:k]:
+                key, pieces = _combine(pres, xt, yt)
+                if pieces:
+                    raw.setdefault(key, []).extend(pieces)
     return AlgebraElement._from_raw(pres, raw)
 
 

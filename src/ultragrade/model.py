@@ -377,7 +377,9 @@ class UltragraphPresentation:
         return IndexSet(card, (1 << card) - 1, 1, 0)  # {0, ..., card-1}, a canonical finite set
 
     def g0_universe(self) -> VertexSet:
-        return VertexSet.make((fam, self.family_universe(fam)) for fam in self.vertex_families)
+        return self.derived(
+            "g0_universe", lambda p: VertexSet.make((fam, p.family_universe(fam)) for fam in p.vertex_families)
+        )
 
     def complement(self, vs: VertexSet) -> VertexSet:
         return self.g0_universe().difference(vs)

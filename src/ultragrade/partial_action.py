@@ -291,9 +291,6 @@ class DElement:
         a, b = self._aligned(other)
         return a.values == b.values
 
-    def __hash__(self):
-        raise TypeError("DElement is unhashable")
-
     def is_zero(self) -> bool:
         return not self.values
 
@@ -404,9 +401,6 @@ class SkewElement:
         return all(
             self.comps.get(t, zero) == other.comps.get(t, zero) for t in keys
         )
-
-    def __hash__(self):
-        raise TypeError("SkewElement is unhashable")
 
     def is_zero(self) -> bool:
         return not self.comps

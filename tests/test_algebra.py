@@ -348,6 +348,7 @@ def test_source_vertex_factorization_shape():
     assert pretty(b * AlgebraElement.s_star(pres, E("e"))) == "s(e f) p{v} st(e)"
 
 
+@pytest.mark.dash_o
 def test_pretty_labels_each_vertex_set_once(monkeypatch):
     # the certificate of a 60-cycle fed by a source names each of its 61
     # vertices once and prints no vertex set; pretty, over the 122 factors
@@ -437,6 +438,7 @@ def test_factorization_rejected_with_sinks():
         strong_factorization(pres, 1)
 
 
+@pytest.mark.dash_o
 def test_verify_rejects_wrong_certificates(monkeypatch):
     pres = load("ef.ug")
     u, v = VertexRef("u", 0), VertexRef("v", 0)
@@ -502,6 +504,7 @@ def _atomize_by_subsets(pairs):
     return tuple(sorted(by_coeff.items(), key=lambda p: _vset_sort_key(p[1])))
 
 
+@pytest.mark.dash_o
 def test_atomize_matches_the_subset_oracle():
     rng = random.Random(41)
     coeffs = [1, -1, 2, 3, 0, Fraction(1, 2), Fraction(-2, 3)]

@@ -312,6 +312,7 @@ def test_profile_matches_the_frozenset_profile():
             assert longer.subset_of(shorter) and longer != shorter
 
 
+@pytest.mark.dash_o
 def test_profile_matches_the_state_oracle():
     # profile_inputs() holds the one-family chain chain70.ug
     inputs = profile_inputs() + [named_chain(70)]
@@ -637,6 +638,7 @@ def test_bounded_matches_oracle_on_random_rays(searches):
     assert all(s.nodes <= s.budget for s in searches)
 
 
+@pytest.mark.dash_o
 def test_ex2_clique7_witnesses():
     # at horizon 0 a clique cycle behind a one-edge prefix carries the
     # witness; from horizon 1 on the family tail does, and from horizon 3
@@ -647,6 +649,7 @@ def test_ex2_clique7_witnesses():
         assert check_condition_y_bounded(pres, horizon).to_dict()["witness"] == "e f[2..]", horizon
 
 
+@pytest.mark.dash_o
 def test_cycle_tails_need_no_search():
     # the lemma of check_condition_y_bounded: on a cycle tail, tail_bad as a
     # search would answer it is span <= j, whichever search asks; a budget
@@ -674,6 +677,7 @@ def test_cycle_tails_need_no_search():
     assert cycles > 1000 and truncated >= 20, (cycles, truncated)
 
 
+@pytest.mark.dash_o
 def test_no_cycle_is_walked_from_horizon_3_on(monkeypatch):
     walks = []
     cycles_from = condition_y._cycles_from
@@ -733,6 +737,7 @@ def test_every_tail_is_an_infinite_path():
     assert tails > 100
 
 
+@pytest.mark.dash_o
 def test_negative_horizons_are_refused():
     # a negative horizon would check no position at all and read as a
     # violation of every representative

@@ -108,6 +108,7 @@ def test_eps_strong_z_yes_with_cycles():
     assert verdict.certificate["nodes"]["D(1, V)"] == "p{v} + s(e) D(2, r(e)) st(e)"
 
 
+@pytest.mark.dash_o
 def test_eps_strong_z_is_yes_iff_unital_on_finite_edges():
     """On the corpus and 500 seeded finite inputs, with finitely many
     edges, EpsStrongZ reads Yes iff the algebra is unital, with a
@@ -138,6 +139,7 @@ def test_eps_strong_z_is_yes_iff_unital_on_finite_edges():
     assert gap >= 60 and cyclic_gap >= 30 and strong >= 300, (gap, cyclic_gap, strong)
 
 
+@pytest.mark.dash_o
 def test_gauge_saturation_equals_strong_z():
     """On the corpus and 500 seeded inputs, GaugeSaturated reads the
     StrongZ status and carries the same certificate, in analyze's report
@@ -157,6 +159,7 @@ def test_gauge_saturation_equals_strong_z():
     assert certified >= 250, certified
 
 
+@pytest.mark.dash_o
 def test_strong_z_certificate_checks_once_per_degree(monkeypatch):
     # one table per degree, built and checked by one call each: degree 1
     # lists every vertex, and degree -1 every root (0, v) and the 64 nodes
@@ -297,6 +300,7 @@ def test_analyze_builds_the_strong_z_certificate_once(monkeypatch):
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == _golden("two_cycle")
 
 
+@pytest.mark.dash_o
 def test_analyze_refines_the_edge_ranges_once(monkeypatch):
     """The range types of the unit decision and the relevance bounds of the
     epsilon units read one refinement of the edge ranges, range_atoms: one
@@ -322,6 +326,7 @@ def test_analyze_refines_the_edge_ranges_once(monkeypatch):
     assert both >= 30, both
 
 
+@pytest.mark.dash_o
 def test_analyze_builds_one_successor_relation(monkeypatch):
     """The length profile and the edge successors are one relation, built
     by one condition_y._successors call per analyze of a finite input, on

@@ -216,9 +216,15 @@ def test_unit_witness_is_decided_once():
     pres = load("two_range.ug")
     witness = unit_witness(pres)
     assert unit_witness(pres) is witness
+    universe = pres.g0_universe()
+    assert pres.g0_universe() is universe
     pres.validate()
     assert unit_witness(pres) is not witness
     assert unit_witness(pres) == witness
+    # a family added before validate() is in the universe built after it
+    pres.vertex_families["z"] = 2
+    pres.validate()
+    assert pres.g0_universe().difference(universe) == VertexSet.of(VertexRef("z", 0), VertexRef("z", 1))
 
 
 def test_finite_sets_always_members():

@@ -148,6 +148,7 @@ def _random_vertex_set(rng: random.Random) -> VertexSet:
     return VertexSet.make(parts.items())
 
 
+@pytest.mark.dash_o
 def test_make_matches_the_pairwise_union_fold():
     # repeated families, empty index sets and families out of order, all
     # against one VertexSet per pair folded with union
@@ -192,6 +193,7 @@ def refine_by_pairs_oracle(sets):
     return atoms
 
 
+@pytest.mark.dash_o
 def test_refine_matches_the_pairwise_oracle():
     rng = random.Random(11)
     repeated = 0
@@ -207,6 +209,7 @@ def test_refine_matches_the_pairwise_oracle():
     assert repeated >= 50
 
 
+@pytest.mark.dash_o
 def test_refine_gives_the_atoms_of_the_inputs():
     rng = random.Random(5)
     for _ in range(300):
@@ -258,6 +261,7 @@ def _seeded_vertex_sets(rng: random.Random) -> list[VertexSet]:
     return sets
 
 
+@pytest.mark.dash_o
 def test_vertex_sets_compare_and_hash_as_the_frozen_dataclass():
     rng = random.Random(29)
     sets = _seeded_vertex_sets(rng)
@@ -280,6 +284,7 @@ def test_vertex_sets_compare_and_hash_as_the_frozen_dataclass():
     assert repr(sets[0]) == repr(refs[0]).replace("FrozenVertexSet", "VertexSet")
 
 
+@pytest.mark.dash_o
 def test_one_vertex_sets_match_make():
     for i in range(301):
         got = VertexSet.of(VertexRef("a", i))
@@ -292,6 +297,7 @@ def test_one_vertex_sets_match_make():
         VertexSet.of(VertexRef("a", 0), VertexRef("b", -1))
 
 
+@pytest.mark.dash_o
 def test_operations_of_a_set_with_itself_match_the_general_ones():
     rng = random.Random(31)
     for a in _seeded_vertex_sets(rng):
@@ -302,6 +308,7 @@ def test_operations_of_a_set_with_itself_match_the_general_ones():
         assert a.difference(a) == VertexSet.empty()
 
 
+@pytest.mark.dash_o
 def test_vertex_sets_are_slotted_values():
     vs = VertexSet.of(VertexRef("a", 3), VertexRef("b", 0))
     assert not hasattr(vs, "__dict__")

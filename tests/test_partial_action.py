@@ -396,6 +396,7 @@ def test_partial_action_composition_words_up_to_three():
     assert checked > 50
 
 
+@pytest.mark.dash_o
 def test_truncating_a_too_shallow_cylinder_raises():
     # a raised error, not an assert, so it also holds under python -O
     pres = load("ef.ug")
@@ -432,6 +433,7 @@ def _oracle_products(pres: UltragraphPresentation, pairs, monkeypatch) -> list[S
         return [gen._of(*x) * gen._of(*y) for x, y in pairs]
 
 
+@pytest.mark.dash_o
 def test_key_action_matches_the_point_oracle(monkeypatch):
     rng = random.Random(1313)
     cases = [load(name) for name in FINITE_CORPUS]
@@ -465,6 +467,7 @@ def test_key_action_matches_the_point_oracle(monkeypatch):
             assert all(_same(got.comps[t], want.comps[t]) for t in got.comps), (x, y)
 
 
+@pytest.mark.dash_o
 def test_pushed_beta_matches_the_pullback_oracle():
     rng = random.Random(2718)
     cases = [load(name) for name in FINITE_CORPUS]
@@ -486,6 +489,7 @@ def test_pushed_beta_matches_the_pullback_oracle():
                 assert _same(beta(pres, t, g), pullback_beta(pres, t, g)), (depth, t.label())
 
 
+@pytest.mark.dash_o
 def test_beta_checks_each_key_without_the_support_test(monkeypatch):
     # θ's own domain check is a raised error, not an assert, so β rejects a
     # function outside X_{t⁻¹} even when the support test lets it through,
@@ -705,6 +709,10 @@ def test_phi_respects_components():
     ):
         assert elt.grading_tags() == [FreeWord.identity()]
         assert check_supports(elt)
+        # both define __eq__ and not __hash__, so neither is hashable
+        for unhashable in (elt, elt.comps[FreeWord.identity()]):
+            with pytest.raises(TypeError):
+                hash(unhashable)
 
 
 def test_generator_relations_pass_on_corpus():
@@ -735,6 +743,7 @@ def test_sabotaged_images_are_caught():
     assert not report2["all_pass"]
 
 
+@pytest.mark.dash_o
 def test_relation_1_checks_each_distinct_set_once():
     # in ef both ranges are {v}, the singleton of v, so the pool of five
     # sets holds three distinct ones; each ordered pair of those that the
@@ -756,6 +765,7 @@ def test_relation_1_checks_each_distinct_set_once():
     assert lines == broken and not report["relation1"]
 
 
+@pytest.mark.dash_o
 def test_relation_verdicts_do_not_depend_on_depth():
     rng = random.Random(1729)
     cases = [(load(name), phi_image) for name in FINITE_CORPUS]

@@ -365,6 +365,7 @@ def test_all_paths_match_the_oracle_in_order():
             assert all_paths(pres, length) == all_paths_oracle(pres, length), (pres.name, length)
 
 
+@pytest.mark.dash_o
 def test_every_listed_path_is_a_path():
     """The listed units of the oracles build their monomials from
     all_paths without walking the paths again, so each one must be a
@@ -438,6 +439,7 @@ def test_mutating_a_returned_list_leaves_the_cache_intact():
 # -- the product --------------------------------------------------------------
 
 
+@pytest.mark.dash_o
 def test_products_match_the_all_pairs_oracle():
     rng = random.Random(2025)
     empty_beta = empty_gamma = pruned = 0
@@ -457,6 +459,7 @@ def test_products_match_the_all_pairs_oracle():
     assert empty_beta >= 100 and empty_gamma >= 100 and pruned >= 100
 
 
+@pytest.mark.dash_o
 def test_products_match_the_first_edge_oracle():
     pairs = 0
     # every product of the associativity test
@@ -497,6 +500,7 @@ def _every_term_is_cut(z):
     return True
 
 
+@pytest.mark.dash_o
 def test_products_keep_every_term_cut():
     """multiply no longer cuts each combined term to its ranges: the terms
     it combines are cut already (AlgebraElement).  On the seeded pairs of
@@ -525,16 +529,21 @@ def test_products_keep_every_term_cut():
     assert len(pairs) >= 1500 and nonzero >= 500, (len(pairs), nonzero)
 
 
+@pytest.mark.dash_o
 def test_one_term_products_match_the_all_pairs_oracle(monkeypatch):
-    """A product of two one-term factors builds no prefix index.  On seeded
+    """A product of two one-term factors atomizes no piece: its one piece
+    is its own normal form, and a product with none is zero.  On seeded
     pairs of cut monomials, its inner paths β and γ picked so that each
     way of meeting occurs, the product is the all-pairs oracle's and every
     term of it is cut."""
+    real_atomize = algebra._atomize
+    atomized = []
 
-    def no_index(x, side):
-        raise AssertionError("a one-term product built a prefix index")
+    def counted_atomize(pairs):
+        atomized.extend(pairs)
+        return real_atomize(pairs)
 
-    monkeypatch.setattr(algebra, "_prefix_index", no_index)
+    monkeypatch.setattr(algebra, "_atomize", counted_atomize)
     rng = random.Random(4242)
     cases = Counter()
     for pres in seeded_presentations():
@@ -551,7 +560,9 @@ def test_one_term_products_match_the_all_pairs_oracle(monkeypatch):
             y = AlgebraElement.monomial(pres, gamma, b_set, rng.choice(paths), rng.choice([1, 1, 3, Fraction(-1, 2)]))
             if len(x.terms) != 1 or len(y.terms) != 1:
                 continue
+            before = len(atomized)
             got = multiply(x, y)
+            assert len(atomized) == before, "a one-term product atomized a piece"
             assert got == multiply_oracle(x, y), (pres.name, x.terms, y.terms)
             assert _every_term_is_cut(got)
             nb, ng = len(beta), len(gamma)
@@ -610,6 +621,7 @@ def _relevant_edges(pres, m):
     return [e for e, b in algebra._relevance_bounds(pres).items() if b >= m]
 
 
+@pytest.mark.dash_o
 def test_relevant_edges_and_negative_units_match_the_path_oracle():
     """The relevant edges, read off the bounds B(e) of one pass per
     presentation, against the walk per edge and length, for every length
@@ -671,6 +683,7 @@ def expected_unit_products(pres, units):
     return want
 
 
+@pytest.mark.dash_o
 def test_unit_levels_are_multiplied_once_per_distinct_level(monkeypatch):
     """The check makes exactly two products for the positive side, L(V)
     against the sum of all edges on either side, and two per distinct
@@ -696,6 +709,7 @@ def test_unit_levels_are_multiplied_once_per_distinct_level(monkeypatch):
         verify_epsilon(pres, epsilon_candidate(pres))
 
 
+@pytest.mark.dash_o
 def test_a_unit_wrong_on_one_shared_range_is_rejected():
     """Six sources feed a hub whose one edge reaches v[7], so six paths of
     length 2 share the last range {v[7]}; one more path ends in {v[10]}.
@@ -760,6 +774,7 @@ def _raw_unit_factors(pres, units):
     return factors
 
 
+@pytest.mark.dash_o
 def test_unit_sums_match_the_raw_construction(monkeypatch):
     """The unit check builds L(V), each Λ, each y = p_P + Σ s_e and y*
     directly in normal form; each equals the element that _from_raw
@@ -786,6 +801,7 @@ def test_unit_sums_match_the_raw_construction(monkeypatch):
     assert empty_head >= 30, empty_head
 
 
+@pytest.mark.dash_o
 def test_long_chains_have_checked_unit_certificates():
     """The chains of 70 and 200 edges and the chain of 64 into a loop,
     over the old path-length cap, read Yes with a re-checked certificate.
@@ -837,6 +853,7 @@ def largest_check_element(pres, units):
     return max(sizes)
 
 
+@pytest.mark.dash_o
 def test_term_count_cap_fires_exactly_above_the_largest_check_element(monkeypatch):
     """Under small caps, the classifier reads Undetermined, naming the
     cap, exactly when an element of the unit stage has more terms than
@@ -875,6 +892,7 @@ def _unit_inputs():
         yield pres, range(1, (3 if longest is None else longest + 1) + 1)
 
 
+@pytest.mark.dash_o
 def test_unit_nodes_expand_to_the_path_listing():
     """The type table stands for the unit that was listed path by path,
     term for term, in every degree, on cyclic input too, and the
@@ -920,6 +938,7 @@ def _direct_inputs():
     return out + [random_dag(rng, max_vertices=5, max_edges=6) for _ in range(100)]
 
 
+@pytest.mark.dash_o
 def test_one_check_matches_the_per_degree_oracle():
     """The one check of all degrees and the direct identities of each
     degree checked alone agree: c_m x = x and x* c_m = x* for every
@@ -953,6 +972,7 @@ def test_one_check_matches_the_per_degree_oracle():
         assert direct_identities_oracle(pres, units, bound, lengths=2) is None, name
 
 
+@pytest.mark.dash_o
 def test_unit_identities_hold_in_the_skew_product_model():
     """The direct identities re-multiplied in the partial skew group ring,
     through phi_of_element and skew_multiply, which share no code with
@@ -1080,6 +1100,7 @@ def _sabotaged(pres, units, rng: random.Random):
     return out
 
 
+@pytest.mark.dash_o
 def test_sabotaged_unit_nodes_are_rejected():
     """Every kind of sabotage of the certificate raises CertificateError
     naming the node, root or child at fault, each kind at least 100
@@ -1113,6 +1134,7 @@ def _level_keys(units):
     return list(firsts.values())
 
 
+@pytest.mark.dash_o
 def test_sabotaged_units_are_rejected(monkeypatch):
     """A multiply that drops one free-group component of one product of
     the check that has several is rejected, the error naming N(n, V) for
@@ -1162,6 +1184,7 @@ def test_sabotaged_units_are_rejected(monkeypatch):
     assert min(seen.values()) >= 100, seen
 
 
+@pytest.mark.dash_o
 def test_a_negative_unit_of_mixed_degree_is_rejected():
     """Four parallel edges a -> {b, c} and g : b -> {c}.  With
     x = (s_f − s_f') p_{b,c} (s_e1* − s_e2*), the one-level element Λ of
@@ -1202,6 +1225,7 @@ def test_a_negative_unit_of_mixed_degree_is_rejected():
         verify_epsilon(pres, bad)
 
 
+@pytest.mark.dash_o
 def test_one_classification_makes_few_products(monkeypatch):
     """The whole classification makes exactly the products of the check:
     two for all positive degrees and two per distinct one-level element.
@@ -1220,6 +1244,7 @@ def test_one_classification_makes_few_products(monkeypatch):
             assert len(calls) <= most, (pres.name, len(calls))
 
 
+@pytest.mark.dash_o
 def test_unit_nodes_stay_within_longest_times_ranges():
     """The type table has one entry per range type, V included, and the
     nodes of the unit table number at most the settle length times the
@@ -1258,6 +1283,7 @@ def _finite_corpus_and_random(seed: int, count: int):
         yield random_presentation(rng, sinkless=i % 2 == 1)
 
 
+@pytest.mark.dash_o
 def test_replacement_paths_match_the_search_oracle():
     cases = raised = 0
     for pres in _finite_corpus_and_random(1616, 300):
@@ -1282,6 +1308,7 @@ def test_replacement_paths_match_the_search_oracle():
     assert cases > 40000 and 0 < raised < cases
 
 
+@pytest.mark.dash_o
 def test_certificate_branches_close_by_the_settle_length():
     """No node of the degree −1 table has k above the settle length, the
     table re-checks, and on the chains the source's nodes run down the
@@ -1416,6 +1443,7 @@ def _branch_states(pres):
     return seen
 
 
+@pytest.mark.dash_o
 def test_node_tables_expand_to_the_pair_per_branch_listing():
     """Read back into one pair per branch, each table lists exactly the
     pairs of the pair-per-branch expansion it replaced, vertex by vertex
@@ -1530,6 +1558,7 @@ def _sabotaged_tables(pres, table, n, rng):
             yield "tau of wrong length", {**table, key: (tau[1:], ())}
 
 
+@pytest.mark.dash_o
 def test_sabotaged_factorizations_are_rejected():
     """Every kind of fault in a table raises CertificateError: in degree
     −1 a dropped child, an unlisted child, a missing root, a τ that is no
@@ -1553,6 +1582,7 @@ def test_sabotaged_factorizations_are_rejected():
     assert len(cases) == 13 and min(cases.values()) >= 100, cases
 
 
+@pytest.mark.dash_o
 def test_strong_z_node_identities_hold_in_the_skew_product_model():
     """Each node's one-level identity re-multiplied in the partial skew
     group ring, through phi_of_element and skew_multiply, and compared by
@@ -1612,6 +1642,7 @@ def test_strong_z_node_identities_hold_in_the_skew_product_model():
     assert nodes >= 300 and splits >= 50 and rejected == nodes, (nodes, splits, rejected)
 
 
+@pytest.mark.dash_o
 def test_the_sinkless_dag_has_one_node_per_state(monkeypatch):
     """The corpus file sinkless_dag3x20: its degree −1 expansion has 2^20
     branches per vertex of the first layer, but the table holds one node
@@ -1640,6 +1671,7 @@ def test_the_sinkless_dag_has_one_node_per_state(monkeypatch):
     assert sum(len(_pairs_per_branch(pres, v, -1)) for v in pres.all_vertices()) == 3102
 
 
+@pytest.mark.dash_o
 def test_the_factorization_check_is_linear_in_its_pairs(monkeypatch):
     """On the sinkless 3 × d DAGs, d = 6 … 9, the check of each degree
     multiplies once per edge (degree 1) or per closing node (degree −1)
@@ -1674,6 +1706,7 @@ def test_the_factorization_check_is_linear_in_its_pairs(monkeypatch):
     assert sizes[1::2] == [39, 45, 51, 57]
 
 
+@pytest.mark.dash_o
 def test_the_factorization_check_multiplies_once_and_tests_paths_once_per_closing_node(monkeypatch):
     """The check of each degree makes one product per edge (degree 1) or
     per closing node (degree −1), one path test per closing node and none
@@ -1711,6 +1744,7 @@ def test_the_factorization_check_multiplies_once_and_tests_paths_once_per_closin
     assert closing >= 500, closing
 
 
+@pytest.mark.dash_o
 def test_the_sum_of_all_vertices_is_not_capped(monkeypatch):
     """With TERM_COUNT_CAP below the number of edges, a 60-edge chain
     feeding a loop still verifies in both degrees: the check compares one
