@@ -13,8 +13,8 @@ with the out-edges and the ranges.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from numbers import Rational
+from typing import Callable, Iterable, Optional
 
 from .condition_y import _edge_successors, incoming_length_profile
 from .errors import (
@@ -34,13 +34,13 @@ from .structure import structural_report
 
 TERM_COUNT_CAP = 10**4
 
-Coeff = Union[int, Fraction]
+Coeff = Rational
 Path = tuple
 
 
 def _check_coeff(c) -> Coeff:
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-        raise TypeError(f"coefficients must be exact int or Fraction, got {type(c).__name__}")
+    if isinstance(c, bool) or not isinstance(c, Rational):
+        raise TypeError(f"coefficients must be exact rationals, got {type(c).__name__}")
     return c
 
 
@@ -188,9 +188,9 @@ class AlgebraElement:
         return self.scale(c)
 
     def __mul__(self, other) -> "AlgebraElement":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return multiply(self, other)
+        if isinstance(other, AlgebraElement):
+            return multiply(self, other)
+        return self.scale(other)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -244,7 +244,8 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     certificate has, no bucket is built: the one pair of terms is combined
     exactly when it is compatible.  A product with one piece is its own
     normal form, a nonzero coefficient (a product of nonzero ones) on a
-    nonempty set; an empty set gives 0, and more pieces are atomized.
+    nonempty set; no piece or an empty set gives 0, and more pieces are
+    atomized.
 
     Every combined term is already cut to its ranges, given that both
     factors are (AlgebraElement): with inner paths of equal length the
@@ -261,9 +262,9 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
         if beta[:k] != gamma[:k]:
             return AlgebraElement(pres, {})
         key, pieces = _combine(pres, xt, yt)
-        if len(pieces) != 1:
+        if len(pieces) > 1:
             return AlgebraElement._from_raw(pres, {key: pieces})
-        return AlgebraElement(pres, {key: tuple(pieces)} if pieces[0][1].parts else {})
+        return AlgebraElement(pres, {key: tuple(pieces)} if pieces and pieces[0][1].parts else {})
     buckets: dict = {}
     for yt in y.terms.items():
         buckets.setdefault(yt[0][0][:1], []).append(yt)

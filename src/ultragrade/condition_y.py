@@ -11,8 +11,7 @@ paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import CertificateError, NotFinite, NotFiniteEdges
 from .indexset import IndexSet
@@ -67,8 +66,7 @@ class LengthProfile:
         return self._reached[length]
 
 
-@dataclass(frozen=True)
-class ConditionYVerdict:
+class ConditionYVerdict(NamedTuple):
     status: str  # holds | holds_no_sources | violation_up_to_horizon | unknown
     witness: Optional[InfinitePathRep] = None
     horizon: Optional[int] = None

@@ -23,7 +23,6 @@ The decision rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import algebra
@@ -38,12 +37,14 @@ from .model import UltragraphPresentation, VertexSet, _print_vref
 from .structure import structural_report
 
 
-@dataclass
 class GradingVerdict:
-    property: str  # StrongZ | EpsStrongZ | StrongF | EpsStrongF | GaugeSaturated
-    status: str  # Yes | No | Undetermined | Unknown
-    reasons: list[str] = field(default_factory=list)
-    certificate: Optional[dict] = None
+    """A verdict; it compares and hashes by identity."""
+
+    def __init__(self, property: str, status: str, reasons: list[str], certificate: Optional[dict] = None):
+        self.property = property  # StrongZ | EpsStrongZ | StrongF | EpsStrongF | GaugeSaturated
+        self.status = status  # Yes | No | Undetermined | Unknown
+        self.reasons = reasons
+        self.certificate = certificate
 
     def to_dict(self) -> dict:
         return {

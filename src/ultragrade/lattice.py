@@ -19,15 +19,14 @@ per atom rather than one per intersection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .errors import CertificateError
 from .model import UltragraphPresentation, VertexRef, VertexSet
 
 
-@dataclass(frozen=True)
-class GeneralizedVertex:
+class GeneralizedVertex(NamedTuple):
     """Witness decomposition: a finite remainder plus range intersections."""
 
     underlying: VertexSet

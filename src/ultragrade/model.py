@@ -10,7 +10,6 @@ templates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -277,15 +276,13 @@ class VertexSet:
         return not self.is_empty()
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     source: VertexRef
     range: VertexSet
 
 
-@dataclass(frozen=True)
-class EdgeFamily:
+class EdgeFamily(NamedTuple):
     name: str
     n0: int
     source: VertexTemplate  # affine with a >= 1, or constant
@@ -301,19 +298,16 @@ class EdgeFamily:
 # -- infinite path representations -------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleTail:
+class CycleTail(NamedTuple):
     edges: tuple[EdgeInst, ...]  # nonempty, cyclically composable
 
 
-@dataclass(frozen=True)
-class FamilyTail:
+class FamilyTail(NamedTuple):
     family: str
     start: int
 
 
-@dataclass(frozen=True)
-class InfinitePathRep:
+class InfinitePathRep(NamedTuple):
     prefix: tuple[EdgeInst, ...]
     tail: Union[CycleTail, FamilyTail]
 
@@ -346,17 +340,19 @@ def _edge_ids_by_source(pres: "UltragraphPresentation") -> dict[VertexRef, list[
     return by_source
 
 
-@dataclass
 class UltragraphPresentation:
-    name: str
-    vertex_families: dict[str, int | None]  # cardinality; None = countably infinite
-    atoms: set[str] = field(default_factory=set)  # families declared via `vertex`
-    edges: dict[str, Edge] = field(default_factory=dict)
-    edge_families: dict[str, EdgeFamily] = field(default_factory=dict)
-    # Facts derived from the fields above, each built on first use by
-    # derived().  validate() empties it, so a presentation changed and
-    # validated again never sees stale facts.
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    """A presentation; it compares and hashes by identity."""
+
+    def __init__(self, name: str, vertex_families: dict[str, int | None], atoms: set[str] | None = None):
+        self.name = name
+        self.vertex_families = vertex_families  # cardinality; None = countably infinite
+        self.atoms = set() if atoms is None else atoms  # families declared via `vertex`
+        self.edges: dict[str, Edge] = {}
+        self.edge_families: dict[str, EdgeFamily] = {}
+        # Facts derived from the fields above, each built on first use by
+        # derived().  validate() empties it, so a presentation changed and
+        # validated again never sees stale facts.
+        self._derived: dict = {}
 
     def derived(self, key: str, build):
         """The fact `key`, computed once as build(self) and shared by every

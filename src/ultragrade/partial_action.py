@@ -24,14 +24,14 @@ enumerate the atoms of a depth; everything else walks supports.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Optional, Union
+from numbers import Rational
+from typing import Callable, Optional
 
 from .errors import CertificateError, NotFinite, NotInDomain, NotInIdeal
 from .freegroup import FreeWord
 from .model import EdgeInst, UltragraphPresentation, VertexRef, VertexSet
 
-Coeff = Union[int, Fraction]
+Coeff = Rational
 
 
 def _require_finite(pres: UltragraphPresentation) -> None:

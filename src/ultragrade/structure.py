@@ -8,7 +8,7 @@ edge family (a faithful infinite emitter).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .indexset import IndexSet
 from .model import (
@@ -22,8 +22,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class StructuralReport:
+class StructuralReport(NamedTuple):
     has_sinks: bool
     sink_witness: VertexRef | None
     has_sources: bool

@@ -4,6 +4,7 @@ epsilon candidates, and strong-grading factorizations."""
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,28 @@ def test_distributivity_and_scaling():
         x, y, z = (random_element(rng, pres) for _ in range(3))
         assert multiply(x, y + z) == multiply(x, y) + multiply(x, z)
         assert multiply(x.scale(Fraction(3, 2)), y) == multiply(x, y).scale(Fraction(3, 2))
+
+
+@pytest.mark.dash_o
+def test_coefficients_are_exact_rationals():
+    # ints and Fractions pass through monomial, scale and *; a bool, a float,
+    # a Decimal or a complex number is refused by a raised check, not an assert
+    pres = load("ef.ug")
+    u = VertexSet.of(VertexRef("u", 0))
+    p_u = AlgebraElement.projection(pres, u)
+    for c in (2, -1, Fraction(1, 3), Fraction(-4, 1)):
+        x = AlgebraElement.monomial(pres, (), u, (), c)
+        assert x.terms == {((), ()): ((c, u),)}
+        assert p_u.scale(c) == p_u * c == c * p_u == x
+    for c in (True, 1.5, Decimal("1"), 1j):
+        with pytest.raises(TypeError, match="exact rationals"):
+            AlgebraElement.monomial(pres, (), u, (), c)
+        with pytest.raises(TypeError, match="exact rationals"):
+            p_u.scale(c)
+        with pytest.raises(TypeError, match="exact rationals"):
+            p_u * c
+        with pytest.raises(TypeError):
+            c * p_u
 
 
 def test_degree_additivity_300_cases():

@@ -4,6 +4,8 @@ report schema."""
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -152,3 +154,21 @@ def test_color_modes(capsys, monkeypatch):
     monkeypatch.setenv("ULTRAGRADE_COLOR", "never")
     _, out, _ = run(capsys, "check", "strong-z", path("two_cycle.ug"))
     assert "\x1b[" not in out
+
+
+def test_import_loads_no_dataclasses_or_fractions():
+    # one fresh isolated interpreter imports the library as the benchmark
+    # does, and the CLI; the import prints nothing, since the benchmark reads
+    # its timing from the same interpreter's stdout
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import ultragrade.grading, ultragrade.partial_action, ultragrade.cli\n"
+        "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal')\n"
+        "sys.stderr.write(' '.join(m for m in heavy if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script, str(CORPUS.parent / "src")], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout == ""

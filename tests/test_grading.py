@@ -11,6 +11,7 @@ import pytest
 
 from conftest import CORPUS, load, named_chain, random_presentation
 from ultragrade import algebra, condition_y, grading, structure
+from ultragrade.condition_y import check_condition_y_bounded
 from ultragrade.errors import NoEdges
 from ultragrade.grading import (
     analyze,
@@ -20,6 +21,7 @@ from ultragrade.grading import (
     classify_strong_z,
     gauge_saturation,
 )
+from ultragrade.lattice import unit_witness
 from ultragrade.model import VertexSet, parse_presentation
 
 
@@ -411,3 +413,62 @@ def test_analyze_merges_vertex_sets_linearly_on_a_named_chain(monkeypatch):
     assert report["gradings"]["eps_strong_z"]["status"] == "Yes"
     assert merges <= n and parts <= 8 * n, (merges, parts)
     assert units == 6 * n + 2, units
+
+
+# -- records as values and reports across passes -----------------------------
+
+
+def _records(pres):
+    """Every kind of record built for pres: its edges and edge families,
+    its structural report, its unit witness and the replacement-condition
+    verdicts at horizons 0 and 3, with their witnesses and tails."""
+    out = [*pres.edges.values(), *pres.edge_families.values(), structure.structural_report(pres), unit_witness(pres)]
+    for horizon in (0, 3):
+        cy = check_condition_y_bounded(pres, horizon)
+        out += [cy, cy.witness, cy.witness and cy.witness.tail]
+    return [r for r in out if r is not None]
+
+
+def test_records_are_frozen_values():
+    # records built twice from the same text are equal, hash alike and
+    # refuse new values, for each record class
+    classes = set()
+    for path in sorted(CORPUS.glob("*.ug")):
+        a, b = (_records(parse_presentation(path.read_text())) for _ in range(2))
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert type(x) is type(y) and x is not y
+            assert x == y and not x != y and hash(x) == hash(y)
+            with pytest.raises(AttributeError):
+                setattr(x, next(iter(type(x).__annotations__)), None)
+            classes.add(type(x).__name__)
+    assert classes == {
+        "Edge",
+        "EdgeFamily",
+        "CycleTail",
+        "FamilyTail",
+        "InfinitePathRep",
+        "ConditionYVerdict",
+        "GeneralizedVertex",
+        "StructuralReport",
+    }
+
+
+def test_a_second_pass_gives_the_same_reports(monkeypatch):
+    # the benchmark's "output differs between passes" check: records that
+    # hashed by identity would order their sets by address, which the
+    # presentations built between the passes move
+    monkeypatch.syspath_prepend(str(CORPUS.parent / "perfbench"))
+    import workloads
+
+    texts = [path.read_text() for path in sorted(CORPUS.glob("*.ug"))]
+    for workload, seed in (("mixed_small", 7), ("infinite_rays", 301)):
+        texts += [i.text for i in workloads.make_inputs(workload, seed, CORPUS.parent) if i.name != "clique6"]
+    rng = random.Random(3535)
+    passes, kept = [], []
+    for _ in range(2):
+        passes.append([json.dumps(analyze(parse_presentation(text)), sort_keys=True) for text in texts])
+        others = [random_presentation(rng) for _ in range(100)]
+        kept += others + [analyze(pres) for pres in others]
+    assert len(passes[0]) > 300
+    assert passes[0] == passes[1]

@@ -531,8 +531,9 @@ def test_products_keep_every_term_cut():
 
 @pytest.mark.dash_o
 def test_one_term_products_match_the_all_pairs_oracle(monkeypatch):
-    """A product of two one-term factors atomizes no piece: its one piece
-    is its own normal form, and a product with none is zero.  On seeded
+    """A product of two one-term factors takes no normal form: its one
+    piece is its own normal form, and a product with none is zero, also
+    when the pair is compatible and _combine drops every piece.  On seeded
     pairs of cut monomials, its inner paths β and γ picked so that each
     way of meeting occurs, the product is the all-pairs oracle's and every
     term of it is cut."""
@@ -540,7 +541,7 @@ def test_one_term_products_match_the_all_pairs_oracle(monkeypatch):
     atomized = []
 
     def counted_atomize(pairs):
-        atomized.extend(pairs)
+        atomized.append(pairs)
         return real_atomize(pairs)
 
     monkeypatch.setattr(algebra, "_atomize", counted_atomize)
@@ -562,10 +563,12 @@ def test_one_term_products_match_the_all_pairs_oracle(monkeypatch):
                 continue
             before = len(atomized)
             got = multiply(x, y)
-            assert len(atomized) == before, "a one-term product atomized a piece"
+            assert len(atomized) == before, "a one-term product took the normal form"
             assert got == multiply_oracle(x, y), (pres.name, x.terms, y.terms)
             assert _every_term_is_cut(got)
             nb, ng = len(beta), len(gamma)
+            if beta[: min(nb, ng)] == gamma[: min(nb, ng)]:
+                cases["no piece"] += not algebra._combine(pres, *x.terms.items(), *y.terms.items())[1]
             if beta == gamma:
                 cases["equal"] += 1
                 cases["empty meet"] += got.is_zero()
