@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Optional
 from .condition_y import _edge_successors, incoming_length_profile
 from .errors import (
     CertificateError,
+    ExpressionError,
     MixedPresentation,
     NotFinite,
     NotFiniteEdges,
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .freegroup import FreeWord
 from .lattice import is_unital, range_atoms
-from .model import EdgeInst, UltragraphPresentation, VertexRef, VertexSet
+from .model import EdgeInst, UltragraphPresentation, VertexRef, VertexSet, _is_id, _is_number, _lead, _parse_vset
 from .structure import structural_report
 
 TERM_COUNT_CAP = 10**4
@@ -907,3 +908,89 @@ def pretty_units(pres: UltragraphPresentation, nodes: dict) -> tuple[dict[str, s
         bits += [f"s({e.label()}) {_unit_name(pres, child)} st({e.label()})" for e, child in kids]
         lines[_unit_name(pres, key)] = " + ".join(bits)
     return printed, lines
+
+
+# -- reading expressions ---------------------------------------------------
+
+
+def _expression_tokens(text: str) -> list[tuple[str, str]]:
+    """The tokens of an expression as (kind, text), all read before any is
+    parsed: an int, s(…) or st(…) with its edge list, p{…} with its set
+    body, or an op, one of * + ( )."""
+    out, rest = [], text
+    while rest.strip():
+        start, rest = rest, rest.lstrip()
+        sign = rest[0] == "-"
+        number = _lead(rest[sign:], "0123456789")
+        if rest[0] in "*+()":
+            out.append(("op", rest[0]))
+            rest = rest[1:]
+        elif number:
+            out.append(("int", rest[: sign + len(number)]))
+            rest = rest[sign + len(number) :]
+        else:
+            for kind, opener, closer in (("st", "(", ")"), ("s", "(", ")"), ("p", "{", "}")):
+                body = rest[len(kind) :].lstrip() if rest.startswith(kind) else ""
+                if body[:1] == opener and closer in body:
+                    body, _, rest = body[1:].partition(closer)
+                    out.append((kind, body))
+                    break
+            else:
+                raise ExpressionError(f"unexpected input at {start!r}")
+    return out
+
+
+def _edge_path(pres: UltragraphPresentation, body: str) -> tuple[EdgeInst, ...]:
+    """The path an edge list names, its edges apart by spaces or commas."""
+    path = []
+    for chunk in body.replace(",", " ").split():
+        name, bracket, rest = chunk.partition("[")
+        if not _is_id(name) or bracket and not (rest[-1:] == "]" and _is_number(rest[:-1])):
+            raise ExpressionError(f"bad edge reference {chunk!r}")
+        path.append(EdgeInst(name, int(rest[:-1]) if bracket else None))
+        if not pres.resolves(path[-1]):
+            raise ExpressionError(f"unknown edge {chunk!r}")
+    if not path:
+        raise ExpressionError("empty edge list")
+    if not pres.is_path(path):
+        raise ExpressionError(f"not a path: {' '.join(e.label() for e in path)}")
+    return tuple(path)
+
+
+def parse_element(pres: UltragraphPresentation, text: str) -> AlgebraElement:
+    """The element an expression denotes (grammar.ebnf, `expression`).  A
+    product is written with `*` or by juxtaposition, so what pretty prints
+    reads back; an integer n stands for n·p{V}.  Raises ExpressionError, or
+    ParseError for a bad set body."""
+    tokens = _expression_tokens(text)[::-1]  # the next token is the last
+
+    def factor() -> AlgebraElement:
+        kind, val = tokens.pop() if tokens else ("end", "")
+        if kind == "int":
+            return int(val) * AlgebraElement.projection(pres, pres.g0_universe())
+        if kind in ("s", "st"):
+            return (AlgebraElement.s if kind == "s" else AlgebraElement.s_star)(pres, _edge_path(pres, val))
+        if kind == "p":
+            return AlgebraElement.projection(pres, _parse_vset(val, 1, pres))
+        if (kind, val) != ("op", "("):
+            raise ExpressionError("expected a factor")
+        out = expr()
+        if not tokens or tokens.pop() != ("op", ")"):
+            raise ExpressionError("missing closing parenthesis")
+        return out
+
+    def expr() -> AlgebraElement:
+        """Products, by `*` or juxtaposition, summed by `+`."""
+        terms = [factor()]
+        while tokens and tokens[-1] != ("op", ")"):
+            op = tokens.pop()[1] if tokens[-1] in (("op", "+"), ("op", "*")) else "*"
+            if op == "+":
+                terms.append(factor())
+            else:
+                terms[-1] = terms[-1] * factor()
+        return sum(terms[1:], terms[0])
+
+    out = expr()
+    if tokens:
+        raise ExpressionError("trailing input in expression")
+    return out

@@ -9,13 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from . import __version__
-from .algebra import AlgebraElement, f_degree, monomial_degrees, pretty, z_degree
+from .algebra import f_degree, monomial_degrees, parse_element, pretty, z_degree
 from .condition_y import check_condition_y_bounded
-from .errors import NotHomogeneous, ParseError, UltragradeError
+from .errors import ExpressionError, NotHomogeneous, ParseError, UltragradeError
 from .grading import (
     analyze,
     classify_eps_strong_f,
@@ -25,17 +24,8 @@ from .grading import (
     gauge_saturation,
 )
 from .lattice import is_unital
-from .model import (
-    EdgeInst,
-    UltragraphPresentation,
-    parse_presentation,
-    print_presentation,
-)
-from .partial_action import (
-    SkewElement,
-    phi_of_element,
-    verify_generator_relations,
-)
+from .model import UltragraphPresentation, parse_presentation, print_presentation
+from .partial_action import phi_of_element, verify_generator_relations
 from .structure import build_associated_graph, structural_report
 
 EXIT_OK = 0
@@ -74,121 +64,6 @@ def _status_str(status: str) -> str:
 def _load(path: str) -> UltragraphPresentation:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_presentation(fh.read())
-
-
-# -- expression parsing ----------------------------------------------------
-
-
-class _ExprError(ValueError):
-    pass
-
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>-?\d+)"
-    r"|(?P<call>(?:st|s)\s*\([^)]*\))"
-    r"|(?P<proj>p\s*\{[^}]*\})"
-    r"|(?P<op>[*+()]))"
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise _ExprError(f"unexpected input at {text[pos:]!r}")
-        pos = m.end()
-        for kind in ("int", "call", "proj", "op"):
-            val = m.group(kind)
-            if val is not None:
-                out.append((kind, val))
-                break
-    return out
-
-
-def _parse_edge_list(pres: UltragraphPresentation, body: str) -> tuple[EdgeInst, ...]:
-    insts = []
-    for chunk in body.replace(",", " ").split():
-        m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_@.]*)(?:\[(\d+)\])?", chunk)
-        if not m:
-            raise _ExprError(f"bad edge reference {chunk!r}")
-        inst = EdgeInst(m.group(1), int(m.group(2)) if m.group(2) else None)
-        if not pres.resolves(inst):
-            raise _ExprError(f"unknown edge {chunk!r}")
-        insts.append(inst)
-    if not insts:
-        raise _ExprError("empty edge list")
-    return tuple(insts)
-
-
-class _ExprParser:
-    """expr := term ('+' term)*; term := factor ('*' factor)*;
-    factor := INT | s(edges) | st(edges) | p{vset} | '(' expr ')'"""
-
-    def __init__(self, pres: UltragraphPresentation, text: str):
-        self.pres = pres
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def _next(self):
-        tok = self._peek()
-        self.pos += 1
-        return tok
-
-    def parse(self) -> AlgebraElement:
-        out = self.expr()
-        if self.pos != len(self.tokens):
-            raise _ExprError("trailing input in expression")
-        return out
-
-    def expr(self) -> AlgebraElement:
-        out = self.term()
-        while self._peek() == ("op", "+"):
-            self._next()
-            out = out + self.term()
-        return out
-
-    def term(self) -> AlgebraElement:
-        out = self.factor()
-        while self._peek() == ("op", "*"):
-            self._next()
-            out = out * self.factor()
-        return out
-
-    def factor(self) -> AlgebraElement:
-        kind, val = self._next()
-        if kind == "int":
-            return int(val) * AlgebraElement.projection(self.pres, self.pres.g0_universe())
-        if kind == "op" and val == "(":
-            out = self.expr()
-            if self._next() != ("op", ")"):
-                raise _ExprError("missing closing parenthesis")
-            return out
-        if kind == "call":
-            star = val.startswith("st")
-            body = val[val.index("(") + 1 : -1]
-            path = _parse_edge_list(self.pres, body)
-            maker = AlgebraElement.s_star if star else AlgebraElement.s
-            return maker(self.pres, path)
-        if kind == "proj":
-            from .model import _parse_vset
-
-            body = val[val.index("{") + 1 : -1]
-            vset = _parse_vset(body, 1, self.pres)
-            return AlgebraElement.projection(self.pres, vset)
-        raise _ExprError("expected a factor")
-
-
-def _eval_skew(pres: UltragraphPresentation, text: str) -> SkewElement:
-    """Skew-product expressions share the algebra grammar; generators map
-    through the isomorphism images."""
-    return phi_of_element(pres, _ExprParser(pres, text).parse())
 
 
 # -- output helpers ---------------------------------------------------------
@@ -292,7 +167,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_eval(args) -> int:
     pres = _load(args.file)
-    element = _ExprParser(pres, args.expr).parse()
+    element = parse_element(pres, args.expr)
     print(f"normal form: {pretty(element)}")
     try:
         print(f"z-degree: {z_degree(element)}")
@@ -323,7 +198,7 @@ def _cmd_skew(args) -> int:
     if args.expr is None:
         print("skew: an expression or --verify-iso is required", file=sys.stderr)
         return EXIT_USAGE
-    skew = _eval_skew(pres, args.expr)
+    skew = phi_of_element(pres, parse_element(pres, args.expr))  # generators map to their images
     if skew.is_zero():
         print("0")
         return EXIT_OK
@@ -408,7 +283,7 @@ def run_cli(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ParseError, _ExprError) as exc:
+    except (ParseError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except UltragradeError as exc:

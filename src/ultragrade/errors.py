@@ -20,6 +20,10 @@ class EmptyRange(ParseError):
     pass
 
 
+class ExpressionError(UltragradeError):
+    """An algebra expression that does not read."""
+
+
 class InfiniteEmitter(UltragradeError):
     def __init__(self, vertex):
         super().__init__(f"{vertex} is an infinite emitter")

@@ -9,7 +9,6 @@ templates.
 
 from __future__ import annotations
 
-import re
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -522,164 +521,198 @@ class UltragraphPresentation:
 
 
 # -- parsing -------------------------------------------------------------
+#
+# A hand-written scanner over str methods for the grammar in grammar.ebnf.
+# A line is read by its first word.  A vertex set gathers the plain
+# indices of each family into one mask, so each family costs one IndexSet;
+# a family name that was declared is not checked again.
 
-_ID = r"[A-Za-z_][A-Za-z0-9_@.]*"
-_RE_HEADER = re.compile(rf"^ultragraph\s+({_ID})$")
-_RE_VERTEX = re.compile(rf"^vertex\s+({_ID})$")
-_RE_VFAMILY = re.compile(rf"^vertex_family\s+({_ID})\s+(infinite|finite\s+\d+)$")
-_RE_EDGE = re.compile(rf"^edge\s+({_ID})\s*:\s*(.+?)\s*->\s*\{{(.*)\}}$")
-_RE_EFAMILY = re.compile(
-    rf"^edge_family\s+({_ID})\[n\]\s*\(\s*n\s*>=\s*(\d+)\s*\)\s*:\s*(.+?)\s*->\s*\{{(.*)\}}$"
-)
-_RE_VREF = re.compile(rf"^({_ID})(?:\[(\d+)\])?$")
-_RE_STAR = re.compile(rf"^({_ID})\[\*\]$")
-_RE_PROG = re.compile(rf"^({_ID})\[(.+?)\s+for\s+n\s*>=\s*(\d+)\]$")
-_RE_TEMPLATE = re.compile(rf"^({_ID})(?:\[(.+?)\])?$")
-_RE_AFFINE = re.compile(r"^(?:(\d+)\s*\*\s*)?n(?:\s*([+-])\s*(\d+))?$|^(\d+)$")
+_ID_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+_ID_CHARS = _ID_START + "0123456789@."
+
+
+def _is_id(text: str) -> bool:
+    return text != "" and text[0] in _ID_START and not text.strip(_ID_CHARS)
+
+
+def _is_number(text: str) -> bool:
+    """An integer of ASCII digits: grammar.ebnf's digit is 0-9 only."""
+    return text.isdigit() and text.isascii()
+
+
+def _lead(text: str, chars: str) -> str:
+    """The longest prefix of text made of `chars`."""
+    return text[: len(text) - len(text.lstrip(chars))]
+
+
+def _expect(text: str, *words: str) -> str:
+    """text past each of `words` in turn and the whitespace after each, or
+    "" when one of them is missing."""
+    for word in words:
+        if not text.startswith(word):
+            return ""
+        text = text[len(word) :].lstrip()
+    return text
 
 
 def _parse_affine(text: str, line_no: int) -> Affine:
-    m = _RE_AFFINE.match(text.strip())
-    if not m:
+    """integer | [integer '*'] 'n' [('+' | '-') integer]"""
+    t = text.strip()
+    if _is_number(t):
+        return Affine(0, int(t))
+    head, n, tail = t.partition("n")
+    coef, star, gap = head.partition("*")
+    sign, digits = tail.lstrip()[:1], tail.lstrip()[1:].lstrip()
+    if not n or head and not (star and not gap.strip() and _is_number(coef.rstrip())) or sign and not (
+        sign in "+-" and _is_number(digits)
+    ):
         raise ParseError(line_no, f"bad affine expression {text!r}")
-    if m.group(4) is not None:
-        return Affine(0, int(m.group(4)))
-    a = int(m.group(1)) if m.group(1) else 1
-    b = int(m.group(3)) if m.group(3) else 0
-    if m.group(2) == "-":
-        b = -b
-    return Affine(a, b)
+    b = int(digits) if sign else 0
+    return Affine(int(coef) if head else 1, -b if sign == "-" else b)
 
 
-def _parse_vref(text: str, line_no: int, families: dict[str, int | None]) -> VertexRef:
-    m = _RE_VREF.match(text.strip())
-    if not m:
-        raise ParseError(line_no, f"bad vertex reference {text!r}")
-    fam, idx = m.group(1), int(m.group(2) or 0)
+def _parse_ref(text: str, line_no: int, families: dict[str, int | None], template: bool = False):
+    """The VertexRef of fam[index], or with `template` the VertexTemplate of
+    fam[affine]; a one-vertex family may stand without brackets."""
+    fam, bracket, rest = text.partition("[")
+    inner = rest[:-1]
+    shaped = not bracket or rest[-1:] == "]" and (inner if template else _is_number(inner))
+    if not shaped or fam not in families and not _is_id(fam):
+        raise ParseError(line_no, f"bad vertex {'template' if template else 'reference'} {text!r}")
     if fam not in families:
         raise DanglingReference(line_no, f"unknown vertex family {fam!r}")
     card = families[fam]
-    if m.group(2) is None and card != 1:
+    if not bracket and card != 1:
         raise ParseError(line_no, f"{fam!r} is a family; an index is required")
+    if template:
+        return VertexTemplate(fam, _parse_affine(inner.strip(), line_no) if bracket else Affine(0, 0))
+    idx = int(inner) if bracket else 0
     if card is not None and idx >= card:
         raise DanglingReference(line_no, f"index {idx} beyond family {fam!r}")
     return VertexRef(fam, idx)
 
 
 def _split_items(body: str) -> list[str]:
-    """Split a vset body on commas outside brackets."""
-    items, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            items.append("".join(cur))
-            cur = []
+    """Split a set body on the commas outside brackets; the items are
+    stripped and empty ones dropped."""
+    if "," not in body:
+        return [body.strip()] if body.strip() else []
+    items, depth = [], 0
+    for piece in body.split(","):
+        if depth:
+            items[-1] += "," + piece
         else:
-            cur.append(ch)
-    if cur:
-        items.append("".join(cur))
-    return [s.strip() for s in items if s.strip()]
+            items.append(piece)
+        depth += piece.count("[") - piece.count("]")
+    return [item for item in map(str.strip, items) if item]
+
+
+def _parse_family_part(item: str, line_no: int, pres: UltragraphPresentation) -> Optional[IndexSet]:
+    """The indices of fam[*] or of the progression fam[affine for n>=n0],
+    or None when item is neither, so that it is read as a vertex."""
+    fam, _, rest = item.partition("[")
+    aff_text, _, cond = rest[:-1].rpartition("for")
+    spaced = aff_text[-1:].isspace() and cond[:1].isspace() and aff_text.strip()
+    n0 = _expect(cond.lstrip(), "n", ">=") if spaced else ""
+    star = rest == "*]"
+    if not (star or _is_number(n0)) or fam not in pres.vertex_families and not _is_id(fam):
+        return None
+    if fam not in pres.vertex_families:
+        raise DanglingReference(line_no, f"unknown vertex family {fam!r}")
+    if star:
+        return pres.family_universe(fam)
+    aff = _parse_affine(aff_text.rstrip(), line_no)
+    if pres.vertex_families[fam] is not None:
+        raise ParseError(line_no, f"progression into finite family {fam!r}")
+    if aff.value(int(n0)) < 0:
+        raise ParseError(line_no, f"progression {item!r} leaves the naturals")
+    return IndexSet.progression(aff.a, aff.b, int(n0))
 
 
 def _parse_vset(body: str, line_no: int, pres: UltragraphPresentation) -> VertexSet:
     families = pres.vertex_families
-    parts: list[tuple[str, IndexSet]] = []
+    masks: dict[str, int] = {}
+    sets: dict[str, IndexSet] = {}
     for item in _split_items(body):
-        m = _RE_STAR.match(item)
-        if m:
-            fam = m.group(1)
-            if fam not in families:
-                raise DanglingReference(line_no, f"unknown vertex family {fam!r}")
-            parts.append((fam, pres.family_universe(fam)))
+        fam, _, rest = item.partition("[")
+        index, card = rest[:-1], families.get(fam, 0)
+        if rest[-1:] == "]" and index.isdigit() and index.isascii() and (card is None or int(index) < card):
+            masks[fam] = masks.get(fam, 0) | 1 << int(index)  # a vertex of a declared family
             continue
-        m = _RE_PROG.match(item)
-        if m:
-            fam, aff_text, n0 = m.group(1), m.group(2), int(m.group(3))
-            if fam not in families:
-                raise DanglingReference(line_no, f"unknown vertex family {fam!r}")
-            aff = _parse_affine(aff_text, line_no)
-            if families[fam] is not None:
-                raise ParseError(line_no, f"progression into finite family {fam!r}")
-            parts.append((fam, IndexSet.progression(aff.a, aff.b, int(n0))))
-            continue
-        v = _parse_vref(item, line_no, families)
-        parts.append((v.family, IndexSet.from_indices([v.index])))
-    return VertexSet.make(parts)
+        part = _parse_family_part(item, line_no, pres) if rest[-1:] == "]" else None
+        if part is None:
+            fam, i = _parse_ref(item, line_no, families)
+            masks[fam] = masks.get(fam, 0) | 1 << i
+        elif part:
+            sets[fam] = sets[fam].union(part) if fam in sets else part
+    for fam, mask in masks.items():
+        part = IndexSet(mask.bit_length(), mask, 1, 0)  # the finite set, in canonical form
+        sets[fam] = sets[fam].union(part) if fam in sets else part
+    return VertexSet(tuple(sorted(sets.items())))
 
 
-def _parse_template(text: str, line_no: int, families: dict[str, int | None]) -> VertexTemplate:
-    m = _RE_TEMPLATE.match(text.strip())
-    if not m:
-        raise ParseError(line_no, f"bad vertex template {text!r}")
-    fam = m.group(1)
-    if fam not in families:
-        raise DanglingReference(line_no, f"unknown vertex family {fam!r}")
-    if m.group(2) is None:
-        if families[fam] != 1:
-            raise ParseError(line_no, f"{fam!r} is a family; an index is required")
-        return VertexTemplate(fam, Affine(0, 0))
-    inner = m.group(2).strip()
-    if inner.isdigit():
-        return VertexTemplate(fam, Affine(0, int(inner)))
-    return VertexTemplate(fam, _parse_affine(inner, line_no))
+def _read_declaration(pres: UltragraphPresentation, word: str, rest: str, line_no: int) -> bool:
+    """Add the declaration `word rest` to pres; False when it is none."""
+    families = pres.vertex_families
+    if word == "vertex" or word == "vertex_family":
+        name, *kind = rest.split() or [""]
+        finite = len(kind) == 2 and kind[0] == "finite" and _is_number(kind[1])
+        if not (_is_id(name) and (not kind if word == "vertex" else kind == ["infinite"] or finite)):
+            return False
+        card = 1 if word == "vertex" else int(kind[1]) if finite else None
+        if name in families:
+            raise ParseError(line_no, f"duplicate vertex family {name!r}")
+        families[name] = card
+        if word == "vertex":
+            pres.atoms.add(name)
+        return True
+    if word == "edge":
+        name, colon, after = rest.partition(":")
+        name, n0 = name.rstrip(), "0"
+    elif word == "edge_family":
+        name, _, after = rest.partition("[")
+        after = _expect(after, "n]", "(", "n", ">=")
+        n0 = _lead(after, "0123456789")
+        after = _expect(after[len(n0) :].lstrip(), ")")
+        colon, after = after[:1], after[1:]
+    else:
+        return False
+    src_text, arrow, body = after.partition("->")  # the source ends at the first arrow
+    body = body.lstrip()
+    if not (colon == ":" and arrow and body[:1] == "{" and body.endswith("}") and n0 and _is_id(name)):
+        return False
+    if name in pres.edges or name in pres.edge_families:
+        raise ParseError(line_no, f"duplicate edge id {name!r}")
+    src_text, body = src_text.strip(), body[1:-1]
+    if word == "edge":
+        src = _parse_ref(src_text, line_no, families)
+        rng = _parse_vset(body, line_no, pres)
+        if rng.is_empty():
+            raise EmptyRange(line_no, f"edge {name!r} has empty range")
+        pres.edges[name] = Edge(name, src, rng)
+        return True
+    src = _parse_ref(src_text, line_no, families, template=True)
+    atoms = tuple(_parse_ref(item, line_no, families, template=True) for item in _split_items(body))
+    if not atoms:
+        raise EmptyRange(line_no, f"edge_family {name!r} has empty range")
+    pres.edge_families[name] = EdgeFamily(name, int(n0), src, atoms)
+    return True
 
 
 def parse_presentation(text: str) -> UltragraphPresentation:
     pres: UltragraphPresentation | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
+        word, *rest = line.split(None, 1)
+        rest = rest[0] if rest else ""
         if pres is None:
-            m = _RE_HEADER.match(line)
-            if not m:
+            if word != "ultragraph" or not _is_id(rest):
                 raise ParseError(line_no, "expected 'ultragraph <name>' header")
-            pres = UltragraphPresentation(m.group(1), {})
-            continue
-        m = _RE_VERTEX.match(line)
-        if m:
-            name = m.group(1)
-            if name in pres.vertex_families:
-                raise ParseError(line_no, f"duplicate vertex family {name!r}")
-            pres.vertex_families[name] = 1
-            pres.atoms.add(name)
-            continue
-        m = _RE_VFAMILY.match(line)
-        if m:
-            name, kind = m.group(1), m.group(2)
-            if name in pres.vertex_families:
-                raise ParseError(line_no, f"duplicate vertex family {name!r}")
-            pres.vertex_families[name] = None if kind == "infinite" else int(kind.split()[1])
-            continue
-        m = _RE_EDGE.match(line)
-        if m:
-            eid, src_text, body = m.group(1), m.group(2), m.group(3)
-            if eid in pres.edges or eid in pres.edge_families:
-                raise ParseError(line_no, f"duplicate edge id {eid!r}")
-            src = _parse_vref(src_text, line_no, pres.vertex_families)
-            rng = _parse_vset(body, line_no, pres)
-            if rng.is_empty():
-                raise EmptyRange(line_no, f"edge {eid!r} has empty range")
-            pres.edges[eid] = Edge(eid, src, rng)
-            continue
-        m = _RE_EFAMILY.match(line)
-        if m:
-            name, n0, src_text, body = m.group(1), int(m.group(2)), m.group(3), m.group(4)
-            if name in pres.edges or name in pres.edge_families:
-                raise ParseError(line_no, f"duplicate edge id {name!r}")
-            src = _parse_template(src_text, line_no, pres.vertex_families)
-            atoms = tuple(
-                _parse_template(item, line_no, pres.vertex_families)
-                for item in _split_items(body)
-            )
-            if not atoms:
-                raise EmptyRange(line_no, f"edge_family {name!r} has empty range")
-            pres.edge_families[name] = EdgeFamily(name, n0, src, atoms)
-            continue
-        raise ParseError(line_no, f"unrecognized line: {line!r}")
+            pres = UltragraphPresentation(rest, {})
+        elif not _read_declaration(pres, word, rest, line_no):
+            raise ParseError(line_no, f"unrecognized line: {line!r}")
     if pres is None:
         raise ParseError(1, "empty presentation")
     pres.validate()
