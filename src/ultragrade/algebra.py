@@ -5,9 +5,10 @@ keeps, for each path pair (α, β), a middle layer of disjoint vertex sets
 with distinct coefficients (a Boolean-atom refinement of the occurring
 sets), so syntactic equality decides equality modulo the purely
 set-theoretic relations.  The vertex-splitting relation
-p_v = Σ_{s(e)=v} s_e s_e* is never applied by the normal form: the split
-nodes of the strong-Z certificate state it, and its check compares them
-with the out-edges and the ranges.
+p_v = Σ_{s(e)=v} s_e s_e* is never applied by the normal form: the
+strong-Z certificate states it, once per vertex in degree 1 and through
+the full nodes of the unit table in degree −1, and its check compares
+them with the out-edges and the ranges.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .freegroup import FreeWord
 from .lattice import is_unital, range_atoms
-from .model import EdgeInst, UltragraphPresentation, VertexRef, VertexSet, _is_id, _is_number, _lead, _parse_vset
+from .model import EdgeInst, UltragraphPresentation, VertexSet, _is_id, _is_number, _lead, _parse_vset
 from .structure import structural_report
 
 TERM_COUNT_CAP = 10**4
@@ -92,10 +93,8 @@ class AlgebraElement:
     Λ, each y = p_P + Σ s_e and its adjoint directly in normal form, each
     piece coefficient 1 on the middle r(e) for s_e, s_e* and
     s_e p_{r(e)} s_e*, and on a nonempty P for p_P, which has no path; and
-    verify_factorization builds the factors of its products already cut:
-    s_e and s_e* with the middle r(e) for each edge, and p_u s_τ* and
-    s_τ p_u with the middle {u} for each closing node, once it has tested
-    that τ is a path with u in its last range (proof there)."""
+    verify_factorization builds the factors of its degree 1 products
+    already cut: s_e and s_e* with the middle r(e) for each edge."""
 
     __slots__ = ("pres", "terms")
 
@@ -241,8 +240,8 @@ def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     pair in them is kept when β and γ agree on the shorter length.  So
     each contributing pair is combined exactly once.
 
-    When both factors have one term, as every pair of the strong-Z
-    certificate has, no bucket is built: the one pair of terms is combined
+    When both factors have one term, as every degree 1 pair of the
+    strong-Z certificate has, no bucket is built: the one pair of terms is combined
     exactly when it is compatible.  A product with one piece is its own
     normal form, a nonzero coefficient (a product of nonzero ones) on a
     nonempty set; no piece or an empty set gives 0, and more pieces are
@@ -390,34 +389,36 @@ def _relevance_bounds(pres: UltragraphPresentation) -> dict[EdgeInst, float]:
     finite B(e) is at most L − 2.  ind is read off the atoms of the ranges
     (range_atoms, whose positions are those of the edges in id order, the
     order of edge_successors on a finite edge set), so an infinite range
-    needs no listing."""
-    depth = incoming_length_profile(pres).depth
-    succ = edge_successors(pres)
-    edges = list(succ)
-    d = {e: math.inf if depth[e.name] is None else depth[e.name] for e in edges}
-    top = dict.fromkeys(edges, 0)  # R(e)
-    for _, held in range_atoms(pres):
-        ind = max(d[edges[i]] for i in held)
-        for i in held:
-            top[edges[i]] = max(top[edges[i]], ind)
-    bound: dict[EdgeInst, float] = {}
-    for e in sorted(edges, key=d.__getitem__, reverse=True):
-        b = top[e]
-        if b != math.inf:
-            b = max([b] + [bound[f] for f in succ[e]])
-        bound[e] = b - 1
-    return {e: bound[e] for e in edges}
+    needs no listing.  Built once per presentation."""
+
+    def build(p: UltragraphPresentation) -> dict[EdgeInst, float]:
+        depth = incoming_length_profile(p).depth
+        succ = edge_successors(p)
+        edges = list(succ)
+        d = {e: math.inf if depth[e.name] is None else depth[e.name] for e in edges}
+        top = dict.fromkeys(edges, 0)  # R(e)
+        for _, held in range_atoms(p):
+            ind = max(d[edges[i]] for i in held)
+            for i in held:
+                top[edges[i]] = max(top[edges[i]], ind)
+        bound: dict[EdgeInst, float] = {}
+        for e in sorted(edges, key=d.__getitem__, reverse=True):
+            b = top[e]
+            if b != math.inf:
+                b = max([b] + [bound[f] for f in succ[e]])
+            bound[e] = b - 1
+        return {e: bound[e] for e in edges}
+
+    return pres.derived("relevance_bounds", build)
 
 
-def _unit_levels(pres: UltragraphPresentation) -> dict[EdgeInst, tuple[float, float]]:
-    """(I(e), B(e)) for each edge e, in id order; built once per
-    presentation.  I(e) is the largest depth of an edge f with s(e) in
-    r(f), math.inf for depth None and 0 when s(e) lies in no range, so
-    s(e) ∈ reached(m) iff m <= I(e): reached(m) is the union of the ranges
-    of the edges of depth at least m or None (LengthProfile).  B(e) is
-    _relevance_bounds'."""
+def _inward(pres: UltragraphPresentation) -> dict[EdgeInst, float]:
+    """I(e) for each edge e, in id order, from the depths alone: the
+    largest depth of an edge f with s(e) in r(f), math.inf for None and 0
+    when there is none, so s(e) ∈ reached(m) iff m <= I(e) (LengthProfile);
+    built once per presentation."""
 
-    def build(p: UltragraphPresentation) -> dict[EdgeInst, tuple[float, float]]:
+    def build(p: UltragraphPresentation) -> dict[EdgeInst, float]:
         depth = incoming_length_profile(p).depth
         succ = edge_successors(p)
         inward = dict.fromkeys(succ, 0)
@@ -425,10 +426,9 @@ def _unit_levels(pres: UltragraphPresentation) -> dict[EdgeInst, tuple[float, fl
             d = math.inf if depth[f.name] is None else depth[f.name]
             for e in nxt:
                 inward[e] = max(inward[e], d)
-        bound = _relevance_bounds(p)
-        return {e: (inward[e], bound[e]) for e in succ}
+        return inward
 
-    return pres.derived("unit_levels", build)
+    return pres.derived("inward", build)
 
 
 def _negative_node(pres: UltragraphPresentation, key: tuple) -> Optional[tuple]:
@@ -439,13 +439,9 @@ def _negative_node(pres: UltragraphPresentation, key: tuple) -> Optional[tuple]:
     nonzero (proof in verify_epsilon)."""
     m, a = key
     profile = incoming_length_profile(pres)
-    levels = _unit_levels(pres)
+    inward, bound = _inward(pres), _relevance_bounds(pres)
     below = min(m + 1, profile.settle)
-    kids = tuple(
-        (e, (below, pres.edge_range(e)))
-        for e in _type_out_edges(pres)[a]
-        if levels[e][0] < m <= levels[e][1]
-    )
+    kids = tuple((e, (below, pres.edge_range(e))) for e in _type_out_edges(pres)[a] if inward[e] < m <= bound[e])
     head = a.intersection(profile.reached(m))
     if head.is_empty() and not kids:
         return None
@@ -487,6 +483,21 @@ def epsilon_candidate(pres: UltragraphPresentation) -> dict:
     return _closure(roots, lambda key: _negative_node(pres, key))
 
 
+def _check_nodes(pres: UltragraphPresentation, nodes: dict, fail: Callable[[str], None]) -> None:
+    """Every node (m, A) has 1 <= m <= L and a range type A, equals its
+    rule (_negative_node), so it is nonzero, its set is A ∩ R(m) and its
+    children are re-derived from the profile and the levels, and each
+    child it points at is listed; fail names the first that does not."""
+    out = _type_out_edges(pres)
+    settle = incoming_length_profile(pres).settle
+    for key, node in nodes.items():
+        if not 1 <= key[0] <= settle or key[1] not in out or node != _negative_node(pres, key):
+            fail(f"node {_unit_name(pres, key)} does not follow its rule")
+        for _, child in node[1]:
+            if child not in nodes:
+                fail(f"the child {_unit_name(pres, child)} of node {_unit_name(pres, key)} is not listed")
+
+
 def _is_unit_on(pres: UltragraphPresentation, head: VertexSet, children, edges) -> bool:
     """Λ y = y and y* Λ = y* for Λ = p_head + Σ s_e p_{r(e)} s_e* over the
     children and y = p_head + Σ s_e over the edges.  Each element is built
@@ -514,7 +525,8 @@ def verify_epsilon(pres: UltragraphPresentation, nodes: dict) -> None:
     rule is zero.  Every node (m, A) has 1 <= m <= L and a range type A,
     and equals its rule (_negative_node), so it is nonzero, its set is
     A ∩ R(m) and its children are re-derived from the profile and the
-    levels; each child it points at is listed.  Then the products:
+    levels; each child it points at is listed (_check_nodes).  Then the
+    products:
     L(V) = Σ_e s_e p_{r(e)} s_e* must give L(V) S = S and S* L(V) = S*,
     S = Σ_e s_e over all edges; and once per distinct one-level element
     Λ = p_P + Σ_{children e} s_e p_{r(e)} s_e* of a node (m, A),
@@ -617,99 +629,35 @@ def verify_epsilon(pres: UltragraphPresentation, nodes: dict) -> None:
     for m in range(1, settle + 1):
         if (m, universe) not in nodes and _negative_node(pres, (m, universe)):
             fail(f"the root {_unit_name(pres, (m, universe))} is not listed")
-    for key, node in nodes.items():
-        if not 1 <= key[0] <= settle or key[1] not in out or node != _negative_node(pres, key):
-            fail(f"node {_unit_name(pres, key)} does not follow its rule")
-        for _, child in node[1]:
-            if child not in nodes:
-                fail(f"the child {_unit_name(pres, child)} of node {_unit_name(pres, key)} is not listed")
+    _check_nodes(pres, nodes, fail)
     if not _is_unit_on(pres, VertexSet.empty(), out[universe], out[universe]):
         fail("L(V) is not a unit on the edges, so neither is N(n, V)")
-    levels = _unit_levels(pres)
+    inward = _inward(pres)
     seen = set()
     for (m, a), (head, kids) in nodes.items():
         children = tuple(e for e, _ in kids)
         if (a, head, children) in seen:
             continue
         seen.add((a, head, children))
-        kept = [e for e in out[a] if m <= levels[e][0] or e in children]
+        kept = [e for e in out[a] if m <= inward[e] or e in children]
         if not _is_unit_on(pres, head, children, kept):
             fail(f"node {_unit_name(pres, (m, a))} is not a unit on its kept edges")
 
 
-# -- strong-grading factorization certificates ---------------------------
-
-
-def _in_edge_map(pres: UltragraphPresentation) -> dict[VertexRef, list[EdgeInst]]:
-    """Each vertex's in-edges in id order, from one pass over the edges in
-    that order; built once per finite presentation."""
-
-    def build(p: UltragraphPresentation) -> dict[VertexRef, list[EdgeInst]]:
-        into: dict[VertexRef, list[EdgeInst]] = {}
-        for eid in sorted(p.edges):
-            e = EdgeInst(eid)
-            for u in p.edges[eid].range.vertices():
-                into.setdefault(u, []).append(e)
-        return into
-
-    return pres.derived("in_edge_map", build)
-
-
-def _replacement_path(pres: UltragraphPresentation, u: VertexRef, length: int) -> Path:
-    """A path of the given length with u in its last range, read off the
-    length profile: walking back from u, at each step k = length, ..., 1
-    take the first in-edge in id order that ends a path of length k, one of
-    depth at least k or None (LengthProfile), and move to its source.
-
-    The walk never gets stuck once it starts: if e ends a path of length
-    k > 1, the first k − 1 edges of that path have s(e) in their last
-    range, so some in-edge of s(e) ends a path of length k − 1.  So it
-    raises CertificateError exactly when u is not in reached(length).  It
-    takes the path that a depth-first search over the in-edges in id order
-    takes first, since an edge e with source w ends a path of length k iff
-    w is in reached(k − 1)."""
-    depth = incoming_length_profile(pres).depth
-    into = _in_edge_map(pres)
-    tau: list[EdgeInst] = []
-    w = u
-    for k in range(length, 0, -1):
-        for e in into.get(w, ()):
-            d = depth[e.name]
-            if d is None or d >= k:
-                break
-        else:
-            raise CertificateError(f"no replacement path of length {length} into {u.label()}")
-        tau.append(e)
-        w = pres.edge_source(e)
-    return tuple(reversed(tau))
+# -- strong-grading certificates ------------------------------------------
 
 
 def strong_factorization(pres: UltragraphPresentation, n: int) -> dict:
-    """The strong-Z certificate table of degree n = ±1, for every vertex
-    at once.
+    """The strong-Z certificate table of degree n = ±1.
 
     n = 1: the out-edge map, each vertex v with its out-edges in id order,
     for p_v = Σ s_e s_e*.
 
-    n = −1: a node table keyed by the states (k, u), built by _closure
-    from the roots (0, v), one per vertex.  The node (k, u) stands for
-    s_γ p_u s_γ* for every path γ of length k with u in its last range
-    (γ = () at k = 0).  A state closes when u is in reached(k + 1); its
-    node is (τ, ()), τ the replacement path of _replacement_path, a path
-    of length k + 1 with u in its last range, walked once per node.  At
-    k = 0 that is u in the in-edge map, as reached(1) is the union of all
-    ranges, so reached is built only once a source expands.  Any other
-    state splits p_u over the out-edges of u, which is no sink: its node
-    is (None, children), the children the pairs (e, (k + 1, u′)) for each
-    out-edge e in id order and each vertex u′ of r(e) in order.  A branch
-    (γ, u) of the expansion of p_v depends on γ only through k = |γ|, so
-    one node per state stands for all the branches through it.
-
-    No state has k > S, the profile's settle length: for k >= 1 the state
-    is reached along a path γ of length k into u, so u is in reached(k),
-    and reached(l) = reached(S) for every l >= S; at k = S that gives u in
-    reached(S + 1), so the state closes.  So the table has at most
-    (S + 1)·|V| nodes, and the expansion ends without a cap."""
+    n = −1: the unit table's nodes under the root (1, V), built by _closure
+    with _negative_node: ε_{−1} = D(1, V), which is p_V when every node is
+    full (verify_factorization), as every node is when no vertex is a
+    sink: an edge out of A ∖ R(m) leads on, past a cycle, to a nonzero
+    child."""
     if n not in (1, -1):
         raise ValueError("n must be 1 or -1")
     if not pres.is_finite:
@@ -717,79 +665,50 @@ def strong_factorization(pres: UltragraphPresentation, n: int) -> dict:
     report = structural_report(pres)
     if report.has_sinks or not report.row_finite:
         raise NotStronglyGraded("the algebra is not strongly graded")
-    out = pres.out_edge_map()
     if n == 1:
-        return out
-    profile = incoming_length_profile(pres)
-    into = _in_edge_map(pres)
-
-    def rule(key: tuple[int, VertexRef]) -> tuple:
-        k, u = key
-        if profile.reached(k + 1).member(u) if k else u in into:
-            return _replacement_path(pres, u, k + 1), ()
-        return None, tuple((e, (k + 1, w)) for e in out[u] for w in pres.edge_range(e).vertices())
-
-    return _closure([(0, v) for v in out], rule)
+        return pres.out_edge_map()
+    return _closure([(1, pres.g0_universe())], lambda key: _negative_node(pres, key))
 
 
 def verify_factorization(pres: UltragraphPresentation, table: dict, n: int) -> None:
     """Check the strong-Z table of degree n = ±1 that strong_factorization
-    builds, one identity per node; raise CertificateError naming the
-    first entry that fails.  Acceptance proves p_v ∈ L_1 L_{−1} (n = 1) or
-    p_v ∈ L_{−1} L_1 (n = −1) for every vertex v, L_d the degree-d
-    component and L_d L_{−d} the span of the products.
+    builds; raise CertificateError naming the first entry that fails.
+    Acceptance proves 1 ∈ L_1 L_{−1} (n = 1) or 1 ∈ L_{−1} L_1 (n = −1),
+    L_d the degree-d component; both make the ℤ-grading strong
+    (Năstăsescu and Van Oystaeyen, Methods of Graded Rings, §1.1).
 
-    What is checked, n = 1.  The table lists every vertex and nothing
-    else; each vertex v is no sink and lists exactly its out-edges, in
-    id order.  For each edge e the check builds the pair (s_e, s_e*) with
-    coefficient 1, of degrees 1 and −1 and cut, its middle r(e) the last
-    range of the path (e,), and re-multiplies it to s_e p_{r(e)} s_e* in
-    normal form.  Then p_v = Σ_{s(e)=v} s_e s_e* (v is a finite emitter
-    and no sink), a sum of products ab with a ∈ L_1 and b ∈ L_{−1}.
+    n = 1.  The table lists every vertex, none a sink, each with exactly
+    its out-edges in id order.  Each pair (s_e, s_e*), built cut with the
+    middle r(e), re-multiplies to s_e p_{r(e)} s_e* (multiply: one-term
+    factors and no sum, so TERM_COUNT_CAP does not apply), and the
+    p_v = Σ_{s(e)=v} s_e s_e* sum to 1 = p_V.
 
-    What is checked, n = −1.  The root (0, v) of every vertex is listed.
-    Every node (k, u) has u a vertex and 0 <= k <= S, the settle length,
-    and holds a τ and no children, or children and no τ.  A closing
-    node's τ has length k + 1, is a path and has u in r(τ[-1]), which
-    makes the pair (p_u s_τ*, s_τ p_u) that the check builds, with the
-    middle {u} and coefficient 1, cut and of degrees −(k + 1) and k + 1;
-    ab re-multiplies to p_u exactly in normal form.  A split node's u is
-    no sink, and its children, compared once with the re-derived ones,
-    are the pairs (e, (k + 1, u′)) over u's out-edges e in id order and
-    the vertices u′ of r(e) in order, each one listed.  So the printed
-    certificate, which names each node by its τ or its children, is what
-    was checked.
+    n = −1, with no product: (1) the root (1, V) is listed and every node
+    equals its rule, and (3) every child is listed (_check_nodes); (2)
+    every node (m, A) is full: each vertex of A ∖ R(m) emits an edge, and
+    the children are exactly the out-edges e of A with s(e) ∉ R(m); (4)
+    the length profile holds locally: a finite depth is one more than the
+    largest depth of the edges whose range holds the edge's source, none
+    of them None, and a None depth has such an edge of depth None.
 
-    Claim: for every listed node (k, u) and every path γ of length k
-    with u in r(γ[-1]), or γ = () at k = 0, s_γ p_u s_γ* ∈ L_{−1} L_1.
-    By descending induction on k, from k = S.
-      * A closing node: s_γ p_u s_γ* = (s_γ a)(b s_γ*), as ab = p_u in the
-        normal form, which only the relations rewrite; s_γ a has degree
-        k − (k + 1) = −1 and b s_γ* degree 1.
-      * A split node: u is a finite emitter (the ultragraph is finite) and
-        no sink, so p_u = Σ_{s(e)=u} s_e p_{r(e)} s_e*, and
-        p_{r(e)} = Σ_{u′∈r(e)} p_{u′}, r(e) being finite.  So
-        s_γ p_u s_γ* = Σ s_{γe} p_{u′} s_{γe}* over the listed edges and
-        children, where γe is a path of length k + 1 (s(e) = u lies in
-        r(γ[-1])) with u′ in r(e).  Each child (k + 1, u′) is listed, so
-        k + 1 <= S, and each term lies in L_{−1} L_1 by induction, hence
-        the sum.  At k = S no child can be listed, while u has an
-        out-edge and every range is nonempty (validate), so no split node
-        passes there: the nodes at k = S all close, which starts the
-        induction.
-    The roots, with γ = (), give p_v ∈ L_{−1} L_1 for every vertex.
+    (4) makes the profile right, so R(m) = reached(m), L, and s(e) ∈ R(m)
+    iff m <= I(e) (_inward) are the presentation's, not taken on trust.
+    An edge marked None has an in-edge marked None; walking back along
+    these among finitely many edges repeats one, so a cycle reaches it.
+    An edge marked finite has only in-edges marked finite and lower, so by
+    induction on the mark it counts the edges of a longest path ending
+    with it.
 
-    The check is complete for the tables strong_factorization builds:
-    each of its states has k <= S (proof there) and is listed once, its
-    closing τ is a path of length k + 1 into u, so that
-    p_u s_τ* s_τ p_u = p_u p_{r(τ[-1])} p_u = p_u, and its splits list
-    every out-edge and every child.
-
-    Cost: one product per edge (n = 1) or per closing node (n = −1), each
-    of two one-term factors with no index or normalization (multiply),
-    compared with its one expected term, and one path test per closing
-    node; no sum of products is formed, so TERM_COUNT_CAP does not
-    apply."""
+    A full node is p_A, by induction down the chains of pointers, which
+    have at most L edges (verify_epsilon).  D(m, A) = p_{A∩R(m)} +
+    Σ s_e D(m', r(e)) s_e* over the children, and each child is full, so
+    its term is s_e p_{r(e)} s_e* = s_e s_e*.  The children are all the
+    edges out of A ∖ R(m), finitely many vertices each emitting at least
+    one edge and finitely many, so the Cuntz–Krieger relation
+    p_u = Σ_{s(e)=u} s_e s_e* sums them to p_{A∖R(m)}, and D(m, A) = p_A.
+    So D(1, V) = p_V = 1, and it lies in L_{−1} L_1 by verify_epsilon's
+    membership argument: its term s_α p_X s_α*, X = r(α) ∩ R(|α| + 1), is
+    a sum of y y* with y of degree −1."""
     out = pres.out_edge_map()
     rng = pres.edge_range
 
@@ -808,28 +727,22 @@ def verify_factorization(pres: UltragraphPresentation, table: dict, n: int) -> N
                 if multiply(a, b).terms != {((e,), (e,)): piece}:
                     fail(f"the pair of {e.label()} does not multiply to s_e p_r(e) s_e*")
         return
-    for v in out:
-        if (0, v) not in table:
-            fail(f"the root (0, {v.label()}) is not listed")
-    settle = incoming_length_profile(pres).settle
-    for (k, u), (tau, children) in table.items():
-        if u not in out or not 0 <= k <= settle:
-            fail(f"node ({k}, {u.label()}) is not a state of the ultragraph")
-        if tau is None:
-            if not out[u] or children != tuple((e, (k + 1, w)) for e in out[u] for w in rng(e).vertices()):
-                fail(f"the children of node ({k}, {u.label()}) are not its out-edges with the vertices of their ranges")
-            for _, (j, w) in children:
-                if (j, w) not in table:
-                    fail(f"the child ({j}, {w.label()}) of node ({k}, {u.label()}) is not listed")
-            continue
-        if children:
-            fail(f"node ({k}, {u.label()}) holds both a tau and children")
-        if len(tau) != k + 1 or not pres.is_path(tau) or not rng(tau[-1]).member(u):
-            fail(f"the tau of node ({k}, {u.label()}) is not a path of length {k + 1} into its vertex")
-        piece = ((1, VertexSet.of(u)),)
-        a, b = AlgebraElement(pres, {((), tau): piece}), AlgebraElement(pres, {(tau, ()): piece})
-        if multiply(a, b).terms != {((), ()): piece}:
-            fail(f"the pair of node ({k}, {u.label()}) does not multiply to p_u")
+    root = (1, pres.g0_universe())
+    if root not in table:
+        fail(f"the root {_unit_name(pres, root)} is not listed")
+    profile = incoming_length_profile(pres)
+    inward = _inward(pres)
+    for e, i in inward.items():
+        if profile.depth.get(e.name, 0) != (None if i == math.inf else i + 1):
+            fail(f"the depth of {e.label()} does not follow from the depths of the edges into its source")
+    _check_nodes(pres, table, fail)
+    out_of = _type_out_edges(pres)
+    for (m, a), (_, kids) in table.items():
+        for v in a.difference(profile.reached(m)).vertices():
+            if not out[v]:
+                fail(f"node {_unit_name(pres, (m, a))} is not full: {v.label()} outside its head is a sink")
+        if tuple(e for e, _ in kids) != tuple(e for e in out_of[a] if inward[e] < m):
+            fail(f"node {_unit_name(pres, (m, a))} is not full: its children are not the edges out of A ∖ R({m})")
 
 
 # -- printing ------------------------------------------------------------
@@ -878,15 +791,27 @@ def _unit_name(pres: UltragraphPresentation, key: tuple) -> str:
     return f"D({key[0]}, {pres.derived('type_labels', _type_labels).get(key[1], key[1])})"
 
 
+def pretty_nodes(pres: UltragraphPresentation, nodes: dict) -> dict[str, str]:
+    """Each node D(m, A) of a unit table printed once, as
+    p{A ∩ R(m)} + Σ s(e) D(m', r(e)) st(e), an empty set left out."""
+    from .model import _print_vset
+
+    lines = {}
+    for key, (head, kids) in nodes.items():
+        bits = [] if head.is_empty() else ["p{" + _print_vset(pres, head) + "}"]
+        bits += [f"s({e.label()}) {_unit_name(pres, child)} st({e.label()})" for e, child in kids]
+        lines[_unit_name(pres, key)] = " + ".join(bits)
+    return lines
+
+
 def pretty_units(pres: UltragraphPresentation, nodes: dict) -> tuple[dict[str, str], dict[str, str]]:
     """The printed units and nodes.  Degree 0 maps to p{V}, every n >= 1
     to N(n, V), each −m with m < L to D(m, V), and all −m with m >= L
     together, under "<= −L", to D(L, V); a root that is not listed prints
     as 0.  Each type A of _type_out_edges is printed once, under its name
     V or r(e), as N(k, A) = Σ s(e) N(k-1, r(e)) st(e) over its out-edges,
-    or 0 when it has none, next to the base N(0, A) = p{A}.  Each node
-    D(m, A) of the table is printed once, as
-    p{A ∩ R(m)} + Σ s(e) D(m', r(e)) st(e), an empty set left out."""
+    or 0 when it has none, next to the base N(0, A) = p{A}; then the nodes
+    (pretty_nodes)."""
     from .model import _print_vset
 
     labels = pres.derived("type_labels", _type_labels)
@@ -903,10 +828,7 @@ def pretty_units(pres: UltragraphPresentation, nodes: dict) -> tuple[dict[str, s
         lines[f"N(k, {labels[a]})"] = " + ".join(
             f"s({e.label()}) N(k-1, {labels[pres.edge_range(e)]}) st({e.label()})" for e in edges
         ) or "0"
-    for key, (head, kids) in nodes.items():
-        bits = [] if head.is_empty() else ["p{" + _print_vset(pres, head) + "}"]
-        bits += [f"s({e.label()}) {_unit_name(pres, child)} st({e.label()})" for e, child in kids]
-        lines[_unit_name(pres, key)] = " + ".join(bits)
+    lines.update(pretty_nodes(pres, nodes))
     return printed, lines
 
 
@@ -915,18 +837,21 @@ def pretty_units(pres: UltragraphPresentation, nodes: dict) -> tuple[dict[str, s
 
 def _expression_tokens(text: str) -> list[tuple[str, str]]:
     """The tokens of an expression as (kind, text), all read before any is
-    parsed: an int, s(…) or st(…) with its edge list, p{…} with its set
-    body, or an op, one of * + ( )."""
+    parsed: a number, an integer or a fraction p/q, s(…) or st(…) with its
+    edge list, p{…} with its set body, or an op, one of * + ( )."""
     out, rest = [], text
     while rest.strip():
         start, rest = rest, rest.lstrip()
         sign = rest[0] == "-"
         number = _lead(rest[sign:], "0123456789")
+        below = _lead(rest[sign + len(number) + 1 :], "0123456789") if number else ""
+        if below and rest[sign + len(number)] == "/":
+            number += "/" + below
         if rest[0] in "*+()":
             out.append(("op", rest[0]))
             rest = rest[1:]
         elif number:
-            out.append(("int", rest[: sign + len(number)]))
+            out.append(("number", rest[: sign + len(number)]))
             rest = rest[sign + len(number) :]
         else:
             for kind, opener, closer in (("st", "(", ")"), ("s", "(", ")"), ("p", "{", "}")):
@@ -960,14 +885,23 @@ def _edge_path(pres: UltragraphPresentation, body: str) -> tuple[EdgeInst, ...]:
 def parse_element(pres: UltragraphPresentation, text: str) -> AlgebraElement:
     """The element an expression denotes (grammar.ebnf, `expression`).  A
     product is written with `*` or by juxtaposition, so what pretty prints
-    reads back; an integer n stands for n·p{V}.  Raises ExpressionError, or
-    ParseError for a bad set body."""
+    reads back; a number c, an integer or a fraction p/q as pretty prints
+    one, stands for c·p{V}.  Raises ExpressionError, or ParseError for a
+    bad set body."""
     tokens = _expression_tokens(text)[::-1]  # the next token is the last
 
     def factor() -> AlgebraElement:
         kind, val = tokens.pop() if tokens else ("end", "")
-        if kind == "int":
-            return int(val) * AlgebraElement.projection(pres, pres.g0_universe())
+        if kind == "number":
+            if "/" in val:
+                from fractions import Fraction  # only here, so that importing the library skips it
+
+                if not val.rpartition("/")[2].strip("0"):
+                    raise ExpressionError(f"zero denominator in {val!r}")
+                c = Fraction(val)
+            else:
+                c = int(val)
+            return c * AlgebraElement.projection(pres, pres.g0_universe())
         if kind in ("s", "st"):
             return (AlgebraElement.s if kind == "s" else AlgebraElement.s_star)(pres, _edge_path(pres, val))
         if kind == "p":

@@ -5,9 +5,10 @@ The decision rules:
   * strongly Z-graded  ⇔  no sinks, row-finite, and every infinite path
     admits replacement prefixes (the infinite-path condition decided by
     the condition_y module).  On a finite ultragraph a Yes carries the
-    strong-Z tables: the out-edge map in degree 1, and in degree −1 one
-    node, a τ or children, per state (k, u), checked one identity per
-    node by algebra.verify_factorization (proof there) and printed once;
+    strong-Z tables: the out-edge map in degree 1, and in degree −1 the
+    unit table's nodes under ε_{−1} = D(1, V), each full, so that
+    D(1, V) = p_V; checked by algebra.verify_factorization (proof there)
+    and printed once;
   * epsilon-strongly Z-graded  ⇔  finitely many edges and a unital
     algebra.  Both are necessary.  When every edge source lies in some
     range, that suffices and Yes is given without a certificate; otherwise
@@ -18,7 +19,8 @@ The decision rules:
     certificate that fails its check raises CertificateError;
   * strongly F-graded  ⇔  exactly one edge e with r(e) = {s(e)};
   * epsilon-strongly F-graded  ⇔  unital;
-  * gauge saturation  ⇔  the strong-Z criterion.
+  * gauge saturation  ⇔  the strong-Z criterion; its certificate points
+    to strong_z's.
 """
 
 from __future__ import annotations
@@ -81,36 +83,19 @@ def _strong_z_from(pres: UltragraphPresentation, cy: ConditionYVerdict) -> Gradi
     """The strong-Z verdict from an already computed replacement-condition
     verdict."""
     report = structural_report(pres)
-    reasons = []
-    ok = True
-    unknown = False
-    if report.has_sinks:
-        reasons.append(f"sink present: {report.sink_witness.label()}")
-        ok = False
-    else:
-        reasons.append("no sinks")
+    reasons = [f"sink present: {report.sink_witness.label()}" if report.has_sinks else "no sinks"]
     if report.row_finite:
         reasons.append("row-finite")
+    elif not report.finite_range:
+        reasons.append("not row-finite: some edge has infinite range")
     else:
-        if not report.finite_range:
-            reasons.append("not row-finite: some edge has infinite range")
-        else:
-            reasons.append(
-                f"not row-finite: infinite emitter {report.infinite_emitter_witness.label()}"
-            )
-        ok = False
+        reasons.append(f"not row-finite: infinite emitter {report.infinite_emitter_witness.label()}")
     cy_ok, cy_reason = _condition_y_reason(cy)
     reasons.append(cy_reason)
-    if cy_ok is False:
-        ok = False
-    elif cy_ok is None:
-        unknown = True
-    if not ok:
+    if report.has_sinks or not report.row_finite or cy_ok is False:
         status = "No"
-    elif unknown:
-        status = "Unknown"
     else:
-        status = "Yes"
+        status = "Unknown" if cy_ok is None else "Yes"
     verdict = GradingVerdict("StrongZ", status, reasons)
     if status == "Yes" and pres.is_finite:
         verdict.certificate = _strong_z_certificate(pres)
@@ -119,31 +104,18 @@ def _strong_z_from(pres: UltragraphPresentation, cy: ConditionYVerdict) -> Gradi
 
 def _strong_z_certificate(pres: UltragraphPresentation) -> dict:
     """The tables of degrees 1 and −1, each checked with one call and
-    printed once per node: every vertex with its degree 1 sum
-    Σ s(e) st(e) and its degree −1 root P(0, v), and every node P(k, u),
-    either its closing pair p{u} st(τ) s(τ) p{u} or its split
-    Σ s(e) P(k+1, u′) st(e), as the check re-multiplied them."""
-    labels = {v: _print_vref(pres, v) for v in pres.all_vertices()}
-
-    def node(k: int, u) -> str:
-        return f"P({k}, {labels[u]})"
-
+    printed once: every vertex with its degree 1 sum Σ s(e) st(e), and the
+    nodes of ε_{−1} = D(1, V), printed as the epsilon-unit certificate
+    prints its nodes."""
     tables = {}
     for n in (1, -1):
         tables[n] = algebra.strong_factorization(pres, n)
         algebra.verify_factorization(pres, tables[n], n)
     vertices = {
-        labels[v]: {"1": " + ".join(f"s({e.label()}) st({e.label()})" for e in edges), "-1": node(0, v)}
+        _print_vref(pres, v): " + ".join(f"s({e.label()}) st({e.label()})" for e in edges)
         for v, edges in tables[1].items()
     }
-    nodes = {}
-    for (k, u), (tau, children) in tables[-1].items():
-        if tau is None:
-            nodes[node(k, u)] = " + ".join(f"s({e.label()}) {node(*child)} st({e.label()})" for e, child in children)
-        else:
-            path = " ".join(e.label() for e in tau)
-            nodes[node(k, u)] = f"p{{{labels[u]}}} st({path}) s({path}) p{{{labels[u]}}}"
-    return {"kind": "strong_z_nodes", "vertices": vertices, "nodes": nodes}
+    return {"kind": "strong_z_units", "vertices": vertices, "nodes": algebra.pretty_nodes(pres, tables[-1])}
 
 
 def classify_eps_strong_z(pres: UltragraphPresentation) -> GradingVerdict:
@@ -221,13 +193,15 @@ def gauge_saturation(pres: UltragraphPresentation, horizon: int = 40) -> Grading
 
 
 def _gauge_from(base: GradingVerdict) -> GradingVerdict:
-    """Gauge saturation from the strong-Z verdict, sharing its certificate."""
+    """Gauge saturation from the strong-Z verdict; a certificate of that
+    verdict is named, not copied."""
     reasons = list(base.reasons)
     reasons.append(
         "gauge saturation is equivalent to the strong Z-grading criterion; "
         "analytically: spectral-subspace products are dense in the fixed-point algebra"
     )
-    return GradingVerdict("GaugeSaturated", base.status, reasons, base.certificate)
+    pointer = {"kind": "same_as", "grading": "strong_z"} if base.certificate else None
+    return GradingVerdict("GaugeSaturated", base.status, reasons, pointer)
 
 
 def analyze(pres: UltragraphPresentation, horizon: int = 40) -> dict:

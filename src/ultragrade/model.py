@@ -502,22 +502,27 @@ class UltragraphPresentation:
             if e.range.is_empty():
                 raise EmptyRange(0, f"edge {eid} has empty range")
         for name, fam in self.edge_families.items():
-            for t in (fam.source, *fam.range_atoms):
-                if t.family not in self.vertex_families:
-                    raise DanglingReference(0, f"edge_family {name}: unknown family {t.family}")
-                card = self.vertex_families[t.family]
-                if t.aff.a >= 1 and card is not None:
-                    raise DanglingReference(
-                        0, f"edge_family {name}: affine index into finite family {t.family}"
-                    )
-                if t.aff.value(fam.n0) < 0:
-                    raise DanglingReference(0, f"edge_family {name}: negative index at n={fam.n0}")
-                if t.aff.a == 0 and card is not None and t.aff.b >= card:
-                    raise DanglingReference(0, f"edge_family {name}: index beyond family {t.family}")
+            _check_templates(fam, self.vertex_families, 0)
             if fam.source.aff.a < 0:
                 raise DanglingReference(0, f"edge_family {name}: source map must be affine with a >= 0")
             if not fam.range_atoms:
                 raise EmptyRange(0, f"edge_family {name} has empty range")
+
+
+def _check_templates(fam: EdgeFamily, families: dict[str, int | None], line_no: int) -> None:
+    """Each template of an edge family names a declared family, a finite
+    family takes no affine index, no index is negative at n0, and a
+    constant index lies in its family; raised at line_no (0 in validate)."""
+    for t in (fam.source, *fam.range_atoms):
+        if t.family not in families:
+            raise DanglingReference(line_no, f"edge_family {fam.name}: unknown family {t.family}")
+        card = families[t.family]
+        if t.aff.a >= 1 and card is not None:
+            raise DanglingReference(line_no, f"edge_family {fam.name}: affine index into finite family {t.family}")
+        if t.aff.value(fam.n0) < 0:
+            raise DanglingReference(line_no, f"edge_family {fam.name}: negative index at n={fam.n0}")
+        if t.aff.a == 0 and card is not None and t.aff.b >= card:
+            raise DanglingReference(line_no, f"edge_family {fam.name}: index beyond family {t.family}")
 
 
 # -- parsing -------------------------------------------------------------
@@ -695,7 +700,9 @@ def _read_declaration(pres: UltragraphPresentation, word: str, rest: str, line_n
     atoms = tuple(_parse_ref(item, line_no, families, template=True) for item in _split_items(body))
     if not atoms:
         raise EmptyRange(line_no, f"edge_family {name!r} has empty range")
-    pres.edge_families[name] = EdgeFamily(name, int(n0), src, atoms)
+    fam = EdgeFamily(name, int(n0), src, atoms)
+    _check_templates(fam, families, line_no)
+    pres.edge_families[name] = fam
     return True
 
 
@@ -715,7 +722,6 @@ def parse_presentation(text: str) -> UltragraphPresentation:
             raise ParseError(line_no, f"unrecognized line: {line!r}")
     if pres is None:
         raise ParseError(1, "empty presentation")
-    pres.validate()
     return pres
 
 

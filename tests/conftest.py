@@ -104,8 +104,7 @@ def shift_path(p: InfinitePathRep) -> InfinitePathRep:
 class PathSearch(_BackwardSearch):
     """The backward search that also builds its paths: the first path of
     the given length into v found depth first over the in-edges in id
-    order.  The strong-Z certificate once took its replacement paths from
-    here; now it is the oracle for the paths read off the length profile."""
+    order; the oracle for the replacement paths of condition (Y)."""
 
     def find(self, v: VertexRef, length: int) -> Optional[tuple[EdgeInst, ...]]:
         ok, _ = self.exists(v, length)

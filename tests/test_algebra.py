@@ -17,7 +17,6 @@ from conftest import (
     random_element,
     random_path,
     random_presentation,
-    source_chain,
     star,
     t0_left_unit_for,
     t0_unit_for,
@@ -40,7 +39,6 @@ from ultragrade.algebra import (
     verify_factorization,
     z_degree,
 )
-from ultragrade.condition_y import LengthProfile
 from ultragrade.errors import (
     CertificateError,
     NotFinite,
@@ -345,38 +343,37 @@ def test_factorizations_verify_on_corpus(name):
     for n in (1, -1):
         table = strong_factorization(pres, n)
         verify_factorization(pres, table, n)
-        roots = set(table) if n == 1 else {u for k, u in table if k == 0}
-        assert roots == set(pres.all_vertices())
+        if n == 1:
+            assert set(table) == set(pres.all_vertices())
+        else:
+            assert (1, pres.g0_universe()) in table
 
 
 def test_source_vertex_factorization_shape():
-    # degree -1 at the source u of ef needs path surgery through v: the
-    # root (0, u) splits over e into (1, v), which closes with the
-    # replacement path e f, and the one branch they stand for is the pair
-    # s_e (p_v st(e f)), (s(e f) p_v) s_e*
+    # degree -1 at the source u of ef: u lies in no range, so D(1, V) keeps
+    # p_v and splits u over e into D(2, r(e)), whose set r(e) = {v} lies in
+    # reached(2), the range of e f; both nodes are full, so
+    # D(1, V) = p_v + s_e p_v s_e* = p_v + p_u by the Cuntz-Krieger relation
+    # at u, whose one edge is e
     pres = load("ef.ug")
-    u, v = VertexRef("u", 0), VertexRef("v", 0)
+    u, v = VertexSet.of(VertexRef("u", 0)), VertexSet.of(VertexRef("v", 0))
+    e = EdgeInst("e")
     table = strong_factorization(pres, -1)
-    assert set(table) == {(0, u), (1, v), (0, v)}
-    e, f = EdgeInst("e"), EdgeInst("f")
-    assert table[0, u] == (None, ((e, (1, v)),))
-    assert table[1, v] == ((e, f), ()) and table[0, v] == ((e,), ())
-    # the pair of the closing node (1, v), built from its τ as the check
-    # builds it
-    a = AlgebraElement.monomial(pres, (), VertexSet.of(v), (e, f))
-    b = AlgebraElement.monomial(pres, (e, f), VertexSet.of(v), ())
-    assert z_degree(a) == -2 and z_degree(b) == 2
-    assert (pretty(a), pretty(b)) == ("p{v} st(e f)", "s(e f) p{v}")
-    assert pretty(AlgebraElement.s(pres, E("e")) * a) == "s(e) p{v} st(e f)"
-    assert pretty(b * AlgebraElement.s_star(pres, E("e"))) == "s(e f) p{v} st(e)"
+    assert table == {(1, pres.g0_universe()): (v, ((e, (2, v)),)), (2, v): (v, ())}
+    term = AlgebraElement.monomial(pres, (e,), v, (e,))  # s_e D(2, r(e)) s_e*, D(2, r(e)) = p_v
+    assert z_degree(term) == 0
+    assert pretty(AlgebraElement.projection(pres, v) + term) == "p{v} + s(e) p{v} st(e)"
+    # the term is s_e s_e*, which the relation at u, not the normal form, makes p_u
+    assert multiply(AlgebraElement.s(pres, E("e")), AlgebraElement.s_star(pres, E("e"))) == term
+    assert term != AlgebraElement.projection(pres, u)
 
 
 @pytest.mark.dash_o
 def test_pretty_labels_each_vertex_set_once(monkeypatch):
     # the certificate of a 60-cycle fed by a source names each of its 61
-    # vertices once and prints no vertex set; pretty, over the 122 factors
-    # of the 61 degree 1 pairs, labels each of their 60 distinct ranges once,
-    # with the labels of a fresh presentation
+    # vertices once and prints the sets of its two nodes; pretty, over the
+    # 122 factors of the 61 degree 1 pairs, labels each of their 60
+    # distinct ranges once, with the labels of a fresh presentation
     from ultragrade import grading, model
 
     text = "\n".join(
@@ -384,6 +381,7 @@ def test_pretty_labels_each_vertex_set_once(monkeypatch):
         + [f"edge e{i} : c[{i}] -> {{ c[{(i + 1) % 60}] }}" for i in range(60)]
     )
     expected = classify_strong_z(parse_presentation(text)).certificate
+    assert expected["nodes"] == {"D(1, V)": "p{c[*]} + s(feed) D(2, r(e59)) st(feed)", "D(2, r(e59))": "p{c[0]}"}
     fresh = parse_presentation(text)
 
     def pair_factors(p):
@@ -398,8 +396,9 @@ def test_pretty_labels_each_vertex_set_once(monkeypatch):
     monkeypatch.setattr(grading, "_print_vref", lambda pres, v: named.append(v) or real_vref(pres, v))
     pres = parse_presentation(text)
     assert classify_strong_z(pres).certificate == expected
-    assert not labelled
+    assert len(labelled) == 2
     assert sorted(named) == sorted(pres.all_vertices()) and len(named) == 61
+    labelled.clear()
     factors = pair_factors(pres)
     assert [pretty(z) for z in factors] == fresh_printed
     assert "s(feed) p{c[0]}" in fresh_printed and "p{c[1]} st(e0)" in fresh_printed
@@ -410,9 +409,9 @@ def test_pretty_labels_each_vertex_set_once(monkeypatch):
 
 
 def test_strong_z_certificate_asks_each_vertex_once_on_a_cycle(monkeypatch):
-    # the certificate reads each vertex's out-edges and in-edges from facts
-    # built once per presentation, so a cycle's certificate is not
-    # quadratic in its length, and no vertex is asked for its in-edges
+    # the certificate reads each vertex's out-edges from a fact built once
+    # per presentation, so a cycle's certificate is not quadratic in its
+    # length, and no vertex is asked for its in-edges
     n = 200
     lines = ["ultragraph cyc", "vertex src", f"vertex_family c finite {n}", "edge feed : src -> { c[0] }"]
     lines += [f"edge e{i} : c[{i}] -> {{ c[{(i + 1) % n}] }}" for i in range(n)]
@@ -432,29 +431,6 @@ def test_strong_z_certificate_asks_each_vertex_once_on_a_cycle(monkeypatch):
     assert not into, len(into)
 
 
-def test_strong_z_certificate_builds_reached_only_when_a_source_expands(monkeypatch):
-    """A vertex in some range closes at γ = () through the in-edge map, so
-    the length profile's reached sets are built only for the paths out of
-    a source: none on the corpus files without a source, and lengths
-    2 … 201, never 1, on a chain of 200 vertices that one source at its
-    head feeds into a loop."""
-    asked = []
-    real = LengthProfile.reached
-
-    def spy(self, length):
-        asked.append(length)
-        return real(self, length)
-
-    monkeypatch.setattr(LengthProfile, "reached", spy)
-    for name in ("single_loop.ug", "two_cycle.ug", "two_range.ug", "cosingleton12.ug"):
-        pres = load(name)
-        verify_factorization(pres, strong_factorization(pres, -1), -1)
-    assert asked == []
-    pres = source_chain(200)
-    verify_factorization(pres, strong_factorization(pres, -1), -1)
-    assert sorted(set(asked)) == list(range(2, 202))
-
-
 def test_factorization_rejected_with_sinks():
     pres = load("one_edge.ug")
     with pytest.raises(NotStronglyGraded):
@@ -470,8 +446,8 @@ def test_verify_rejects_wrong_certificates(monkeypatch):
     # a vertex listing another vertex's edges
     with pytest.raises(CertificateError, match="does not list its out-edges"):
         verify_factorization(pres, {u: good[v], v: good[v]}, 1)
-    # wrong degree claim
-    with pytest.raises(CertificateError, match="root"):
+    # wrong degree claim: the root D(1, V) is not listed
+    with pytest.raises(CertificateError, match="root D"):
         verify_factorization(pres, good, -1)
     # dropped pair
     with pytest.raises(CertificateError, match="does not list its out-edges"):
@@ -479,12 +455,17 @@ def test_verify_rejects_wrong_certificates(monkeypatch):
     # a vertex left out
     with pytest.raises(CertificateError, match="not the vertices"):
         verify_factorization(pres, {v: good[v]}, 1)
-    # a product that breaks the identities is caught by the re-multiplication
+    # a product that breaks the identities is caught by the
+    # re-multiplication in degree 1; degree -1 multiplies nothing
     table = strong_factorization(pres, -1)
     monkeypatch.setattr(algebra, "multiply", lambda x, y: multiply(x, y).scale(-1))
-    for n, t in ((1, good), (-1, table)):
-        with pytest.raises(CertificateError, match="does not multiply"):
-            verify_factorization(pres, t, n)
+    with pytest.raises(CertificateError, match="does not multiply"):
+        verify_factorization(pres, good, 1)
+    verify_factorization(pres, table, -1)
+    # a node that is no longer full once its child is gone
+    head, kids = table[1, pres.g0_universe()]
+    with pytest.raises(CertificateError, match=r"node D\(1, V\) does not follow its rule"):
+        verify_factorization(pres, {**table, (1, pres.g0_universe()): (head, ())}, -1)
 
 
 def test_all_paths_counts():

@@ -35,23 +35,19 @@ def test_single_loop_everything_yes():
 
 
 def test_strong_z_certificate_shape():
-    # two_cycle's vertices both lie in a range, so every root closes at
-    # once; ef's source u splits over e into the node (1, v), which closes
-    # with the replacement path e f
+    # two_cycle's vertices both lie in a range, so D(1, V) is p_V with no
+    # child; ef's source u splits over e into the node D(2, r(e)), whose
+    # set {v} lies in the range of e f
     verdict = classify_strong_z(load("two_cycle.ug"))
     assert verdict.status == "Yes"
     assert verdict.certificate == {
-        "kind": "strong_z_nodes",
-        "vertices": {"u": {"1": "s(e) st(e)", "-1": "P(0, u)"}, "v": {"1": "s(f) st(f)", "-1": "P(0, v)"}},
-        "nodes": {"P(0, u)": "p{u} st(f) s(f) p{u}", "P(0, v)": "p{v} st(e) s(e) p{v}"},
+        "kind": "strong_z_units",
+        "vertices": {"u": "s(e) st(e)", "v": "s(f) st(f)"},
+        "nodes": {"D(1, V)": "p{u, v}"},
     }
     cert = classify_strong_z(load("ef.ug")).certificate
-    assert cert["vertices"]["u"] == {"1": "s(e) st(e)", "-1": "P(0, u)"}
-    assert cert["nodes"] == {
-        "P(0, u)": "s(e) P(1, v) st(e)",
-        "P(1, v)": "p{v} st(e f) s(e f) p{v}",
-        "P(0, v)": "p{v} st(e) s(e) p{v}",
-    }
+    assert cert["vertices"]["u"] == "s(e) st(e)"
+    assert cert["nodes"] == {"D(1, V)": "p{v} + s(e) D(2, r(e)) st(e)", "D(2, r(e))": "p{v}"}
 
 
 def test_one_edge_gradings():
@@ -144,27 +140,30 @@ def test_eps_strong_z_is_yes_iff_unital_on_finite_edges():
 @pytest.mark.dash_o
 def test_gauge_saturation_equals_strong_z():
     """On the corpus and 500 seeded inputs, GaugeSaturated reads the
-    StrongZ status and carries the same certificate, in analyze's report
-    and from gauge_saturation called alone."""
+    StrongZ status and names its certificate, when there is one, instead
+    of copying it, in analyze's report and from gauge_saturation called
+    alone; its reasons are StrongZ's and one more."""
     rng = random.Random(2041)
     presentations = [load(p.name) for p in sorted(CORPUS.glob("*.ug"))]
     presentations += [random_presentation(rng, sinkless=i % 2 == 1) for i in range(500)]
     certified = 0
     for pres in presentations:
         gradings = analyze(pres)["gradings"]
-        strong = (gradings["strong_z"]["status"], gradings["strong_z"]["certificate"])
+        pointer = {"kind": "same_as", "grading": "strong_z"} if gradings["strong_z"]["certificate"] else None
+        strong = (gradings["strong_z"]["status"], pointer)
         gauge = gradings["gauge_saturated"]
         assert (gauge["status"], gauge["certificate"]) == strong, pres.name
+        assert gauge["reasons"][:-1] == gradings["strong_z"]["reasons"], pres.name
         alone = gauge_saturation(pres)
         assert (alone.status, alone.certificate) == strong, pres.name
-        certified += strong[1] is not None
+        certified += pointer is not None
     assert certified >= 250, certified
 
 
 @pytest.mark.dash_o
 def test_strong_z_certificate_checks_once_per_degree(monkeypatch):
     # one table per degree, built and checked by one call each: degree 1
-    # lists every vertex, and degree -1 every root (0, v) and the 64 nodes
+    # lists every vertex, and degree -1 the root D(1, V) and the 64 nodes
     # down the chain from the source t[0] to the loop
     calls, tables = [], []
     build, check = algebra.strong_factorization, algebra.verify_factorization
@@ -185,8 +184,8 @@ def test_strong_z_certificate_checks_once_per_degree(monkeypatch):
     assert calls == [("build", 1), ("check", 1), ("build", -1), ("check", -1)]
     vertices = set(pres.all_vertices())
     assert set(tables[0]) == vertices
-    assert {u for k, u in tables[1] if k == 0} == vertices
-    assert len(tables[1]) == len(vertices) + 64
+    assert (1, pres.g0_universe()) in tables[1]
+    assert len(tables[1]) == 1 + 64
 
 
 def test_eps_strong_z_acyclic_chain():

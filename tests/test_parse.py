@@ -13,6 +13,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from ultragrade.model import (
     Affine,
     Edge,
     EdgeFamily,
+    EdgeInst,
     UltragraphPresentation,
     VertexRef,
     VertexSet,
@@ -127,13 +129,14 @@ BAD_LINES = [
     ("edge_family f[n] (n >= 0) : x[n] -> { w[n] }", ("DanglingReference", 5, "unknown vertex family 'x'")),
     ("edge_family f[n] (n >= 0) : w -> { w[n] }", ("ParseError", 5, "'w' is a family; an index is required")),
     ("edge_family f[n] (n >= 0) : w[n] -> { }", ("EmptyRange", 5, "edge_family 'f' has empty range")),
-    # edge_family: what validate() finds, with line 0
+    # edge_family: the checks of the whole family, at its line (validate()
+    # makes them at line 0 on a presentation built by hand)
     (
         "edge_family f[n] (n >= 0) : v[n] -> { w[n] }",
-        ("DanglingReference", 0, "edge_family f: affine index into finite family v"),
+        ("DanglingReference", 5, "edge_family f: affine index into finite family v"),
     ),
-    ("edge_family f[n] (n >= 0) : w[n-1] -> { w[n] }", ("DanglingReference", 0, "edge_family f: negative index at n=0")),
-    ("edge_family f[n] (n >= 0) : w[n] -> { v[5] }", ("DanglingReference", 0, "edge_family f: index beyond family v")),
+    ("edge_family f[n] (n >= 0) : w[n-1] -> { w[n] }", ("DanglingReference", 5, "edge_family f: negative index at n=0")),
+    ("edge_family f[n] (n >= 0) : w[n] -> { v[5] }", ("DanglingReference", 5, "edge_family f: index beyond family v")),
     # anything else
     ("what is this", unrecognized("what is this")),
 ]
@@ -142,6 +145,26 @@ BAD_LINES = [
 @pytest.mark.parametrize("line, expected", BAD_LINES, ids=[repr(line) for line, _ in BAD_LINES])
 def test_bad_line_table(line, expected):
     assert outcome(HEAD + line + "\n") == expected
+
+
+def test_validate_makes_the_family_checks_at_line_0(monkeypatch):
+    """A presentation built by hand gets the scanner's checks of a whole
+    edge family from validate(), at line 0; parse_presentation makes them
+    at the family's line and never calls validate()."""
+    templates = [
+        (VertexTemplate("v", Affine(1, 0)), VertexTemplate("w", Affine(1, 0))),
+        (VertexTemplate("w", Affine(1, -1)), VertexTemplate("w", Affine(1, 0))),
+        (VertexTemplate("w", Affine(1, 0)), VertexTemplate("v", Affine(0, 5))),
+    ]
+    for (line, expected), (src, atom) in zip(BAD_LINES[-4:-1], templates):
+        pres = parse_presentation(HEAD)
+        pres.edge_families["f"] = EdgeFamily("f", 0, src, (atom,))
+        with pytest.raises(DanglingReference) as raised:
+            pres.validate()
+        assert (raised.value.line_no, raised.value.message) == (0, expected[2]), line
+    monkeypatch.setattr(UltragraphPresentation, "validate", lambda self: pytest.fail("validate() was called"))
+    for path in sorted(CORPUS.glob("*.ug")):
+        parse_presentation(path.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize(
@@ -185,6 +208,10 @@ BAD_EXPRESSIONS = [
     ("s(e) s(f)", 0, ""),
     ("-1 s(e)", 0, ""),
     ("p{v} st(e f) s(e f) p{v}", 0, ""),
+    # fractions, as pretty prints them
+    ("1/2 s(e) + 1/2 s(e)", 0, ""),
+    ("1/0 s(e)", 2, "error: zero denominator in '1/0'\n"),
+    ("1/ s(e)", 2, "error: unexpected input at '/ s(e)'\n"),
 ]
 
 
@@ -476,15 +503,34 @@ def fields(pres):
     )
 
 
+# What the regex parser left to validate(), and so reported at line 0, and
+# the scanner reports at the line that declares the edge family.
+FAMILY_CHECKS = ("affine index into finite family", "negative index at n=", "index beyond family")
+
+
+def _declaring_line(text, name):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        word, _, rest = raw.partition("#")[0].strip().partition(" ")
+        if word == "edge_family" and rest.lstrip().startswith(f"{name}["):
+            return line_no
+    return None
+
+
 def both_outcomes(text):
     """What the scanner and the regex parser make of text: the fields of
-    the presentation, or the error's class, line and message."""
+    the presentation, or the error's class, line and message.  The one
+    difference allowed: a check of a whole edge family that the regex
+    parser's validate() reported at line 0 is expected at the family's
+    line."""
     got = []
     for parse in (parse_presentation, old_parse_presentation):
         try:
             got.append(fields(parse(text)))
         except ParseError as exc:
             got.append((type(exc).__name__, exc.line_no, exc.message))
+    kind, line, message = got[1] if len(got[1]) == 3 else (None, None, "")
+    if (kind, line) == ("DanglingReference", 0) and any(f": {check}" in message for check in FAMILY_CHECKS):
+        got[1] = (kind, _declaring_line(text, message.split()[1].rstrip(":")), message)
     return got
 
 
@@ -511,7 +557,7 @@ def test_scanner_matches_the_regex_parser_on_random_text():
 
 
 def test_eval_reads_juxtaposed_products(capsys):
-    # a closing pair of ef.ug's strong-Z certificate, as the report prints it
+    # p_v s_τ* s_τ p_v for the path τ = e f into v of ef.ug
     assert run_cli(["eval", str(CORPUS / "ef.ug"), "p{v} st(e f) s(e f) p{v}"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "normal form: p{v}"
 
@@ -527,33 +573,55 @@ def strong_z_certificates():
     return out
 
 
-def test_closing_pairs_evaluate_to_their_vertex():
-    pairs = 0
+def _type_of(pres, name):
+    """The set A of a node D(m, A) by the name of its type, V or r(e)."""
+    label = name[name.index(", ") + 2 : -1]
+    return pres.g0_universe() if label == "V" else pres.edge_range(EdgeInst(label[2:-1]))
+
+
+def test_full_nodes_evaluate_to_their_split_vertices():
+    """Each degree 1 sum of a corpus strong-Z certificate is the sum of
+    s_e s_e* over the out-edges of its vertex; and each node D(m, A) is
+    full as printed: with each child D(m', B) read as p{B}, its line
+    evaluates to its head plus the printed degree 1 sums of the vertices
+    of A outside the head."""
+    nodes = 0
     for pres, cert in strong_z_certificates():
-        for node, text in cert["nodes"].items():
-            if "P(" in text:
-                continue  # a split node names its children
-            vertex = node[node.index(", ") + 2 : -1]
-            assert parse_element(pres, text) == parse_element(pres, f"p{{{vertex}}}"), (pres.name, node)
-            pairs += 1
         labels = {v.family if v.family in pres.atoms else v.label(): v for v in pres.all_vertices()}
-        for vertex, degrees in cert["vertices"].items():
-            # the sum of s_e s_e* over the out-edges e of the vertex
+        printed = {v: label for label, v in labels.items()}
+        sums = {label: parse_element(pres, text) for label, text in cert["vertices"].items()}
+        for vertex, total in sums.items():
             split = AlgebraElement.zero(pres)
             for e in pres.out_edges(labels[vertex]):
                 split = split + AlgebraElement.s(pres, (e,)) * AlgebraElement.s_star(pres, (e,))
-            assert parse_element(pres, degrees["1"]) == split, (pres.name, vertex)
-    assert pairs >= 10
+            assert total == split, (pres.name, vertex)
+        for name, line in cert["nodes"].items():
+            got, head = AlgebraElement.zero(pres), VertexSet.empty()
+            for bit in line.split(" + "):
+                if bit.startswith("p{"):
+                    got = parse_element(pres, bit)
+                    head = got.terms[(), ()][0][1]
+                    continue
+                child = bit[bit.index("D(") : bit.index(") st(") + 1]
+                s_e, st_e = bit[: bit.index(" D(")], bit[bit.index(" st(") + 1 :]
+                p_child = AlgebraElement.projection(pres, _type_of(pres, child))
+                got = got + parse_element(pres, s_e) * p_child * parse_element(pres, st_e)
+            expected = AlgebraElement.projection(pres, head)
+            for u in _type_of(pres, name).difference(head).vertices():
+                expected = expected + sums[printed[u]]
+            assert got == expected, (pres.name, name)
+            nodes += 1
+    assert nodes >= 100, nodes
 
 
 def printed_elements():
     """The elements the corpus certificates print and the ones
-    tests/test_cli.py evaluates, with random integer combinations of
-    monomials on the finite corpus."""
+    tests/test_cli.py evaluates, with random combinations of monomials on
+    the finite corpus, their coefficients integers and fractions."""
     out = []
     for pres, cert in strong_z_certificates():
-        texts = [t for t in cert["nodes"].values() if "P(" not in t] + [d["1"] for d in cert["vertices"].values()]
-        out += [parse_element(pres, t) for t in texts]
+        texts = list(cert["vertices"].values()) + [line.split(" + ")[0] for line in cert["nodes"].values()]
+        out += [parse_element(pres, t) for t in texts if not t.startswith("s(")]
     ef = parse_presentation((CORPUS / "ef.ug").read_text(encoding="utf-8"))
     out += [parse_element(ef, t) for t in ("s(e) * s(f)", "st(e) * s(f)", "s(e) * st(f)", "s(f) + 2 st(f) + -3 p{u}")]
     chain = parse_presentation((CORPUS / "source_chain64.ug").read_text(encoding="utf-8"))
@@ -565,7 +633,7 @@ def printed_elements():
             x = AlgebraElement.zero(pres)
             for _ in range(rng.randint(1, 3)):
                 alpha, beta = random_path(rng, pres), random_path(rng, pres)
-                coeff = rng.choice([1, -1, 2, 3])
+                coeff = rng.choice([1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 3)])
                 x = x + AlgebraElement.monomial(pres, alpha, random_vertex_set(rng, pres), beta, coeff)
             out.append(x)
     return out
@@ -574,6 +642,8 @@ def printed_elements():
 def test_pretty_reads_back():
     elements = printed_elements()
     assert sum(not x.is_zero() for x in elements) >= 150
+    fractions = [x for x in elements if any(c.denominator > 1 for pieces in x.terms.values() for c, _ in pieces)]
+    assert len(fractions) >= 50, len(fractions)
     for x in elements:
         assert pretty(parse_element(x.pres, pretty(x))) == pretty(x), pretty(x)
 

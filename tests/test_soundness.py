@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CORPUS, load
-from ultragrade import algebra, condition_y, partial_action
+from ultragrade import condition_y, partial_action
 from ultragrade.errors import CertificateError
 from ultragrade.model import EdgeInst
 
@@ -32,15 +32,14 @@ def _run_dash_o(script: str, *argv: str) -> subprocess.CompletedProcess:
 
 # Runs the strong-Z certificate path once as it is, then with a table
 # builder that breaks the degree -1 table in one of three ways: a child
-# dropped from the source's split, a closing node given a child next to
-# its tau, a root left out.
+# dropped from a node, a vertex taken out of a head, the root left out.
 SABOTAGED_STRONG_Z = """
 import sys
 if __debug__:
     sys.exit("not running under -O")
 from ultragrade import algebra, grading
 from ultragrade.errors import CertificateError
-from ultragrade.model import parse_presentation
+from ultragrade.model import VertexSet, parse_presentation
 
 pres = parse_presentation(open(sys.argv[1]).read())
 if grading.classify_strong_z(pres).status != "Yes":
@@ -49,20 +48,20 @@ build = algebra.strong_factorization
 
 
 def dropped_child(key, node):
-    tau, children = node
-    return (tau, children[1:]) if children else node
+    head, kids = node
+    return (head, kids[1:]) if kids else node
 
 
-def tau_and_child(key, node):
-    tau, children = node
-    return (tau, ((tau[0], (key[0] + 1, key[1])),)) if tau else node
+def smaller_head(key, node):
+    head, kids = node
+    return (head.difference(VertexSet.of(head.vertices()[0])), kids) if key[0] > 1 else node
 
 
 def no_root(key, node):
-    return None if key[0] == 0 else node
+    return None if key[0] == 1 else node
 
 
-for fault in (dropped_child, tau_and_child, no_root):
+for fault in (dropped_child, smaller_head, no_root):
     def sabotaged(pres, n, fault=fault):
         table = build(pres, n)
         if n == 1:
@@ -86,9 +85,9 @@ def test_strong_z_certificate_check_runs_under_dash_o():
     lines = proc.stdout.splitlines()
     assert len(lines) == 3, proc.stdout
     assert all(line.startswith("raised: the strong-Z certificate of degree -1 does not verify") for line in lines)
-    assert lines[0].endswith("the children of node (0, u[0]) are not its out-edges with the vertices of their ranges")
-    assert lines[1].endswith("node (1, v[0]) holds both a tau and children")
-    assert lines[2].endswith("the root (0, u[0]) is not listed")
+    assert lines[0].endswith("node D(1, V) does not follow its rule")
+    assert lines[1].endswith("node D(2, r(e)) does not follow its rule")
+    assert lines[2].endswith("the root D(1, V) is not listed")
 
 
 # Replaces every cached range type of a presentation with a source by the
@@ -147,12 +146,6 @@ def test_mismatched_split_raises_under_dash_o():
     proc = _run_dash_o(MISMATCHED_STRIP)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("raised:") == 2
-
-
-def test_missing_replacement_path_raises(monkeypatch):
-    monkeypatch.setattr(algebra, "_in_edge_map", lambda pres: {})
-    with pytest.raises(CertificateError, match="no replacement path"):
-        algebra.strong_factorization(load("ef.ug"), -1)
 
 
 def test_bounded_witness_is_rechecked(monkeypatch):
